@@ -3,10 +3,11 @@
 //! Two workloads, two questions:
 //!
 //! 1. **Synchronized ring** (every node computes for a long gap, then all
-//!    exchange at once): how do the three run loops (cycle-stepped,
-//!    idle-skipping event-driven, lookahead-windowed parallel) compare
-//!    when the *time* axis is idle-heavy? The event loops must reproduce
-//!    the cycle-stepped quiescence time exactly; the bin asserts it.
+//!    exchange at once): how do the cycle-stepped oracle and the
+//!    idle-skipping event loop, on one shard and on a worker pool,
+//!    compare when the *time* axis is idle-heavy? The event loop must
+//!    reproduce the cycle-stepped quiescence time exactly; the bin
+//!    asserts it.
 //! 2. **Staggered pairs** (one node pair exchanges at a time while every
 //!    other node sits in a long delay): how does the event loop scale
 //!    with node count when the *space* axis is idle-heavy? This is the

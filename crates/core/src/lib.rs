@@ -1,5 +1,4 @@
 #![warn(missing_docs)]
-#![deny(deprecated)]
 //! # voyager — the assembled StarT-Voyager machine
 //!
 //! This crate glues the substrates into the full system the paper
@@ -36,8 +35,8 @@
 //!   firmware — advanced on the 66 MHz bus clock.
 //! - [`machine`]: cluster assembly ([`Machine::builder`]),
 //!   queue/translation conventions, and measurement accessors.
-//! - [`runloop`]: the run loops — cycle-stepped, idle-skipping
-//!   event-driven, and topology-sharded parallel — all bit-identical.
+//! - [`runloop`]: the idle-skipping, topology-sharded event loop and the
+//!   cycle-stepped oracle it is bit-identical to.
 //! - [`api`]: layer-0 library programs (Basic/Express send & receive,
 //!   block-transfer requests, region readers/writers, notify waiters).
 //! - [`blockxfer`]: the five block-transfer implementations and the
@@ -72,8 +71,6 @@ pub use machine::{DeltaCheckpoint, Machine, MachineBuilder, NodeLib};
 pub use metrics::{XferMeasurement, XferPoint};
 pub use node::Node;
 pub use params::SystemParams;
-#[allow(deprecated)]
-pub use runloop::RunMode;
 pub use runloop::{Parallelism, RunOutcome, ShardPolicy};
 pub use stats::MachineStats;
 pub use tenancy::{

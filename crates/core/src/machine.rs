@@ -26,13 +26,13 @@
 //! assert!(m.run().is_quiesced());
 //! ```
 //!
-//! The run loops themselves (cycle-stepped, event-driven, sharded
-//! parallel) live in [`crate::runloop`].
+//! The run loops (the event loop and the cycle-stepped oracle) live in
+//! [`crate::runloop`].
 
 use crate::app::{AppEvent, AppEventKind, Program};
 use crate::node::Node;
 use crate::params::SystemParams;
-use crate::runloop::{ExecPlan, Parallelism, ShardPolicy};
+use crate::runloop::{ExecPlan, Parallelism, RunScratch, ShardPolicy};
 use bytes::Bytes;
 use sv_arctic::Network;
 use sv_niu::msg::NetPayload;
@@ -165,9 +165,8 @@ impl NodeLib {
 /// Run-loop execution counters, part of [`Machine::stats`]. Only events
 /// that are invariant across worker counts and shard policies are
 /// counted: node ticks, arrival publishes and post-tick republishes.
-/// Full-scan rebuilds ([`Machine`]-level) and shard priming are
-/// deliberately excluded — they differ between the sequential and
-/// sharded paths.
+/// Shard priming is deliberately excluded — it differs between shard
+/// maps.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RunLoopCounters {
     /// Node ticks executed ([`crate::Node::tick`] calls).
@@ -198,16 +197,8 @@ pub struct Machine {
     pub(crate) requested: Parallelism,
     /// Current simulated time (updated every step).
     pub now: Time,
-    /// Memoized per-node wake cycles for the event loop. `nodes` is
-    /// public, so the index is only trusted while `wake_valid` holds;
-    /// every public run entry point clears the flag and the loop
-    /// rebuilds lazily (see [`crate::runloop`]).
-    pub(crate) wake: sv_sim::WakeIndex,
-    pub(crate) wake_valid: bool,
-    /// Scratch buffers reused across event steps so the steady-state
-    /// loop allocates nothing.
-    pub(crate) due: Vec<u32>,
-    pub(crate) delivered: Vec<(Time, sv_arctic::Packet<NetPayload>)>,
+    /// The run loop's buffers, reused by every run entry.
+    pub(crate) scratch: RunScratch,
     /// Run-loop execution counters (see [`RunLoopCounters`]).
     pub(crate) runstats: RunLoopCounters,
     /// Active delta-checkpoint chain, if [`Machine::try_checkpoint_delta`]
@@ -277,9 +268,6 @@ pub struct MachineBuilder {
     stepped: bool,
     par: Parallelism,
     policy: ShardPolicy,
-    /// Pre-0.3 `threads(k)` silently clamped instead of erroring; the
-    /// deprecated shims set this so old call sites keep building.
-    legacy_clamp: bool,
     sample_latency: bool,
     tenancy: Option<crate::tenancy::TenancyParams>,
 }
@@ -339,16 +327,15 @@ impl MachineBuilder {
         self
     }
 
-    /// Select how the event-driven loop is parallelized:
+    /// Select how the event loop is parallelized:
     /// [`Parallelism::Sequential`] (the default), a fixed worker count,
     /// or [`Parallelism::Auto`]. Every choice produces bit-identical
     /// simulation results — see [`crate::runloop`]. Invalid combinations
     /// (zero workers, more workers than the finest shard partition) are
-    /// reported by [`MachineBuilder::try_build`].
+    /// reported by [`MachineBuilder::try_build`]. Leaves
+    /// [`MachineBuilder::cycle_stepped`] in force, in either call order.
     pub fn parallelism(mut self, par: Parallelism) -> Self {
-        self.stepped = false;
         self.par = par;
-        self.legacy_clamp = false;
         self
     }
 
@@ -360,26 +347,9 @@ impl MachineBuilder {
         self
     }
 
-    /// Shard the nodes across `k` worker threads inside lookahead-bounded
-    /// windows. `0` and `1` both mean sequential; oversized counts clamp.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use parallelism(Parallelism::Fixed(k)) or parallelism(Parallelism::Auto)"
-    )]
-    pub fn threads(mut self, k: usize) -> Self {
-        self.stepped = false;
-        self.par = if k <= 1 {
-            Parallelism::Sequential
-        } else {
-            Parallelism::Fixed(k)
-        };
-        self.legacy_clamp = true;
-        self
-    }
-
-    /// Use the original tick-every-cycle loop instead of the event-driven
-    /// one. The two are bit-identical; this exists for cross-checking and
-    /// for measuring the event loop's speedup.
+    /// Use the original tick-every-cycle loop — the reference oracle —
+    /// instead of the event loop. The two are bit-identical; this exists
+    /// for cross-checking and for measuring the event loop's speedup.
     pub fn cycle_stepped(mut self) -> Self {
         self.stepped = true;
         self
@@ -415,7 +385,7 @@ impl MachineBuilder {
     /// Resolve the builder's parallelism knobs against a machine of `n`
     /// nodes into the concrete plan the run loops execute.
     fn resolve_plan(&self, n: usize) -> Result<ExecPlan, crate::api::ApiError> {
-        let workers = self.par.resolve(n, self.legacy_clamp)?;
+        let workers = self.par.resolve(n)?;
         Ok(ExecPlan {
             stepped: self.stepped,
             workers,
@@ -494,7 +464,6 @@ impl Machine {
             stepped: false,
             par: Parallelism::default(),
             policy: ShardPolicy::default(),
-            legacy_clamp: false,
             sample_latency: false,
             tenancy: None,
         }
@@ -523,55 +492,11 @@ impl Machine {
             plan,
             requested,
             now: Time::ZERO,
-            wake: sv_sim::WakeIndex::new(n),
-            wake_valid: false,
-            due: Vec::new(),
-            delivered: Vec::new(),
+            scratch: RunScratch::default(),
             runstats: RunLoopCounters::default(),
             delta_chain: None,
             tenancy: None,
         }
-    }
-
-    /// Build an `n`-node machine with the default conventions installed.
-    #[deprecated(since = "0.2.0", note = "use Machine::builder(n).params(p).build()")]
-    pub fn new(n: usize, params: SystemParams) -> Self {
-        // The legacy constructors keep the legacy loop, so old call sites
-        // observe exactly the old behaviour (which the event modes are
-        // tested to reproduce anyway).
-        Self::assemble(
-            n,
-            params,
-            ExecPlan {
-                stepped: true,
-                ..ExecPlan::default()
-            },
-            Parallelism::Sequential,
-        )
-    }
-
-    /// Build a machine whose network is an ideal (contention-free,
-    /// fixed-latency) pipe instead of the Arctic model.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Machine::builder(n).params(p).ideal_network(latency_ns).build()"
-    )]
-    pub fn new_ideal(n: usize, params: SystemParams, fixed_latency_ns: u64) -> Self {
-        let mut m = Self::assemble(
-            n,
-            params,
-            ExecPlan {
-                stepped: true,
-                ..ExecPlan::default()
-            },
-            Parallelism::Sequential,
-        );
-        m.ideal = Some(sv_arctic::IdealNetwork::new(
-            n.max(2),
-            fixed_latency_ns,
-            params.link,
-        ));
-        m
     }
 
     /// The parallelism this machine was configured with — the requested
@@ -602,45 +527,6 @@ impl Machine {
     /// pure function of node count, topology, policy and worker count.
     pub fn shard_count(&self) -> usize {
         self.shard_map().shards
-    }
-
-    /// How this machine advances time, in the pre-0.3 vocabulary.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use Machine::parallelism / workers / is_cycle_stepped"
-    )]
-    #[allow(deprecated)]
-    pub fn run_mode(&self) -> crate::runloop::RunMode {
-        if self.plan.stepped {
-            crate::runloop::RunMode::CycleStepped
-        } else {
-            crate::runloop::RunMode::Event {
-                threads: self.plan.workers,
-            }
-        }
-    }
-
-    /// Switch run modes mid-flight. Deprecated: post-construction mode
-    /// flips bypass builder validation — configure the loop at build
-    /// time instead. Keeps the pre-0.3 clamping behaviour.
-    #[deprecated(
-        since = "0.3.0",
-        note = "configure at build time with MachineBuilder::parallelism / cycle_stepped"
-    )]
-    #[allow(deprecated)]
-    pub fn set_run_mode(&mut self, mode: crate::runloop::RunMode) {
-        match mode {
-            crate::runloop::RunMode::CycleStepped => self.plan.stepped = true,
-            crate::runloop::RunMode::Event { threads } => {
-                self.plan.stepped = false;
-                self.plan.workers = threads.clamp(1, self.nodes.len().max(1));
-                self.requested = if threads <= 1 {
-                    Parallelism::Sequential
-                } else {
-                    Parallelism::Fixed(threads)
-                };
-            }
-        }
     }
 
     /// Turn per-class packet latency sampling on or off for every NIU
@@ -860,66 +746,6 @@ impl Machine {
     /// Load a program onto node `i`'s application processor.
     pub fn load_program(&mut self, i: u16, p: impl Program + 'static) {
         self.nodes[i as usize].load_program(Box::new(p));
-    }
-
-    /// Advance one bus cycle.
-    pub fn step(&mut self) {
-        let now = self.clock.edge(self.cycle);
-        self.now = now;
-        let delivered = match &mut self.ideal {
-            Some(ideal) => {
-                ideal.advance(now);
-                ideal.take_delivered()
-            }
-            None => {
-                self.network.advance(now);
-                self.network.take_delivered()
-            }
-        };
-        for (_, pkt) in delivered {
-            let node = &mut self.nodes[pkt.dst as usize];
-            if node.tracer.enabled() {
-                node.tracer.record(
-                    now,
-                    sv_sim::trace::Subsys::Net,
-                    format!("rx {}B from node {}", pkt.wire_bytes, pkt.src),
-                );
-            }
-            node.niu.push_arrival_packet(self.cycle, pkt);
-        }
-        let cycle = self.cycle;
-        // The stepped loop visits every node every cycle by definition;
-        // it maintains no wake index, so republishes stay untouched.
-        self.runstats.node_ticks += self.nodes.len() as u64;
-        for node in &mut self.nodes {
-            node.tick(cycle, now);
-        }
-        for node in &mut self.nodes {
-            while let Some(pkt) = node.niu.pop_ready_packet(cycle) {
-                if node.tracer.enabled() {
-                    node.tracer.record(
-                        now,
-                        sv_sim::trace::Subsys::Net,
-                        format!("tx {}B to node {}", pkt.wire_bytes, pkt.dst),
-                    );
-                }
-                match &mut self.ideal {
-                    Some(ideal) => ideal.inject(now, pkt),
-                    None => self.network.inject(now, pkt),
-                }
-            }
-        }
-        self.cycle += 1;
-    }
-
-    /// True when nothing in the machine has work left: no packets in
-    /// flight and every node's engines are drained.
-    pub(crate) fn quiescent(&self) -> bool {
-        let net_quiet = match &self.ideal {
-            Some(ideal) => ideal.next_event_time().is_none(),
-            None => self.network.next_event_time().is_none(),
-        };
-        net_quiet && self.nodes.iter().all(|n| !n.has_work())
     }
 
     /// Turn the debugging tracer of node `i` on or off. While enabled,
@@ -1271,9 +1097,6 @@ impl Machine {
         }
         r.finish()?;
         self.cycle = header.to_cycle;
-        // The wake index memoizes per-node due cycles; state just moved
-        // under it, so force the lazy rebuild.
-        self.wake_valid = false;
         Ok(())
     }
 }
@@ -1500,10 +1323,8 @@ mod tests {
 
     #[test]
     fn builder_covers_legacy_constructor_shapes() {
-        // The shapes the deprecated `new`/`new_ideal` constructors used
-        // to produce, assembled through the builder. (The constructors
-        // themselves are exercised from the integration suite, which
-        // opts back in; this crate denies `deprecated`.)
+        // The stepped-oracle shapes, on both fabrics, assembled through
+        // the builder.
         let m = Machine::builder(3)
             .params(SystemParams::default())
             .cycle_stepped()

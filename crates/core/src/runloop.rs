@@ -1,12 +1,12 @@
-//! The machine's run loops: cycle-stepped, event-driven, and sharded
-//! parallel.
+//! The machine's run loops: one event loop, and the cycle-stepped loop
+//! kept as its reference oracle.
 //!
-//! The original run loop ([`MachineBuilder::cycle_stepped`]) ticks every
-//! node on every 66 MHz bus cycle. That is simple and obviously correct,
-//! but most cycles in realistic workloads are *idle*: every engine's gate
-//! is blocked (a busy-timer has not expired, a queue is empty, a window
-//! is full), so the tick mutates nothing. The event-driven loop (the
-//! default) exploits exactly that property:
+//! The oracle ([`crate::MachineBuilder::cycle_stepped`]) ticks every node
+//! on every 66 MHz bus cycle. That is simple and obviously correct, but
+//! most cycles in realistic workloads are *idle*: every engine's gate is
+//! blocked (a busy-timer has not expired, a queue is empty, a window is
+//! full), so the tick mutates nothing. The event loop (the default)
+//! exploits exactly that property:
 //!
 //! **Superset execution.** Every per-cycle engine in the machine (CPU
 //! step, bus pipeline, NIU engines, sP firmware) is a pure check when its
@@ -17,21 +17,22 @@
 //! (see [`crate::node::Node::next_event_cycle`]): the earliest future
 //! cycle at which it *might* change state. The event loop advances
 //! directly to the minimum over all nodes and the network, executes that
-//! one cycle with the exact same per-cycle sequence as the stepped loop,
-//! and recomputes. The two loops are bit-identical by construction, which
+//! one cycle with the exact same per-cycle sequence as the oracle, and
+//! recomputes. The two loops are bit-identical by construction, which
 //! the equivalence tests in `tests/` assert end to end.
 //!
-//! **Sharded parallel execution.** With [`Parallelism::Fixed`] or
-//! [`Parallelism::Auto`] the nodes are partitioned into *shards* — by
-//! default aligned Arctic fat-tree subtrees ([`ShardPolicy::BySubtree`]),
-//! so that the nodes that exchange the cheapest, most frequent traffic
-//! (2-hop, through their shared leaf switch) land in the same shard and
-//! cross-shard traffic has to climb the tree
-//! ([`sv_arctic::FatTree::min_cross_subtree_hops`]). Each shard owns its
-//! member nodes, its own [`sv_sim::WakeIndex`], and its own arrival
-//! mailbox for the duration of a run; shards move wholesale between the
-//! scheduler and the worker pool over channels, so no node is ever
-//! visible to two threads at once and the loop needs no locks.
+//! **Shards.** The event loop always runs over *shards*. Each shard owns
+//! its member nodes, its own [`sv_sim::WakeIndex`], and its own arrival
+//! mailbox for the duration of a run. [`Parallelism::Sequential`] and
+//! `Fixed(1)` run exactly one shard on the calling thread. With more
+//! workers the nodes are partitioned — by default into aligned Arctic
+//! fat-tree subtrees ([`ShardPolicy::BySubtree`]), so that the nodes that
+//! exchange the cheapest, most frequent traffic (2-hop, through their
+//! shared leaf switch) land in the same shard and cross-shard traffic has
+//! to climb the tree ([`sv_arctic::FatTree::min_cross_subtree_hops`]).
+//! Shards move wholesale between the scheduler and the worker pool over
+//! channels, so no node is ever visible to two threads at once and the
+//! loop needs no locks.
 //!
 //! Synchronization is conservative-lookahead PDES. Nodes only interact
 //! through the network, and the network has a *lookahead* `L`
@@ -43,41 +44,50 @@
 //! slack between shards: the shard map is sized so that traffic between
 //! different shards needs at least two full windows in flight, which
 //! keeps windows usefully populated instead of ping-ponging single
-//! deliveries across the barrier. Execution proceeds as a hybrid:
+//! deliveries across the barrier. Each step of the loop is one of:
 //!
+//! - **Bursts.** When exactly one shard can act and no network event
+//!   comes first, that shard runs alone against the committed network
+//!   until anything else could matter. With one shard this is nearly
+//!   every step.
 //! - **Inline cycles.** When fewer than two shards have work inside the
-//!   next window span, the scheduler executes that one event cycle
-//!   in place — the exact sequential per-cycle sequence over the sharded
-//!   structures, with no cloning and no channel traffic. Sparse phases
-//!   (barriers, stragglers, drain-out) therefore run at full event-loop
-//!   speed.
+//!   next window span but a network event is due, the scheduler executes
+//!   that one event cycle in place — the exact oracle per-cycle sequence
+//!   over the sharded structures, with no cloning and no channel traffic.
 //! - **Parallel windows** `[w0, w1)` with span strictly below `L`:
 //!   1. **Harvest** — the committed network (already advanced to the
 //!      window start) is cloned — cheaply, the immutable topology is
 //!      behind an `Arc` — and advanced to the window end; everything it
 //!      delivers is scheduled onto the owning shard at the exact cycle
-//!      the sequential loop would deliver it. Injections made *inside*
-//!      the window cannot produce deliveries inside it (the lookahead
-//!      invariant), so this pre-computed schedule is complete.
+//!      the oracle would deliver it. Injections made *inside* the window
+//!      cannot produce deliveries inside it (the lookahead invariant), so
+//!      this pre-computed schedule is complete.
 //!   2. **Execute** — every shard with a wake or an arrival in the
 //!      window is sent to the worker pool (a shared task channel, so
 //!      idle workers steal whatever shard is ready next) and runs its
 //!      event cycles, recording packet injections as
 //!      `(cycle, node, seq)`.
 //!   3. **Commit** — the scheduler merges all injections in the global
-//!      order the sequential loop would have produced (cycle, then node
-//!      index, then per-node FIFO) and replays them into the committed
-//!      network, interleaved with `advance` calls so link arbitration —
-//!      and the fault model's RNG draws — see events in exactly the
-//!      sequential order.
+//!      order the oracle would have produced (cycle, then node index,
+//!      then per-node FIFO) and replays them into the committed network,
+//!      interleaved with `advance` calls so link arbitration — and the
+//!      fault model's RNG draws — see events in exactly the oracle's
+//!      order.
 //!
 //! Every step of the protocol is deterministic — window placement, the
-//! inline/parallel choice, and the merge order are pure functions of
-//! simulation state, never of thread scheduling — so a run is
+//! burst/inline/parallel choice, and the merge order are pure functions
+//! of simulation state, never of thread scheduling — so a run is
 //! bit-identical at every worker count and under every shard policy,
-//! which in turn is bit-identical to the cycle-stepped reference. The
-//! equivalence-matrix tests in `tests/` assert this on full
+//! which in turn is bit-identical to the oracle. The equivalence-matrix
+//! tests in `tests/` assert this on full
 //! [`crate::stats::MachineStats`] snapshots, with faults armed.
+//!
+//! **Run entries.** Every entry point advances in strides of at most
+//! 2^16 cycles. A stride starts with one O(n) scan to place it and one to
+//! prime the shard wake indexes; inside it only due nodes are touched.
+//! Quiescence is checked once per stride, and the 32-cycle boundary the
+//! oracle would have stopped at is reconstructed exactly (see
+//! [`Machine::run_to_quiescence_capped`]).
 
 use crate::machine::Machine;
 use crate::node::Node;
@@ -86,23 +96,29 @@ use crate::ApiError;
 use crossbeam::channel;
 use sv_arctic::{IdealNetwork, Network, Packet};
 use sv_niu::msg::NetPayload;
+use sv_sim::trace::Subsys;
 use sv_sim::{Clock, Time, WakeIndex};
 
-/// How many workers the event-driven loop shards the machine across.
-/// Set it at build time with [`MachineBuilder::parallelism`]; combined
-/// with a [`ShardPolicy`] it fully determines the execution plan, and
-/// every choice produces bit-identical simulation results.
+/// A packet the fabric delivered, stamped with its delivery time.
+type Delivery = (Time, Packet<NetPayload>);
+
+/// How many workers the event loop shards the machine across. Set it at
+/// build time with [`MachineBuilder::parallelism`]; combined with a
+/// [`ShardPolicy`] it fully determines the execution plan, and every
+/// choice produces bit-identical simulation results.
 ///
 /// [`MachineBuilder::parallelism`]: crate::machine::MachineBuilder::parallelism
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
-    /// One thread, no sharding — the default. Deterministic like every
-    /// other choice, and the fastest option for small machines.
+    /// One thread, one shard — the default. The same event loop as every
+    /// other choice, run on the calling thread without a worker pool;
+    /// the fastest option for small and mostly idle machines.
     #[default]
     Sequential,
-    /// Exactly this many worker threads. [`MachineBuilder::try_build`]
-    /// rejects `Fixed(0)` ([`ApiError::WorkerCountZero`]) and worker
-    /// counts exceeding the finest shard partition — one shard per node
+    /// Exactly this many worker threads; `Fixed(1)` is `Sequential`.
+    /// [`MachineBuilder::try_build`] rejects `Fixed(0)`
+    /// ([`ApiError::WorkerCountZero`]) and worker counts exceeding the
+    /// finest shard partition — one shard per node
     /// ([`ApiError::WorkersExceedShards`]).
     ///
     /// [`MachineBuilder::try_build`]: crate::machine::MachineBuilder::try_build
@@ -117,28 +133,20 @@ pub enum Parallelism {
 
 impl Parallelism {
     /// Resolve to a concrete worker count for a machine of `nodes`
-    /// nodes. `legacy_clamp` reproduces the pre-0.3 `threads(k)`
-    /// behaviour of silently clamping instead of erroring, for the
-    /// deprecated shims.
-    pub(crate) fn resolve(self, nodes: usize, legacy_clamp: bool) -> Result<usize, ApiError> {
+    /// nodes.
+    pub(crate) fn resolve(self, nodes: usize) -> Result<usize, ApiError> {
         let n = nodes.max(1);
         match self {
             Parallelism::Sequential => Ok(1),
             Parallelism::Fixed(0) => Err(ApiError::WorkerCountZero),
-            Parallelism::Fixed(k) if legacy_clamp => Ok(k.min(n)),
-            Parallelism::Fixed(k) => {
-                // The finest partition any policy can produce is one
-                // shard per node; more workers than that can never all
-                // be used and is a config bug worth surfacing.
-                if k > n {
-                    Err(ApiError::WorkersExceedShards {
-                        workers: k,
-                        shards: n,
-                    })
-                } else {
-                    Ok(k)
-                }
-            }
+            // The finest partition any policy can produce is one shard
+            // per node; more workers than that can never all be used and
+            // is a config bug worth surfacing.
+            Parallelism::Fixed(k) if k > n => Err(ApiError::WorkersExceedShards {
+                workers: k,
+                shards: n,
+            }),
+            Parallelism::Fixed(k) => Ok(k),
             Parallelism::Auto => Ok(auto_workers().clamp(1, n)),
         }
     }
@@ -159,7 +167,8 @@ fn auto_workers() -> usize {
 
 /// How nodes are partitioned into shards for parallel execution. Every
 /// policy yields bit-identical simulation results (the commit protocol
-/// guarantees it); the policy only affects wall-clock speed.
+/// guarantees it); the policy only affects wall-clock speed. One worker
+/// always runs one shard, whatever the policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardPolicy {
     /// Aligned Arctic fat-tree subtrees — the default. Keeps 2-hop
@@ -174,55 +183,20 @@ pub enum ShardPolicy {
     RoundRobin,
 }
 
-/// The fully-resolved execution plan a machine runs under: stepped or
-/// event-driven, how many workers, which shard policy. Built once by
-/// `MachineBuilder::try_build` (or the deprecated shims) so the run
-/// loops never re-validate configuration.
+/// The fully-resolved execution plan a machine runs under: the stepped
+/// oracle or the event loop, and for the event loop how many workers it
+/// uses and how it shards the nodes. Built once by
+/// `MachineBuilder::try_build`, so the run loops never re-validate
+/// configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ExecPlan {
-    /// Tick every node every cycle (the reference loop) instead of the
-    /// event-driven loop.
+    /// Tick every node every cycle (the oracle) instead of running the
+    /// event loop.
     pub stepped: bool,
-    /// Resolved worker count; `1` means sequential.
+    /// Resolved worker count; `1` runs one shard on the calling thread.
     pub workers: usize,
     /// Node-to-shard assignment policy for `workers > 1`.
     pub policy: ShardPolicy,
-}
-
-impl Default for ExecPlan {
-    fn default() -> Self {
-        ExecPlan {
-            stepped: false,
-            workers: 1,
-            policy: ShardPolicy::default(),
-        }
-    }
-}
-
-/// How [`Machine`] advances simulated time — the pre-0.3 configuration
-/// surface, kept for one release as a shim over the structured
-/// [`Parallelism`] / [`ShardPolicy`] builder API.
-#[deprecated(
-    since = "0.3.0",
-    note = "use MachineBuilder::parallelism / shard_policy / cycle_stepped instead"
-)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunMode {
-    /// Tick every node on every bus cycle — the original loop.
-    CycleStepped,
-    /// Advance directly from event to event, skipping idle cycles;
-    /// `threads > 1` shards the nodes across that many workers.
-    Event {
-        /// Worker thread count; `0` and `1` both mean sequential.
-        threads: usize,
-    },
-}
-
-#[allow(deprecated)]
-impl Default for RunMode {
-    fn default() -> Self {
-        RunMode::Event { threads: 1 }
-    }
 }
 
 /// What a capped run ended with. Produced by [`Machine::run`] and
@@ -261,9 +235,9 @@ impl RunOutcome {
     }
 }
 
-/// The node-to-shard assignment a sharded run executes under: a pure
-/// function of (node count, topology, policy, worker count), never of
-/// runtime state, so the same machine always shards the same way.
+/// The node-to-shard assignment a run executes under: a pure function of
+/// (node count, topology, policy, worker count), never of runtime state,
+/// so the same machine always shards the same way.
 pub(crate) struct ShardMap {
     /// Number of shards.
     pub shards: usize,
@@ -272,119 +246,161 @@ pub(crate) struct ShardMap {
     pub owner: Vec<(u32, u32)>,
 }
 
+/// The event loop's buffers, owned by the [`Machine`] and reused by every
+/// run entry, so entering a run allocates nothing per node once the
+/// machine has run before.
+#[derive(Default)]
+pub(crate) struct RunScratch {
+    /// The plan's shard map, built on first use. Every map yields
+    /// identical results, so the cache only has to match the node count.
+    map: Option<ShardMap>,
+    /// Per-shard wake index and due list; member lists are empty between
+    /// runs.
+    shards: Vec<Shard<'static>>,
+    /// The scheduler's copy of each shard's next wake.
+    wakes: Vec<Option<u64>>,
+    /// Fabric deliveries of the current cycle or harvest.
+    delivered: Vec<Delivery>,
+    /// Due nodes of an inline cycle: `(node id, shard, local index)`.
+    merged: Vec<(u16, u32, u32)>,
+    /// Shards an inline cycle drained.
+    drained: Vec<usize>,
+    /// Per-shard harvested arrivals of a parallel window.
+    arrivals: Vec<Vec<(u64, u32, Packet<NetPayload>)>>,
+    /// A parallel window's injections, awaiting commit.
+    injections: Vec<(u64, u16, Packet<NetPayload>)>,
+}
+
+/// The fabric as the run loops see it: the Arctic model and the ideal
+/// pipe behind one object-safe interface.
+trait NetModel {
+    fn next_event_time(&self) -> Option<Time>;
+    fn lookahead_ns(&self) -> u64;
+    fn advance(&mut self, until: Time);
+    fn drain_delivered_into(&mut self, out: &mut Vec<Delivery>);
+    fn inject(&mut self, now: Time, pkt: Packet<NetPayload>);
+    /// Append everything the fabric will deliver up to `horizon` to
+    /// `out`, computed on a clone so the committed state is untouched.
+    fn harvest(&self, horizon: Time, out: &mut Vec<Delivery>);
+}
+
+macro_rules! net_model {
+    ($($net:ident),*) => {$(
+        impl NetModel for $net<NetPayload> {
+            fn next_event_time(&self) -> Option<Time> {
+                $net::next_event_time(self)
+            }
+            fn lookahead_ns(&self) -> u64 {
+                $net::lookahead_ns(self)
+            }
+            fn advance(&mut self, until: Time) {
+                $net::advance(self, until)
+            }
+            fn drain_delivered_into(&mut self, out: &mut Vec<Delivery>) {
+                $net::drain_delivered_into(self, out)
+            }
+            fn inject(&mut self, now: Time, pkt: Packet<NetPayload>) {
+                $net::inject(self, now, pkt)
+            }
+            fn harvest(&self, horizon: Time, out: &mut Vec<Delivery>) {
+                let mut probe = self.clone();
+                probe.advance(horizon);
+                probe.drain_delivered_into(out);
+            }
+        }
+    )*};
+}
+net_model!(Network, IdealNetwork);
+
+/// The machine's one fabric dispatch point: the ideal pipe when the
+/// network-cost ablation armed it
+/// ([`crate::MachineBuilder::ideal_network`]), the Arctic model
+/// otherwise. It takes the two fields rather than the machine so callers
+/// can keep borrowing the nodes.
+fn fabric<'m>(
+    network: &'m mut Network<NetPayload>,
+    ideal: &'m mut Option<IdealNetwork<NetPayload>>,
+) -> &'m mut dyn NetModel {
+    match ideal {
+        Some(ideal) => ideal,
+        None => network,
+    }
+}
+
+/// Hand a delivered packet to its destination's NIU at `cycle`.
+fn deliver(node: &mut Node, cycle: u64, now: Time, pkt: Packet<NetPayload>) {
+    if node.tracer.enabled() {
+        node.tracer.record(
+            now,
+            Subsys::Net,
+            format!("rx {}B from node {}", pkt.wire_bytes, pkt.src),
+        );
+    }
+    node.niu.push_arrival_packet(cycle, pkt);
+}
+
+/// Pass every packet `node`'s NIU has ready at `cycle` to `send`, in
+/// FIFO order.
+fn egress(node: &mut Node, cycle: u64, now: Time, mut send: impl FnMut(Packet<NetPayload>)) {
+    while let Some(pkt) = node.niu.pop_ready_packet(cycle) {
+        if node.tracer.enabled() {
+            node.tracer.record(
+                now,
+                Subsys::Net,
+                format!("tx {}B to node {}", pkt.wire_bytes, pkt.dst),
+            );
+        }
+        send(pkt);
+    }
+}
+
 impl Machine {
-    /// Rebuild the wake index from a full scan. Every public run entry
-    /// point marks the index invalid (the node list is `pub`, so callers
-    /// may have mutated nodes since the last run); the first
-    /// [`Machine::next_exec_cycle`] after that rebuilds here. While a run
-    /// is in flight the index is maintained incrementally: a node's wake
-    /// only changes when the node executes or a packet reaches it, and
-    /// [`Machine::step_due`] republishes on exactly those edges.
-    fn refresh_wakes(&mut self) {
-        self.wake.reset(self.nodes.len());
-        let c = self.cycle;
-        for (i, n) in self.nodes.iter().enumerate() {
-            self.wake.publish(i, n.next_event_cycle(c, &self.clock));
-        }
-        self.wake_valid = true;
-    }
-
-    /// Earliest cycle (`>= self.cycle`) at which any node or the network
-    /// might change state, or `None` if the machine is idle forever.
-    /// O(log N) via the wake index, instead of rescanning every node.
-    pub(crate) fn next_exec_cycle(&mut self) -> Option<u64> {
-        if !self.wake_valid {
-            self.refresh_wakes();
-        }
-        let c = self.cycle;
-        let mut next = self.wake.min();
-        debug_assert!(next.is_none_or(|n| n >= c), "stale wake behind the cursor");
-        let net = match &self.ideal {
-            Some(ideal) => ideal.next_event_time(),
-            None => self.network.next_event_time(),
-        };
-        if let Some(t) = net {
-            let nc = self.clock.edge_at_or_after(t).max(c);
-            next = Some(next.map_or(nc, |n| n.min(nc)));
-        }
-        next
-    }
-
-    /// Execute the current cycle visiting only the nodes whose advertised
-    /// wake is due — the event-loop twin of [`Machine::step`]. Ticking a
-    /// node before its advertised wake is a guaranteed no-op (superset
-    /// execution), so restricting the visit set cannot change behaviour;
-    /// the equivalence tests prove the two bit-identical. All buffers are
-    /// machine-owned scratch: the steady state allocates nothing.
-    fn step_due(&mut self) {
+    /// Advance one bus cycle, ticking every node: the oracle's step.
+    pub fn step(&mut self) {
         let now = self.clock.edge(self.cycle);
         self.now = now;
         let cycle = self.cycle;
-        match &mut self.ideal {
-            Some(ideal) => {
-                ideal.advance(now);
-                ideal.drain_delivered_into(&mut self.delivered);
-            }
-            None => {
-                self.network.advance(now);
-                self.network.drain_delivered_into(&mut self.delivered);
-            }
+        let net = fabric(&mut self.network, &mut self.ideal);
+        net.advance(now);
+        net.drain_delivered_into(&mut self.scratch.delivered);
+        for (_, pkt) in self.scratch.delivered.drain(..) {
+            deliver(&mut self.nodes[pkt.dst as usize], cycle, now, pkt);
         }
-        for (_, pkt) in self.delivered.drain(..) {
-            let node = &mut self.nodes[pkt.dst as usize];
-            if node.tracer.enabled() {
-                node.tracer.record(
-                    now,
-                    sv_sim::trace::Subsys::Net,
-                    format!("rx {}B from node {}", pkt.wire_bytes, pkt.src),
-                );
-            }
-            let dst = pkt.dst;
-            node.niu.push_arrival_packet(cycle, pkt);
-            // The arrival may unblock the destination this very cycle.
-            self.wake.publish(dst as usize, Some(cycle));
-            self.runstats.wake_republishes += 1;
+        // The stepped loop visits every node every cycle by definition;
+        // it maintains no wake index, so republishes stay untouched.
+        self.runstats.node_ticks += self.nodes.len() as u64;
+        for node in &mut self.nodes {
+            node.tick(cycle, now);
         }
-        self.wake.drain_due(cycle, &mut self.due);
-        self.runstats.node_ticks += self.due.len() as u64;
-        for &i in &self.due {
-            self.nodes[i as usize].tick(cycle, now);
+        for node in &mut self.nodes {
+            egress(node, cycle, now, |pkt| net.inject(now, pkt));
         }
-        for &i in &self.due {
-            let node = &mut self.nodes[i as usize];
-            while let Some(pkt) = node.niu.pop_ready_packet(cycle) {
-                if node.tracer.enabled() {
-                    node.tracer.record(
-                        now,
-                        sv_sim::trace::Subsys::Net,
-                        format!("tx {}B to node {}", pkt.wire_bytes, pkt.dst),
-                    );
-                }
-                match &mut self.ideal {
-                    Some(ideal) => ideal.inject(now, pkt),
-                    None => self.network.inject(now, pkt),
-                }
-            }
-        }
-        for &i in &self.due {
-            let w = self.nodes[i as usize].next_event_cycle(cycle + 1, &self.clock);
-            self.wake.publish(i as usize, w);
-        }
-        self.runstats.wake_republishes += self.due.len() as u64;
         self.cycle += 1;
     }
 
-    /// Event-driven advance to `target` (exclusive): execute exactly the
-    /// cycles in `[self.cycle, target)` on which something can happen.
-    fn advance_event_to(&mut self, target: u64) {
-        while let Some(c) = self.next_exec_cycle() {
-            if c >= target {
-                break;
-            }
-            self.cycle = c;
-            self.step_due();
-        }
-        self.land_on(target);
+    /// True when nothing in the machine has work left: no packets in
+    /// flight and every node's engines are drained.
+    pub(crate) fn quiescent(&mut self) -> bool {
+        fabric(&mut self.network, &mut self.ideal)
+            .next_event_time()
+            .is_none()
+            && self.nodes.iter().all(|n| !n.has_work())
+    }
+
+    /// Earliest cycle (`>= self.cycle`) at which any node or the fabric
+    /// might change state, or `None` if the machine is idle forever. A
+    /// plain scan over every node: run entries call it once per stride,
+    /// never per cycle.
+    fn next_exec_cycle(&mut self) -> Option<u64> {
+        let (c, clock) = (self.cycle, self.clock);
+        let net = fabric(&mut self.network, &mut self.ideal)
+            .next_event_time()
+            .map(|t| clock.edge_at_or_after(t).max(c));
+        self.nodes
+            .iter()
+            .filter_map(|n| n.next_event_cycle(c, &clock))
+            .chain(net)
+            .min()
     }
 
     /// Jump to `target` without executing anything, maintaining the
@@ -402,20 +418,8 @@ impl Machine {
         }
     }
 
-    /// Advance to `target` under the machine's execution plan.
-    fn advance_chunk(&mut self, target: u64) {
-        if self.plan.workers > 1 && self.nodes.len() > 1 {
-            self.advance_sharded_to(target);
-        } else {
-            self.advance_event_to(target);
-        }
-    }
-
     /// Run for `ns` nanoseconds of simulated time.
     pub fn run_for(&mut self, ns: u64) {
-        // `nodes` is public: anything may have changed since the last
-        // run, so memoized wakes cannot be trusted across entries.
-        self.wake_valid = false;
         let until = self.now.plus(ns);
         if self.plan.stepped {
             while self.clock.edge(self.cycle) <= until {
@@ -425,24 +429,33 @@ impl Machine {
             // First cycle whose edge lies beyond `until` — exactly
             // where the stepped loop stops.
             let target = self.clock.edge_at_or_after(until.plus(1));
-            self.advance_chunk(target.max(self.cycle));
+            self.advance_to(target.max(self.cycle));
         }
     }
 
     /// Run until nothing in the machine has work left, or `max_ns` of
     /// simulated time elapse. Returns the quiescence time, or `Err` with
     /// the cap time if the machine never settled (protocol hang).
+    ///
+    /// The stepped oracle checks for quiescence every 32 cycles. The
+    /// event loop instead advances in long strides and *reconstructs* the
+    /// boundary the oracle would have stopped at: machine state is frozen
+    /// after the last executed cycle `c_last`, so if the machine is
+    /// quiescent at the stride end it has been quiescent at every
+    /// boundary past `c_last` — and at none before (quiescence is
+    /// absorbing: a quiescent machine can never execute again). The first
+    /// boundary `b` with `b - 1 >= c_last` is therefore exactly where the
+    /// oracle returns, and the cursor is rewound to it.
     pub fn run_to_quiescence_capped(&mut self, max_ns: u64) -> Result<Time, Time> {
-        self.wake_valid = false;
+        let cap = self.now.plus(max_ns);
         if self.plan.stepped {
-            // The original loop, stepped cycle by cycle. Quiescence is
-            // only evaluated on *absolute* 32-cycle boundaries of the
-            // machine clock (not boundaries relative to run entry), so
-            // a run resumed mid-window — e.g. from a checkpoint — probes
-            // the same boundaries as the uninterrupted run and reports
-            // the identical quiescence cycle. Entered at cycle 0 this is
+            // The oracle, stepped cycle by cycle. Quiescence is only
+            // evaluated on *absolute* 32-cycle boundaries of the machine
+            // clock (not boundaries relative to run entry), so a run
+            // resumed mid-window — e.g. from a checkpoint — probes the
+            // same boundaries as the uninterrupted run and reports the
+            // identical quiescence cycle. Entered at cycle 0 this is
             // exactly the classic check-every-32-steps loop.
-            let cap = self.now.plus(max_ns);
             loop {
                 self.step();
                 if !self.cycle.is_multiple_of(32) {
@@ -456,121 +469,43 @@ impl Machine {
                 }
             }
         }
-        let cap = self.now.plus(max_ns);
-        let c0 = self.cycle;
-        // Probe boundaries are absolute multiples of 32, mirroring the
-        // stepped loop above; `first` is the lowest probe strictly past
-        // the entry cycle. First boundary b with edge(b - 1) > cap: the
-        // stepped loop reports a hang at exactly that boundary.
-        let first = c0 / 32 + 1;
-        let cap_cycle = self.clock.edge_at_or_after(cap.plus(1));
-        let b_cap = 32 * (cap_cycle + 1).div_ceil(32).max(first);
-        if self.plan.workers > 1 && self.nodes.len() > 1 {
-            return self.run_to_quiescence_windowed(c0, b_cap);
-        }
-        let mut boundary = 32 * (first - 1);
-        loop {
-            boundary += 32;
-            self.advance_chunk(boundary);
-            if self.quiescent() {
-                return Ok(self.now);
-            }
-            if self.now > cap {
-                return Err(self.now);
-            }
-            match self.next_exec_cycle() {
-                None => {
-                    // Nothing will ever run again and the machine is not
-                    // quiescent: a guaranteed hang. Idle straight to the
-                    // boundary where the stepped loop would notice.
-                    self.land_on(b_cap);
-                    return Err(self.now);
-                }
-                Some(nx) if nx >= boundary + 32 => {
-                    // Whole chunks of idle time: state is frozen until
-                    // `nx`, so every skipped boundary check would see the
-                    // same non-quiescent machine. Jump to the last
-                    // boundary at or before `nx` (or to the cap boundary
-                    // if that comes first).
-                    let jump = (nx / 32 * 32).min(b_cap);
-                    if jump > boundary {
-                        self.land_on(jump);
-                        boundary = jump;
-                        if self.now > cap {
-                            return Err(self.now);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// The parallel variant of the capped quiescence loop.
-    ///
-    /// Spawning a worker scope every 32 cycles would drown the run in
-    /// thread overhead, so instead of checking quiescence at every
-    /// 32-cycle boundary this advances in long strides and *reconstructs*
-    /// the boundary the stepped loop would have stopped at: machine state
-    /// is frozen after the last executed cycle `c_last`, so if the
-    /// machine is quiescent at the stride end it has been quiescent at
-    /// every boundary past `c_last` — and at none before (quiescence is
-    /// absorbing: a quiescent machine can never execute again). The first
-    /// boundary `b` with `b - 1 >= c_last` is therefore exactly where the
-    /// stepped loop returns, and the cursor is rewound to it.
-    fn run_to_quiescence_windowed(&mut self, c0: u64, b_cap: u64) -> Result<Time, Time> {
-        // Strides only bound how often the worker scope is re-spawned;
+        // Strides only bound how long one placement scan stays in use;
         // past quiescence a stride executes nothing, so overshooting is
         // free and the boundary reconstruction keeps results exact.
         const STRIDE: u64 = 1 << 16;
-        // Boundaries are absolute multiples of 32 (see the stepped
-        // loop); `first` is the lowest probe strictly past run entry.
-        let first = c0 / 32 + 1;
-        let boundary_after =
-            |c_last: Option<u64>| 32 * c_last.map_or(first, |cl| (cl + 1).div_ceil(32).max(first));
+        // `first` is the lowest probe boundary strictly past run entry;
+        // `b_cap` the first boundary b with edge(b - 1) > cap, where the
+        // oracle reports a hang.
+        let first = self.cycle / 32 + 1;
+        let cap_cycle = self.clock.edge_at_or_after(cap.plus(1));
+        let b_cap = 32 * (cap_cycle + 1).div_ceil(32).max(first);
         let mut last_exec: Option<u64> = None;
         loop {
-            match self.next_exec_cycle() {
+            let target = match self.next_exec_cycle() {
                 // Nothing can ever run again: either the machine drained
-                // (report the boundary just past the last real work) or
-                // it is hung with silent work pending (report the cap).
-                None => {
-                    return if self.quiescent() {
-                        let b_q = boundary_after(last_exec);
-                        debug_assert!(b_q <= b_cap);
-                        self.cycle = b_q;
-                        self.now = self.clock.edge(b_q - 1);
-                        Ok(self.now)
-                    } else {
-                        self.land_on(b_cap);
-                        Err(self.now)
-                    };
-                }
-                // The next event lies past the cap boundary: the stepped
-                // loop reaches the cap in this exact state and gives up.
-                Some(nx) if nx >= b_cap => {
-                    self.land_on(b_cap);
-                    return Err(self.now);
-                }
-                Some(nx) => {
-                    let target = (32 * (nx + STRIDE).div_ceil(32).max(first)).min(b_cap);
-                    let le = self.advance_sharded_to(target);
-                    if let Some(l) = le {
-                        last_exec = Some(last_exec.map_or(l, |p| p.max(l)));
-                    }
-                    if self.quiescent() {
-                        let b_q = boundary_after(last_exec);
-                        debug_assert!(b_q <= target);
-                        self.cycle = b_q;
-                        self.now = self.clock.edge(b_q - 1);
-                        return Ok(self.now);
-                    }
-                    if target == b_cap {
-                        return Err(self.now);
-                    }
-                }
+                // or it is hung with silent work pending.
+                None => None,
+                // The next event lies past the cap boundary: the oracle
+                // reaches the cap in this exact state and gives up.
+                Some(nx) if nx >= b_cap => break,
+                Some(nx) => Some((32 * (nx + STRIDE).div_ceil(32).max(first)).min(b_cap)),
+            };
+            if let Some(t) = target {
+                last_exec = last_exec.max(self.advance_to(t));
+            }
+            if self.quiescent() {
+                let b_q = 32 * last_exec.map_or(first, |cl| (cl + 1).div_ceil(32).max(first));
+                debug_assert!(b_q <= b_cap);
+                self.cycle = b_q;
+                self.now = self.clock.edge(b_q - 1);
+                return Ok(self.now);
+            }
+            if target.is_none_or(|t| t == b_cap) {
+                break;
             }
         }
+        self.land_on(b_cap);
+        Err(self.now)
     }
 
     /// Run to quiescence with a generous default cap (1 s of simulated
@@ -620,7 +555,7 @@ impl Machine {
         let n = self.nodes.len();
         let workers = self.plan.workers.max(1);
         match self.plan.policy {
-            ShardPolicy::BySubtree => {
+            ShardPolicy::BySubtree if workers > 1 => {
                 let topo = &self.network.topology;
                 let mut k = topo.shard_levels_for(workers);
                 if self.ideal.is_none() {
@@ -640,7 +575,9 @@ impl Machine {
                         .collect(),
                 }
             }
-            ShardPolicy::RoundRobin => {
+            // Round-robin over the workers. At one worker, under either
+            // policy, this is the single shard holding every node.
+            _ => {
                 let shards = workers.min(n.max(1));
                 ShardMap {
                     shards,
@@ -652,102 +589,39 @@ impl Machine {
         }
     }
 
-    /// Sharded parallel advance to `target` (exclusive). Returns the
-    /// last cycle on which anything executed, if any did.
-    fn advance_sharded_to(&mut self, target: u64) -> Option<u64> {
+    /// Advance the event loop to `target` (exclusive). Returns the last
+    /// cycle on which anything executed, if any did.
+    fn advance_to(&mut self, target: u64) -> Option<u64> {
         if target <= self.cycle {
             self.land_on(target);
             return None;
         }
-        let la_ns = match &self.ideal {
-            Some(ideal) => ideal.lookahead_ns(),
-            None => self.network.lookahead_ns(),
-        };
+        if (self.scratch.map.as_ref()).is_none_or(|m| m.owner.len() != self.nodes.len()) {
+            self.scratch.map = Some(self.shard_map());
+        }
+        let la_ns = fabric(&mut self.network, &mut self.ideal).lookahead_ns();
         let window = self.window_cycles(la_ns);
-        let map = self.shard_map();
-        let clock = self.clock;
-        let start = self.cycle;
-        let workers = self.plan.workers;
-        let res = match &mut self.ideal {
-            Some(ideal) => run_sharded(
-                &mut self.nodes,
-                ideal,
-                clock,
-                start,
-                target,
-                workers,
-                &map,
-                window,
-            ),
-            None => run_sharded(
-                &mut self.nodes,
-                &mut self.network,
-                clock,
-                start,
-                target,
-                workers,
-                &map,
-                window,
-            ),
-        };
+        let (clock, start) = (self.clock, self.cycle);
+        let res = run_sharded(
+            &mut self.nodes,
+            fabric(&mut self.network, &mut self.ideal),
+            &mut self.scratch,
+            clock,
+            start,
+            target,
+            self.plan.workers,
+            window,
+        );
         self.cycle = target;
         self.now = clock.edge(target - 1);
-        // The shards advanced the nodes; the machine-level index no
-        // longer reflects them.
-        self.wake_valid = false;
         self.runstats.node_ticks += res.ticks;
         self.runstats.wake_republishes += res.republishes;
         res.last_exec
     }
 }
 
-/// The two network models, as the sharded executor sees them.
-trait NetModel: Clone {
-    fn next_event_time(&self) -> Option<Time>;
-    fn advance(&mut self, until: Time);
-    fn take_delivered(&mut self) -> Vec<(Time, Packet<NetPayload>)>;
-    fn drain_delivered_into(&mut self, out: &mut Vec<(Time, Packet<NetPayload>)>);
-    fn inject(&mut self, now: Time, pkt: Packet<NetPayload>);
-}
-
-impl NetModel for Network<NetPayload> {
-    fn next_event_time(&self) -> Option<Time> {
-        Network::next_event_time(self)
-    }
-    fn advance(&mut self, until: Time) {
-        Network::advance(self, until)
-    }
-    fn take_delivered(&mut self) -> Vec<(Time, Packet<NetPayload>)> {
-        Network::take_delivered(self)
-    }
-    fn drain_delivered_into(&mut self, out: &mut Vec<(Time, Packet<NetPayload>)>) {
-        Network::drain_delivered_into(self, out)
-    }
-    fn inject(&mut self, now: Time, pkt: Packet<NetPayload>) {
-        Network::inject(self, now, pkt)
-    }
-}
-
-impl NetModel for IdealNetwork<NetPayload> {
-    fn next_event_time(&self) -> Option<Time> {
-        IdealNetwork::next_event_time(self)
-    }
-    fn advance(&mut self, until: Time) {
-        IdealNetwork::advance(self, until)
-    }
-    fn take_delivered(&mut self) -> Vec<(Time, Packet<NetPayload>)> {
-        IdealNetwork::take_delivered(self)
-    }
-    fn drain_delivered_into(&mut self, out: &mut Vec<(Time, Packet<NetPayload>)>) {
-        IdealNetwork::drain_delivered_into(self, out)
-    }
-    fn inject(&mut self, now: Time, pkt: Packet<NetPayload>) {
-        IdealNetwork::inject(self, now, pkt)
-    }
-}
-
-/// One shard of the machine during a sharded run: exclusive ownership of
-/// its member nodes (ascending node id), its own wake index, and drain
+/// One shard of the machine during a run: exclusive ownership of its
+/// member nodes (ascending node id), its own wake index, and drain
 /// scratch. Shards move wholesale between the scheduler and the worker
 /// pool (`std::mem::take` + channels), so no node is ever aliased across
 /// threads and the loop needs no locks.
@@ -760,6 +634,50 @@ struct Shard<'a> {
     wake: WakeIndex,
     /// `drain_due` scratch, reused across windows.
     due: Vec<u32>,
+}
+
+impl Shard<'_> {
+    /// Release the member borrows at the end of a run, keeping every
+    /// buffer for the next one.
+    fn detach(self) -> Shard<'static> {
+        let mut members = self.members;
+        members.clear();
+        Shard {
+            // Collecting an emptied vector into an element type of the
+            // same layout reuses its buffer.
+            members: members.into_iter().map(|_| unreachable!()).collect(),
+            wake: self.wake,
+            due: self.due,
+        }
+    }
+
+    /// Execute cycle `ce` (at time `now`) for every member due by then —
+    /// the oracle's per-cycle sequence after deliveries: tick the due
+    /// members in id order, pass their egress to `send` as
+    /// `(node id, packet)` in per-node FIFO order, and republish their
+    /// wakes. Returns how many members ran.
+    fn run_due(
+        &mut self,
+        ce: u64,
+        now: Time,
+        clock: &Clock,
+        mut send: impl FnMut(u16, Packet<NetPayload>),
+    ) -> u64 {
+        self.wake.drain_due(ce, &mut self.due);
+        for &i in &self.due {
+            self.members[i as usize].tick(ce, now);
+        }
+        for &i in &self.due {
+            let node = &mut *self.members[i as usize];
+            let id = node.id;
+            egress(node, ce, now, |pkt| send(id, pkt));
+        }
+        for &i in &self.due {
+            let w = self.members[i as usize].next_event_cycle(ce + 1, clock);
+            self.wake.publish(i as usize, w);
+        }
+        self.due.len() as u64
+    }
 }
 
 /// One window of work for a shard: execute `[cursor, w1)` with
@@ -793,7 +711,7 @@ struct WindowOut {
     /// Node ticks this shard executed in the window.
     ticks: u64,
     /// Arrival + post-tick wake publishes this window (priming excluded
-    /// so the count matches the sequential loop exactly).
+    /// so the count is the same under every shard map).
     republishes: u64,
 }
 
@@ -840,40 +758,13 @@ fn exec_window(
             let (_, li, pkt) = arr.next().expect("peeked");
             let node = &mut *shard.members[li as usize];
             debug_assert_eq!(node.id, pkt.dst, "arrival routed to the wrong shard slot");
-            if node.tracer.enabled() {
-                node.tracer.record(
-                    now,
-                    sv_sim::trace::Subsys::Net,
-                    format!("rx {}B from node {}", pkt.wire_bytes, pkt.src),
-                );
-            }
-            node.niu.push_arrival_packet(ce, pkt);
+            deliver(node, ce, now, pkt);
             shard.wake.publish(li as usize, Some(ce));
             republishes += 1;
         }
-        shard.wake.drain_due(ce, &mut shard.due);
-        ticks += shard.due.len() as u64;
-        for &i in &shard.due {
-            shard.members[i as usize].tick(ce, now);
-        }
-        for &i in &shard.due {
-            let node = &mut *shard.members[i as usize];
-            while let Some(pkt) = node.niu.pop_ready_packet(ce) {
-                if node.tracer.enabled() {
-                    node.tracer.record(
-                        now,
-                        sv_sim::trace::Subsys::Net,
-                        format!("tx {}B to node {}", pkt.wire_bytes, pkt.dst),
-                    );
-                }
-                injections.push((ce, node.id, pkt));
-            }
-        }
-        for &i in &shard.due {
-            let w = shard.members[i as usize].next_event_cycle(ce + 1, clock);
-            shard.wake.publish(i as usize, w);
-        }
-        republishes += shard.due.len() as u64;
+        let ran = shard.run_due(ce, now, clock, |id, pkt| injections.push((ce, id, pkt)));
+        ticks += ran;
+        republishes += ran;
         last_exec = Some(ce);
     }
     // All live wakes are >= w1 here (the loop above drained anything
@@ -890,17 +781,17 @@ fn exec_window(
 }
 
 /// Run one shard alone against the *committed* network until `bound`
-/// (exclusive) — the sequential fast path the scheduler takes when no
-/// other shard and no network event can act first. Because this shard is
-/// the only actor, global order is its order: packets it pops are
-/// injected straight into the network at their exact cycles, and the
-/// bound shrinks to the network's next event cycle after any injection
-/// so no dispatch or delivery is ever overrun. Returns the cycle the
-/// run established quiet up to (the final bound) plus the usual window
+/// (exclusive) — the fast path the scheduler takes when no other shard
+/// and no network event can act first. Because this shard is the only
+/// actor, global order is its order: packets it pops are injected
+/// straight into the network at their exact cycles, and the bound
+/// shrinks to the network's next event cycle after any injection so no
+/// dispatch or delivery is ever overrun. Returns the cycle the run
+/// established quiet up to (the final bound) plus the usual window
 /// accounting.
-fn exec_burst<N: NetModel>(
+fn exec_burst(
     shard: &mut Shard<'_>,
-    net: &mut N,
+    net: &mut dyn NetModel,
     clock: &Clock,
     mut bound: u64,
 ) -> (u64, WindowOut) {
@@ -912,38 +803,20 @@ fn exec_burst<N: NetModel>(
             break;
         }
         let now = clock.edge(ce);
-        shard.wake.drain_due(ce, &mut shard.due);
-        ticks += shard.due.len() as u64;
-        for &i in &shard.due {
-            shard.members[i as usize].tick(ce, now);
-        }
         let mut injected = false;
-        for &i in &shard.due {
-            let node = &mut *shard.members[i as usize];
-            while let Some(pkt) = node.niu.pop_ready_packet(ce) {
-                if node.tracer.enabled() {
-                    node.tracer.record(
-                        now,
-                        sv_sim::trace::Subsys::Net,
-                        format!("tx {}B to node {}", pkt.wire_bytes, pkt.dst),
-                    );
-                }
-                if !injected {
-                    // First egress this cycle: bring the network up to
-                    // now (a no-op walk — it has no event before
-                    // `bound`) so the injection lands at its exact
-                    // cycle, as in the sequential step.
-                    net.advance(now);
-                    injected = true;
-                }
-                net.inject(now, pkt);
+        let ran = shard.run_due(ce, now, clock, |_, pkt| {
+            if !injected {
+                // First egress this cycle: bring the network up to now
+                // (a no-op walk — it has no event before `bound`) so the
+                // injection lands at its exact cycle, as in the oracle's
+                // step.
+                net.advance(now);
+                injected = true;
             }
-        }
-        for &i in &shard.due {
-            let w = shard.members[i as usize].next_event_cycle(ce + 1, clock);
-            shard.wake.publish(i as usize, w);
-        }
-        republishes += shard.due.len() as u64;
+            net.inject(now, pkt);
+        });
+        ticks += ran;
+        republishes += ran;
         last_exec = Some(ce);
         if injected {
             // The injection scheduled new network events; the quiet
@@ -997,38 +870,50 @@ fn shard_worker<'a>(
     }
 }
 
-/// Drive `nodes` from cycle `start` to `target` under the shard map
-/// `map`, with up to `workers` pool threads. See the module docs for the
-/// protocol and its determinism argument.
+/// Drive `nodes` from cycle `start` to `target` under the shard map in
+/// `scratch`, with up to `workers` pool threads. See the module docs for
+/// the protocol and its determinism argument.
 ///
-/// The loop is a hybrid: each iteration either executes one event cycle
+/// Each iteration runs one shard in a burst, executes one event cycle
 /// inline (when at most one shard has work inside the next window span —
-/// the sequential per-cycle sequence over the sharded structures, no
-/// cloning, no channel traffic) or dispatches one parallel
-/// harvest/execute/commit window across every active shard.
+/// the oracle's per-cycle sequence over the sharded structures, no
+/// cloning, no channel traffic), or dispatches one parallel
+/// harvest/execute/commit window across every active shard. With one
+/// shard only the first two ever happen.
 #[allow(clippy::too_many_arguments)]
-fn run_sharded<'a, N: NetModel>(
+fn run_sharded<'a>(
     nodes: &'a mut [Node],
-    net: &mut N,
+    net: &mut dyn NetModel,
+    scratch: &mut RunScratch,
     clock: Clock,
     start: u64,
     target: u64,
     workers: usize,
-    map: &ShardMap,
     window: u64,
 ) -> WindowsResult {
-    debug_assert!(workers > 1);
+    let RunScratch {
+        map,
+        shards: kept,
+        wakes,
+        delivered,
+        merged,
+        drained,
+        arrivals: arrivals_buf,
+        injections,
+    } = scratch;
+    let map = map.as_ref().expect("shard map built before the run");
     debug_assert_eq!(map.owner.len(), nodes.len());
-    // Build the shards: disjoint &mut borrows, ascending node id within
+    // Attach the nodes: disjoint &mut borrows, ascending node id within
     // each shard (both policies assign local indices in id order).
-    let mut shards: Vec<Shard<'a>> = (0..map.shards).map(|_| Shard::default()).collect();
+    let mut shards: Vec<Shard<'a>> = std::mem::take(kept);
+    shards.resize_with(map.shards, Shard::default);
     for (i, node) in nodes.iter_mut().enumerate() {
         let (si, li) = map.owner[i];
         debug_assert_eq!(shards[si as usize].members.len(), li as usize);
         shards[si as usize].members.push(node);
     }
-    // Prime each shard's wake index (uncounted, like the machine-level
-    // refresh: republish counters only track in-run maintenance).
+    // Prime each shard's wake index (uncounted: republish counters only
+    // track in-run maintenance, which is the same under every map).
     for sh in &mut shards {
         sh.wake.reset(sh.members.len());
         for (li, nd) in sh.members.iter().enumerate() {
@@ -1037,35 +922,29 @@ fn run_sharded<'a, N: NetModel>(
     }
     // Scheduler-side wake cache: exact per shard, refreshed whenever the
     // shard executes (its nodes are frozen in between).
-    let mut wakes: Vec<Option<u64>> = shards.iter_mut().map(|s| s.wake.min()).collect();
+    wakes.clear();
+    wakes.extend(shards.iter_mut().map(|s| s.wake.min()));
+    arrivals_buf.resize_with(map.shards, Vec::new);
     let mut last_exec: Option<u64> = None;
     let mut ticks = 0u64;
     let mut republishes = 0u64;
     std::thread::scope(|scope| {
-        let (task_tx, task_rx) = channel::unbounded::<ShardTask<'a>>();
-        let (out_tx, out_rx) = channel::unbounded::<ShardOut<'a>>();
-        // The pool is spawned lazily on the first parallel window, so
-        // runs that stay inline (sparse phases, small machines) never
-        // pay thread startup.
-        let mut pool = 0usize;
+        // The pool and its channels are created lazily on the first
+        // parallel window, so runs that never leave bursts and inline
+        // cycles (one shard, sparse phases) never pay thread startup.
+        let mut pool: Option<(
+            channel::Sender<ShardTask<'a>>,
+            channel::Receiver<ShardOut<'a>>,
+        )> = None;
         let mut cursor = start;
-        // Reused scratch; the steady state allocates only inside nodes.
-        let mut arrivals_buf: Vec<Vec<(u64, u32, Packet<NetPayload>)>> =
-            (0..map.shards).map(|_| Vec::new()).collect();
-        let mut injections: Vec<(u64, u16, Packet<NetPayload>)> = Vec::new();
-        let mut delivered: Vec<(Time, Packet<NetPayload>)> = Vec::new();
-        let mut merged: Vec<(u16, u32, u32)> = Vec::new();
-        let mut drained: Vec<usize> = Vec::new();
         loop {
             // Next cycle anything can happen, shard wakes or network.
             let net_cycle = net
                 .next_event_time()
                 .map(|t| clock.edge_at_or_after(t).max(cursor));
-            let mut nx = net_cycle;
-            for w in wakes.iter().flatten() {
-                nx = Some(nx.map_or(*w, |g| g.min(*w)));
-            }
-            let Some(nx) = nx else { break };
+            let Some(nx) = wakes.iter().flatten().copied().chain(net_cycle).min() else {
+                break;
+            };
             if nx >= target {
                 break;
             }
@@ -1073,7 +952,7 @@ fn run_sharded<'a, N: NetModel>(
             let w1 = (nx + window).min(target);
             let wake_active = wakes.iter().filter(|w| w.is_some_and(|c| c < w1)).count();
             if wake_active < 2 && net_cycle != Some(nx) {
-                // ---- Sequential burst ----
+                // ---- Burst ----
                 // Exactly one shard can act and no network event
                 // intervenes before it does: run that shard alone
                 // against the committed network until anything else
@@ -1085,23 +964,15 @@ fn run_sharded<'a, N: NetModel>(
                     .iter()
                     .position(|w| *w == Some(nx))
                     .expect("nx must come from a shard wake");
-                let mut bound = target;
-                if let Some(nc) = net_cycle {
-                    bound = bound.min(nc);
-                }
-                for (sj, w) in wakes.iter().enumerate() {
-                    if sj != si {
-                        if let Some(w) = w {
-                            bound = bound.min(*w);
-                        }
-                    }
-                }
+                let others = wakes.iter().enumerate().filter(|&(sj, _)| sj != si);
+                let bound = others
+                    .filter_map(|(_, w)| *w)
+                    .chain(net_cycle)
+                    .fold(target, u64::min);
                 debug_assert!(nx < bound);
                 let (end, w) = exec_burst(&mut shards[si], net, &clock, bound);
                 wakes[si] = w.next_wake;
-                if let Some(l) = w.last_exec {
-                    last_exec = Some(last_exec.map_or(l, |p| p.max(l)));
-                }
+                last_exec = last_exec.max(w.last_exec);
                 ticks += w.ticks;
                 republishes += w.republishes;
                 cursor = end;
@@ -1109,72 +980,53 @@ fn run_sharded<'a, N: NetModel>(
                 // ---- Inline event cycle at `nx` ----
                 // At most one shard can act before the window end, so a
                 // parallel window would buy nothing; execute the one
-                // cycle exactly as the sequential loop would.
+                // cycle exactly as the oracle would.
                 let now = clock.edge(nx);
                 net.advance(now);
-                net.drain_delivered_into(&mut delivered);
+                net.drain_delivered_into(delivered);
                 for (_, pkt) in delivered.drain(..) {
                     let (si, li) = map.owner[pkt.dst as usize];
                     let sh = &mut shards[si as usize];
-                    let node = &mut *sh.members[li as usize];
-                    if node.tracer.enabled() {
-                        node.tracer.record(
-                            now,
-                            sv_sim::trace::Subsys::Net,
-                            format!("rx {}B from node {}", pkt.wire_bytes, pkt.src),
-                        );
-                    }
-                    node.niu.push_arrival_packet(nx, pkt);
+                    deliver(&mut *sh.members[li as usize], nx, now, pkt);
                     sh.wake.publish(li as usize, Some(nx));
                     republishes += 1;
                     wakes[si as usize] = Some(wakes[si as usize].map_or(nx, |w| w.min(nx)));
                 }
-                // Merge the due members of every due shard in global
-                // node-id order — the visit order of the sequential
-                // loop. (BySubtree shards are contiguous so this is
-                // already sorted; RoundRobin interleaves, hence the
-                // sort.)
-                merged.clear();
                 drained.clear();
-                for si in 0..shards.len() {
-                    if wakes[si].is_some_and(|w| w <= nx) {
-                        drained.push(si);
-                        let sh = &mut shards[si];
-                        sh.wake.drain_due(nx, &mut sh.due);
-                        for &li in &sh.due {
-                            merged.push((sh.members[li as usize].id, si as u32, li));
-                        }
+                drained.extend((0..shards.len()).filter(|&si| wakes[si].is_some_and(|w| w <= nx)));
+                // Merge the due members of every due shard in global
+                // node-id order — the oracle's visit order.
+                // (BySubtree shards are contiguous so this is already
+                // sorted; RoundRobin interleaves, hence the sort.)
+                merged.clear();
+                for &si in drained.iter() {
+                    let sh = &mut shards[si];
+                    sh.wake.drain_due(nx, &mut sh.due);
+                    for &li in &sh.due {
+                        merged.push((sh.members[li as usize].id, si as u32, li));
                     }
                 }
                 merged.sort_unstable_by_key(|&(id, _, _)| id);
-                ticks += merged.len() as u64;
-                for &(_, si, li) in &merged {
+                for &(_, si, li) in merged.iter() {
                     shards[si as usize].members[li as usize].tick(nx, now);
                 }
-                for &(_, si, li) in &merged {
+                for &(_, si, li) in merged.iter() {
                     let node = &mut *shards[si as usize].members[li as usize];
-                    while let Some(pkt) = node.niu.pop_ready_packet(nx) {
-                        if node.tracer.enabled() {
-                            node.tracer.record(
-                                now,
-                                sv_sim::trace::Subsys::Net,
-                                format!("tx {}B to node {}", pkt.wire_bytes, pkt.dst),
-                            );
-                        }
-                        net.inject(now, pkt);
-                    }
+                    egress(node, nx, now, |pkt| net.inject(now, pkt));
                 }
-                for &(_, si, li) in &merged {
+                for &(_, si, li) in merged.iter() {
                     let sh = &mut shards[si as usize];
                     let w = sh.members[li as usize].next_event_cycle(nx + 1, &clock);
                     sh.wake.publish(li as usize, w);
                 }
-                republishes += merged.len() as u64;
-                for &si in &drained {
+                let ran = merged.len() as u64;
+                ticks += ran;
+                republishes += ran;
+                for &si in drained.iter() {
                     wakes[si] = shards[si].wake.min();
                 }
-                if !merged.is_empty() {
-                    last_exec = Some(last_exec.map_or(nx, |p| p.max(nx)));
+                if ran > 0 {
+                    last_exec = last_exec.max(Some(nx));
                 }
                 cursor = nx + 1;
             } else {
@@ -1187,24 +1039,24 @@ fn run_sharded<'a, N: NetModel>(
                 // window's own injections cannot add to the set.
                 let mut harvested = 0usize;
                 if net.next_event_time().is_some_and(|t| t <= horizon) {
-                    let mut probe = net.clone();
-                    probe.advance(horizon);
-                    for (t, pkt) in probe.take_delivered() {
+                    net.harvest(horizon, delivered);
+                    harvested = delivered.len();
+                    for (t, pkt) in delivered.drain(..) {
                         let c = clock.edge_at_or_after(t).max(w0);
                         debug_assert!(c < w1, "delivery past the window end");
-                        harvested += 1;
                         let (si, li) = map.owner[pkt.dst as usize];
                         arrivals_buf[si as usize].push((c, li, pkt));
                     }
                 }
-                if pool == 0 {
-                    pool = workers.min(map.shards);
-                    for _ in 0..pool {
-                        let rx = task_rx.clone();
-                        let tx = out_tx.clone();
+                let (task_tx, out_rx) = pool.get_or_insert_with(|| {
+                    let (task_tx, task_rx) = channel::unbounded();
+                    let (out_tx, out_rx) = channel::unbounded();
+                    for _ in 0..workers.min(map.shards) {
+                        let (rx, tx) = (task_rx.clone(), out_tx.clone());
                         scope.spawn(move || shard_worker(clock, rx, tx));
                     }
-                }
+                    (task_tx, out_rx)
+                });
                 // Dispatch every shard with work in the window; the rest
                 // stay in place, frozen, their cached wakes still exact.
                 let mut outstanding = 0usize;
@@ -1225,17 +1077,15 @@ fn run_sharded<'a, N: NetModel>(
                 for _ in 0..outstanding {
                     let out = out_rx.recv().expect("shard worker died");
                     wakes[out.si] = out.w.next_wake;
-                    if let Some(l) = out.w.last_exec {
-                        last_exec = Some(last_exec.map_or(l, |p| p.max(l)));
-                    }
+                    last_exec = last_exec.max(out.w.last_exec);
                     ticks += out.w.ticks;
                     republishes += out.w.republishes;
                     injections.extend(out.injections);
                     shards[out.si] = out.shard;
                 }
-                // Commit: replay injections in the order the sequential
-                // loop would have produced them (cycle, then node index,
-                // then per-node FIFO — the sort is stable), interleaving
+                // Commit: replay injections in the order the oracle
+                // would have produced them (cycle, then node index, then
+                // per-node FIFO — the sort is stable), interleaving
                 // network advances so link arbitration and fault RNG
                 // draws see events in time order.
                 injections.sort_by_key(|&(c, src, _)| (c, src));
@@ -1250,14 +1100,18 @@ fn run_sharded<'a, N: NetModel>(
                 net.advance(horizon);
                 // These deliveries are exactly the set harvested above
                 // and already executed by the shards.
-                let replayed = net.take_delivered();
-                debug_assert_eq!(replayed.len(), harvested, "commit/harvest disagree");
-                drop(replayed);
+                net.drain_delivered_into(delivered);
+                debug_assert_eq!(delivered.len(), harvested, "commit/harvest disagree");
+                delivered.clear();
                 cursor = w1;
             }
         }
-        drop(task_tx);
+        // Closing the task channel lets the workers exit before the
+        // scope joins them.
+        drop(pool);
     });
+    // Detach the nodes, keeping every buffer for the next run.
+    *kept = shards.into_iter().map(Shard::detach).collect();
     WindowsResult {
         last_exec,
         ticks,

@@ -4,8 +4,6 @@
 //!
 //! Run with: `cargo run --release -p sv-examples --bin block_transfer [bytes]`
 
-#![deny(deprecated)]
-
 use voyager::blockxfer::{run_block_transfer, XferSpec};
 use voyager::firmware::proto::Approach;
 use voyager::SystemParams;

@@ -5,8 +5,6 @@
 //!
 //! Run with: `cargo run --release -p sv-examples --bin collectives`
 
-#![deny(deprecated)]
-
 use voyager::api::CollReq;
 use voyager::app::AppEventKind;
 use voyager::collectives::{barrier, AllReduce, BasicAllReduce, Broadcast, ReduceOp};

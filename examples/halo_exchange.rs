@@ -6,8 +6,6 @@
 //!
 //! Run with: `cargo run --release -p sv-examples --bin halo_exchange`
 
-#![deny(deprecated)]
-
 use voyager::api::{BasicMsg, RecvBasic, SendBasic};
 use voyager::app::{AppEventKind, Env, Program, Step};
 use voyager::collectives::{AllReduce, ReduceOp};

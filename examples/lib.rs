@@ -1,2 +1,1 @@
 //! Examples-only crate; each example is a `[[bin]]` target.
-#![deny(deprecated)]

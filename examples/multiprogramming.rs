@@ -8,8 +8,6 @@
 //!
 //! Run with: `cargo run --release -p sv-examples --bin multiprogramming`
 
-#![deny(deprecated)]
-
 use voyager::tenancy::CONFINED_TX_Q;
 use voyager::workloads::{load_tenant_mix, measure_tenant_mix};
 use voyager::{Machine, SchedPolicy, SystemParams, TenancyParams, TenantClass};

@@ -3,8 +3,6 @@
 //!
 //! Run with: `cargo run --release -p sv-examples --bin quickstart`
 
-#![deny(deprecated)]
-
 use voyager::api::{BasicMsg, RecvBasic, RecvExpress, SendBasic, SendExpress};
 use voyager::app::{AppEventKind, Seq};
 use voyager::Machine;

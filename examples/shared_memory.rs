@@ -5,8 +5,6 @@
 //!
 //! Run with: `cargo run --release -p sv-examples --bin shared_memory`
 
-#![deny(deprecated)]
-
 use voyager::app::{Env, FnProgram, Step, StoreData};
 use voyager::workloads::{numa_load_latency, scoma_latencies, scoma_read_3hop};
 use voyager::{Machine, SystemParams};

@@ -108,7 +108,7 @@ fn checkpoint_resume_is_bit_identical_in_every_run_mode() {
 #[test]
 fn checkpoint_transfers_across_worker_counts_and_policies() {
     // Worker count and shard policy are execution details, not machine
-    // state: a snapshot cut under the sequential loop must finish
+    // state: a snapshot cut under `Sequential` (one shard) must finish
     // byte-identically under any worker count and either shard policy.
     // (Cycle-stepped is excluded: its run-loop counters legitimately
     // differ from the event modes'.)

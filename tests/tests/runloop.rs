@@ -1,10 +1,10 @@
-//! Run-loop equivalence: the idle-skipping event-driven loop — sequential
-//! and sharded across worker threads — must be bit-identical to the
-//! original cycle-stepped loop. Everything measured in this repository
-//! rests on that equivalence.
+//! Run-loop equivalence: the idle-skipping event loop — on one shard or
+//! sharded across worker threads — must be bit-identical to the
+//! cycle-stepped oracle. Everything measured in this repository rests on
+//! that equivalence.
 
 use voyager::api::{BasicMsg, RecvBasic, RecvExpress, SendBasic, SendExpress};
-use voyager::{Machine, MachineBuilder, Parallelism, RunOutcome, ShardPolicy, SystemParams};
+use voyager::{Machine, MachineBuilder, Parallelism, RunOutcome, ShardPolicy};
 
 /// The workload from the determinism suite: 4 nodes, all-to-all Basic
 /// messages, 8 rounds.
@@ -260,7 +260,7 @@ fn stats_snapshot_identical_across_worker_counts() {
         seq.contains("\"latency_sum_cycles\":"),
         "sampled latencies present"
     );
-    for workers in [2, 5, 8] {
+    for workers in [1, 2, 5, 8] {
         for policy in [ShardPolicy::BySubtree, ShardPolicy::RoundRobin] {
             assert_eq!(
                 seq,
@@ -269,68 +269,6 @@ fn stats_snapshot_identical_across_worker_counts() {
             );
         }
     }
-}
-
-#[test]
-#[allow(deprecated)]
-fn builder_round_trip_matches_deprecated_constructor() {
-    // The builder with the legacy loop must reproduce Machine::new
-    // exactly; the shims themselves must keep working until removed.
-    let mut old = Machine::new(4, SystemParams::default());
-    let mut new = Machine::builder(4)
-        .params(SystemParams::default())
-        .cycle_stepped()
-        .build();
-    load_all_to_all(&mut old);
-    load_all_to_all(&mut new);
-    let t_old = old.run_to_quiescence().ns();
-    let t_new = new.run_to_quiescence().ns();
-    assert_eq!(fingerprint(&old, t_old), fingerprint(&new, t_new));
-    assert_eq!(new.run_mode(), voyager::RunMode::CycleStepped);
-    assert_eq!(
-        Machine::builder(2).build().run_mode(),
-        voyager::RunMode::Event { threads: 1 }
-    );
-    // threads(k) keeps its pre-0.3 semantics: silently clamped to the
-    // node count (the new Parallelism::Fixed rejects this instead).
-    let clamped = Machine::builder(4).threads(7).build();
-    assert_eq!(clamped.workers(), 4);
-    let shim = run_mode(Machine::builder(4).threads(7), load_all_to_all);
-    let fixed = run_mode(
-        Machine::builder(4).parallelism(Parallelism::Fixed(4)),
-        load_all_to_all,
-    );
-    assert_eq!(shim, fixed, "threads(7) must behave as Fixed(min(7, n))");
-    // set_run_mode still switches loops on an existing machine.
-    let mut m = Machine::builder(4).tracing(0).build();
-    m.set_run_mode(voyager::RunMode::Event { threads: 3 });
-    assert_eq!(m.workers(), 3);
-    load_all_to_all(&mut m);
-    let t = m.run_to_quiescence().ns();
-    let via_builder = run_mode(
-        Machine::builder(4).parallelism(Parallelism::Fixed(3)),
-        load_all_to_all,
-    );
-    assert_eq!(fingerprint(&m, t), via_builder);
-    // Same contract for the ideal-network shim.
-    #[allow(deprecated)]
-    let mut old_i = Machine::new_ideal(2, SystemParams::default(), 100);
-    let mut new_i = Machine::builder(2)
-        .params(SystemParams::default())
-        .ideal_network(100)
-        .cycle_stepped()
-        .build();
-    let load_pair = |m: &mut Machine| {
-        let l0 = m.lib(0);
-        let l1 = m.lib(1);
-        m.load_program(0, SendBasic::to_node(&l0, 1, vec![5u8; 32]));
-        m.load_program(1, RecvBasic::expecting(&l1, 1));
-    };
-    load_pair(&mut old_i);
-    load_pair(&mut new_i);
-    let t_old = old_i.run_to_quiescence().ns();
-    let t_new = new_i.run_to_quiescence().ns();
-    assert_eq!(fingerprint(&old_i, t_old), fingerprint(&new_i, t_new));
 }
 
 #[test]
@@ -468,8 +406,39 @@ fn parallelism_accessors_expose_the_resolved_plan() {
     assert_eq!(m.parallelism(), Parallelism::Sequential);
     assert_eq!(m.workers(), 1);
 
-    let m = Machine::builder(2).cycle_stepped().build();
+    // `parallelism` configures the event loop only: it leaves the
+    // stepped oracle selected whichever of the two calls comes first.
+    let m = Machine::builder(2)
+        .cycle_stepped()
+        .parallelism(Parallelism::Sequential)
+        .build();
     assert!(m.is_cycle_stepped());
+    let m = Machine::builder(2)
+        .parallelism(Parallelism::Fixed(2))
+        .cycle_stepped()
+        .build();
+    assert!(m.is_cycle_stepped());
+    assert_eq!(m.workers(), 2);
+}
+
+/// One worker is one shard — `Sequential` and `Fixed(1)` alike, under
+/// either policy and at any size — so the single-threaded event loop
+/// never pays for a partition it cannot run in parallel. The 1024-node
+/// machines are the costly part: each peaks near 1.1 GB in a debug
+/// build, so they are built one at a time and dropped before the next.
+#[test]
+fn sequential_runs_one_shard() {
+    for n in [64, 1024] {
+        for par in [Parallelism::Sequential, Parallelism::Fixed(1)] {
+            for policy in [ShardPolicy::BySubtree, ShardPolicy::RoundRobin] {
+                let m = Machine::builder(n)
+                    .parallelism(par)
+                    .shard_policy(policy)
+                    .build();
+                assert_eq!(m.shard_count(), 1, "{n} nodes, {par:?}, {policy:?}");
+            }
+        }
+    }
 }
 
 /// `Parallelism::Auto` sizes the pool from the environment:
