@@ -104,6 +104,13 @@ pub enum ApiError {
         /// Largest tenant count that fits for this machine size.
         capacity: u32,
     },
+    /// [`crate::SystemParams`]'s `l1` or `l2` geometry has no sets (zero
+    /// ways, or fewer lines than ways; see
+    /// [`sv_membus::cache::CacheParams::validate`]).
+    BadCacheGeometry {
+        /// Cache level: 1 or 2.
+        level: u8,
+    },
 }
 
 impl From<sv_sim::ckpt::SnapshotError> for ApiError {
@@ -180,6 +187,13 @@ impl core::fmt::Display for ApiError {
                     f,
                     "{tenants} tenants/node overflow the 16-bit destination \
                      namespace (at most {capacity} fit at this node count)"
+                )
+            }
+            ApiError::BadCacheGeometry { level } => {
+                write!(
+                    f,
+                    "L{level} cache geometry has no sets: ways must be nonzero \
+                     and at most size_bytes / 32"
                 )
             }
         }

@@ -404,9 +404,15 @@ impl MachineBuilder {
     /// ([`crate::ApiError::WorkerCountZero`],
     /// [`crate::ApiError::WorkersExceedShards`],
     /// [`crate::ApiError::ZeroVirtualChannels`],
-    /// [`crate::ApiError::ZeroCredits`]) as a value instead of
+    /// [`crate::ApiError::ZeroCredits`],
+    /// [`crate::ApiError::BadCacheGeometry`]) as a value instead of
     /// panicking.
     pub fn try_build(self) -> Result<Machine, crate::api::ApiError> {
+        for (level, cache) in [(1, self.params.l1), (2, self.params.l2)] {
+            if !cache.validate() {
+                return Err(crate::api::ApiError::BadCacheGeometry { level });
+            }
+        }
         if let Some(q) = self.params.qos {
             if q.vcs == 0 {
                 return Err(crate::api::ApiError::ZeroVirtualChannels);

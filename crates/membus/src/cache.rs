@@ -13,22 +13,46 @@
 //! with cache-to-cache supply modeled as a supplier latency rather than
 //! an ARTRY-writeback-retry loop (timing-equivalent to first order, and
 //! it keeps ARTRY free for its load-bearing role in S-COMA).
+//!
+//! Way slots are stored flat and set-major (set `s` owns slots
+//! `s * ways .. (s + 1) * ways`), one zero-initialised array per field.
+//! Every field is encoded so that all-zero bytes mean "never used": the
+//! state byte 0 is [`Mesi::Invalid`] and tags are stored bit-inverted, so
+//! a zero reads as the never-used tag `u64::MAX`. A fresh cache is thus
+//! three `calloc`s whose untouched pages cost no resident memory.
 
 use crate::op::{line_of, Addr, BusOpKind, SnoopVerdict, CACHE_LINE};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use sv_sim::stats::Counter;
 
-/// MESI coherence states.
+/// MESI coherence states. The discriminants are the slot-array encoding
+/// (`Invalid` is 0 so zeroed memory is an empty cache); snapshots use
+/// their own fixed byte codes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[repr(u8)]
 pub enum Mesi {
     /// Exclusive and dirty.
-    Modified,
+    Modified = 1,
     /// Sole clean copy.
-    Exclusive,
+    Exclusive = 2,
     /// Another agent holds the line (drives SHD).
-    Shared,
+    Shared = 3,
     /// No valid copy.
-    Invalid,
+    Invalid = 0,
+}
+
+impl Mesi {
+    /// Decode a slot-array state byte.
+    #[inline]
+    fn from_slot(b: u8) -> Mesi {
+        match b {
+            1 => Mesi::Modified,
+            2 => Mesi::Exclusive,
+            3 => Mesi::Shared,
+            _ => Mesi::Invalid,
+        }
+    }
 }
 
 /// Geometry and timing of one cache level.
@@ -62,17 +86,15 @@ impl CacheParams {
         }
     }
 
+    /// Whether this geometry has at least one set: zero ways, or fewer
+    /// lines than ways, leave nothing to index an address into.
+    pub fn validate(&self) -> bool {
+        self.ways != 0 && self.sets() != 0
+    }
+
     fn sets(&self) -> usize {
         (self.size_bytes / CACHE_LINE) as usize / self.ways
     }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    tag: u64,
-    state: Mesi,
-    /// Larger = more recently used.
-    lru: u64,
 }
 
 /// Per-cache statistics.
@@ -111,7 +133,15 @@ const CHUNK_SETS: usize = 64;
 pub struct SnoopyCache {
     /// Timing/geometry parameters.
     pub params: CacheParams,
-    sets: Vec<Vec<Way>>,
+    /// Number of sets.
+    sets: usize,
+    /// Per slot, the line number bit-inverted (`!tag`): zero reads as the
+    /// never-used tag `u64::MAX`. Invalidation keeps the stale tag.
+    tags: Vec<u64>,
+    /// Per slot, the [`Mesi`] discriminant (0 = `Invalid`).
+    states: Vec<u8>,
+    /// Per slot, the LRU age: larger = more recently used.
+    lru: Vec<u64>,
     tick: u64,
     /// Running statistics.
     pub stats: CacheStats,
@@ -127,22 +157,19 @@ impl SnoopyCache {
     /// An empty cache with the given geometry. Starts all-dirty: callers
     /// that swap in a fresh cache mid-run (e.g. a flush) must not be able
     /// to hide the replacement from delta snapshots.
+    ///
+    /// Panics if the geometry has no sets ([`CacheParams::validate`]).
     pub fn new(params: CacheParams) -> Self {
-        let sets: Vec<Vec<Way>> = (0..params.sets())
-            .map(|_| {
-                (0..params.ways)
-                    .map(|_| Way {
-                        tag: u64::MAX,
-                        state: Mesi::Invalid,
-                        lru: 0,
-                    })
-                    .collect()
-            })
-            .collect();
-        let words = sets.len().div_ceil(CHUNK_SETS).div_ceil(64);
+        assert!(params.validate(), "cache geometry has no sets: {params:?}");
+        let sets = params.sets();
+        let slots = sets * params.ways;
+        let words = sets.div_ceil(CHUNK_SETS).div_ceil(64);
         SnoopyCache {
             params,
             sets,
+            tags: vec![0; slots],
+            states: vec![0; slots],
+            lru: vec![0; slots],
             tick: 0,
             stats: CacheStats::default(),
             dirty_chunks: vec![u64::MAX; words],
@@ -153,8 +180,22 @@ impl SnoopyCache {
     #[inline]
     fn index(&self, addr: Addr) -> (usize, u64) {
         let line = line_of(addr) / CACHE_LINE;
-        let set = (line as usize) % self.sets.len();
+        let set = (line as usize) % self.sets;
         (set, line)
+    }
+
+    /// The slot range of `set`.
+    #[inline]
+    fn slots(&self, set: usize) -> Range<usize> {
+        let lo = set * self.params.ways;
+        lo..lo + self.params.ways
+    }
+
+    /// The slot in `set` holding a valid copy of line `tag`, if any.
+    #[inline]
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+        self.slots(set)
+            .find(|&i| self.tags[i] == !tag && self.states[i] != Mesi::Invalid as u8)
     }
 
     #[inline]
@@ -166,11 +207,8 @@ impl SnoopyCache {
     /// Current state of the line containing `addr`, without touching LRU.
     pub fn peek(&self, addr: Addr) -> Mesi {
         let (set, tag) = self.index(addr);
-        self.sets[set]
-            .iter()
-            .find(|w| w.tag == tag && w.state != Mesi::Invalid)
-            .map(|w| w.state)
-            .unwrap_or(Mesi::Invalid)
+        self.find(set, tag)
+            .map_or(Mesi::Invalid, |i| Mesi::from_slot(self.states[i]))
     }
 
     /// Look up `addr`, updating LRU and hit/miss statistics.
@@ -178,35 +216,23 @@ impl SnoopyCache {
         self.tick += 1;
         self.dirty_meta = true;
         let (set, tag) = self.index(addr);
-        let tick = self.tick;
-        let mut hit = Mesi::Invalid;
-        for w in &mut self.sets[set] {
-            if w.tag == tag && w.state != Mesi::Invalid {
-                w.lru = tick;
-                hit = w.state;
-                break;
-            }
-        }
-        if hit != Mesi::Invalid {
-            self.stats.hits.bump();
-            self.mark_set(set);
-            return hit;
-        }
-        self.stats.misses.bump();
-        Mesi::Invalid
+        let Some(i) = self.find(set, tag) else {
+            self.stats.misses.bump();
+            return Mesi::Invalid;
+        };
+        self.lru[i] = self.tick;
+        self.stats.hits.bump();
+        self.mark_set(set);
+        Mesi::from_slot(self.states[i])
     }
 
     /// Change the state of a resident line (e.g. S→M after a Kill). No-op
     /// if the line is absent.
     pub fn set_state(&mut self, addr: Addr, state: Mesi) {
         let (set, tag) = self.index(addr);
-        for i in 0..self.sets[set].len() {
-            let w = &mut self.sets[set][i];
-            if w.tag == tag && w.state != Mesi::Invalid {
-                w.state = state;
-                self.mark_set(set);
-                return;
-            }
+        if let Some(i) = self.find(set, tag) {
+            self.states[i] = state as u8;
+            self.mark_set(set);
         }
     }
 
@@ -218,116 +244,82 @@ impl SnoopyCache {
         self.dirty_meta = true;
         let (set, tag) = self.index(addr);
         self.mark_set(set);
-        let tick = self.tick;
-        let ways = &mut self.sets[set];
-        // Already resident: just update.
-        if let Some(w) = ways
-            .iter_mut()
-            .find(|w| w.tag == tag && w.state != Mesi::Invalid)
-        {
-            w.state = state;
-            w.lru = tick;
-            return None;
+        // Already resident: just update. Otherwise take a free way, or
+        // evict the least recently used one.
+        let slots = self.slots(set);
+        let i = self
+            .find(set, tag)
+            .or_else(|| {
+                slots
+                    .clone()
+                    .find(|&i| self.states[i] == Mesi::Invalid as u8)
+            })
+            .unwrap_or_else(|| slots.min_by_key(|&i| self.lru[i]).expect("nonzero ways"));
+        let mut evicted = None;
+        if self.states[i] != Mesi::Invalid as u8 && self.tags[i] != !tag {
+            let dirty = self.states[i] == Mesi::Modified as u8;
+            self.stats.evictions.bump();
+            if dirty {
+                self.stats.dirty_evictions.bump();
+            }
+            evicted = Some((!self.tags[i] * CACHE_LINE, dirty));
         }
-        // Free way?
-        if let Some(w) = ways.iter_mut().find(|w| w.state == Mesi::Invalid) {
-            *w = Way {
-                tag,
-                state,
-                lru: tick,
-            };
-            return None;
-        }
-        // Evict LRU.
-        let victim = ways.iter_mut().min_by_key(|w| w.lru).expect("nonzero ways");
-        let evicted_addr = victim.tag * CACHE_LINE;
-        let dirty = victim.state == Mesi::Modified;
-        *victim = Way {
-            tag,
-            state,
-            lru: tick,
-        };
-        self.stats.evictions.bump();
-        if dirty {
-            self.stats.dirty_evictions.bump();
-        }
-        Some((evicted_addr, dirty))
+        self.tags[i] = !tag;
+        self.states[i] = state as u8;
+        self.lru[i] = self.tick;
+        evicted
     }
 
     /// Drop the line containing `addr`; returns whether it was dirty.
     pub fn invalidate(&mut self, addr: Addr) -> Option<bool> {
         let (set, tag) = self.index(addr);
-        for i in 0..self.sets[set].len() {
-            let w = &mut self.sets[set][i];
-            if w.tag == tag && w.state != Mesi::Invalid {
-                let dirty = w.state == Mesi::Modified;
-                w.state = Mesi::Invalid;
-                self.mark_set(set);
-                return Some(dirty);
-            }
-        }
-        None
+        let i = self.find(set, tag)?;
+        let dirty = self.states[i] == Mesi::Modified as u8;
+        self.states[i] = Mesi::Invalid as u8;
+        self.mark_set(set);
+        Some(dirty)
     }
 
     /// React to an external bus operation (issued by another master).
     pub fn snoop(&mut self, kind: BusOpKind, addr: Addr) -> SnoopOutcome {
         let (set, tag) = self.index(addr);
-        let push_latency = self.params.push_latency_cycles;
-        let way = self.sets[set]
-            .iter_mut()
-            .find(|w| w.tag == tag && w.state != Mesi::Invalid);
-        let Some(w) = way else {
+        let Some(i) = self.find(set, tag) else {
             return SnoopOutcome::default();
         };
         self.stats.snoop_hits.bump();
         self.dirty_meta = true;
-        // Inlined mark_set: `w` still borrows `self.sets`.
-        let chunk = set / CHUNK_SETS;
-        self.dirty_chunks[chunk / 64] |= 1u64 << (chunk % 64);
+        self.mark_set(set);
+        let state = Mesi::from_slot(self.states[i]);
         let mut out = SnoopOutcome::default();
-        match kind {
-            BusOpKind::Read | BusOpKind::SingleRead => {
-                if w.state == Mesi::Modified {
-                    out.pushed_dirty = true;
-                    out.verdict.supply_latency = push_latency;
-                    self.stats.snoop_pushes.bump();
-                }
-                w.state = Mesi::Shared;
+        let next = match kind {
+            BusOpKind::Read | BusOpKind::SingleRead | BusOpKind::Clean => {
                 out.verdict.shared = true;
+                Mesi::Shared
             }
             BusOpKind::Rwitm | BusOpKind::Flush | BusOpKind::SingleWrite | BusOpKind::WriteLine => {
-                if w.state == Mesi::Modified {
-                    out.pushed_dirty = true;
-                    out.verdict.supply_latency = push_latency;
-                    self.stats.snoop_pushes.bump();
-                }
-                w.state = Mesi::Invalid;
+                Mesi::Invalid
             }
             BusOpKind::Kill => {
                 // Kill is only legal when no other cache holds M; losing
                 // dirty data here would be a protocol bug upstream.
-                debug_assert_ne!(w.state, Mesi::Modified, "Kill hit a Modified line");
-                w.state = Mesi::Invalid;
+                debug_assert_ne!(state, Mesi::Modified, "Kill hit a Modified line");
+                Mesi::Invalid
             }
-            BusOpKind::Clean => {
-                if w.state == Mesi::Modified {
-                    out.pushed_dirty = true;
-                    out.verdict.supply_latency = push_latency;
-                    self.stats.snoop_pushes.bump();
-                }
-                w.state = Mesi::Shared;
-                out.verdict.shared = true;
-            }
+        };
+        if state == Mesi::Modified && kind != BusOpKind::Kill {
+            out.pushed_dirty = true;
+            out.verdict.supply_latency = self.params.push_latency_cycles;
+            self.stats.snoop_pushes.bump();
         }
+        self.states[i] = next as u8;
         out
     }
 
     /// Number of resident (non-invalid) lines; test/diagnostic helper.
     pub fn resident_lines(&self) -> usize {
-        self.sets
+        self.states
             .iter()
-            .flat_map(|s| s.iter())
-            .filter(|w| w.state != Mesi::Invalid)
+            .filter(|&&s| s != Mesi::Invalid as u8)
             .count()
     }
 }
@@ -349,9 +341,7 @@ impl StateLoad for CacheParams {
             ways: r.usize_()?,
             push_latency_cycles: r.u64()?,
         };
-        // The set computation divides by both; a geometry that yields
-        // zero sets would panic on the first lookup.
-        if p.ways == 0 || (p.size_bytes / CACHE_LINE) as usize / p.ways == 0 {
+        if !p.validate() {
             return Err(SnapshotError::Corrupt { offset: at });
         }
         Ok(p)
@@ -405,22 +395,41 @@ impl StateLoad for CacheStats {
 }
 
 impl StateSave for SnoopyCache {
-    /// Geometry is rebuilt from params; only the resident ways (tag,
-    /// state, LRU age) and the LRU tick are snapshotted.
+    /// Geometry is rebuilt from params; only the ways (tag, state, LRU
+    /// age) and the LRU tick are snapshotted.
     fn save(&self, w: &mut SnapWriter) {
         w.u64(self.tick);
         w.save(&self.stats);
-        for set in &self.sets {
-            for way in set {
-                w.u64(way.tag);
-                w.save(&way.state);
-                w.u64(way.lru);
-            }
-        }
+        self.save_slots(w, 0..self.tags.len());
     }
 }
 
 impl SnoopyCache {
+    /// Emit `slots` in order, per way `tag: u64` (plain, including the
+    /// stale tag an invalidated way keeps), the [`Mesi`] byte and
+    /// `lru: u64`.
+    fn save_slots(&self, w: &mut SnapWriter, slots: Range<usize>) {
+        for i in slots {
+            w.u64(!self.tags[i]);
+            w.save(&Mesi::from_slot(self.states[i]));
+            w.u64(self.lru[i]);
+        }
+    }
+
+    /// Inverse of [`SnoopyCache::save_slots`].
+    fn load_slots(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        slots: Range<usize>,
+    ) -> Result<(), SnapshotError> {
+        for i in slots {
+            self.tags[i] = !r.u64()?;
+            self.states[i] = r.load::<Mesi>()? as u8;
+            self.lru[i] = r.u64()?;
+        }
+        Ok(())
+    }
+
     /// Restore a cache snapshotted under the same geometry `params`.
     /// The result is conservatively all-dirty (inherited from
     /// [`SnoopyCache::new`]) until the next checkpoint cut.
@@ -431,19 +440,20 @@ impl SnoopyCache {
         let mut cache = SnoopyCache::new(params);
         cache.tick = r.u64()?;
         cache.stats = r.load()?;
-        for set in &mut cache.sets {
-            for way in set {
-                way.tag = r.u64()?;
-                way.state = r.load()?;
-                way.lru = r.u64()?;
-            }
-        }
+        cache.load_slots(r, 0..cache.tags.len())?;
         Ok(cache)
     }
 
     /// Number of [`CHUNK_SETS`]-set chunks covering this geometry.
     fn chunk_count(&self) -> usize {
-        self.sets.len().div_ceil(CHUNK_SETS)
+        self.sets.div_ceil(CHUNK_SETS)
+    }
+
+    /// The slot range of chunk `c`.
+    fn chunk_slots(&self, c: usize) -> Range<usize> {
+        let lo = c * CHUNK_SETS;
+        let hi = (lo + CHUNK_SETS).min(self.sets);
+        lo * self.params.ways..hi * self.params.ways
     }
 
     /// True if anything (ways, tick, or stats) changed since the last
@@ -470,15 +480,7 @@ impl SnoopyCache {
         w.usize_(chunks.len());
         for c in chunks {
             w.u64(c as u64);
-            let lo = c * CHUNK_SETS;
-            let hi = (lo + CHUNK_SETS).min(self.sets.len());
-            for set in &self.sets[lo..hi] {
-                for way in set {
-                    w.u64(way.tag);
-                    w.save(&way.state);
-                    w.u64(way.lru);
-                }
-            }
+            self.save_slots(w, self.chunk_slots(c));
         }
     }
 
@@ -498,15 +500,7 @@ impl SnoopyCache {
                 return Err(SnapshotError::Corrupt { offset: at });
             }
             let c = c as usize;
-            let lo = c * CHUNK_SETS;
-            let hi = (lo + CHUNK_SETS).min(self.sets.len());
-            for set in &mut self.sets[lo..hi] {
-                for way in set {
-                    way.tag = r.u64()?;
-                    way.state = r.load()?;
-                    way.lru = r.u64()?;
-                }
-            }
+            self.load_slots(r, self.chunk_slots(c))?;
             self.dirty_chunks[c / 64] |= 1u64 << (c % 64);
         }
         Ok(())
@@ -631,11 +625,83 @@ mod tests {
         assert_eq!(c.resident_lines(), 1);
     }
 
+    /// `save` and `save_delta` bytes, pinned as literal hex: per way,
+    /// set-major, `tag: u64`, the snapshot `Mesi` byte (M=0 E=1 S=2 I=3)
+    /// and `lru: u64`, all little-endian. Covers a never-used way (tag
+    /// `u64::MAX`), an invalidated way keeping its stale tag, and an LRU
+    /// eviction; restoring either form re-saves the same bytes.
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        let mut c = small();
+        c.install(0x000, Mesi::Exclusive); // set 0, tick 1
+        c.install(0x100, Mesi::Modified); // set 0, tick 2
+        c.install(0x0e0, Mesi::Shared); // set 7, tick 3
+        assert_eq!(c.invalidate(0x0e0), Some(false));
+        c.lookup(0x000); // hit, tick 4
+        c.lookup(0x300); // miss, tick 5
+        assert_eq!(c.install(0x200, Mesi::Exclusive), Some((0x100, true))); // tick 6
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let u64s = |vs: &[u64]| vs.iter().map(|v| hex(&v.to_le_bytes())).collect::<String>();
+        let empty = "ffffffffffffffff030000000000000000";
+        let set7 = ["0700000000000000030300000000000000", empty].concat();
+        // tick, then hits/misses/evictions/dirty/snoop_hits/snoop_pushes.
+        let want_save = [
+            u64s(&[6, 1, 1, 1, 1, 0, 0]),
+            "0000000000000000010400000000000000".into(), // set 0: line 0, E
+            "1000000000000000010600000000000000".into(), // line 16, E
+            empty.repeat(12),                            // sets 1..=6
+            set7.clone(),                                // stale line 7, I
+        ]
+        .concat();
+        let mut w = SnapWriter::new();
+        c.save(&mut w);
+        let full = w.finish();
+        assert_eq!(hex(&full), want_save);
+        let r = SnoopyCache::load_with_params(c.params, &mut SnapReader::new(&full)).unwrap();
+        let mut w = SnapWriter::new();
+        r.save(&mut w);
+        assert_eq!(w.finish(), full);
+
+        c.clear_dirty();
+        c.snoop(BusOpKind::Read, 0x200); // E -> S in set 0, chunk 0
+        let want_delta = [
+            u64s(&[6, 1, 1, 1, 1, 1, 0]),
+            u64s(&[1, 0]), // one dirty chunk: chunk 0
+            "0000000000000000010400000000000000".into(),
+            "1000000000000000020600000000000000".into(),
+            empty.repeat(12),
+            set7,
+        ]
+        .concat();
+        let mut w = SnapWriter::new();
+        c.save_delta(&mut w);
+        let delta = w.finish();
+        assert_eq!(hex(&delta), want_delta);
+        let mut r = small();
+        r.apply_delta(&mut SnapReader::new(&delta)).unwrap();
+        let mut w = SnapWriter::new();
+        r.save_delta(&mut w);
+        assert_eq!(w.finish(), delta);
+    }
+
     #[test]
     fn geometry_604e() {
         let l1 = SnoopyCache::new(CacheParams::l1_604e());
-        assert_eq!(l1.sets.len(), 256);
+        assert_eq!((l1.sets, l1.tags.len()), (256, 1024));
         let l2 = SnoopyCache::new(CacheParams::l2_voyager());
-        assert_eq!(l2.sets.len(), 16384);
+        assert_eq!((l2.sets, l2.tags.len()), (16384, 16384));
+    }
+
+    #[test]
+    fn geometry_without_sets_is_invalid() {
+        let p = |size_bytes, ways| CacheParams {
+            size_bytes,
+            ways,
+            push_latency_cycles: 1,
+        };
+        assert!(p(512, 2).validate());
+        assert!(!p(512, 0).validate());
+        assert!(!p(64, 4).validate()); // 2 lines over 4 ways
+        assert!(!p(0, 1).validate());
     }
 }

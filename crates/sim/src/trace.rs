@@ -70,9 +70,10 @@ pub struct Tracer {
 
 impl Tracer {
     /// A tracer retaining the last `capacity` records; starts disabled.
+    /// Allocates nothing: the ring grows on the first enabled record.
     pub fn new(capacity: usize) -> Self {
         Tracer {
-            records: Vec::with_capacity(capacity.min(4096)),
+            records: Vec::new(),
             capacity: capacity.max(1),
             next: 0,
             wrapped: false,
@@ -242,6 +243,8 @@ mod tests {
         t.record(Time::ZERO, Subsys::Bus, "x".into());
         assert_eq!(t.total_recorded(), 0);
         assert!(t.dump().is_empty());
+        // ...and a tracer that was never enabled owns no ring memory.
+        assert_eq!(t.records.capacity(), 0);
     }
 
     #[test]

@@ -609,6 +609,54 @@ fn delta_chain_is_deterministic() {
     assert_eq!(deltas_a, deltas_b);
 }
 
+/// Snapshot bytes pinned across commits: an 8-node incast cut at 20 µs
+/// (the chain's SVCK base), at 40 µs and at quiescence (two SVDK
+/// deltas), each reduced to its byte length and FNV-1a-64. Any change
+/// to what a component writes, or in what order, shows up here even if
+/// save and load change together. Regenerate deliberately with
+///
+/// ```text
+/// UPDATE_GOLDENS=1 cargo test -p sv-tests --test ckpt snapshot_bytes
+/// ```
+#[test]
+fn snapshot_bytes_match_golden_digests() {
+    let mut m = Machine::builder(8)
+        .parallelism(Parallelism::Sequential)
+        .build();
+    voyager::workloads::load_hot_spot(&mut m, 50, 4, 64);
+    let cut = |m: &mut Machine| match m.checkpoint_delta() {
+        DeltaCheckpoint::Base(b) | DeltaCheckpoint::Delta(b) => b,
+    };
+    m.run_for(20_000);
+    let full = cut(&mut m);
+    m.run_for(20_000);
+    let d1 = cut(&mut m);
+    m.run_to_quiescence();
+    let d2 = cut(&mut m);
+    assert_eq!(&full[..4], b"SVCK");
+    assert!(d1.starts_with(b"SVDK") && d2.starts_with(b"SVDK"));
+    let entry = |name: &str, b: &[u8]| {
+        format!(
+            "  \"{name}\": {{\"len\": {}, \"fnv1a64\": \"{:016x}\"}}",
+            b.len(),
+            sv_sim::ckpt::fnv1a64(b)
+        )
+    };
+    let got = format!(
+        "{{\n{},\n{},\n{}\n}}\n",
+        entry("svck_full_20us", &full),
+        entry("svdk_delta_40us", &d1),
+        entry("svdk_delta_quiescent", &d2)
+    );
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("goldens/ckpt_digests.json");
+    if std::env::var_os("UPDATE_GOLDENS").is_some() {
+        std::fs::write(&path, &got).expect("write golden");
+        return;
+    }
+    let want = std::fs::read_to_string(&path).expect("golden present (UPDATE_GOLDENS=1)");
+    assert_eq!(got, want, "snapshot bytes drifted from {}", path.display());
+}
+
 #[test]
 fn delay_program_checkpoints_mid_wait() {
     let mut m = Machine::builder(2)

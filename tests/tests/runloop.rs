@@ -338,6 +338,36 @@ fn panicking_constructor_still_panics() {
     let _ = BasicMsg::new(1, vec![0u8; 89]);
 }
 
+/// A cache level with no sets (zero ways, or fewer lines than ways)
+/// could index no address: the builder refuses it, naming the level.
+#[test]
+fn bad_cache_geometry_is_a_typed_error_at_each_level() {
+    use voyager::membus::CacheParams;
+    use voyager::{ApiError, SystemParams};
+    let bad = [
+        CacheParams {
+            ways: 0,
+            ..CacheParams::l1_604e()
+        },
+        CacheParams {
+            size_bytes: 64,
+            ways: 4,
+            ..CacheParams::l1_604e()
+        },
+    ];
+    for geometry in bad {
+        for level in [1u8, 2] {
+            let mut p = SystemParams::default();
+            *(if level == 1 { &mut p.l1 } else { &mut p.l2 }) = geometry;
+            let Err(e) = Machine::builder(2).params(p).try_build() else {
+                panic!("L{level} {geometry:?} accepted");
+            };
+            assert_eq!(e, ApiError::BadCacheGeometry { level });
+            assert!(e.to_string().starts_with(&format!("L{level} ")), "{e}");
+        }
+    }
+}
+
 #[test]
 fn invalid_parallelism_is_a_typed_error() {
     use voyager::ApiError;
