@@ -609,32 +609,177 @@ fn delta_chain_is_deterministic() {
     assert_eq!(deltas_a, deltas_b);
 }
 
-/// Snapshot bytes pinned across commits: an 8-node incast cut at 20 µs
-/// (the chain's SVCK base), at 40 µs and at quiescence (two SVDK
-/// deltas), each reduced to its byte length and FNV-1a-64. Any change
-/// to what a component writes, or in what order, shows up here even if
-/// save and load change together. Regenerate deliberately with
+/// Cut one SVCK base and two SVDK deltas from `m`, running `slices[i]`
+/// ns before cut `i` (`None` runs to quiescence). The chain must
+/// restore to the donor's full snapshot at the last cut.
+fn pinned_chain(mut m: Machine, slices: Slices) -> [Vec<u8>; 3] {
+    let mut cut = |slice: Option<u64>| {
+        match slice {
+            Some(ns) => m.run_for(ns),
+            None => {
+                m.run_to_quiescence();
+            }
+        }
+        match m.checkpoint_delta() {
+            DeltaCheckpoint::Base(b) | DeltaCheckpoint::Delta(b) => b,
+        }
+    };
+    let chain = [cut(slices[0]), cut(slices[1]), cut(slices[2])];
+    assert_eq!(&chain[0][..4], b"SVCK");
+    assert!(chain[1].starts_with(b"SVDK") && chain[2].starts_with(b"SVDK"));
+    let r = sequential(1)
+        .restore_chain(&chain[0], &chain[1..])
+        .expect("pinned chain restores");
+    assert_eq!(r.checkpoint(), m.checkpoint(), "chain restore != full cut");
+    chain
+}
+
+fn sequential(n: usize) -> MachineBuilder {
+    Machine::builder(n).parallelism(Parallelism::Sequential)
+}
+
+/// 8-node hot spot over 2 VCs x 2 credits on the hostile fabric with
+/// reliable delivery: VC queues, credit counters, fault RNG, Go-Back-N
+/// windows.
+fn pinned_qos_faults() -> Machine {
+    let mut m = sequential(8)
+        .network_qos(voyager::arctic::QosParams {
+            vcs: 2,
+            credits_per_vc: 2,
+            arbitration: voyager::arctic::VcArbitration::Priority,
+        })
+        .faults(hostile())
+        .build();
+    voyager::workloads::load_hot_spot(&mut m, 16, 4, 88);
+    m
+}
+
+/// Tenant mix with more tenants than rx-queue slots: scheduler slices,
+/// per-tenant registry rows and the rx-queue cache's LRU.
+fn pinned_tenants() -> Machine {
+    let mut m = sequential(4)
+        .tenants(voyager::TenancyParams {
+            tenants_per_node: 16,
+            policy: voyager::SchedPolicy::WeightedTimeSlice { quantum_ns: 20_000 },
+            confined: Some(5),
+        })
+        .build();
+    voyager::workloads::load_tenant_mix(&mut m, 6);
+    m
+}
+
+/// A firmware all-reduce then barrier on 16 nodes: collective engine
+/// state and the aP-side waits.
+fn pinned_collective() -> Machine {
+    use voyager::firmware::proto::CollOp;
+    let mut m = sequential(16).build();
+    for i in 0..16u16 {
+        let lib = m.lib(i);
+        let reqs = vec![
+            voyager::CollReq::allreduce(CollOp::Sum, 0x1000 + 7 * u64::from(i)),
+            voyager::CollReq::barrier(),
+        ];
+        m.load_program(i, lib.coll_program(reqs));
+    }
+    m
+}
+
+/// Two S-COMA writers competing for one line while a third node stores
+/// to and loads from a NUMA page homed elsewhere.
+fn pinned_shmem() -> Machine {
+    use voyager::api::{ReadRegion, WriteRegion};
+    let mut m = sequential(4).build();
+    let map = m.params.map;
+    let line = map.scoma_base + 0x1000;
+    let numa = map.numa_base + 0x1008;
+    m.load_program(0, WriteRegion::new(line, vec![0x11; 64]));
+    m.load_program(2, WriteRegion::new(line, vec![0x22; 64]));
+    m.load_program(
+        3,
+        voyager::app::Seq::new(vec![
+            Box::new(WriteRegion::new(numa, vec![0x33; 16])),
+            Box::new(ReadRegion::new(numa, 16)),
+        ]),
+    );
+    m
+}
+
+/// Four concurrent block transfers, one per firmware approach (sP
+/// managed, hardware block, optimistic sP, optimistic hardware).
+fn pinned_blockxfer() -> Machine {
+    use voyager::api::{request_transfer, RecvBasic};
+    use voyager::firmware::proto::{Approach, XferReq};
+    let mut m = sequential(4).build();
+    let len = 8 * 1024u32;
+    let scoma = m.params.map.scoma_base;
+    let plan = [
+        (0u16, 1u16, Approach::SpManaged, 0x20_0000u64),
+        (1, 0, Approach::BlockHw, 0x28_0000),
+        (2, 3, Approach::OptimisticSp, scoma + 0x10_0000),
+        (3, 2, Approach::OptimisticHw, scoma + 0x18_0000),
+    ];
+    for (src, dst, approach, dst_addr) in plan {
+        m.nodes[src as usize]
+            .mem
+            .fill_pattern(0x10_0000, len as usize, u64::from(src));
+        let lib = m.lib(src);
+        let req = XferReq {
+            approach,
+            xfer_id: 10 + src,
+            src_addr: 0x10_0000,
+            dst_addr,
+            len,
+            dst_node: dst,
+            notify_lq: 1,
+        };
+        m.load_program(
+            src,
+            voyager::app::Seq::new(vec![
+                Box::new(request_transfer(&lib, &req)),
+                Box::new(RecvBasic::expecting(&lib, 1)),
+            ]),
+        );
+    }
+    m
+}
+
+/// The 8-node hot spot on the fixed-latency ideal fabric.
+fn pinned_ideal() -> Machine {
+    let mut m = sequential(8).ideal_network(100).build();
+    voyager::workloads::load_hot_spot(&mut m, 50, 4, 64);
+    m
+}
+
+// Cut schedules (ns per slice): every cut lands mid-run, while the
+// scenario's own state (credit stalls, tenant slices, collective
+// rounds, coherence transactions, DMA) is live.
+type Slices = [Option<u64>; 3];
+type Build = fn() -> Machine;
+const SLICES_QOS: Slices = [Some(60_000), Some(60_000), Some(60_000)];
+const SLICES_TENANTS: Slices = [Some(25_000), Some(25_000), Some(25_000)];
+const SLICES_COLL: Slices = [Some(4_000), Some(3_000), Some(3_000)];
+const SLICES_SHMEM: Slices = [Some(3_000), Some(3_000), Some(2_500)];
+const SLICES_XFER: Slices = [Some(20_000), Some(30_000), Some(30_000)];
+const SLICES_IDEAL: Slices = [Some(50_000), Some(100_000), None];
+
+/// Snapshot bytes pinned across commits. Each scenario yields a chain —
+/// an SVCK base and two SVDK deltas cut mid-run — and each snapshot is
+/// reduced to its byte length and FNV-1a-64. The first scenario is an
+/// 8-node incast cut at 20 µs, 40 µs and quiescence; the others arm
+/// QoS + faults, tenancy, firmware collectives, S-COMA/NUMA, block
+/// transfers and the ideal fabric, so every checkpointed component
+/// writes real state. Any change to what a component writes, or in what
+/// order, shows up here even if save and load change together.
+/// Regenerate deliberately with
 ///
 /// ```text
 /// UPDATE_GOLDENS=1 cargo test -p sv-tests --test ckpt snapshot_bytes
 /// ```
 #[test]
 fn snapshot_bytes_match_golden_digests() {
-    let mut m = Machine::builder(8)
-        .parallelism(Parallelism::Sequential)
-        .build();
+    let mut m = sequential(8).build();
     voyager::workloads::load_hot_spot(&mut m, 50, 4, 64);
-    let cut = |m: &mut Machine| match m.checkpoint_delta() {
-        DeltaCheckpoint::Base(b) | DeltaCheckpoint::Delta(b) => b,
-    };
-    m.run_for(20_000);
-    let full = cut(&mut m);
-    m.run_for(20_000);
-    let d1 = cut(&mut m);
-    m.run_to_quiescence();
-    let d2 = cut(&mut m);
-    assert_eq!(&full[..4], b"SVCK");
-    assert!(d1.starts_with(b"SVDK") && d2.starts_with(b"SVDK"));
+    let [full, d1, d2] = pinned_chain(m, [Some(20_000), Some(20_000), None]);
     let entry = |name: &str, b: &[u8]| {
         format!(
             "  \"{name}\": {{\"len\": {}, \"fnv1a64\": \"{:016x}\"}}",
@@ -642,12 +787,27 @@ fn snapshot_bytes_match_golden_digests() {
             sv_sim::ckpt::fnv1a64(b)
         )
     };
-    let got = format!(
-        "{{\n{},\n{},\n{}\n}}\n",
+    let mut entries = vec![
         entry("svck_full_20us", &full),
         entry("svdk_delta_40us", &d1),
-        entry("svdk_delta_quiescent", &d2)
-    );
+        entry("svdk_delta_quiescent", &d2),
+    ];
+    let scenarios: [(&str, Build, Slices); 6] = [
+        ("qos_faults", pinned_qos_faults, SLICES_QOS),
+        ("tenants", pinned_tenants, SLICES_TENANTS),
+        ("collective", pinned_collective, SLICES_COLL),
+        ("shmem", pinned_shmem, SLICES_SHMEM),
+        ("blockxfer", pinned_blockxfer, SLICES_XFER),
+        ("ideal", pinned_ideal, SLICES_IDEAL),
+    ];
+    for (name, build, slices) in scenarios {
+        let m = build();
+        let [base, d1, d2] = pinned_chain(m, slices);
+        entries.push(entry(&format!("{name}_svck_base"), &base));
+        entries.push(entry(&format!("{name}_svdk_1"), &d1));
+        entries.push(entry(&format!("{name}_svdk_2"), &d2));
+    }
+    let got = format!("{{\n{}\n}}\n", entries.join(",\n"));
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("goldens/ckpt_digests.json");
     if std::env::var_os("UPDATE_GOLDENS").is_some() {
         std::fs::write(&path, &got).expect("write golden");
