@@ -126,43 +126,22 @@ impl FaultModel {
     }
 }
 
-use sv_sim::ckpt::{SnapReader, SnapWriter, SnapshotError, StateLoad, StateSave};
-
-impl StateSave for FaultParams {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u32(self.drop_ppm);
-        w.u32(self.dup_ppm);
-        w.u32(self.corrupt_ppm);
-        w.u32(self.reorder_ppm);
-        w.u64(self.seed);
-    }
-}
-impl StateLoad for FaultParams {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(FaultParams {
-            drop_ppm: r.u32()?,
-            dup_ppm: r.u32()?,
-            corrupt_ppm: r.u32()?,
-            reorder_ppm: r.u32()?,
-            seed: r.u64()?,
-        })
+sv_sim::checkpointed! {
+    struct FaultParams {
+        drop_ppm,
+        dup_ppm,
+        corrupt_ppm,
+        reorder_ppm,
+        seed,
     }
 }
 
-impl StateSave for FaultModel {
-    /// The live RNG state is saved, not the seed: a restored model
-    /// resumes mid-stream exactly where the original left off.
-    fn save(&self, w: &mut SnapWriter) {
-        w.save(&self.params);
-        w.save(&self.rng);
-    }
-}
-impl StateLoad for FaultModel {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(FaultModel {
-            params: r.load()?,
-            rng: r.load()?,
-        })
+// The live RNG state is saved, not the seed: a restored model resumes
+// mid-stream exactly where the original left off.
+sv_sim::checkpointed! {
+    struct FaultModel {
+        params,
+        rng,
     }
 }
 

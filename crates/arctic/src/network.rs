@@ -822,206 +822,91 @@ pub struct LinkUsage {
 
 use sv_sim::ckpt::{SnapReader, SnapWriter, SnapshotError, StateLoad, StateSave};
 
-impl StateSave for LinkParams {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.ns_per_byte_num);
-        w.u64(self.ns_per_byte_den);
-        w.u64(self.router_latency_ns);
+sv_sim::checkpointed! {
+    struct LinkParams {
+        ns_per_byte_num,
+        ns_per_byte_den,
+        router_latency_ns,
     }
+    // A zero denominator would divide-by-zero in `serialize_ns`.
+    validate: |p: &LinkParams| p.ns_per_byte_den != 0
 }
-impl StateLoad for LinkParams {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let at = r.offset();
-        let p = LinkParams {
-            ns_per_byte_num: r.u64()?,
-            ns_per_byte_den: r.u64()?,
-            router_latency_ns: r.u64()?,
-        };
-        // A zero denominator would divide-by-zero in `serialize_ns`.
-        if p.ns_per_byte_den == 0 {
-            return Err(SnapshotError::Corrupt { offset: at });
-        }
-        Ok(p)
+
+sv_sim::checkpointed! {
+    enum VcArbitration {
+        0 => Priority,
+        1 => RoundRobin,
     }
 }
 
-impl StateSave for VcArbitration {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            VcArbitration::Priority => 0,
-            VcArbitration::RoundRobin => 1,
-        });
+sv_sim::checkpointed! {
+    struct QosParams {
+        vcs,
+        credits_per_vc,
+        arbitration,
     }
+    // Zero VCs or zero credits would wedge every link forever; the
+    // builder refuses them, so a snapshot carrying them is forged.
+    validate: |q: &QosParams| q.vcs != 0 && q.credits_per_vc != 0
 }
-impl StateLoad for VcArbitration {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let at = r.offset();
-        Ok(match r.u8()? {
-            0 => VcArbitration::Priority,
-            1 => VcArbitration::RoundRobin,
-            _ => return Err(SnapshotError::Corrupt { offset: at }),
-        })
+
+sv_sim::checkpointed! {
+    struct VcState {
+        queue,
+        credits,
+        waiters,
+        blocked_since,
+        bytes,
+        busy_ns,
+        high_water,
+        stalls,
+        stall_ns,
     }
 }
 
-impl StateSave for QosParams {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u8(self.vcs);
-        w.u8(self.credits_per_vc);
-        w.save(&self.arbitration);
-    }
-}
-impl StateLoad for QosParams {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let at = r.offset();
-        let q = QosParams {
-            vcs: r.u8()?,
-            credits_per_vc: r.u8()?,
-            arbitration: r.load()?,
-        };
-        // Zero VCs or zero credits would wedge every link forever; the
-        // builder refuses them, so a snapshot carrying them is forged.
-        if q.vcs == 0 || q.credits_per_vc == 0 {
-            return Err(SnapshotError::Corrupt { offset: at });
-        }
-        Ok(q)
+sv_sim::checkpointed! {
+    struct LinkState {
+        busy_until,
+        vcs,
+        dispatch_scheduled,
+        rr_cursor,
+        high_water,
+        bytes,
+        busy_ns,
     }
 }
 
-impl StateSave for VcState {
-    fn save(&self, w: &mut SnapWriter) {
-        w.save(&self.queue);
-        w.u8(self.credits);
-        w.save(&self.waiters);
-        w.save(&self.blocked_since);
-        w.u64(self.bytes);
-        w.u64(self.busy_ns);
-        w.usize_(self.high_water);
-        w.u64(self.stalls);
-        w.u64(self.stall_ns);
-    }
-}
-impl StateLoad for VcState {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(VcState {
-            queue: r.load()?,
-            credits: r.u8()?,
-            waiters: r.load()?,
-            blocked_since: r.load()?,
-            bytes: r.u64()?,
-            busy_ns: r.u64()?,
-            high_water: r.usize_()?,
-            stalls: r.u64()?,
-            stall_ns: r.u64()?,
-        })
+sv_sim::checkpointed! {
+    struct InFlight<P> {
+        packet,
+        route,
+        hop,
+        reorder,
     }
 }
 
-impl StateSave for LinkState {
-    fn save(&self, w: &mut SnapWriter) {
-        w.save(&self.busy_until);
-        w.save(&self.vcs);
-        w.save(&self.dispatch_scheduled);
-        w.u8(self.rr_cursor);
-        w.usize_(self.high_water);
-        w.u64(self.bytes);
-        w.u64(self.busy_ns);
-    }
-}
-impl StateLoad for LinkState {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(LinkState {
-            busy_until: r.load()?,
-            vcs: r.load()?,
-            dispatch_scheduled: r.load()?,
-            rr_cursor: r.u8()?,
-            high_water: r.usize_()?,
-            bytes: r.u64()?,
-            busy_ns: r.u64()?,
-        })
+sv_sim::checkpointed! {
+    enum NetEvent {
+        0 => Dispatch(link),
+        1 => Arrive { flight },
     }
 }
 
-impl<P: StateSave> StateSave for InFlight<P> {
-    fn save(&self, w: &mut SnapWriter) {
-        w.save(&self.packet);
-        w.save(&self.route);
-        w.usize_(self.hop);
-        w.save(&self.reorder);
-    }
-}
-impl<P: StateLoad> StateLoad for InFlight<P> {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(InFlight {
-            packet: r.load()?,
-            route: r.load()?,
-            hop: r.usize_()?,
-            reorder: r.load()?,
-        })
-    }
-}
-
-impl StateSave for NetEvent {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            NetEvent::Dispatch(link) => {
-                w.u8(0);
-                w.usize_(*link);
-            }
-            NetEvent::Arrive { flight } => {
-                w.u8(1);
-                w.usize_(*flight);
-            }
-        }
-    }
-}
-impl StateLoad for NetEvent {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let at = r.offset();
-        Ok(match r.u8()? {
-            0 => NetEvent::Dispatch(r.usize_()?),
-            1 => NetEvent::Arrive {
-                flight: r.usize_()?,
-            },
-            _ => return Err(SnapshotError::Corrupt { offset: at }),
-        })
-    }
-}
-
-impl StateSave for NetworkStats {
-    fn save(&self, w: &mut SnapWriter) {
-        w.save(&self.injected);
-        w.save(&self.delivered);
-        w.save(&self.latency);
-        w.u64(self.bytes_delivered);
-        w.usize_(self.max_link_queue);
-        w.save(&self.faults_dropped);
-        w.save(&self.faults_duplicated);
-        w.save(&self.faults_corrupted);
-        w.save(&self.faults_reordered);
-        w.save(&self.credit_stalls);
-        w.u64(self.credit_stall_ns);
-        w.save(&self.latency_hi);
-        w.save(&self.latency_lo);
-    }
-}
-impl StateLoad for NetworkStats {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(NetworkStats {
-            injected: r.load()?,
-            delivered: r.load()?,
-            latency: r.load()?,
-            bytes_delivered: r.u64()?,
-            max_link_queue: r.usize_()?,
-            faults_dropped: r.load()?,
-            faults_duplicated: r.load()?,
-            faults_corrupted: r.load()?,
-            faults_reordered: r.load()?,
-            credit_stalls: r.load()?,
-            credit_stall_ns: r.u64()?,
-            latency_hi: r.load()?,
-            latency_lo: r.load()?,
-        })
+sv_sim::checkpointed! {
+    struct NetworkStats {
+        injected,
+        delivered,
+        latency,
+        bytes_delivered,
+        max_link_queue,
+        faults_dropped,
+        faults_duplicated,
+        faults_corrupted,
+        faults_reordered,
+        credit_stalls,
+        credit_stall_ns,
+        latency_hi,
+        latency_lo,
     }
 }
 

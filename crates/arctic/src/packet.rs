@@ -94,51 +94,23 @@ impl<P> Packet<P> {
     }
 }
 
-use sv_sim::ckpt::{SnapReader, SnapWriter, SnapshotError, StateLoad, StateSave};
-
-impl StateSave for Priority {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            Priority::High => 0,
-            Priority::Low => 1,
-        });
-    }
-}
-impl StateLoad for Priority {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let at = r.offset();
-        Ok(match r.u8()? {
-            0 => Priority::High,
-            1 => Priority::Low,
-            _ => return Err(SnapshotError::Corrupt { offset: at }),
-        })
+sv_sim::checkpointed! {
+    enum Priority {
+        0 => High,
+        1 => Low,
     }
 }
 
-impl<P: StateSave> StateSave for Packet<P> {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u16(self.src);
-        w.u16(self.dst);
-        w.save(&self.priority);
-        w.u32(self.wire_bytes);
-        w.save(&self.injected_at);
-        w.u32(self.seq);
-        w.save(&self.corrupt);
-        self.payload.save(w);
-    }
-}
-impl<P: StateLoad> StateLoad for Packet<P> {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Packet {
-            src: r.u16()?,
-            dst: r.u16()?,
-            priority: r.load()?,
-            wire_bytes: r.u32()?,
-            injected_at: r.load()?,
-            seq: r.u32()?,
-            corrupt: r.load()?,
-            payload: P::load(r)?,
-        })
+sv_sim::checkpointed! {
+    struct Packet<P> {
+        src,
+        dst,
+        priority,
+        wire_bytes,
+        injected_at,
+        seq,
+        corrupt,
+        payload,
     }
 }
 

@@ -316,26 +316,11 @@ impl FatTree {
     }
 }
 
-use sv_sim::ckpt::{SnapReader, SnapWriter, SnapshotError, StateLoad, StateSave};
-
-impl StateSave for RoutingPolicy {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            RoutingPolicy::HashSpread => 0,
-            RoutingPolicy::FlowHash => 1,
-            RoutingPolicy::Fixed => 2,
-        });
-    }
-}
-impl StateLoad for RoutingPolicy {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let at = r.offset();
-        Ok(match r.u8()? {
-            0 => RoutingPolicy::HashSpread,
-            1 => RoutingPolicy::FlowHash,
-            2 => RoutingPolicy::Fixed,
-            _ => return Err(SnapshotError::Corrupt { offset: at }),
-        })
+sv_sim::checkpointed! {
+    enum RoutingPolicy {
+        0 => HashSpread,
+        1 => FlowHash,
+        2 => Fixed,
     }
 }
 

@@ -1493,64 +1493,25 @@ impl StateLoad for BasicMsg {
     }
 }
 
-impl StateSave for SendState {
-    fn save(&self, w: &mut SnapWriter) {
-        match *self {
-            SendState::Next => w.u8(0),
-            SendState::PollSpace => w.u8(1),
-            SendState::WriteTagon { off } => {
-                w.u8(2);
-                w.u32(off);
-            }
-            SendState::WriteHeader => w.u8(3),
-            SendState::WritePayload { off } => {
-                w.u8(4);
-                w.u32(off);
-            }
-            SendState::PtrUpdate => w.u8(5),
-        }
-    }
-}
-impl StateLoad for SendState {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.u8()? {
-            0 => SendState::Next,
-            1 => SendState::PollSpace,
-            2 => SendState::WriteTagon { off: r.u32()? },
-            3 => SendState::WriteHeader,
-            4 => SendState::WritePayload { off: r.u32()? },
-            5 => SendState::PtrUpdate,
-            _ => return r.corrupt(),
-        })
+sv_sim::checkpointed! {
+    enum SendState {
+        0 => Next,
+        1 => PollSpace,
+        2 => WriteTagon { off },
+        3 => WriteHeader,
+        4 => WritePayload { off },
+        5 => PtrUpdate,
     }
 }
 
-impl StateSave for RecvState {
-    fn save(&self, w: &mut SnapWriter) {
-        match *self {
-            RecvState::Poll => w.u8(0),
-            RecvState::CheckPoll => w.u8(1),
-            RecvState::ReadHeader => w.u8(2),
-            RecvState::CheckHeader => w.u8(3),
-            RecvState::ReadBody { off } => {
-                w.u8(4);
-                w.u32(off);
-            }
-            RecvState::PtrUpdate => w.u8(5),
-        }
-    }
-}
-impl StateLoad for RecvState {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.u8()? {
-            0 => RecvState::Poll,
-            1 => RecvState::CheckPoll,
-            2 => RecvState::ReadHeader,
-            3 => RecvState::CheckHeader,
-            4 => RecvState::ReadBody { off: r.u32()? },
-            5 => RecvState::PtrUpdate,
-            _ => return r.corrupt(),
-        })
+sv_sim::checkpointed! {
+    enum RecvState {
+        0 => Poll,
+        1 => CheckPoll,
+        2 => ReadHeader,
+        3 => CheckHeader,
+        4 => ReadBody { off },
+        5 => PtrUpdate,
     }
 }
 

@@ -207,42 +207,17 @@ impl<F: FnMut(&mut Env<'_>) -> Step + Send> Program for FnProgram<F> {
 
 use sv_sim::ckpt::{SnapReader, SnapWriter, SnapshotError, StateLoad, StateSave};
 
-impl StateSave for StoreData {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            StoreData::U64(v) => {
-                w.u8(0);
-                w.u64(*v);
-            }
-            StoreData::Bytes(b) => {
-                w.u8(1);
-                w.save(b);
-            }
-        }
-    }
-}
-impl StateLoad for StoreData {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.u8()? {
-            0 => StoreData::U64(r.u64()?),
-            1 => StoreData::Bytes(r.load()?),
-            _ => return r.corrupt(),
-        })
+sv_sim::checkpointed! {
+    enum StoreData {
+        0 => U64(v),
+        1 => Bytes(b),
     }
 }
 
-impl StateSave for AppEvent {
-    fn save(&self, w: &mut SnapWriter) {
-        w.save(&self.at);
-        w.save(&self.kind);
-    }
-}
-impl StateLoad for AppEvent {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(AppEvent {
-            at: r.load()?,
-            kind: r.load()?,
-        })
+sv_sim::checkpointed! {
+    struct AppEvent {
+        at,
+        kind,
     }
 }
 

@@ -104,68 +104,33 @@ impl SystemParams {
     }
 }
 
-use sv_sim::ckpt::{SnapReader, SnapWriter, SnapshotError, StateLoad, StateSave};
-
-impl StateSave for CpuParams {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.step_overhead_ns);
-        w.u64(self.l1_hit_ns);
-        w.u64(self.l2_hit_ns);
-    }
-}
-impl StateLoad for CpuParams {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(CpuParams {
-            step_overhead_ns: r.u64()?,
-            l1_hit_ns: r.u64()?,
-            l2_hit_ns: r.u64()?,
-        })
+sv_sim::checkpointed! {
+    struct CpuParams {
+        step_overhead_ns,
+        l1_hit_ns,
+        l2_hit_ns,
     }
 }
 
-impl StateSave for SystemParams {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.bus_mhz);
-        w.save(&self.cpu);
-        w.save(&self.bus);
-        w.save(&self.l1);
-        w.save(&self.l2);
-        w.save(&self.dram);
-        w.save(&self.niu);
-        w.save(&self.fw);
-        w.save(&self.link);
-        w.save(&self.routing);
-        w.save(&self.faults);
-        w.save(&self.map);
-        w.u64(self.seed);
-        w.save(&self.qos);
+sv_sim::checkpointed! {
+    struct SystemParams {
+        bus_mhz,
+        cpu,
+        bus,
+        l1,
+        l2,
+        dram,
+        niu,
+        fw,
+        link,
+        routing,
+        faults,
+        map,
+        seed,
+        qos,
     }
-}
-impl StateLoad for SystemParams {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let at = r.offset();
-        let p = SystemParams {
-            bus_mhz: r.u64()?,
-            cpu: r.load()?,
-            bus: r.load()?,
-            l1: r.load()?,
-            l2: r.load()?,
-            dram: r.load()?,
-            niu: r.load()?,
-            fw: r.load()?,
-            link: r.load()?,
-            routing: r.load()?,
-            faults: r.load()?,
-            map: r.load()?,
-            seed: r.u64()?,
-            qos: r.load()?,
-        };
-        // The clock divides by the frequency.
-        if p.bus_mhz == 0 {
-            return Err(SnapshotError::Corrupt { offset: at });
-        }
-        Ok(p)
-    }
+    // The clock divides by the frequency.
+    validate: |p: &SystemParams| p.bus_mhz != 0
 }
 
 #[cfg(test)]

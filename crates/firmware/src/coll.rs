@@ -526,68 +526,32 @@ impl Firmware {
     }
 }
 
-use sv_sim::ckpt::{SnapReader, SnapWriter, SnapshotError, StateLoad, StateSave};
-
-impl StateSave for CollState {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u8(self.kind as u8);
-        w.u8(self.op as u8);
-        w.u16(self.root);
-        w.u64(self.acc);
-        w.u16(self.kids_got);
-        w.save(&self.local_in);
-        w.u16(self.notify_lq);
-        w.save(&self.up_sent);
-        w.save(&self.down);
-        w.u16(self.fanout_next);
-        w.save(&self.delivered);
-    }
-}
-impl StateLoad for CollState {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let at = r.offset();
-        let kind = CollKind::from_u8(r.u8()?).ok_or(SnapshotError::Corrupt { offset: at })?;
-        let op = CollOp::from_u8(r.u8()?).ok_or(SnapshotError::Corrupt { offset: at })?;
-        Ok(CollState {
-            kind,
-            op,
-            root: r.u16()?,
-            acc: r.u64()?,
-            kids_got: r.u16()?,
-            local_in: r.load()?,
-            notify_lq: r.u16()?,
-            up_sent: r.load()?,
-            down: r.load()?,
-            fanout_next: r.u16()?,
-            delivered: r.load()?,
-        })
+sv_sim::checkpointed! {
+    struct CollState {
+        kind,
+        op,
+        root,
+        acc,
+        kids_got,
+        local_in,
+        notify_lq,
+        up_sent,
+        down,
+        fanout_next,
+        delivered,
     }
 }
 
-impl StateSave for CollService {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u32(self.next_seq);
-        w.save(&self.states);
-        w.save(&self.started);
-        w.save(&self.completed);
-        w.save(&self.ups_sent);
-        w.save(&self.downs_sent);
-        w.save(&self.fanin_stalls);
-        w.u64(self.busy_ns);
-    }
-}
-impl StateLoad for CollService {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(CollService {
-            next_seq: r.u32()?,
-            states: r.load()?,
-            started: r.load()?,
-            completed: r.load()?,
-            ups_sent: r.load()?,
-            downs_sent: r.load()?,
-            fanin_stalls: r.load()?,
-            busy_ns: r.u64()?,
-        })
+sv_sim::checkpointed! {
+    struct CollService {
+        next_seq,
+        states,
+        started,
+        completed,
+        ups_sent,
+        downs_sent,
+        fanin_stalls,
+        busy_ns,
     }
 }
 

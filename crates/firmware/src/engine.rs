@@ -582,151 +582,90 @@ impl Firmware {
     }
 }
 
-use sv_sim::ckpt::{SnapReader, SnapWriter, SnapshotError, StateLoad, StateSave};
-
-impl StateSave for FwConfig {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u16(self.node);
-        w.u16(self.nodes);
-        w.save(&self.svc_q);
-        w.u16(self.svc_lq);
-        w.u32(self.page);
+sv_sim::checkpointed! {
+    struct FwConfig {
+        node,
+        nodes,
+        svc_q,
+        svc_lq,
+        page,
     }
+    // Home interleave and page chunking divide by these.
+    validate: |c: &FwConfig| c.nodes != 0 && c.page != 0
 }
-impl StateLoad for FwConfig {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let at = r.offset();
-        let c = FwConfig {
-            node: r.u16()?,
-            nodes: r.u16()?,
-            svc_q: r.load()?,
-            svc_lq: r.u16()?,
-            page: r.u32()?,
-        };
-        // Home interleave and page chunking divide by these.
-        if c.nodes == 0 || c.page == 0 {
-            return Err(SnapshotError::Corrupt { offset: at });
-        }
-        Ok(c)
+
+sv_sim::checkpointed! {
+    struct FwStats {
+        handled,
+        svc_msgs,
+        miss_msgs,
+        violations_seen,
+        proto_errors,
     }
 }
 
-impl StateSave for FwStats {
-    fn save(&self, w: &mut SnapWriter) {
-        w.save(&self.handled);
-        w.save(&self.svc_msgs);
-        w.save(&self.miss_msgs);
-        w.save(&self.violations_seen);
-        w.save(&self.proto_errors);
+sv_sim::checkpointed! {
+    struct FwTenant {
+        lq_base,
+        count,
+        slot_lo,
+        slot_hi,
+        slot_lq,
+        slot_tick,
+        tick,
+        drain_rr,
+        rebinds,
+        drained,
+        miss_served,
+        pinned,
     }
-}
-impl StateLoad for FwStats {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(FwStats {
-            handled: r.load()?,
-            svc_msgs: r.load()?,
-            miss_msgs: r.load()?,
-            violations_seen: r.load()?,
-            proto_errors: r.load()?,
-        })
-    }
+    validate: FwTenant::is_consistent
 }
 
-impl StateSave for FwTenant {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u16(self.lq_base);
-        w.u16(self.count);
-        w.u8(self.slot_lo);
-        w.u8(self.slot_hi);
-        w.save(&self.slot_lq);
-        w.save(&self.slot_tick);
-        w.u64(self.tick);
-        w.u8(self.drain_rr);
-        w.save(&self.rebinds);
-        w.save(&self.drained);
-        w.save(&self.miss_served);
-        w.save(&self.pinned);
-    }
-}
-impl StateLoad for FwTenant {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let at = r.offset();
-        let tn = FwTenant {
-            lq_base: r.u16()?,
-            count: r.u16()?,
-            slot_lo: r.u8()?,
-            slot_hi: r.u8()?,
-            slot_lq: r.load()?,
-            slot_tick: r.load()?,
-            tick: r.u64()?,
-            drain_rr: r.u8()?,
-            rebinds: r.load()?,
-            drained: r.load()?,
-            miss_served: r.load()?,
-            pinned: r.load()?,
-        };
-        // The drain scan and miss refill index all five vectors by slot
-        // or tenant; forged mismatched lengths would panic there.
-        let slots = (tn.slot_hi as usize)
-            .checked_sub(tn.slot_lo as usize)
+impl FwTenant {
+    /// The drain scan and miss refill index all five vectors by slot or
+    /// tenant; forged mismatched lengths would panic there.
+    fn is_consistent(&self) -> bool {
+        let slots = (self.slot_hi as usize)
+            .checked_sub(self.slot_lo as usize)
             .map(|d| d + 1);
-        if slots != Some(tn.slot_lq.len())
-            || tn.slot_tick.len() != tn.slot_lq.len()
-            || tn.drained.len() != tn.count as usize
-            || tn.miss_served.len() != tn.count as usize
-            || tn.pinned.len() != tn.count as usize
-        {
-            return Err(SnapshotError::Corrupt { offset: at });
-        }
-        Ok(tn)
+        let tenants = self.count as usize;
+        slots == Some(self.slot_lq.len())
+            && self.slot_tick.len() == self.slot_lq.len()
+            && self.drained.len() == tenants
+            && self.miss_served.len() == tenants
+            && self.pinned.len() == tenants
     }
 }
 
-impl StateSave for Firmware {
-    fn save(&self, w: &mut SnapWriter) {
-        w.save(&self.cfg);
-        w.save(&self.params);
-        w.u64(self.busy_until);
-        w.save(&self.occupancy);
-        w.save(&self.stats);
-        w.u16(self.svc_ptr);
-        w.save(&self.xfer);
-        w.save(&self.numa);
-        w.save(&self.scoma);
-        w.save(&self.sw_rx);
-        w.save(&self.coll);
-        w.save(&self.tenant);
+sv_sim::checkpointed! {
+    struct Firmware {
+        cfg,
+        params,
+        busy_until,
+        occupancy,
+        stats,
+        svc_ptr,
+        xfer,
+        numa,
+        scoma,
+        sw_rx,
+        coll,
+        tenant,
     }
+    validate: Firmware::roots_in_range
 }
-impl StateLoad for Firmware {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let fw = Firmware {
-            cfg: r.load()?,
-            params: r.load()?,
-            busy_until: r.u64()?,
-            occupancy: r.load()?,
-            stats: r.load()?,
-            svc_ptr: r.u16()?,
-            xfer: r.load()?,
-            numa: r.load()?,
-            scoma: r.load()?,
-            sw_rx: r.load()?,
-            coll: r.load()?,
-            tenant: r.load()?,
-        };
-        // Tree arithmetic divides by `nodes` and indexes by rank; a
-        // forged snapshot must not smuggle an out-of-range root in. The
-        // UNKNOWN_ROOT sentinel (state created by tree messages before
-        // the local COLL_START) is legitimate mid-collective content.
-        if fw
-            .coll
+
+impl Firmware {
+    /// Tree arithmetic divides by `nodes` and indexes by rank; a forged
+    /// snapshot must not smuggle an out-of-range root in. The
+    /// UNKNOWN_ROOT sentinel (state created by tree messages before the
+    /// local COLL_START) is legitimate mid-collective content.
+    fn roots_in_range(&self) -> bool {
+        self.coll
             .states
             .values()
-            .any(|s| s.root != crate::coll::UNKNOWN_ROOT && s.root >= fw.cfg.nodes)
-        {
-            return Err(SnapshotError::Corrupt { offset: r.offset() });
-        }
-        Ok(fw)
+            .all(|s| s.root == crate::coll::UNKNOWN_ROOT || s.root < self.cfg.nodes)
     }
 }
 

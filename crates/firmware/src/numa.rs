@@ -189,26 +189,13 @@ impl Firmware {
     }
 }
 
-use sv_sim::ckpt::{SnapReader, SnapWriter, SnapshotError, StateLoad, StateSave};
-
-impl StateSave for NumaService {
-    fn save(&self, w: &mut SnapWriter) {
-        w.save(&self.load_misses);
-        w.save(&self.stores_forwarded);
-        w.save(&self.home_reads);
-        w.save(&self.home_writes);
-        w.save(&self.replies);
-    }
-}
-impl StateLoad for NumaService {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(NumaService {
-            load_misses: r.load()?,
-            stores_forwarded: r.load()?,
-            home_reads: r.load()?,
-            home_writes: r.load()?,
-            replies: r.load()?,
-        })
+sv_sim::checkpointed! {
+    struct NumaService {
+        load_misses,
+        stores_forwarded,
+        home_reads,
+        home_writes,
+        replies,
     }
 }
 

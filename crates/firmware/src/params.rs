@@ -102,58 +102,29 @@ impl FwParams {
     }
 }
 
-use sv_sim::ckpt::{SnapReader, SnapWriter, SnapshotError, StateLoad, StateSave};
-
-impl StateSave for FwParams {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.dispatch_cycles);
-        w.u64(self.xfer_setup_cycles);
-        w.u64(self.dma_chunk_cycles);
-        w.u64(self.dma_recv_chunk_cycles);
-        w.u64(self.block_issue_cycles);
-        w.u64(self.a4_page_cycles);
-        w.u64(self.numa_req_cycles);
-        w.u64(self.numa_home_cycles);
-        w.u64(self.scoma_miss_cycles);
-        w.u64(self.scoma_home_cycles);
-        w.u64(self.scoma_recall_cycles);
-        w.u64(self.notify_cycles);
-        w.u64(self.miss_service_cycles);
-        w.u64(self.reflect_fw_cycles);
-        w.u64(self.flush_line_cycles);
-        w.u64(self.flush_scan_lines_per_cycle);
-        w.u64(self.coll_start_cycles);
-        w.u64(self.coll_combine_cycles);
-        w.u64(self.coll_send_cycles);
-        w.u64(self.coll_deliver_cycles);
-        w.u64(self.scale_percent);
-    }
-}
-impl StateLoad for FwParams {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(FwParams {
-            dispatch_cycles: r.u64()?,
-            xfer_setup_cycles: r.u64()?,
-            dma_chunk_cycles: r.u64()?,
-            dma_recv_chunk_cycles: r.u64()?,
-            block_issue_cycles: r.u64()?,
-            a4_page_cycles: r.u64()?,
-            numa_req_cycles: r.u64()?,
-            numa_home_cycles: r.u64()?,
-            scoma_miss_cycles: r.u64()?,
-            scoma_home_cycles: r.u64()?,
-            scoma_recall_cycles: r.u64()?,
-            notify_cycles: r.u64()?,
-            miss_service_cycles: r.u64()?,
-            reflect_fw_cycles: r.u64()?,
-            flush_line_cycles: r.u64()?,
-            flush_scan_lines_per_cycle: r.u64()?,
-            coll_start_cycles: r.u64()?,
-            coll_combine_cycles: r.u64()?,
-            coll_send_cycles: r.u64()?,
-            coll_deliver_cycles: r.u64()?,
-            scale_percent: r.u64()?,
-        })
+sv_sim::checkpointed! {
+    struct FwParams {
+        dispatch_cycles,
+        xfer_setup_cycles,
+        dma_chunk_cycles,
+        dma_recv_chunk_cycles,
+        block_issue_cycles,
+        a4_page_cycles,
+        numa_req_cycles,
+        numa_home_cycles,
+        scoma_miss_cycles,
+        scoma_home_cycles,
+        scoma_recall_cycles,
+        notify_cycles,
+        miss_service_cycles,
+        reflect_fw_cycles,
+        flush_line_cycles,
+        flush_scan_lines_per_cycle,
+        coll_start_cycles,
+        coll_combine_cycles,
+        coll_send_cycles,
+        coll_deliver_cycles,
+        scale_percent,
     }
 }
 

@@ -574,6 +574,24 @@ impl StateLoad for XferReq {
     }
 }
 
+// Checkpointed by their wire byte (`as u8` / `from_u8`).
+sv_sim::checkpointed! {
+    enum CollKind {
+        0 => Barrier,
+        1 => Bcast,
+        2 => Reduce,
+        3 => AllReduce,
+    }
+}
+
+sv_sim::checkpointed! {
+    enum CollOp {
+        0 => Sum,
+        1 => Min,
+        2 => Max,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

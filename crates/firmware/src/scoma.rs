@@ -587,110 +587,48 @@ impl Firmware {
     }
 }
 
-use sv_sim::ckpt::{SnapReader, SnapWriter, SnapshotError, StateLoad, StateSave};
-
-impl StateSave for DirState {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            DirState::Uncached => w.u8(0),
-            DirState::Shared(nodes) => {
-                w.u8(1);
-                w.save(nodes);
-            }
-            DirState::Owned(node) => {
-                w.u8(2);
-                w.u16(*node);
-            }
-        }
-    }
-}
-impl StateLoad for DirState {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.u8()? {
-            0 => DirState::Uncached,
-            1 => DirState::Shared(r.load()?),
-            2 => DirState::Owned(r.u16()?),
-            _ => return r.corrupt(),
-        })
+sv_sim::checkpointed! {
+    enum DirState {
+        0 => Uncached,
+        1 => Shared(nodes),
+        2 => Owned(node),
     }
 }
 
-impl StateSave for Pending {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u16(self.requester);
-        w.save(&self.write);
-        w.u16(self.acks_left);
-        w.save(&self.upgrade);
-    }
-}
-impl StateLoad for Pending {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Pending {
-            requester: r.u16()?,
-            write: r.load()?,
-            acks_left: r.u16()?,
-            upgrade: r.load()?,
-        })
+sv_sim::checkpointed! {
+    struct Pending {
+        requester,
+        write,
+        acks_left,
+        upgrade,
     }
 }
 
-impl StateSave for DirEntry {
-    fn save(&self, w: &mut SnapWriter) {
-        w.save(&self.state);
-        w.save(&self.pending);
-        w.save(&self.waiting);
-    }
-}
-impl StateLoad for DirEntry {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(DirEntry {
-            state: r.load()?,
-            pending: r.load()?,
-            waiting: r.load()?,
-        })
+sv_sim::checkpointed! {
+    struct DirEntry {
+        state,
+        pending,
+        waiting,
     }
 }
 
-impl StateSave for ScomaStats {
-    fn save(&self, w: &mut SnapWriter) {
-        w.save(&self.local_misses);
-        w.save(&self.home_reads);
-        w.save(&self.home_writes);
-        w.save(&self.recalls);
-        w.save(&self.invals);
-        w.save(&self.grants_data);
-        w.save(&self.grants_upgrade);
-        w.save(&self.writebacks);
-        w.save(&self.transitions);
-    }
-}
-impl StateLoad for ScomaStats {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(ScomaStats {
-            local_misses: r.load()?,
-            home_reads: r.load()?,
-            home_writes: r.load()?,
-            recalls: r.load()?,
-            invals: r.load()?,
-            grants_data: r.load()?,
-            grants_upgrade: r.load()?,
-            writebacks: r.load()?,
-            transitions: r.load()?,
-        })
+sv_sim::checkpointed! {
+    struct ScomaStats {
+        local_misses,
+        home_reads,
+        home_writes,
+        recalls,
+        invals,
+        grants_data,
+        grants_upgrade,
+        writebacks,
+        transitions,
     }
 }
 
-impl StateSave for ScomaService {
-    fn save(&self, w: &mut SnapWriter) {
-        w.save(&self.dir);
-        w.save(&self.stats);
-    }
-}
-impl StateLoad for ScomaService {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(ScomaService {
-            dir: r.load()?,
-            stats: r.load()?,
-        })
+sv_sim::checkpointed! {
+    struct ScomaService {
+        dir,
+        stats,
     }
 }

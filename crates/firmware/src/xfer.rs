@@ -661,134 +661,62 @@ impl Firmware {
     }
 }
 
-use sv_sim::ckpt::{SnapReader, SnapWriter, SnapshotError, StateLoad, StateSave};
-
-impl StateSave for SendPhase {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            SendPhase::WaitGo => 0,
-            SendPhase::Streaming => 1,
-        });
-    }
-}
-impl StateLoad for SendPhase {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.u8()? {
-            0 => SendPhase::WaitGo,
-            1 => SendPhase::Streaming,
-            _ => return r.corrupt(),
-        })
+sv_sim::checkpointed! {
+    enum SendPhase {
+        0 => WaitGo,
+        1 => Streaming,
     }
 }
 
-impl StateSave for SendXfer {
-    fn save(&self, w: &mut SnapWriter) {
-        w.save(&self.req);
-        w.u32(self.sent);
-        w.save(&self.phase);
-        w.usize_(self.toggle);
-        w.save(&self.notify25_sent);
+sv_sim::checkpointed! {
+    struct SendXfer {
+        req,
+        sent,
+        phase,
+        toggle,
+        notify25_sent,
     }
+    // The approach-2 toggle indexes the two command queues.
+    validate: |s: &SendXfer| s.toggle <= 1
 }
-impl StateLoad for SendXfer {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let at = r.offset();
-        let s = SendXfer {
-            req: r.load()?,
-            sent: r.u32()?,
-            phase: r.load()?,
-            toggle: r.usize_()?,
-            notify25_sent: r.load()?,
-        };
-        // The approach-2 toggle indexes the two command queues.
-        if s.toggle > 1 {
-            return Err(SnapshotError::Corrupt { offset: at });
-        }
-        Ok(s)
+
+sv_sim::checkpointed! {
+    struct RecvXfer {
+        total,
+        received,
+        notify_lq,
+        approach,
+        notified,
+        want_quiesce_notify,
     }
 }
 
-impl StateSave for RecvXfer {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u32(self.total);
-        w.u32(self.received);
-        w.u16(self.notify_lq);
-        w.u8(self.approach);
-        w.save(&self.notified);
-        w.save(&self.want_quiesce_notify);
-    }
-}
-impl StateLoad for RecvXfer {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(RecvXfer {
-            total: r.u32()?,
-            received: r.u32()?,
-            notify_lq: r.u16()?,
-            approach: r.u8()?,
-            notified: r.load()?,
-            want_quiesce_notify: r.load()?,
-        })
+sv_sim::checkpointed! {
+    struct FlushXfer {
+        xfer_id,
+        first_line,
+        count,
+        cursor,
+        base,
+        dst_addr,
+        dst_node,
+        notify_lq,
+        lines_sent,
     }
 }
 
-impl StateSave for FlushXfer {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u16(self.xfer_id);
-        w.u64(self.first_line);
-        w.u64(self.count);
-        w.u64(self.cursor);
-        w.u64(self.base);
-        w.u64(self.dst_addr);
-        w.u16(self.dst_node);
-        w.u16(self.notify_lq);
-        w.u64(self.lines_sent);
-    }
-}
-impl StateLoad for FlushXfer {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(FlushXfer {
-            xfer_id: r.u16()?,
-            first_line: r.u64()?,
-            count: r.u64()?,
-            cursor: r.u64()?,
-            base: r.u64()?,
-            dst_addr: r.u64()?,
-            dst_node: r.u16()?,
-            notify_lq: r.u16()?,
-            lines_sent: r.u64()?,
-        })
-    }
-}
-
-impl StateSave for XferService {
-    fn save(&self, w: &mut SnapWriter) {
-        w.save(&self.sends);
-        w.save(&self.recvs);
-        w.save(&self.flushes);
-        w.usize_(self.rr);
-        w.save(&self.requests);
-        w.save(&self.completed_sends);
-        w.save(&self.chunks_sent);
-        w.save(&self.pages_issued);
-        w.save(&self.notifies);
-        w.save(&self.flush_lines_sent);
-        w.save(&self.flush_lines_skipped);
-    }
-}
-impl StateLoad for XferService {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(XferService {
-            sends: r.load()?,
-            recvs: r.load()?,
-            flushes: r.load()?,
-            rr: r.usize_()?,
-            requests: r.load()?,
-            completed_sends: r.load()?,
-            chunks_sent: r.load()?,
-            pages_issued: r.load()?,
-            notifies: r.load()?,
-            flush_lines_sent: r.load()?,
-            flush_lines_skipped: r.load()?,
-        })
+sv_sim::checkpointed! {
+    struct XferService {
+        sends,
+        recvs,
+        flushes,
+        rr,
+        requests,
+        completed_sends,
+        chunks_sent,
+        pages_issued,
+        notifies,
+        flush_lines_sent,
+        flush_lines_skipped,
     }
 }

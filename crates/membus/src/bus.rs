@@ -258,78 +258,36 @@ impl Bus {
     }
 }
 
-use sv_sim::ckpt::{SnapReader, SnapWriter, SnapshotError, StateLoad, StateSave};
-
-impl StateSave for BusParams {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.addr_tenure_cycles);
-        w.u64(self.retry_delay_cycles);
-        w.u64(self.data_turnaround_cycles);
-    }
-}
-impl StateLoad for BusParams {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(BusParams {
-            addr_tenure_cycles: r.u64()?,
-            retry_delay_cycles: r.u64()?,
-            data_turnaround_cycles: r.u64()?,
-        })
+sv_sim::checkpointed! {
+    struct BusParams {
+        addr_tenure_cycles,
+        retry_delay_cycles,
+        data_turnaround_cycles,
     }
 }
 
-impl StateSave for BusStats {
-    fn save(&self, w: &mut SnapWriter) {
-        w.save(&self.tenures);
-        w.save(&self.retries);
-        w.save(&self.completions);
-        w.u64(self.data_cycles);
-        w.u64(self.data_bytes);
-    }
-}
-impl StateLoad for BusStats {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(BusStats {
-            tenures: r.load()?,
-            retries: r.load()?,
-            completions: r.load()?,
-            data_cycles: r.u64()?,
-            data_bytes: r.u64()?,
-        })
+sv_sim::checkpointed! {
+    struct BusStats {
+        tenures,
+        retries,
+        completions,
+        data_cycles,
+        data_bytes,
     }
 }
 
-impl StateSave for Bus {
-    fn save(&self, w: &mut SnapWriter) {
-        // Params are serialized with the machine's SystemParams, but the
-        // bus keeps its own copy; snapshot it verbatim for fidelity.
-        w.u64(self.params.addr_tenure_cycles);
-        w.u64(self.params.retry_delay_cycles);
-        w.u64(self.params.data_turnaround_cycles);
-        w.save(&self.queue);
-        w.save(&self.retry_wait);
-        w.save(&self.addr_phase);
-        w.save(&self.snoop_pending);
-        w.u64(self.data_free);
-        w.save(&self.inflight);
-        w.save(&self.stats);
-    }
-}
-impl StateLoad for Bus {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Bus {
-            params: BusParams {
-                addr_tenure_cycles: r.u64()?,
-                retry_delay_cycles: r.u64()?,
-                data_turnaround_cycles: r.u64()?,
-            },
-            queue: r.load()?,
-            retry_wait: r.load()?,
-            addr_phase: r.load()?,
-            snoop_pending: r.load()?,
-            data_free: r.u64()?,
-            inflight: r.load()?,
-            stats: r.load()?,
-        })
+// Params are serialized with the machine's SystemParams, but the bus
+// keeps its own copy; snapshot it verbatim for fidelity.
+sv_sim::checkpointed! {
+    struct Bus {
+        params,
+        queue,
+        retry_wait,
+        addr_phase,
+        snoop_pending,
+        data_free,
+        inflight,
+        stats,
     }
 }
 

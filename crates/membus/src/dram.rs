@@ -217,35 +217,18 @@ impl MemoryArray {
 
 use sv_sim::ckpt::{SnapReader, SnapWriter, SnapshotError, StateLoad, StateSave};
 
-impl StateSave for DramParams {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.first_access_cycles);
-        w.u64(self.occupancy_cycles);
-    }
-}
-impl StateLoad for DramParams {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(DramParams {
-            first_access_cycles: r.u64()?,
-            occupancy_cycles: r.u64()?,
-        })
+sv_sim::checkpointed! {
+    struct DramParams {
+        first_access_cycles,
+        occupancy_cycles,
     }
 }
 
-impl StateSave for DramTimer {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.busy_until);
-        w.u64(self.accesses);
-        w.u64(self.queue_delay_cycles);
-    }
-}
-impl StateLoad for DramTimer {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(DramTimer {
-            busy_until: r.u64()?,
-            accesses: r.u64()?,
-            queue_delay_cycles: r.u64()?,
-        })
+sv_sim::checkpointed! {
+    struct DramTimer {
+        busy_until,
+        accesses,
+        queue_delay_cycles,
     }
 }
 

@@ -178,93 +178,41 @@ impl SnoopVerdict {
     }
 }
 
-use sv_sim::ckpt::{SnapReader, SnapWriter, SnapshotError, StateLoad, StateSave};
-
-impl StateSave for MasterId {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            MasterId::Ap => 0,
-            MasterId::ABiu => 1,
-        });
-    }
-}
-impl StateLoad for MasterId {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let at = r.offset();
-        Ok(match r.u8()? {
-            0 => MasterId::Ap,
-            1 => MasterId::ABiu,
-            _ => return Err(SnapshotError::Corrupt { offset: at }),
-        })
+sv_sim::checkpointed! {
+    enum MasterId {
+        0 => Ap,
+        1 => ABiu,
     }
 }
 
-impl StateSave for BusOpKind {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            BusOpKind::Read => 0,
-            BusOpKind::Rwitm => 1,
-            BusOpKind::Kill => 2,
-            BusOpKind::WriteLine => 3,
-            BusOpKind::SingleRead => 4,
-            BusOpKind::SingleWrite => 5,
-            BusOpKind::Flush => 6,
-            BusOpKind::Clean => 7,
-        });
-    }
-}
-impl StateLoad for BusOpKind {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let at = r.offset();
-        Ok(match r.u8()? {
-            0 => BusOpKind::Read,
-            1 => BusOpKind::Rwitm,
-            2 => BusOpKind::Kill,
-            3 => BusOpKind::WriteLine,
-            4 => BusOpKind::SingleRead,
-            5 => BusOpKind::SingleWrite,
-            6 => BusOpKind::Flush,
-            7 => BusOpKind::Clean,
-            _ => return Err(SnapshotError::Corrupt { offset: at }),
-        })
+sv_sim::checkpointed! {
+    enum BusOpKind {
+        0 => Read,
+        1 => Rwitm,
+        2 => Kill,
+        3 => WriteLine,
+        4 => SingleRead,
+        5 => SingleWrite,
+        6 => Flush,
+        7 => Clean,
     }
 }
 
-impl StateSave for BusOp {
-    fn save(&self, w: &mut SnapWriter) {
-        w.save(&self.kind);
-        w.u64(self.addr);
-        w.u32(self.bytes);
-        w.save(&self.master);
-        w.u64(self.tag);
-    }
-}
-impl StateLoad for BusOp {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(BusOp {
-            kind: r.load()?,
-            addr: r.u64()?,
-            bytes: r.u32()?,
-            master: r.load()?,
-            tag: r.u64()?,
-        })
+sv_sim::checkpointed! {
+    struct BusOp {
+        kind,
+        addr,
+        bytes,
+        master,
+        tag,
     }
 }
 
-impl StateSave for SnoopVerdict {
-    fn save(&self, w: &mut SnapWriter) {
-        w.save(&self.artry);
-        w.save(&self.shared);
-        w.u64(self.supply_latency);
-    }
-}
-impl StateLoad for SnoopVerdict {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(SnoopVerdict {
-            artry: r.load()?,
-            shared: r.load()?,
-            supply_latency: r.u64()?,
-        })
+sv_sim::checkpointed! {
+    struct SnoopVerdict {
+        artry,
+        shared,
+        supply_latency,
     }
 }
 

@@ -442,242 +442,77 @@ impl ABiu {
     }
 }
 
-use sv_sim::ckpt::{SnapReader, SnapWriter, SnapshotError, StateLoad, StateSave};
-
-impl StateSave for DataMove {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            DataMove::DramToSram {
-                dram,
-                sram,
-                sram_addr,
-                len,
-            } => {
-                w.u8(0);
-                w.u64(*dram);
-                w.save(sram);
-                w.u32(*sram_addr);
-                w.u32(*len);
-            }
-            DataMove::SramToDram {
-                sram,
-                sram_addr,
-                dram,
-                len,
-            } => {
-                w.u8(1);
-                w.save(sram);
-                w.u32(*sram_addr);
-                w.u64(*dram);
-                w.u32(*len);
-            }
-            DataMove::BytesToDram { dram, data } => {
-                w.u8(2);
-                w.u64(*dram);
-                w.save(data);
-            }
-            DataMove::None => w.u8(3),
-        }
-    }
-}
-impl StateLoad for DataMove {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let at = r.offset();
-        Ok(match r.u8()? {
-            0 => DataMove::DramToSram {
-                dram: r.u64()?,
-                sram: r.load()?,
-                sram_addr: r.u32()?,
-                len: r.u32()?,
-            },
-            1 => DataMove::SramToDram {
-                sram: r.load()?,
-                sram_addr: r.u32()?,
-                dram: r.u64()?,
-                len: r.u32()?,
-            },
-            2 => DataMove::BytesToDram {
-                dram: r.u64()?,
-                data: r.load()?,
-            },
-            3 => DataMove::None,
-            _ => return Err(SnapshotError::Corrupt { offset: at }),
-        })
+sv_sim::checkpointed! {
+    enum DataMove {
+        0 => DramToSram { dram, sram, sram_addr, len },
+        1 => SramToDram { sram, sram_addr, dram, len },
+        2 => BytesToDram { dram, data },
+        3 => None,
     }
 }
 
-impl StateSave for AbiuRequest {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.id);
-        w.save(&self.kind);
-        w.u64(self.addr);
-        w.u32(self.bytes);
-        w.save(&self.move_);
-    }
-}
-impl StateLoad for AbiuRequest {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(AbiuRequest {
-            id: r.u64()?,
-            kind: r.load()?,
-            addr: r.u64()?,
-            bytes: r.u32()?,
-            move_: r.load()?,
-        })
+sv_sim::checkpointed! {
+    struct AbiuRequest {
+        id,
+        kind,
+        addr,
+        bytes,
+        move_,
     }
 }
 
-impl StateSave for SpRequest {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            SpRequest::NumaLoad { addr, bytes } => {
-                w.u8(0);
-                w.u64(*addr);
-                w.u32(*bytes);
-            }
-            SpRequest::NumaStore { addr, data } => {
-                w.u8(1);
-                w.u64(*addr);
-                w.save(data);
-            }
-            SpRequest::ScomaMiss { line, write } => {
-                w.u8(2);
-                w.u64(*line);
-                w.save(write);
-            }
-            SpRequest::Violation { q } => {
-                w.u8(3);
-                w.u8(*q);
-            }
-            SpRequest::ReflectStore {
-                peer,
-                peer_addr,
-                data,
-            } => {
-                w.u8(4);
-                w.u16(*peer);
-                w.u64(*peer_addr);
-                w.save(data);
-            }
-        }
-    }
-}
-impl StateLoad for SpRequest {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let at = r.offset();
-        Ok(match r.u8()? {
-            0 => SpRequest::NumaLoad {
-                addr: r.u64()?,
-                bytes: r.u32()?,
-            },
-            1 => SpRequest::NumaStore {
-                addr: r.u64()?,
-                data: r.load()?,
-            },
-            2 => SpRequest::ScomaMiss {
-                line: r.u64()?,
-                write: r.load()?,
-            },
-            3 => SpRequest::Violation { q: r.u8()? },
-            4 => SpRequest::ReflectStore {
-                peer: r.u16()?,
-                peer_addr: r.u64()?,
-                data: r.load()?,
-            },
-            _ => return Err(SnapshotError::Corrupt { offset: at }),
-        })
+sv_sim::checkpointed! {
+    enum SpRequest {
+        0 => NumaLoad { addr, bytes },
+        1 => NumaStore { addr, data },
+        2 => ScomaMiss { line, write },
+        3 => Violation { q },
+        4 => ReflectStore { peer, peer_addr, data },
     }
 }
 
-impl StateSave for ReflectiveWindow {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.local_off);
-        w.u64(self.len);
-        w.u16(self.peer);
-        w.u64(self.peer_base);
-    }
-}
-impl StateLoad for ReflectiveWindow {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(ReflectiveWindow {
-            local_off: r.u64()?,
-            len: r.u64()?,
-            peer: r.u16()?,
-            peer_base: r.u64()?,
-        })
+sv_sim::checkpointed! {
+    struct ReflectiveWindow {
+        local_off,
+        len,
+        peer,
+        peer_base,
     }
 }
 
-impl StateSave for NumaPending {
-    fn save(&self, w: &mut SnapWriter) {
-        w.save(&self.data);
-    }
-}
-impl StateLoad for NumaPending {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(NumaPending { data: r.load()? })
+sv_sim::checkpointed! {
+    struct NumaPending {
+        data,
     }
 }
 
-impl StateSave for AbiuStats {
-    fn save(&self, w: &mut SnapWriter) {
-        w.save(&self.claimed);
-        w.save(&self.retries);
-        w.save(&self.scoma_checks);
-        w.save(&self.scoma_misses);
-        w.save(&self.numa_loads);
-        w.save(&self.numa_stores);
-        w.save(&self.express_tx);
-        w.save(&self.express_rx);
-    }
-}
-impl StateLoad for AbiuStats {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(AbiuStats {
-            claimed: r.load()?,
-            retries: r.load()?,
-            scoma_checks: r.load()?,
-            scoma_misses: r.load()?,
-            numa_loads: r.load()?,
-            numa_stores: r.load()?,
-            express_tx: r.load()?,
-            express_rx: r.load()?,
-        })
+sv_sim::checkpointed! {
+    struct AbiuStats {
+        claimed,
+        retries,
+        scoma_checks,
+        scoma_misses,
+        numa_loads,
+        numa_stores,
+        express_tx,
+        express_rx,
     }
 }
 
-impl StateSave for ABiu {
-    fn save(&self, w: &mut SnapWriter) {
-        w.save(&self.map);
-        w.save(&self.scoma_enabled);
-        w.save(&self.numa_enabled);
-        w.save(&self.write_tracking);
-        w.save(&self.reflect_hw);
-        w.save(&self.reflect_windows);
-        w.save(&self.numa_pending);
-        w.save(&self.scoma_notified);
-        w.save(&self.requests);
-        w.usize_(self.outstanding);
-        w.u64(self.next_req_id);
-        w.save(&self.stats);
-    }
-}
-impl StateLoad for ABiu {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(ABiu {
-            map: r.load()?,
-            scoma_enabled: r.load()?,
-            numa_enabled: r.load()?,
-            write_tracking: r.load()?,
-            reflect_hw: r.load()?,
-            reflect_windows: r.load()?,
-            numa_pending: r.load()?,
-            scoma_notified: r.load()?,
-            requests: r.load()?,
-            outstanding: r.usize_()?,
-            next_req_id: r.u64()?,
-            stats: r.load()?,
-        })
+sv_sim::checkpointed! {
+    struct ABiu {
+        map,
+        scoma_enabled,
+        numa_enabled,
+        write_tracking,
+        reflect_hw,
+        reflect_windows,
+        numa_pending,
+        scoma_notified,
+        requests,
+        outstanding,
+        next_req_id,
+        stats,
     }
 }
 

@@ -178,46 +178,33 @@ impl AddressMap {
     }
 }
 
-use sv_sim::ckpt::{SnapReader, SnapWriter, SnapshotError, StateLoad, StateSave};
-
-impl StateSave for AddressMap {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.dram_len);
-        w.u64(self.scoma_base);
-        w.u64(self.scoma_len);
-        w.u64(self.numa_base);
-        w.u64(self.numa_len);
-        w.u64(self.niu_base);
-        w.u64(self.reflect_base);
-        w.u64(self.reflect_len);
+sv_sim::checkpointed! {
+    struct AddressMap {
+        dram_len,
+        scoma_base,
+        scoma_len,
+        numa_base,
+        numa_len,
+        niu_base,
+        reflect_base,
+        reflect_len,
     }
+    validate: AddressMap::spans_fit
 }
-impl StateLoad for AddressMap {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let at = r.offset();
-        let m = AddressMap {
-            dram_len: r.u64()?,
-            scoma_base: r.u64()?,
-            scoma_len: r.u64()?,
-            numa_base: r.u64()?,
-            numa_len: r.u64()?,
-            niu_base: r.u64()?,
-            reflect_base: r.u64()?,
-            reflect_len: r.u64()?,
-        };
-        // `classify` computes `base + len` for every region on every bus
-        // operation; a forged map that wraps the address space would
-        // panic there (debug) or misclassify everything (release).
-        let spans = [
-            (m.scoma_base, m.scoma_len),
-            (m.numa_base, m.numa_len),
-            (m.reflect_base, m.reflect_len),
-            (m.niu_base, NIU_WIN_LEN),
-        ];
-        if spans.iter().any(|&(b, l)| b.checked_add(l).is_none()) {
-            return Err(SnapshotError::Corrupt { offset: at });
-        }
-        Ok(m)
+
+impl AddressMap {
+    /// `classify` computes `base + len` for every region on every bus
+    /// operation; a forged map that wraps the address space would panic
+    /// there (debug) or misclassify everything (release).
+    fn spans_fit(&self) -> bool {
+        [
+            (self.scoma_base, self.scoma_len),
+            (self.numa_base, self.numa_len),
+            (self.reflect_base, self.reflect_len),
+            (self.niu_base, NIU_WIN_LEN),
+        ]
+        .iter()
+        .all(|&(b, l)| b.checked_add(l).is_some())
     }
 }
 

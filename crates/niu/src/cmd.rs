@@ -237,301 +237,32 @@ impl LocalCmd {
     }
 }
 
-use sv_sim::ckpt::{SnapReader, SnapWriter, SnapshotError, StateLoad, StateSave};
-
-impl StateSave for BlockOp {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            BlockOp::Read {
-                dram_addr,
-                sram_addr,
-                len,
-            } => {
-                w.u8(0);
-                w.u64(*dram_addr);
-                w.u32(*sram_addr);
-                w.u32(*len);
-            }
-            BlockOp::Tx {
-                sram_addr,
-                len,
-                node,
-                remote_addr,
-                set_cls,
-                notify,
-            } => {
-                w.u8(1);
-                w.u32(*sram_addr);
-                w.u32(*len);
-                w.u16(*node);
-                w.u64(*remote_addr);
-                w.save(set_cls);
-                w.save(notify);
-            }
-            BlockOp::ReadTx {
-                dram_addr,
-                len,
-                sram_addr,
-                node,
-                remote_addr,
-                set_cls,
-                notify,
-            } => {
-                w.u8(2);
-                w.u64(*dram_addr);
-                w.u32(*len);
-                w.u32(*sram_addr);
-                w.u16(*node);
-                w.u64(*remote_addr);
-                w.save(set_cls);
-                w.save(notify);
-            }
-        }
-    }
-}
-impl StateLoad for BlockOp {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let at = r.offset();
-        Ok(match r.u8()? {
-            0 => BlockOp::Read {
-                dram_addr: r.u64()?,
-                sram_addr: r.u32()?,
-                len: r.u32()?,
-            },
-            1 => BlockOp::Tx {
-                sram_addr: r.u32()?,
-                len: r.u32()?,
-                node: r.u16()?,
-                remote_addr: r.u64()?,
-                set_cls: r.load()?,
-                notify: r.load()?,
-            },
-            2 => BlockOp::ReadTx {
-                dram_addr: r.u64()?,
-                len: r.u32()?,
-                sram_addr: r.u32()?,
-                node: r.u16()?,
-                remote_addr: r.u64()?,
-                set_cls: r.load()?,
-                notify: r.load()?,
-            },
-            _ => return Err(SnapshotError::Corrupt { offset: at }),
-        })
+sv_sim::checkpointed! {
+    enum BlockOp {
+        0 => Read { dram_addr, sram_addr, len },
+        1 => Tx { sram_addr, len, node, remote_addr, set_cls, notify },
+        2 => ReadTx { dram_addr, len, sram_addr, node, remote_addr, set_cls, notify },
     }
 }
 
-impl StateSave for LocalCmd {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            LocalCmd::WriteSramU64 { sram, addr, data } => {
-                w.u8(0);
-                w.save(sram);
-                w.u32(*addr);
-                w.u64(*data);
-            }
-            LocalCmd::CopySram { src, dst, len } => {
-                w.u8(1);
-                w.save(src);
-                w.save(dst);
-                w.u32(*len);
-            }
-            LocalCmd::BusRead {
-                dram_addr,
-                sram,
-                sram_addr,
-                len,
-            } => {
-                w.u8(2);
-                w.u64(*dram_addr);
-                w.save(sram);
-                w.u32(*sram_addr);
-                w.u32(*len);
-            }
-            LocalCmd::BusWrite {
-                dram_addr,
-                sram,
-                sram_addr,
-                len,
-            } => {
-                w.u8(3);
-                w.u64(*dram_addr);
-                w.save(sram);
-                w.u32(*sram_addr);
-                w.u32(*len);
-            }
-            LocalCmd::SendMsg {
-                header,
-                sram,
-                addr,
-                raw_node,
-            } => {
-                w.u8(4);
-                w.save(header);
-                w.save(sram);
-                w.u32(*addr);
-                w.save(raw_node);
-            }
-            LocalCmd::SendDirect {
-                node,
-                logical_q,
-                priority,
-                data,
-                tagon,
-            } => {
-                w.u8(5);
-                w.u16(*node);
-                w.u16(*logical_q);
-                w.save(priority);
-                w.save(data);
-                w.save(tagon);
-            }
-            LocalCmd::SendRemoteCmd { node, cmd } => {
-                w.u8(6);
-                w.u16(*node);
-                w.save(cmd);
-            }
-            LocalCmd::SendRemoteWrite {
-                node,
-                remote_addr,
-                sram,
-                sram_addr,
-                len,
-                set_cls,
-            } => {
-                w.u8(7);
-                w.u16(*node);
-                w.u64(*remote_addr);
-                w.save(sram);
-                w.u32(*sram_addr);
-                w.u32(*len);
-                w.save(set_cls);
-            }
-            LocalCmd::BusFlush { addr } => {
-                w.u8(8);
-                w.u64(*addr);
-            }
-            LocalCmd::Block(op) => {
-                w.u8(9);
-                w.save(op);
-            }
-            LocalCmd::SetCls { line, state } => {
-                w.u8(10);
-                w.u64(*line);
-                w.save(state);
-            }
-            LocalCmd::SetClsRange {
-                first,
-                count,
-                state,
-            } => {
-                w.u8(11);
-                w.u64(*first);
-                w.u64(*count);
-                w.save(state);
-            }
-            LocalCmd::TxPtrUpdate { q, producer } => {
-                w.u8(12);
-                w.save(q);
-                w.u16(*producer);
-            }
-            LocalCmd::RxPtrUpdate { q, consumer } => {
-                w.u8(13);
-                w.save(q);
-                w.u16(*consumer);
-            }
-            LocalCmd::BindRxQueue { logical, hw } => {
-                w.u8(14);
-                w.u16(*logical);
-                w.save(hw);
-            }
-            LocalCmd::SetTxEnabled { q, enabled } => {
-                w.u8(15);
-                w.save(q);
-                w.save(enabled);
-            }
-        }
-    }
-}
-impl StateLoad for LocalCmd {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let at = r.offset();
-        Ok(match r.u8()? {
-            0 => LocalCmd::WriteSramU64 {
-                sram: r.load()?,
-                addr: r.u32()?,
-                data: r.u64()?,
-            },
-            1 => LocalCmd::CopySram {
-                src: r.load()?,
-                dst: r.load()?,
-                len: r.u32()?,
-            },
-            2 => LocalCmd::BusRead {
-                dram_addr: r.u64()?,
-                sram: r.load()?,
-                sram_addr: r.u32()?,
-                len: r.u32()?,
-            },
-            3 => LocalCmd::BusWrite {
-                dram_addr: r.u64()?,
-                sram: r.load()?,
-                sram_addr: r.u32()?,
-                len: r.u32()?,
-            },
-            4 => LocalCmd::SendMsg {
-                header: r.load()?,
-                sram: r.load()?,
-                addr: r.u32()?,
-                raw_node: r.load()?,
-            },
-            5 => LocalCmd::SendDirect {
-                node: r.u16()?,
-                logical_q: r.u16()?,
-                priority: r.load()?,
-                data: r.load()?,
-                tagon: r.load()?,
-            },
-            6 => LocalCmd::SendRemoteCmd {
-                node: r.u16()?,
-                cmd: r.load()?,
-            },
-            7 => LocalCmd::SendRemoteWrite {
-                node: r.u16()?,
-                remote_addr: r.u64()?,
-                sram: r.load()?,
-                sram_addr: r.u32()?,
-                len: r.u32()?,
-                set_cls: r.load()?,
-            },
-            8 => LocalCmd::BusFlush { addr: r.u64()? },
-            9 => LocalCmd::Block(r.load()?),
-            10 => LocalCmd::SetCls {
-                line: r.u64()?,
-                state: r.load()?,
-            },
-            11 => LocalCmd::SetClsRange {
-                first: r.u64()?,
-                count: r.u64()?,
-                state: r.load()?,
-            },
-            12 => LocalCmd::TxPtrUpdate {
-                q: r.load()?,
-                producer: r.u16()?,
-            },
-            13 => LocalCmd::RxPtrUpdate {
-                q: r.load()?,
-                consumer: r.u16()?,
-            },
-            14 => LocalCmd::BindRxQueue {
-                logical: r.u16()?,
-                hw: r.load()?,
-            },
-            15 => LocalCmd::SetTxEnabled {
-                q: r.load()?,
-                enabled: r.load()?,
-            },
-            _ => return Err(SnapshotError::Corrupt { offset: at }),
-        })
+sv_sim::checkpointed! {
+    enum LocalCmd {
+        0 => WriteSramU64 { sram, addr, data },
+        1 => CopySram { src, dst, len },
+        2 => BusRead { dram_addr, sram, sram_addr, len },
+        3 => BusWrite { dram_addr, sram, sram_addr, len },
+        4 => SendMsg { header, sram, addr, raw_node },
+        5 => SendDirect { node, logical_q, priority, data, tagon },
+        6 => SendRemoteCmd { node, cmd },
+        7 => SendRemoteWrite { node, remote_addr, sram, sram_addr, len, set_cls },
+        8 => BusFlush { addr },
+        9 => Block(op),
+        10 => SetCls { line, state },
+        11 => SetClsRange { first, count, state },
+        12 => TxPtrUpdate { q, producer },
+        13 => RxPtrUpdate { q, consumer },
+        14 => BindRxQueue { logical, hw },
+        15 => SetTxEnabled { q, enabled },
     }
 }
 

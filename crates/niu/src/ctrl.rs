@@ -291,169 +291,79 @@ impl Ctrl {
     }
 }
 
-use sv_sim::ckpt::{SnapReader, SnapWriter, SnapshotError, StateLoad, StateSave};
-
-impl StateSave for IBus {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.free_at);
-        w.u64(self.busy_cycles);
-        w.save(&self.transactions);
-    }
-}
-impl StateLoad for IBus {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(IBus {
-            free_at: r.u64()?,
-            busy_cycles: r.u64()?,
-            transactions: r.load()?,
-        })
+sv_sim::checkpointed! {
+    struct IBus {
+        free_at,
+        busy_cycles,
+        transactions,
     }
 }
 
-impl StateSave for BlockReadState {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.dram);
-        w.u32(self.sram_addr);
-        w.u32(self.total);
-        w.u32(self.issued);
-        w.u32(self.completed);
-        w.save(&self.chained);
-    }
-}
-impl StateLoad for BlockReadState {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(BlockReadState {
-            dram: r.u64()?,
-            sram_addr: r.u32()?,
-            total: r.u32()?,
-            issued: r.u32()?,
-            completed: r.u32()?,
-            chained: r.load()?,
-        })
+sv_sim::checkpointed! {
+    struct BlockReadState {
+        dram,
+        sram_addr,
+        total,
+        issued,
+        completed,
+        chained,
     }
 }
 
-impl StateSave for BlockTxState {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u32(self.sram_addr);
-        w.u32(self.total);
-        w.u32(self.sent);
-        w.u16(self.node);
-        w.u64(self.remote_addr);
-        w.save(&self.set_cls);
-        w.save(&self.notify);
-        w.u32(self.watermark);
-    }
-}
-impl StateLoad for BlockTxState {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(BlockTxState {
-            sram_addr: r.u32()?,
-            total: r.u32()?,
-            sent: r.u32()?,
-            node: r.u16()?,
-            remote_addr: r.u64()?,
-            set_cls: r.load()?,
-            notify: r.load()?,
-            watermark: r.u32()?,
-        })
+sv_sim::checkpointed! {
+    struct BlockTxState {
+        sram_addr,
+        total,
+        sent,
+        node,
+        remote_addr,
+        set_cls,
+        notify,
+        watermark,
     }
 }
 
-impl StateSave for CmdWait {
-    fn save(&self, w: &mut SnapWriter) {
-        w.save(&self.ids);
-    }
-}
-impl StateLoad for CmdWait {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(CmdWait { ids: r.load()? })
+sv_sim::checkpointed! {
+    struct CmdWait {
+        ids,
     }
 }
 
-impl StateSave for CtrlStats {
-    fn save(&self, w: &mut SnapWriter) {
-        w.save(&self.msgs_launched);
-        w.save(&self.msgs_delivered);
-        w.save(&self.msgs_diverted);
-        w.save(&self.msgs_dropped);
-        w.save(&self.remote_cmds);
-        w.save(&self.cmds_executed);
-        w.save(&self.violations);
-        w.u64(self.tagon_bytes);
-        w.save(&self.tx_priority_wins);
-        w.save(&self.dma_chain_steps);
-    }
-}
-impl StateLoad for CtrlStats {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(CtrlStats {
-            msgs_launched: r.load()?,
-            msgs_delivered: r.load()?,
-            msgs_diverted: r.load()?,
-            msgs_dropped: r.load()?,
-            remote_cmds: r.load()?,
-            cmds_executed: r.load()?,
-            violations: r.load()?,
-            tagon_bytes: r.u64()?,
-            tx_priority_wins: r.load()?,
-            dma_chain_steps: r.load()?,
-        })
+sv_sim::checkpointed! {
+    struct CtrlStats {
+        msgs_launched,
+        msgs_delivered,
+        msgs_diverted,
+        msgs_dropped,
+        remote_cmds,
+        cmds_executed,
+        violations,
+        tagon_bytes,
+        tx_priority_wins,
+        dma_chain_steps,
     }
 }
 
-impl StateSave for Ctrl {
-    fn save(&self, w: &mut SnapWriter) {
-        w.save(&self.tx);
-        w.save(&self.rx);
-        w.save(&self.xlate);
-        w.save(&self.rx_cache);
-        w.save(&self.ibus);
-        w.save(&self.cmdq[0]);
-        w.save(&self.cmdq[1]);
-        w.u64(self.cmd_busy[0]);
-        w.u64(self.cmd_busy[1]);
-        w.save(&self.cmd_wait[0]);
-        w.save(&self.cmd_wait[1]);
-        w.save(&self.remote_q);
-        w.u64(self.remote_busy);
-        w.usize_(self.remote_writes_outstanding);
-        w.u64(self.tx_busy);
-        w.u64(self.rx_busy);
-        w.u64(self.blocktx_busy);
-        w.save(&self.block_read);
-        w.save(&self.block_tx);
-        w.usize_(self.rr_next);
-        w.save(&self.stats);
-    }
-}
-impl StateLoad for Ctrl {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let c = Ctrl {
-            tx: r.load()?,
-            rx: r.load()?,
-            xlate: r.load()?,
-            rx_cache: r.load()?,
-            ibus: r.load()?,
-            cmdq: [r.load()?, r.load()?],
-            cmd_busy: [r.u64()?, r.u64()?],
-            cmd_wait: [r.load()?, r.load()?],
-            remote_q: r.load()?,
-            remote_busy: r.u64()?,
-            remote_writes_outstanding: r.usize_()?,
-            tx_busy: r.u64()?,
-            rx_busy: r.u64()?,
-            blocktx_busy: r.u64()?,
-            block_read: r.load()?,
-            block_tx: r.load()?,
-            rr_next: r.usize_()?,
-            stats: r.load()?,
-        };
-        // `pick_tx_queue` reduces rr_next modulo tx.len(), so any value
-        // is safe there, but an empty tx list with rr_next use would
-        // still be fine (candidates == 0 exits first). No further
-        // cross-validation needed.
-        Ok(c)
+sv_sim::checkpointed! {
+    struct Ctrl {
+        tx,
+        rx,
+        xlate,
+        rx_cache,
+        ibus,
+        cmdq,
+        cmd_busy,
+        cmd_wait,
+        remote_q,
+        remote_busy,
+        remote_writes_outstanding,
+        tx_busy,
+        rx_busy,
+        blocktx_busy,
+        block_read,
+        block_tx,
+        rr_next,
+        stats,
     }
 }
 

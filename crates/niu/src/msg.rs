@@ -556,16 +556,7 @@ impl StateLoad for MsgData {
     }
 }
 
-impl StateSave for MsgFlags {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u8(self.0);
-    }
-}
-impl StateLoad for MsgFlags {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(MsgFlags(r.u8()?))
-    }
-}
+sv_sim::checkpointed! { struct MsgFlags(bits) }
 
 impl StateSave for MsgHeader {
     fn save(&self, w: &mut SnapWriter) {
@@ -582,131 +573,21 @@ impl StateLoad for MsgHeader {
     }
 }
 
-impl StateSave for RemoteCmdKind {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            RemoteCmdKind::WriteDram { addr, data } => {
-                w.u8(0);
-                w.u64(*addr);
-                w.save(data);
-            }
-            RemoteCmdKind::SetCls { line, state } => {
-                w.u8(1);
-                w.u64(*line);
-                w.u8(*state);
-            }
-            RemoteCmdKind::WriteDramSetCls { addr, data, state } => {
-                w.u8(2);
-                w.u64(*addr);
-                w.save(data);
-                w.u8(*state);
-            }
-            RemoteCmdKind::Notify { logical_q, data } => {
-                w.u8(3);
-                w.u16(*logical_q);
-                w.save(data);
-            }
-        }
-    }
-}
-impl StateLoad for RemoteCmdKind {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let at = r.offset();
-        Ok(match r.u8()? {
-            0 => RemoteCmdKind::WriteDram {
-                addr: r.u64()?,
-                data: r.load()?,
-            },
-            1 => RemoteCmdKind::SetCls {
-                line: r.u64()?,
-                state: r.u8()?,
-            },
-            2 => RemoteCmdKind::WriteDramSetCls {
-                addr: r.u64()?,
-                data: r.load()?,
-                state: r.u8()?,
-            },
-            3 => RemoteCmdKind::Notify {
-                logical_q: r.u16()?,
-                data: r.load()?,
-            },
-            _ => return Err(SnapshotError::Corrupt { offset: at }),
-        })
+sv_sim::checkpointed! {
+    enum RemoteCmdKind {
+        0 => WriteDram { addr, data },
+        1 => SetCls { line, state },
+        2 => WriteDramSetCls { addr, data, state },
+        3 => Notify { logical_q, data },
     }
 }
 
-impl StateSave for NetPayload {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            NetPayload::Msg {
-                src,
-                logical_q,
-                data,
-            } => {
-                w.u8(0);
-                w.u16(*src);
-                w.u16(*logical_q);
-                w.save(data);
-            }
-            NetPayload::RemoteCmd {
-                src,
-                cmd,
-                sent_cycle,
-            } => {
-                w.u8(1);
-                w.u16(*src);
-                w.save(cmd);
-                w.u64(*sent_cycle);
-            }
-            NetPayload::Ack {
-                src,
-                prio_idx,
-                ack_upto,
-            } => {
-                w.u8(2);
-                w.u16(*src);
-                w.u8(*prio_idx);
-                w.u32(*ack_upto);
-            }
-            NetPayload::RelSync {
-                src,
-                prio_idx,
-                next_seq,
-            } => {
-                w.u8(3);
-                w.u16(*src);
-                w.u8(*prio_idx);
-                w.u32(*next_seq);
-            }
-        }
-    }
-}
-impl StateLoad for NetPayload {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let at = r.offset();
-        Ok(match r.u8()? {
-            0 => NetPayload::Msg {
-                src: r.u16()?,
-                logical_q: r.u16()?,
-                data: r.load()?,
-            },
-            1 => NetPayload::RemoteCmd {
-                src: r.u16()?,
-                cmd: r.load()?,
-                sent_cycle: r.u64()?,
-            },
-            2 => NetPayload::Ack {
-                src: r.u16()?,
-                prio_idx: r.u8()?,
-                ack_upto: r.u32()?,
-            },
-            3 => NetPayload::RelSync {
-                src: r.u16()?,
-                prio_idx: r.u8()?,
-                next_seq: r.u32()?,
-            },
-            _ => return Err(SnapshotError::Corrupt { offset: at }),
-        })
+sv_sim::checkpointed! {
+    enum NetPayload {
+        0 => Msg { src, logical_q, data },
+        1 => RemoteCmd { src, cmd, sent_cycle },
+        2 => Ack { src, prio_idx, ack_upto },
+        3 => RelSync { src, prio_idx, next_seq },
     }
 }
 

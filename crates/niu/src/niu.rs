@@ -2052,221 +2052,127 @@ impl<'a> SpPort<'a> {
     }
 }
 
-use sv_sim::ckpt::{SnapReader, SnapWriter, SnapshotError, StateLoad, StateSave};
-
-impl StateSave for NiuInterrupt {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            NiuInterrupt::RxArrival(q) => {
-                w.u8(0);
-                w.save(q);
-            }
-            NiuInterrupt::TxViolation(q) => {
-                w.u8(1);
-                w.save(q);
-            }
-            NiuInterrupt::BlockReadDone => w.u8(2),
-            NiuInterrupt::BlockTxDone => w.u8(3),
-        }
-    }
-}
-impl StateLoad for NiuInterrupt {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.u8()? {
-            0 => NiuInterrupt::RxArrival(r.load()?),
-            1 => NiuInterrupt::TxViolation(r.load()?),
-            2 => NiuInterrupt::BlockReadDone,
-            3 => NiuInterrupt::BlockTxDone,
-            _ => return r.corrupt(),
-        })
+sv_sim::checkpointed! {
+    enum NiuInterrupt {
+        0 => RxArrival(q),
+        1 => TxViolation(q),
+        2 => BlockReadDone,
+        3 => BlockTxDone,
     }
 }
 
-impl StateSave for ReqTag {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            ReqTag::CmdWait(i) => {
-                w.u8(0);
-                w.usize_(*i);
-            }
-            ReqTag::BlockRead { bytes } => {
-                w.u8(1);
-                w.u32(*bytes);
-            }
-            ReqTag::RemoteWrite { set_cls } => {
-                w.u8(2);
-                w.save(set_cls);
-            }
-        }
-    }
-}
-impl StateLoad for ReqTag {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.u8()? {
-            0 => ReqTag::CmdWait(r.usize_()?),
-            1 => ReqTag::BlockRead { bytes: r.u32()? },
-            2 => ReqTag::RemoteWrite { set_cls: r.load()? },
-            _ => return r.corrupt(),
-        })
+sv_sim::checkpointed! {
+    enum ReqTag {
+        0 => CmdWait(i),
+        1 => BlockRead { bytes },
+        2 => RemoteWrite { set_cls },
     }
 }
 
-impl StateSave for ClassStats {
-    fn save(&self, w: &mut SnapWriter) {
-        w.save(&self.sent);
-        w.save(&self.delivered);
-        w.save(&self.dropped);
-        w.save(&self.latency);
-    }
-}
-impl StateLoad for ClassStats {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(ClassStats {
-            sent: r.load()?,
-            delivered: r.load()?,
-            dropped: r.load()?,
-            latency: r.load()?,
-        })
+sv_sim::checkpointed! {
+    struct ClassStats {
+        sent,
+        delivered,
+        dropped,
+        latency,
     }
 }
 
-impl StateSave for NiuStats {
-    fn save(&self, w: &mut SnapWriter) {
-        w.save(&self.loopback_msgs);
-        w.save(&self.express_dropped);
-        w.usize_(self.rxu_high_water);
-        w.save(&self.class);
-        w.save(&self.retransmits);
-        w.save(&self.acks_sent);
-        w.save(&self.acks_received);
-        w.save(&self.dup_drops);
-        w.save(&self.corrupt_drops);
-        w.save(&self.rx_retry_drops);
-        w.save(&self.reliable_dropped);
-    }
-}
-impl StateLoad for NiuStats {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(NiuStats {
-            loopback_msgs: r.load()?,
-            express_dropped: r.load()?,
-            rxu_high_water: r.usize_()?,
-            class: r.load()?,
-            retransmits: r.load()?,
-            acks_sent: r.load()?,
-            acks_received: r.load()?,
-            dup_drops: r.load()?,
-            corrupt_drops: r.load()?,
-            rx_retry_drops: r.load()?,
-            reliable_dropped: r.load()?,
-        })
+sv_sim::checkpointed! {
+    struct NiuStats {
+        loopback_msgs,
+        express_dropped,
+        rxu_high_water,
+        class,
+        retransmits,
+        acks_sent,
+        acks_received,
+        dup_drops,
+        corrupt_drops,
+        rx_retry_drops,
+        reliable_dropped,
     }
 }
 
-impl StateSave for TenantAttr {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u16(self.lq_base);
-        w.u16(self.count);
-        w.save(&self.hit_latency);
-        w.save(&self.miss_latency);
-        w.save(&self.miss_meta);
+sv_sim::checkpointed! {
+    struct TenantAttr {
+        lq_base,
+        count,
+        hit_latency,
+        miss_latency,
+        miss_meta,
     }
-}
-impl StateLoad for TenantAttr {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let at = r.offset();
-        let ta = TenantAttr {
-            lq_base: r.u16()?,
-            count: r.u16()?,
-            hit_latency: r.load()?,
-            miss_latency: r.load()?,
-            miss_meta: r.load()?,
-        };
-        // `deliver_msg` indexes both vectors by `tenant_of`, which admits
-        // any index below `count`; a forged mismatch would panic there.
-        if ta.hit_latency.len() != ta.count as usize || ta.miss_latency.len() != ta.count as usize {
-            return Err(SnapshotError::Corrupt { offset: at });
-        }
-        Ok(ta)
+    // `deliver_msg` indexes both vectors by `tenant_of`, which admits any
+    // index below `count`; a forged mismatch would panic there.
+    validate: |ta: &TenantAttr| {
+        ta.hit_latency.len() == ta.count as usize && ta.miss_latency.len() == ta.count as usize
     }
 }
 
-impl StateSave for RelConn {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u32(self.next_seq);
-        w.save(&self.unacked);
-        w.u32(self.retries);
-        w.u64(self.next_retry_cycle);
-    }
-}
-impl StateLoad for RelConn {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(RelConn {
-            next_seq: r.u32()?,
-            unacked: r.load()?,
-            retries: r.u32()?,
-            next_retry_cycle: r.u64()?,
-        })
+sv_sim::checkpointed! {
+    struct RelConn {
+        next_seq,
+        unacked,
+        retries,
+        next_retry_cycle,
     }
 }
 
-impl StateSave for Niu {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u16(self.node_id);
-        w.save(&self.params);
-        w.save(&self.map);
-        w.save(&self.ctrl);
-        w.save(&self.abiu);
-        w.save(&self.asram);
-        w.save(&self.ssram);
-        w.save(&self.clssram);
-        w.save(&self.rxu_in);
-        w.save(&self.txu_out);
-        w.save(&self.sp_requests);
-        w.save(&self.interrupts);
-        w.save(&self.req_tags);
-        w.save(&self.tx_rel);
-        w.save(&self.rx_expected);
-        w.u32(self.rx_head_stalls);
-        w.u32(self.notify_head_stalls);
-        w.save(&self.stats);
-        w.save(&self.sample_latency);
-        w.save(&self.tenant);
+// The SRAM banks are tracked per page (aSRAM/sSRAM) or as one
+// presence-flagged section (the sparse, small clsSRAM); everything else
+// is small, mutates together on every active cycle, and is rewritten
+// whole in each delta record.
+sv_sim::checkpointed! {
+    pub struct Niu {
+        node_id,
+        params,
+        map,
+        ctrl,
+        abiu,
+        asram: pages,
+        ssram: pages,
+        clssram: presence,
+        rxu_in,
+        txu_out,
+        sp_requests,
+        interrupts,
+        req_tags,
+        tx_rel,
+        rx_expected,
+        rx_head_stalls,
+        notify_head_stalls,
+        stats,
+        sample_latency,
+        tenant,
     }
+    delta { dirty: ckpt_dirty }
+    validate: Niu::is_consistent
 }
+
 impl Niu {
+    /// Cross-component invariants a restored NIU must satisfy — each one
+    /// is indexed through at runtime far from the restore site, so a
+    /// forged snapshot violating them must fail typed at restore, not
+    /// panic there.
+    fn is_consistent(&self) -> bool {
+        // Firmware wake checks and command dispatch index `ctrl.rx` /
+        // `ctrl.tx` by `params` counts.
+        self.ctrl.rx.len() == self.params.rx_queues
+            && self.ctrl.tx.len() == self.params.tx_queues
+            // The clsSRAM is constructed to cover exactly `params.cls_lines`.
+            && self.clssram.capacity_lines() == self.params.cls_lines
+            // Every S-COMA address must map to a line the clsSRAM covers:
+            // `ap_snoop` computes `map.scoma_line(addr)` and indexes the
+            // clsSRAM with it on every snooped bus operation.
+            && self.map.scoma_len.div_ceil(sv_membus::CACHE_LINE) <= self.clssram.capacity_lines()
+            && self.queues_fit_sram()
+    }
+
     /// Restored queue descriptors are untrusted bytes: reject any whose
     /// buffer span or shadow-pointer slot falls outside its SRAM bank,
     /// so a forged snapshot cannot steer the engines into the SRAM
     /// bounds asserts (and `slot_addr` arithmetic stays in `u32`).
-    /// Cross-component invariants a restored NIU must satisfy — each one
-    /// is indexed through at runtime far from the restore site, so a
-    /// forged snapshot violating them must fail typed here, not panic
-    /// there. Checked on full restores and on both delta sections
-    /// (`apply_small` re-loads params/map/ctrl; `apply_mems_delta`
-    /// re-loads the clsSRAM).
-    fn validate_consistency(&self, at: usize) -> Result<(), SnapshotError> {
-        // Firmware wake checks and command dispatch index `ctrl.rx` /
-        // `ctrl.tx` by `params` counts.
-        if self.ctrl.rx.len() != self.params.rx_queues
-            || self.ctrl.tx.len() != self.params.tx_queues
-        {
-            return Err(SnapshotError::Corrupt { offset: at });
-        }
-        // The clsSRAM is constructed to cover exactly `params.cls_lines`.
-        if self.clssram.capacity_lines() != self.params.cls_lines {
-            return Err(SnapshotError::Corrupt { offset: at });
-        }
-        // Every S-COMA address must map to a line the clsSRAM covers:
-        // `ap_snoop` computes `map.scoma_line(addr)` and indexes the
-        // clsSRAM with it on every snooped bus operation.
-        if self.map.scoma_len.div_ceil(sv_membus::CACHE_LINE) > self.clssram.capacity_lines() {
-            return Err(SnapshotError::Corrupt { offset: at });
-        }
-        Ok(())
-    }
-
-    fn validate_geometry(&self, at: usize) -> Result<(), SnapshotError> {
+    fn queues_fit_sram(&self) -> bool {
         let bank = |sel: SramSel| match sel {
             SramSel::A => self.asram.len() as u64,
             SramSel::S => self.ssram.len() as u64,
@@ -2276,158 +2182,15 @@ impl Niu {
         };
         let shadow_ok =
             |s: Option<(SramSel, u32)>| s.is_none_or(|(sel, addr)| addr as u64 + 8 <= bank(sel));
-        let tx_ok = self
-            .ctrl
+        self.ctrl
             .tx
             .iter()
-            .all(|q| buf_ok(&q.buf) && shadow_ok(q.shadow_addr));
-        let rx_ok = self
-            .ctrl
-            .rx
-            .iter()
-            .all(|q| buf_ok(&q.buf) && shadow_ok(q.shadow_addr));
-        if tx_ok && rx_ok {
-            Ok(())
-        } else {
-            Err(SnapshotError::Corrupt { offset: at })
-        }
-    }
-}
-
-impl StateLoad for Niu {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let at = r.offset();
-        let n = Niu {
-            node_id: r.u16()?,
-            params: r.load()?,
-            map: r.load()?,
-            ctrl: r.load()?,
-            abiu: r.load()?,
-            asram: r.load()?,
-            ssram: r.load()?,
-            clssram: r.load()?,
-            rxu_in: r.load()?,
-            txu_out: r.load()?,
-            sp_requests: r.load()?,
-            interrupts: r.load()?,
-            req_tags: r.load()?,
-            tx_rel: r.load()?,
-            rx_expected: r.load()?,
-            rx_head_stalls: r.u32()?,
-            notify_head_stalls: r.u32()?,
-            stats: r.load()?,
-            sample_latency: r.load()?,
-            tenant: r.load()?,
-            ckpt_dirty: true,
-        };
-        n.validate_consistency(at)?;
-        n.validate_geometry(at)?;
-        Ok(n)
-    }
-}
-
-// =====================================================================
-// Delta-snapshot support
-// =====================================================================
-impl Niu {
-    /// True if any small (non-SRAM) NIU state may have changed since the
-    /// last checkpoint cut. The queues, reliable-delivery windows, and
-    /// control state are tracked as one whole section: they are small and
-    /// mutate together on every active cycle.
-    pub fn ckpt_small_dirty(&self) -> bool {
-        self.ckpt_dirty
-    }
-
-    /// True if any SRAM bank (aSRAM/sSRAM pages, clsSRAM lines) changed
-    /// since the last checkpoint cut.
-    pub fn ckpt_mems_dirty(&self) -> bool {
-        self.asram.has_dirty() || self.ssram.has_dirty() || self.clssram.has_dirty()
-    }
-
-    /// Forget all dirty marks — called when a checkpoint cut captures the
-    /// current contents.
-    pub fn ckpt_clear_dirty(&mut self) {
-        self.ckpt_dirty = false;
-        self.asram.clear_dirty();
-        self.ssram.clear_dirty();
-        self.clssram.clear_dirty();
-    }
-
-    /// Save everything *except* the SRAM banks, in the same field order
-    /// as the full snapshot.
-    pub fn save_small(&self, w: &mut SnapWriter) {
-        w.u16(self.node_id);
-        w.save(&self.params);
-        w.save(&self.map);
-        w.save(&self.ctrl);
-        w.save(&self.abiu);
-        w.save(&self.rxu_in);
-        w.save(&self.txu_out);
-        w.save(&self.sp_requests);
-        w.save(&self.interrupts);
-        w.save(&self.req_tags);
-        w.save(&self.tx_rel);
-        w.save(&self.rx_expected);
-        w.u32(self.rx_head_stalls);
-        w.u32(self.notify_head_stalls);
-        w.save(&self.stats);
-        w.save(&self.sample_latency);
-        w.save(&self.tenant);
-    }
-
-    /// Apply a section produced by [`Niu::save_small`], leaving the SRAM
-    /// banks untouched.
-    pub fn apply_small(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        let at = r.offset();
-        self.node_id = r.u16()?;
-        self.params = r.load()?;
-        self.map = r.load()?;
-        self.ctrl = r.load()?;
-        self.abiu = r.load()?;
-        self.rxu_in = r.load()?;
-        self.txu_out = r.load()?;
-        self.sp_requests = r.load()?;
-        self.interrupts = r.load()?;
-        self.req_tags = r.load()?;
-        self.tx_rel = r.load()?;
-        self.rx_expected = r.load()?;
-        self.rx_head_stalls = r.u32()?;
-        self.notify_head_stalls = r.u32()?;
-        self.stats = r.load()?;
-        self.sample_latency = r.load()?;
-        self.tenant = r.load()?;
-        self.ckpt_dirty = true;
-        self.validate_consistency(at)?;
-        self.validate_geometry(at)
-    }
-
-    /// Emit dirty pages of the aSRAM/sSRAM banks plus the whole clsSRAM
-    /// when any of its lines changed (it is sparse and small).
-    pub fn save_mems_delta(&self, w: &mut SnapWriter) {
-        self.asram.save_delta(w);
-        self.ssram.save_delta(w);
-        if self.clssram.has_dirty() {
-            w.u8(1);
-            w.save(&self.clssram);
-        } else {
-            w.u8(0);
-        }
-    }
-
-    /// Apply a section produced by [`Niu::save_mems_delta`].
-    pub fn apply_mems_delta(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.asram.apply_delta(r)?;
-        self.ssram.apply_delta(r)?;
-        let at = r.offset();
-        match r.u8()? {
-            0 => {}
-            1 => {
-                self.clssram = r.load()?;
-                self.validate_consistency(at)?;
-            }
-            _ => return Err(SnapshotError::Corrupt { offset: at }),
-        }
-        Ok(())
+            .all(|q| buf_ok(&q.buf) && shadow_ok(q.shadow_addr))
+            && self
+                .ctrl
+                .rx
+                .iter()
+                .all(|q| buf_ok(&q.buf) && shadow_ok(q.shadow_addr))
     }
 }
 
@@ -2519,9 +2282,14 @@ mod tests {
         for c in 0..5 {
             n.tick(c);
         }
-        let snap = sv_sim::ckpt::roundtrip(&n).expect("niu snapshot roundtrip");
+        let mut w = sv_sim::ckpt::SnapWriter::new();
+        w.save(&n);
+        let bytes = w.finish();
+        let mut r = sv_sim::ckpt::SnapReader::new(&bytes);
+        let mut rest = niu();
+        rest.restore(&mut r).expect("niu snapshot restores");
+        r.finish().expect("restore consumes the whole snapshot");
         let mut orig = n;
-        let mut rest = snap;
         let drain = |n: &mut Niu| {
             let mut out = Vec::new();
             for c in 5..200 {

@@ -127,78 +127,37 @@ impl NiuParams {
     }
 }
 
-use sv_sim::ckpt::{SnapReader, SnapWriter, SnapshotError, StateLoad, StateSave};
-
-impl StateSave for NiuParams {
-    fn save(&self, w: &mut SnapWriter) {
-        w.usize_(self.tx_queues);
-        w.usize_(self.rx_queues);
-        w.usize_(self.logical_rx_queues);
-        w.usize_(self.miss_queue_slot);
-        w.u32(self.asram_bytes);
-        w.u32(self.ssram_bytes);
-        w.u64(self.cls_lines);
-        w.u64(self.ibus_bytes_per_cycle);
-        w.u64(self.ibus_overhead_cycles);
-        w.u64(self.tx_engine_overhead_cycles);
-        w.u64(self.rx_engine_overhead_cycles);
-        w.u64(self.cmd_decode_cycles);
-        w.u64(self.remote_cmd_overhead_cycles);
-        w.u64(self.block_read_line_overhead_cycles);
-        w.u64(self.block_tx_pkt_overhead_cycles);
-        w.u32(self.block_tx_chunk_bytes);
-        w.u64(self.express_compose_cycles);
-        w.u64(self.sram_service_cycles);
-        w.usize_(self.max_abiu_outstanding);
-        w.u64(self.rx_full_retry_cycles);
-        w.u32(self.rx_full_retry_cap);
-        w.save(&self.reliable);
-        w.u64(self.ack_timeout_cycles);
-        w.u32(self.retransmit_backoff_shift_cap);
-        w.u32(self.retransmit_cap);
+sv_sim::checkpointed! {
+    struct NiuParams {
+        tx_queues,
+        rx_queues,
+        logical_rx_queues,
+        miss_queue_slot,
+        asram_bytes,
+        ssram_bytes,
+        cls_lines,
+        ibus_bytes_per_cycle,
+        ibus_overhead_cycles,
+        tx_engine_overhead_cycles,
+        rx_engine_overhead_cycles,
+        cmd_decode_cycles,
+        remote_cmd_overhead_cycles,
+        block_read_line_overhead_cycles,
+        block_tx_pkt_overhead_cycles,
+        block_tx_chunk_bytes,
+        express_compose_cycles,
+        sram_service_cycles,
+        max_abiu_outstanding,
+        rx_full_retry_cycles,
+        rx_full_retry_cap,
+        reliable,
+        ack_timeout_cycles,
+        retransmit_backoff_shift_cap,
+        retransmit_cap,
     }
-}
-impl StateLoad for NiuParams {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let at = r.offset();
-        let p = NiuParams {
-            tx_queues: r.usize_()?,
-            rx_queues: r.usize_()?,
-            logical_rx_queues: r.usize_()?,
-            miss_queue_slot: r.usize_()?,
-            asram_bytes: r.u32()?,
-            ssram_bytes: r.u32()?,
-            cls_lines: r.u64()?,
-            ibus_bytes_per_cycle: r.u64()?,
-            ibus_overhead_cycles: r.u64()?,
-            tx_engine_overhead_cycles: r.u64()?,
-            rx_engine_overhead_cycles: r.u64()?,
-            cmd_decode_cycles: r.u64()?,
-            remote_cmd_overhead_cycles: r.u64()?,
-            block_read_line_overhead_cycles: r.u64()?,
-            block_tx_pkt_overhead_cycles: r.u64()?,
-            block_tx_chunk_bytes: r.u32()?,
-            express_compose_cycles: r.u64()?,
-            sram_service_cycles: r.u64()?,
-            max_abiu_outstanding: r.usize_()?,
-            rx_full_retry_cycles: r.u64()?,
-            rx_full_retry_cap: r.u32()?,
-            reliable: r.load()?,
-            ack_timeout_cycles: r.u64()?,
-            retransmit_backoff_shift_cap: r.u32()?,
-            retransmit_cap: r.u32()?,
-        };
-        // `ibus_cycles` divides by this.
-        if p.ibus_bytes_per_cycle == 0 {
-            return Err(SnapshotError::Corrupt { offset: at });
-        }
-        // The firmware indexes `ctrl.rx` by this on every wake check; a
-        // forged slot would panic far from the restore site.
-        if p.miss_queue_slot >= p.rx_queues {
-            return Err(SnapshotError::Corrupt { offset: at });
-        }
-        Ok(p)
-    }
+    // `ibus_cycles` divides by the IBus width, and the firmware indexes
+    // `ctrl.rx` by the miss slot on every wake check.
+    validate: |p: &NiuParams| p.ibus_bytes_per_cycle != 0 && p.miss_queue_slot < p.rx_queues
 }
 
 #[cfg(test)]

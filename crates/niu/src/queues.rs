@@ -224,160 +224,70 @@ impl RxQueue {
     }
 }
 
-use sv_sim::ckpt::{SnapReader, SnapWriter, SnapshotError, StateLoad, StateSave};
+sv_sim::checkpointed! { struct QueueId(index) }
 
-impl StateSave for QueueId {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u8(self.0);
-    }
-}
-impl StateLoad for QueueId {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(QueueId(r.u8()?))
+sv_sim::checkpointed! {
+    enum RxFullPolicy {
+        0 => Drop,
+        1 => Retry,
+        2 => Divert,
     }
 }
 
-impl StateSave for RxFullPolicy {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            RxFullPolicy::Drop => 0,
-            RxFullPolicy::Retry => 1,
-            RxFullPolicy::Divert => 2,
-        });
-    }
-}
-impl StateLoad for RxFullPolicy {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let at = r.offset();
-        Ok(match r.u8()? {
-            0 => RxFullPolicy::Drop,
-            1 => RxFullPolicy::Retry,
-            2 => RxFullPolicy::Divert,
-            _ => return Err(SnapshotError::Corrupt { offset: at }),
-        })
+sv_sim::checkpointed! {
+    enum RxService {
+        0 => ApPolled,
+        1 => SpPolled,
+        2 => Interrupt,
     }
 }
 
-impl StateSave for RxService {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            RxService::ApPolled => 0,
-            RxService::SpPolled => 1,
-            RxService::Interrupt => 2,
-        });
+sv_sim::checkpointed! {
+    struct QueueBuffer {
+        sram,
+        base,
+        entries,
+        entry_bytes,
     }
+    // `slot_addr` divides by `entries`.
+    validate: |b: &QueueBuffer| b.entries != 0
 }
-impl StateLoad for RxService {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let at = r.offset();
-        Ok(match r.u8()? {
-            0 => RxService::ApPolled,
-            1 => RxService::SpPolled,
-            2 => RxService::Interrupt,
-            _ => return Err(SnapshotError::Corrupt { offset: at }),
-        })
+
+sv_sim::checkpointed! {
+    struct TxQueue {
+        buf,
+        producer,
+        consumer,
+        enabled,
+        translate,
+        and_mask,
+        or_mask,
+        raw_allowed,
+        priority,
+        express,
+        shadow_addr,
+        sent,
+        violations,
+        enqueued,
+        full_stalls,
     }
 }
 
-impl StateSave for QueueBuffer {
-    fn save(&self, w: &mut SnapWriter) {
-        w.save(&self.sram);
-        w.u32(self.base);
-        w.u16(self.entries);
-        w.u32(self.entry_bytes);
-    }
-}
-impl StateLoad for QueueBuffer {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let b = QueueBuffer {
-            sram: r.load()?,
-            base: r.u32()?,
-            entries: r.u16()?,
-            entry_bytes: r.u32()?,
-        };
-        // `slot_addr` divides by `entries`.
-        if b.entries == 0 {
-            return Err(SnapshotError::Corrupt { offset: r.offset() });
-        }
-        Ok(b)
-    }
-}
-
-impl StateSave for TxQueue {
-    fn save(&self, w: &mut SnapWriter) {
-        w.save(&self.buf);
-        w.u16(self.producer);
-        w.u16(self.consumer);
-        w.save(&self.enabled);
-        w.save(&self.translate);
-        w.u16(self.and_mask);
-        w.u16(self.or_mask);
-        w.save(&self.raw_allowed);
-        w.u8(self.priority);
-        w.save(&self.express);
-        w.save(&self.shadow_addr);
-        w.save(&self.sent);
-        w.save(&self.violations);
-        w.save(&self.enqueued);
-        w.save(&self.full_stalls);
-    }
-}
-impl StateLoad for TxQueue {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(TxQueue {
-            buf: r.load()?,
-            producer: r.u16()?,
-            consumer: r.u16()?,
-            enabled: r.load()?,
-            translate: r.load()?,
-            and_mask: r.u16()?,
-            or_mask: r.u16()?,
-            raw_allowed: r.load()?,
-            priority: r.u8()?,
-            express: r.load()?,
-            shadow_addr: r.load()?,
-            sent: r.load()?,
-            violations: r.load()?,
-            enqueued: r.load()?,
-            full_stalls: r.load()?,
-        })
-    }
-}
-
-impl StateSave for RxQueue {
-    fn save(&self, w: &mut SnapWriter) {
-        w.save(&self.buf);
-        w.u16(self.producer);
-        w.u16(self.consumer);
-        w.save(&self.enabled);
-        w.save(&self.service);
-        w.save(&self.full_policy);
-        w.save(&self.express);
-        w.save(&self.shadow_addr);
-        w.save(&self.received);
-        w.save(&self.dropped);
-        w.save(&self.diverted);
-        w.save(&self.dequeued);
-        w.save(&self.full_stalls);
-    }
-}
-impl StateLoad for RxQueue {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(RxQueue {
-            buf: r.load()?,
-            producer: r.u16()?,
-            consumer: r.u16()?,
-            enabled: r.load()?,
-            service: r.load()?,
-            full_policy: r.load()?,
-            express: r.load()?,
-            shadow_addr: r.load()?,
-            received: r.load()?,
-            dropped: r.load()?,
-            diverted: r.load()?,
-            dequeued: r.load()?,
-            full_stalls: r.load()?,
-        })
+sv_sim::checkpointed! {
+    struct RxQueue {
+        buf,
+        producer,
+        consumer,
+        enabled,
+        service,
+        full_policy,
+        express,
+        shadow_addr,
+        received,
+        dropped,
+        diverted,
+        dequeued,
+        full_stalls,
     }
 }
 

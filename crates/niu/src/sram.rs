@@ -238,22 +238,10 @@ impl ClsSram {
 
 use sv_sim::ckpt::{SnapReader, SnapWriter, SnapshotError, StateLoad, StateSave};
 
-impl StateSave for SramSel {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            SramSel::A => 0,
-            SramSel::S => 1,
-        });
-    }
-}
-impl StateLoad for SramSel {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let at = r.offset();
-        Ok(match r.u8()? {
-            0 => SramSel::A,
-            1 => SramSel::S,
-            _ => return Err(SnapshotError::Corrupt { offset: at }),
-        })
+sv_sim::checkpointed! {
+    enum SramSel {
+        0 => A,
+        1 => S,
     }
 }
 
@@ -272,44 +260,24 @@ impl StateLoad for Sram {
     }
 }
 
-impl StateSave for ClsState {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u8(self.bits());
-    }
-}
-impl StateLoad for ClsState {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let at = r.offset();
-        let b = r.u8()?;
-        if b > 3 {
-            return Err(SnapshotError::Corrupt { offset: at });
-        }
-        Ok(ClsState::from_bits(b))
+sv_sim::checkpointed! {
+    enum ClsState {
+        0 => Invalid,
+        1 => ReadOnly,
+        2 => ReadWrite,
+        3 => Pending,
     }
 }
 
-impl StateSave for ClsSram {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.capacity_lines);
-        w.save(&self.lines);
+sv_sim::checkpointed! {
+    struct ClsSram {
+        capacity_lines,
+        lines,
     }
-}
-impl StateLoad for ClsSram {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let capacity_lines = r.u64()?;
-        let at = r.offset();
-        let lines: std::collections::HashMap<u64, u8> = r.load()?;
-        // An out-of-range line would trip the bounds assert on the next
-        // access; reject it here instead.
-        if lines.keys().any(|&l| l >= capacity_lines) {
-            return Err(SnapshotError::Corrupt { offset: at });
-        }
-        Ok(ClsSram {
-            lines,
-            capacity_lines,
-            dirty: true,
-        })
-    }
+    skip { dirty: true }
+    // An out-of-range line would trip the bounds assert on the next
+    // access; reject it here instead.
+    validate: |c: &ClsSram| c.lines.keys().all(|&l| l < c.capacity_lines)
 }
 
 #[cfg(test)]

@@ -286,44 +286,22 @@ impl StateLoad for XlateEntry {
     }
 }
 
-impl StateSave for XlateTable {
-    fn save(&self, w: &mut SnapWriter) {
-        w.save(&self.entries);
-        w.save(&self.lookups);
-        w.save(&self.faults);
-    }
-}
-impl StateLoad for XlateTable {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(XlateTable {
-            entries: r.load()?,
-            lookups: r.load()?,
-            faults: r.load()?,
-        })
+sv_sim::checkpointed! {
+    struct XlateTable {
+        entries,
+        lookups,
+        faults,
     }
 }
 
-impl StateSave for PerLqStats {
-    fn save(&self, w: &mut SnapWriter) {
-        w.save(&self.hits);
-        w.save(&self.misses);
-        w.save(&self.diversions);
+sv_sim::checkpointed! {
+    struct PerLqStats {
+        hits,
+        misses,
+        diversions,
     }
-}
-impl StateLoad for PerLqStats {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let at = r.offset();
-        let p = PerLqStats {
-            hits: r.load()?,
-            misses: r.load()?,
-            diversions: r.load()?,
-        };
-        // The three vectors are indexed in lockstep by logical queue.
-        if p.hits.len() != p.misses.len() || p.hits.len() != p.diversions.len() {
-            return Err(SnapshotError::Corrupt { offset: at });
-        }
-        Ok(p)
-    }
+    // The three vectors are indexed in lockstep by logical queue.
+    validate: |p: &PerLqStats| p.hits.len() == p.misses.len() && p.hits.len() == p.diversions.len()
 }
 
 impl StateSave for RxQueueCache {

@@ -101,37 +101,21 @@ impl<T> BoundedFifo<T> {
     }
 }
 
-impl<T: crate::ckpt::StateSave> crate::ckpt::StateSave for BoundedFifo<T> {
-    fn save(&self, w: &mut crate::ckpt::SnapWriter) {
-        w.usize_(self.capacity);
-        w.usize_(self.high_water);
-        w.save(&self.full_rejections.0);
-        w.save(&self.accepted.0);
-        w.save(&self.items);
+crate::checkpointed! {
+    struct BoundedFifo<T> {
+        capacity,
+        high_water,
+        full_rejections,
+        accepted,
+        items,
     }
+    validate: BoundedFifo::is_consistent
 }
 
-impl<T: crate::ckpt::StateLoad> crate::ckpt::StateLoad for BoundedFifo<T> {
-    fn load(r: &mut crate::ckpt::SnapReader<'_>) -> Result<Self, crate::ckpt::SnapshotError> {
-        let at = r.offset();
-        let capacity = r.usize_()?;
-        if capacity == 0 {
-            return Err(crate::ckpt::SnapshotError::Corrupt { offset: at });
-        }
-        let high_water = r.usize_()?;
-        let full_rejections = Counter(r.u64()?);
-        let accepted = Counter(r.u64()?);
-        let items: VecDeque<T> = r.load()?;
-        if items.len() > capacity || high_water > capacity {
-            return r.corrupt();
-        }
-        Ok(BoundedFifo {
-            items,
-            capacity,
-            high_water,
-            full_rejections,
-            accepted,
-        })
+impl<T> BoundedFifo<T> {
+    /// The contents and high-water mark fit the (nonzero) capacity.
+    fn is_consistent(&self) -> bool {
+        self.capacity != 0 && self.items.len() <= self.capacity && self.high_water <= self.capacity
     }
 }
 

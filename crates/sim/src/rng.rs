@@ -127,24 +127,19 @@ impl DetRng {
 
 // Checkpointing captures the raw generator words, not the seed: a
 // restored stream continues exactly where the original left off.
-impl crate::ckpt::StateSave for DetRng {
-    fn save(&self, w: &mut crate::ckpt::SnapWriter) {
-        w.u64(self.state);
-        w.u64(self.gamma);
+crate::checkpointed! {
+    struct DetRng {
+        state,
+        gamma,
     }
+    validate: DetRng::gamma_is_odd
 }
 
-impl crate::ckpt::StateLoad for DetRng {
-    fn load(r: &mut crate::ckpt::SnapReader<'_>) -> Result<Self, crate::ckpt::SnapshotError> {
-        let state = r.u64()?;
-        let at = r.offset();
-        let gamma = r.u64()?;
-        // Every legal gamma is odd (see `mix_gamma`); an even one is a
-        // corrupted stream, and would degrade the generator.
-        if gamma % 2 == 0 {
-            return Err(crate::ckpt::SnapshotError::Corrupt { offset: at });
-        }
-        Ok(DetRng { state, gamma })
+impl DetRng {
+    /// Every legal gamma is odd (see `mix_gamma`); an even one is a
+    /// corrupted stream, and would degrade the generator.
+    fn gamma_is_odd(&self) -> bool {
+        self.gamma % 2 == 1
     }
 }
 

@@ -289,86 +289,38 @@ pub fn mb_per_s(bytes: u64, ns: u64) -> f64 {
     bytes as f64 / (ns as f64 / 1e9) / 1e6
 }
 
-use crate::ckpt::{SnapReader, SnapWriter, SnapshotError, StateLoad, StateSave};
+crate::checkpointed! { struct Counter(value) }
 
-impl StateSave for Counter {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.0);
-    }
-}
-impl StateLoad for Counter {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Counter(r.u64()?))
+crate::checkpointed! {
+    struct Summary {
+        count,
+        sum,
+        min,
+        max,
     }
 }
 
-impl StateSave for Summary {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.count);
-        w.u64(self.sum);
-        w.u64(self.min);
-        w.u64(self.max);
-    }
-}
-impl StateLoad for Summary {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Summary {
-            count: r.u64()?,
-            sum: r.u64()?,
-            min: r.u64()?,
-            max: r.u64()?,
-        })
+crate::checkpointed! {
+    struct Log2Histogram {
+        buckets,
+        summary,
     }
 }
 
-impl StateSave for Log2Histogram {
-    fn save(&self, w: &mut SnapWriter) {
-        w.save(&self.buckets);
-        w.save(&self.summary);
-    }
-}
-impl StateLoad for Log2Histogram {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Log2Histogram {
-            buckets: r.load()?,
-            summary: r.load()?,
-        })
+crate::checkpointed! {
+    struct Occupancy {
+        busy_ns,
+        intervals,
+        last_end_ns,
     }
 }
 
-impl StateSave for Occupancy {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.busy_ns);
-        w.u64(self.intervals);
-        w.u64(self.last_end_ns);
-    }
-}
-impl StateLoad for Occupancy {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Occupancy {
-            busy_ns: r.u64()?,
-            intervals: r.u64()?,
-            last_end_ns: r.u64()?,
-        })
-    }
-}
-
-impl StateSave for Throughput {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.bytes);
-        w.u64(self.events);
-        w.save(&self.first);
-        w.save(&self.last);
-    }
-}
-impl StateLoad for Throughput {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Throughput {
-            bytes: r.u64()?,
-            events: r.u64()?,
-            first: r.load()?,
-            last: r.load()?,
-        })
+crate::checkpointed! {
+    struct Throughput {
+        bytes,
+        events,
+        first,
+        last,
     }
 }
 

@@ -148,88 +148,42 @@ impl Tracer {
     }
 }
 
-impl crate::ckpt::StateSave for Subsys {
-    fn save(&self, w: &mut crate::ckpt::SnapWriter) {
-        w.u8(match self {
-            Subsys::Bus => 0,
-            Subsys::Ctrl => 1,
-            Subsys::Biu => 2,
-            Subsys::Firmware => 3,
-            Subsys::Net => 4,
-            Subsys::App => 5,
-            Subsys::Other => 6,
-        });
+crate::checkpointed! {
+    enum Subsys {
+        0 => Bus,
+        1 => Ctrl,
+        2 => Biu,
+        3 => Firmware,
+        4 => Net,
+        5 => App,
+        6 => Other,
     }
 }
 
-impl crate::ckpt::StateLoad for Subsys {
-    fn load(r: &mut crate::ckpt::SnapReader<'_>) -> Result<Self, crate::ckpt::SnapshotError> {
-        let at = r.offset();
-        Ok(match r.u8()? {
-            0 => Subsys::Bus,
-            1 => Subsys::Ctrl,
-            2 => Subsys::Biu,
-            3 => Subsys::Firmware,
-            4 => Subsys::Net,
-            5 => Subsys::App,
-            6 => Subsys::Other,
-            _ => return Err(crate::ckpt::SnapshotError::Corrupt { offset: at }),
-        })
+crate::checkpointed! {
+    struct Record {
+        at,
+        subsys,
+        msg,
     }
 }
 
-impl crate::ckpt::StateSave for Record {
-    fn save(&self, w: &mut crate::ckpt::SnapWriter) {
-        w.save(&self.at);
-        w.save(&self.subsys);
-        w.save(&self.msg);
+crate::checkpointed! {
+    struct Tracer {
+        capacity,
+        next,
+        wrapped,
+        enabled,
+        total,
+        records,
     }
+    validate: Tracer::ring_is_consistent
 }
 
-impl crate::ckpt::StateLoad for Record {
-    fn load(r: &mut crate::ckpt::SnapReader<'_>) -> Result<Self, crate::ckpt::SnapshotError> {
-        Ok(Record {
-            at: r.load()?,
-            subsys: r.load()?,
-            msg: r.load()?,
-        })
-    }
-}
-
-impl crate::ckpt::StateSave for Tracer {
-    fn save(&self, w: &mut crate::ckpt::SnapWriter) {
-        w.usize_(self.capacity);
-        w.usize_(self.next);
-        w.save(&self.wrapped);
-        w.save(&self.enabled);
-        w.u64(self.total);
-        w.save(&self.records);
-    }
-}
-
-impl crate::ckpt::StateLoad for Tracer {
-    fn load(r: &mut crate::ckpt::SnapReader<'_>) -> Result<Self, crate::ckpt::SnapshotError> {
-        let at = r.offset();
-        let capacity = r.usize_()?;
-        if capacity == 0 {
-            return Err(crate::ckpt::SnapshotError::Corrupt { offset: at });
-        }
-        let next = r.usize_()?;
-        let wrapped: bool = r.load()?;
-        let enabled: bool = r.load()?;
-        let total = r.u64()?;
-        let records: Vec<Record> = r.load()?;
-        if records.len() > capacity || next >= capacity {
-            return r.corrupt();
-        }
-        Ok(Tracer {
-            records,
-            capacity,
-            next,
-            wrapped,
-            enabled,
-            total,
-        })
+impl Tracer {
+    /// The ring cursor and contents fit the (nonzero) capacity.
+    fn ring_is_consistent(&self) -> bool {
+        self.capacity != 0 && self.records.len() <= self.capacity && self.next < self.capacity
     }
 }
 
