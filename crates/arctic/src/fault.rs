@@ -87,11 +87,9 @@ pub struct FaultVerdict {
     pub reorder: bool,
 }
 
-/// Per-link fault injector owned by the [`crate::Network`].
-///
-/// `Clone` is required so the network stays cloneable for the parallel
-/// run loop's harvest probe; the probe's copy of the RNG is never
-/// consumed (only `inject` draws, and probes are never injected into).
+/// Per-link fault injector owned by the [`crate::Network`]. Only
+/// `inject` draws from it, so an `advance` — and hence a harvest —
+/// never moves its RNG.
 #[derive(Debug, Clone)]
 pub struct FaultModel {
     params: FaultParams,

@@ -25,6 +25,9 @@ pub struct IdealNetwork<P> {
     /// Whole-section dirty flag for delta snapshots; runtime bookkeeping,
     /// never serialized. Fresh and restored instances start dirty.
     dirty: bool,
+    /// [`IdealNetwork::harvest`]'s copy of `events`, kept so refreshing
+    /// it reuses the buffer. Never serialized.
+    saved: EventQueue<Packet<P>>,
 }
 
 impl<P> IdealNetwork<P> {
@@ -37,6 +40,7 @@ impl<P> IdealNetwork<P> {
             events: EventQueue::new(),
             delivered: Vec::new(),
             dirty: true,
+            saved: EventQueue::new(),
         }
     }
 
@@ -80,6 +84,24 @@ impl<P> IdealNetwork<P> {
             self.dirty = true;
             self.delivered.push((t, p));
         }
+    }
+
+    /// Append to `out` every delivery up to `horizon` — first any still
+    /// undrained, then those `advance(horizon)` would make — and leave
+    /// the network as it was. The pipe has no link state: an advance only
+    /// pops events, so saving and restoring the queue is the whole
+    /// rollback (see [`crate::Network::harvest`]).
+    pub fn harvest(&mut self, horizon: Time, out: &mut Vec<(Time, Packet<P>)>)
+    where
+        P: Clone,
+    {
+        let (pending, dirty) = (self.delivered.len(), self.dirty);
+        self.saved.clone_from(&self.events);
+        self.advance(horizon);
+        out.extend_from_slice(&self.delivered[..pending]);
+        out.extend(self.delivered.drain(pending..));
+        std::mem::swap(&mut self.events, &mut self.saved);
+        self.dirty = dirty;
     }
 
     /// Drain delivered packets in delivery order.
@@ -136,6 +158,7 @@ impl<P: StateLoad + Clone> StateLoad for IdealNetwork<P> {
             events: r.load()?,
             delivered: r.load()?,
             dirty: true,
+            saved: EventQueue::new(),
         };
         // Delivered packets are handed to the embedding machine, which
         // indexes its node array by `dst`; range-check every packet so a
@@ -180,6 +203,53 @@ mod tests {
         let got = n.take_delivered();
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].0, got[1].0);
+    }
+
+    #[test]
+    fn harvest_matches_a_cloned_advance_and_rolls_back() {
+        let mut n = IdealNetwork::new(4, 300, LinkParams::default());
+        let mut twin = n.clone();
+        let snapshot = |n: &IdealNetwork<u32>| {
+            let mut w = SnapWriter::new();
+            n.save(&mut w);
+            w.finish()
+        };
+        let mut out = Vec::new();
+        for step in 0..20u64 {
+            let now = Time::from_ns(step * 200);
+            for net in [&mut n, &mut twin] {
+                net.advance(now);
+                if step % 3 != 0 {
+                    net.take_delivered();
+                }
+                if step % 2 == 0 {
+                    net.ckpt_clear_dirty();
+                }
+                let s = (step % 4) as u16;
+                let p = Packet::new(
+                    s,
+                    (s + 1) % 4,
+                    Priority::Low,
+                    8 * (step % 11) as u32,
+                    step as u32,
+                );
+                net.inject(now, p);
+            }
+            for ahead in [0, 400, 2_000] {
+                let horizon = now.plus(ahead);
+                let mut probe = twin.clone();
+                probe.advance(horizon);
+                out.clear();
+                n.harvest(horizon, &mut out);
+                assert_eq!(format!("{out:?}"), format!("{:?}", probe.take_delivered()));
+                assert!(
+                    snapshot(&n) == snapshot(&twin),
+                    "step {step}: snapshot changed"
+                );
+                assert_eq!(n.ckpt_dirty(), twin.ckpt_dirty());
+                assert_eq!(n.next_event_time(), twin.next_event_time());
+            }
+        }
     }
 
     #[test]

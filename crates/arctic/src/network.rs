@@ -22,6 +22,9 @@
 //!
 //! The network runs its own internal event queue; the owning machine calls
 //! [`Network::advance`] with an upper time bound and collects deliveries.
+//! [`Network::harvest`] looks ahead instead: it advances, collects, and
+//! rolls back exactly what the advance changed, so a parallel run loop
+//! can learn a window's deliveries before committing the window.
 
 use crate::fault::{FaultModel, FaultParams};
 use crate::packet::{NodeId, Packet};
@@ -110,7 +113,7 @@ impl Default for QosParams {
 
 /// One virtual channel of one link: its output queue, the credit pool
 /// guarding its *input* buffer, and per-VC usage counters.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct VcState {
     /// Flight slots queued for transmission on this VC.
     queue: VecDeque<usize>,
@@ -136,6 +139,29 @@ struct VcState {
     stall_ns: u64,
 }
 
+impl Clone for VcState {
+    fn clone(&self) -> Self {
+        VcState {
+            queue: self.queue.clone(),
+            waiters: self.waiters.clone(),
+            ..*self
+        }
+    }
+
+    /// Reuses this channel's two buffers (see [`Savepoint`]).
+    fn clone_from(&mut self, source: &Self) {
+        let mut queue = std::mem::take(&mut self.queue);
+        let mut waiters = std::mem::take(&mut self.waiters);
+        queue.clone_from(&source.queue);
+        waiters.clone_from(&source.waiters);
+        *self = VcState {
+            queue,
+            waiters,
+            ..*source
+        };
+    }
+}
+
 impl VcState {
     fn new(credits: u8) -> Self {
         VcState {
@@ -153,7 +179,7 @@ impl VcState {
 }
 
 /// Per-link running state.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct LinkState {
     /// Time the transmitter frees.
     busy_until: Time,
@@ -173,6 +199,23 @@ struct LinkState {
     bytes: u64,
     /// Time this link spent serializing packets, ns (occupancy numerator).
     busy_ns: u64,
+}
+
+impl Clone for LinkState {
+    fn clone(&self) -> Self {
+        LinkState {
+            vcs: self.vcs.clone(),
+            ..*self
+        }
+    }
+
+    /// Reuses the VC vector and every channel's buffers (see
+    /// [`Savepoint`]).
+    fn clone_from(&mut self, source: &Self) {
+        let mut vcs = std::mem::take(&mut self.vcs);
+        vcs.clone_from(&source.vcs);
+        *self = LinkState { vcs, ..*source };
+    }
 }
 
 impl LinkState {
@@ -248,18 +291,11 @@ pub struct NetworkStats {
 
 /// The Arctic network simulator.
 ///
-/// `P` is the structured payload type (opaque to the network). The model
-/// is `Clone` so a conservative parallel run loop can advance a
-/// throwaway copy ahead of the committed state to harvest a window's
-/// deliveries (see `voyager`'s machine run loop).
+/// `P` is the structured payload type (opaque to the network).
 #[derive(Debug, Clone)]
 pub struct Network<P> {
-    /// Fat-tree topology. Behind an [`Arc`] because the topology is
-    /// immutable once built and the conservative parallel run loop
-    /// clones the network once per execution window to harvest
-    /// deliveries: sharing it keeps that clone proportional to mutable
-    /// state (links, flights, events), not to the switch inventory.
-    pub topology: std::sync::Arc<FatTree>,
+    /// Fat-tree topology.
+    pub topology: FatTree,
     /// Timing/geometry parameters.
     pub params: LinkParams,
     /// Routing policy in force.
@@ -282,12 +318,59 @@ pub struct Network<P> {
     /// mutating entry point. Runtime bookkeeping, never serialized; fresh
     /// and restored networks start conservatively dirty.
     dirty: bool,
+    /// Undo journal of [`Network::harvest`]; empty between harvests
+    /// apart from buffers kept for reuse. Never serialized.
+    save: Savepoint,
+}
+
+/// What one [`Network::harvest`] must put back: the pre-image of every
+/// piece of state an `advance` can change, saved before the first write.
+/// The buffers outlive the harvest, so once they have grown to a
+/// window's size a harvest allocates nothing.
+///
+/// An advance pops and pushes events, writes links, moves flights one
+/// hop per arrival, and updates `stats` and `dirty`. It never launches a
+/// flight (only `inject` does), so the slot allocator and the fault RNG
+/// stay as they were; and during a harvest a delivered flight keeps its
+/// slot, so `free_slots` does too.
+#[derive(Debug, Clone, Default)]
+struct Savepoint {
+    /// A harvest is advancing: link writes and flight hops are journaled.
+    active: bool,
+    /// Links saved this harvest, in first-write order.
+    links: Vec<LinkId>,
+    /// `pre[i]` is the pre-image of link `links[i]`. Entries past
+    /// `links.len()` are spare buffers for later harvests.
+    pre: Vec<LinkState>,
+    /// `saved[l]`: link `l` already has its pre-image this harvest.
+    saved: Vec<bool>,
+    /// `(slot, hop)` before every hop a flight took, oldest first.
+    hops: Vec<(usize, usize)>,
+    /// The event queue, restored whole: heap, sequence counter and
+    /// popped-time horizon.
+    events: EventQueue<NetEvent>,
+    stats: NetworkStats,
+    dirty: bool,
+}
+
+impl Savepoint {
+    /// Keep `link`'s pre-image unless this harvest already has it.
+    fn save_link(&mut self, id: LinkId, link: &LinkState) {
+        if std::mem::replace(&mut self.saved[id], true) {
+            return;
+        }
+        match self.pre.get_mut(self.links.len()) {
+            Some(spare) => spare.clone_from(link),
+            None => self.pre.push(link.clone()),
+        }
+        self.links.push(id);
+    }
 }
 
 impl<P> Network<P> {
     /// Build a network spanning `nodes` endpoints.
     pub fn new(nodes: usize, params: LinkParams, policy: RoutingPolicy) -> Self {
-        let topology = std::sync::Arc::new(FatTree::build(nodes));
+        let topology = FatTree::build(nodes);
         let links = (0..topology.link_count())
             .map(|_| LinkState::new(2, 0))
             .collect();
@@ -305,6 +388,7 @@ impl<P> Network<P> {
             fault: None,
             stats: NetworkStats::default(),
             dirty: true,
+            save: Savepoint::default(),
         }
     }
 
@@ -475,6 +559,7 @@ impl<P> Network<P> {
             (f.route[f.hop], f.packet.priority, f.reorder)
         };
         let vc = self.vc_of(prio);
+        self.touch(link_id);
         let link = &mut self.links[link_id];
         if reorder {
             // Fault-injected overtaking: jump ahead of everything already
@@ -509,7 +594,10 @@ impl<P> Network<P> {
 
     /// Process all internal events with `time <= until`; deliveries are
     /// appended to an internal list retrieved with [`Network::take_delivered`].
-    pub fn advance(&mut self, until: Time) {
+    pub fn advance(&mut self, until: Time)
+    where
+        P: Clone,
+    {
         while let Some(t) = self.events.peek_time() {
             if t > until {
                 break;
@@ -523,7 +611,18 @@ impl<P> Network<P> {
         }
     }
 
+    /// Write barrier of the link state: every function that writes a link
+    /// calls this first. During a harvest it saves the link's pre-image
+    /// once; otherwise it is one predictable branch.
+    #[inline]
+    fn touch(&mut self, link: LinkId) {
+        if self.save.active {
+            self.save.save_link(link, &self.links[link]);
+        }
+    }
+
     fn dispatch(&mut self, now: Time, link_id: LinkId) {
+        self.touch(link_id);
         let link = &mut self.links[link_id];
         link.dispatch_scheduled = false;
         if link.busy_until > now {
@@ -568,6 +667,7 @@ impl<P> Network<P> {
     /// availability. Reserves the downstream credit, returns the credit
     /// the granted packet itself held, and pays out stall accounting.
     fn grant(&mut self, now: Time, link_id: LinkId) -> Option<(usize, usize)> {
+        self.touch(link_id);
         let Some(qos) = self.qos else {
             // Legacy two-priority discipline: high first, no credit
             // logic anywhere on this path.
@@ -598,6 +698,7 @@ impl<P> Network<P> {
                 (f.hop + 1 < f.route.len()).then(|| f.route[f.hop + 1])
             };
             if let Some(next) = next {
+                self.touch(next);
                 if self.links[next].vcs[vc].credits == 0 {
                     // Blocked: count the episode once, subscribe to the
                     // credit return, and offer the port to another VC.
@@ -640,9 +741,11 @@ impl<P> Network<P> {
     /// Return one credit to `(link, vc)` and poke every subscribed
     /// upstream waiter with a Dispatch event.
     fn credit_return(&mut self, now: Time, link_id: LinkId, vc: usize) {
+        self.touch(link_id);
         self.links[link_id].vcs[vc].credits += 1;
         let waiters = std::mem::take(&mut self.links[link_id].vcs[vc].waiters);
         for w in waiters {
+            self.touch(w);
             let wl = &mut self.links[w];
             if !wl.dispatch_scheduled {
                 wl.dispatch_scheduled = true;
@@ -652,27 +755,80 @@ impl<P> Network<P> {
         }
     }
 
-    fn arrive(&mut self, now: Time, slot: usize) {
-        let done = {
-            let f = self.flights[slot].as_mut().expect("live flight");
-            f.hop += 1;
-            f.hop >= f.route.len()
-        };
-        if done {
-            let f = self.flights[slot].take().expect("live flight");
-            self.free_slots.push(slot);
-            self.stats.delivered.bump();
-            self.stats.bytes_delivered += f.packet.wire_bytes as u64;
-            let lat = now.since(f.packet.injected_at);
-            self.stats.latency.record(lat);
-            match f.packet.priority {
-                crate::packet::Priority::High => self.stats.latency_hi.record(lat),
-                crate::packet::Priority::Low => self.stats.latency_lo.record(lat),
-            }
-            self.delivered.push((now, f.packet));
-        } else {
-            self.enqueue_on_link(now, slot);
+    fn arrive(&mut self, now: Time, slot: usize)
+    where
+        P: Clone,
+    {
+        let f = self.flights[slot].as_mut().expect("live flight");
+        if self.save.active {
+            self.save.hops.push((slot, f.hop));
         }
+        f.hop += 1;
+        if f.hop < f.route.len() {
+            self.enqueue_on_link(now, slot);
+            return;
+        }
+        let packet = if self.save.active {
+            // The harvest rolls this flight back, so it keeps its slot
+            // and the delivery is a copy.
+            f.packet.clone()
+        } else {
+            self.free_slots.push(slot);
+            self.flights[slot].take().expect("live flight").packet
+        };
+        self.stats.delivered.bump();
+        self.stats.bytes_delivered += packet.wire_bytes as u64;
+        let lat = now.since(packet.injected_at);
+        self.stats.latency.record(lat);
+        match packet.priority {
+            crate::packet::Priority::High => self.stats.latency_hi.record(lat),
+            crate::packet::Priority::Low => self.stats.latency_lo.record(lat),
+        }
+        self.delivered.push((now, packet));
+    }
+
+    /// Append to `out` every delivery the network makes up to `horizon`
+    /// — first any still undrained, then those `advance(horizon)` would
+    /// make — and leave the network exactly as it was: the same state,
+    /// snapshot bytes, dirty flag and next event.
+    ///
+    /// The advance runs on the network itself with the [`Savepoint`]
+    /// journal armed, and the rollback restores only what it changed, so
+    /// the cost follows the events in the window, not the size of the
+    /// fabric.
+    pub fn harvest(&mut self, horizon: Time, out: &mut Vec<(Time, Packet<P>)>)
+    where
+        P: Clone,
+    {
+        let pending = self.delivered.len();
+        let save = &mut self.save;
+        save.events.clone_from(&self.events);
+        save.stats.clone_from(&self.stats);
+        save.dirty = self.dirty;
+        save.saved.resize(self.links.len(), false);
+        save.active = true;
+        self.advance(horizon);
+        out.extend_from_slice(&self.delivered[..pending]);
+        out.extend(self.delivered.drain(pending..));
+        self.rollback();
+    }
+
+    /// Undo the journaled advance of [`Network::harvest`].
+    fn rollback(&mut self) {
+        let save = &mut self.save;
+        save.active = false;
+        std::mem::swap(&mut self.events, &mut save.events);
+        std::mem::swap(&mut self.stats, &mut save.stats);
+        self.dirty = save.dirty;
+        for (pre, &id) in save.pre.iter_mut().zip(&save.links) {
+            std::mem::swap(&mut self.links[id], pre);
+            save.saved[id] = false;
+        }
+        save.links.clear();
+        for &(slot, hop) in save.hops.iter().rev() {
+            self.flights[slot].as_mut().expect("journaled flight").hop = hop;
+        }
+        save.hops.clear();
     }
 
     /// Drain packets delivered since the last call, in delivery order.
@@ -968,8 +1124,16 @@ impl<P> Network<P> {
     /// Cross-reference every slot index in a freshly restored network so
     /// a decodable-but-forged snapshot cannot make `advance` panic or
     /// index out of bounds later.
+    ///
+    /// Every flight slot must be referenced exactly once: a live flight
+    /// by one VC-queue entry or one pending `Arrive` event (it waits for
+    /// a link or crosses one, never both), a free slot by one free-list
+    /// entry. A second reference would move the flight twice, and a
+    /// missing one would strand it or hand its slot out while it is live.
     fn validate_restored(&self) -> Result<(), ()> {
         let live = |slot: usize| matches!(self.flights.get(slot), Some(Some(_)));
+        // References per slot; every index counted below is in bounds.
+        let mut refs = vec![0u32; self.flights.len()];
         let nodes = self.topology.nodes;
         // Delivered packets are handed to the embedding machine, which
         // indexes its node array by `dst`.
@@ -993,10 +1157,11 @@ impl<P> Network<P> {
             if slot >= self.flights.len() || self.flights[slot].is_some() {
                 return Err(());
             }
+            refs[slot] += 1;
         }
         let nvcs = self.qos.map_or(2, |q| q.vcs as usize);
         let max_credits = self.qos.map_or(0, |q| q.credits_per_vc);
-        for link in &self.links {
+        for (id, link) in self.links.iter().enumerate() {
             // Link layout must match the declared QoS geometry, and no
             // credit pool may exceed its capacity (an over-full pool
             // would let `outstanding_credits` underflow and a forged
@@ -1004,12 +1169,20 @@ impl<P> Network<P> {
             if link.vcs.len() != nvcs || link.rr_cursor as usize >= nvcs {
                 return Err(());
             }
-            for v in &link.vcs {
+            for (vc, v) in link.vcs.iter().enumerate() {
                 if v.credits > max_credits {
                     return Err(());
                 }
-                if v.queue.iter().any(|&slot| !live(slot)) {
-                    return Err(());
+                for &slot in &v.queue {
+                    // A queued flight waits at its current hop, on its
+                    // class's VC: anywhere else its departure would
+                    // return a credit to a pool it never drew from.
+                    match self.flights.get(slot) {
+                        Some(Some(f))
+                            if f.route[f.hop] == id && self.vc_of(f.packet.priority) == vc => {}
+                        _ => return Err(()),
+                    }
+                    refs[slot] += 1;
                 }
                 if v.waiters.iter().any(|&w| w >= self.links.len()) {
                     return Err(());
@@ -1028,8 +1201,12 @@ impl<P> Network<P> {
                     if !live(flight) {
                         return Err(());
                     }
+                    refs[flight] += 1;
                 }
             }
+        }
+        if refs.iter().any(|&n| n != 1) {
+            return Err(());
         }
         Ok(())
     }
@@ -1555,6 +1732,144 @@ mod tests {
             Network::<u32>::load(&mut r),
             Err(sv_sim::ckpt::SnapshotError::Corrupt { .. })
         ));
+    }
+
+    /// A Low packet queued twice on one VC would be transmitted twice:
+    /// the second departure finds its flight already moved on (or gone)
+    /// and `arrive` panics mid-run. Restore must refuse every snapshot
+    /// that references a flight slot other than exactly once.
+    #[test]
+    fn snapshot_rejects_slots_not_referenced_exactly_once() {
+        let load = |n: &Network<u32>| {
+            Network::<u32>::load(&mut sv_sim::ckpt::SnapReader::new(&snapshot(n)))
+        };
+        let corrupt =
+            |n: &Network<u32>| matches!(load(n), Err(sv_sim::ckpt::SnapshotError::Corrupt { .. }));
+        let mut n = net(2);
+        n.inject(Time::ZERO, Packet::new(0, 1, Priority::Low, 8, 1));
+        n.inject(Time::ZERO, Packet::new(0, 1, Priority::Low, 8, 2));
+        let up = n.flights[0].as_ref().unwrap().route[0];
+        assert_eq!(n.links[up].vcs[1].queue, [0, 1]);
+        assert!(load(&n).is_ok());
+        // Queued twice.
+        let mut forged = n.clone();
+        forged.links[up].vcs[1].queue.push_back(0);
+        assert!(corrupt(&forged), "queue [0, 1, 0] restored");
+        // Never referenced: flight 1 would be stranded.
+        let mut forged = n.clone();
+        forged.links[up].vcs[1].queue.pop_back();
+        assert!(corrupt(&forged), "stranded flight restored");
+        // Queued on the wrong VC: its departure would return a credit
+        // to the High class's pool.
+        let mut forged = n.clone();
+        forged.links[up].vcs[1].queue.pop_back();
+        forged.links[up].vcs[0].queue.push_back(1);
+        assert!(corrupt(&forged), "Low flight on the High VC restored");
+        // Queued while also crossing a link.
+        let mut crossing = n.clone();
+        crossing.advance(Time::ZERO);
+        assert!(
+            load(&crossing).is_ok(),
+            "flight 0 crossing, flight 1 queued"
+        );
+        crossing.links[up].vcs[1].queue.push_front(0);
+        assert!(corrupt(&crossing), "queued and arriving restored");
+        // A free slot listed twice would be handed to two flights.
+        let mut done = n.clone();
+        run_until_quiet(&mut done);
+        assert_eq!(done.free_slots.len(), 2);
+        assert!(load(&done).is_ok());
+        done.free_slots.push(done.free_slots[0]);
+        assert!(corrupt(&done), "free slot listed twice restored");
+    }
+
+    fn snapshot(n: &Network<u32>) -> Vec<u8> {
+        let mut w = sv_sim::ckpt::SnapWriter::new();
+        n.save(&mut w);
+        w.finish()
+    }
+
+    /// Every harvest must return what a clone advanced to the same
+    /// horizon delivers, and leave no trace: after each one the network
+    /// matches a twin that never harvested in snapshot bytes, dirty flag
+    /// and next event. The traffic drives every write the savepoint
+    /// journals: crossing flows of both classes contend for links,
+    /// 2-credit VCs stall and register waiters (QoS armed), and the fault
+    /// model duplicates and reorders packets. Horizons range from inside
+    /// one hop to several round trips, some with deliveries undrained.
+    #[test]
+    fn harvest_matches_a_cloned_advance_and_rolls_back() {
+        let qos = QosParams {
+            vcs: 2,
+            credits_per_vc: 2,
+            arbitration: VcArbitration::RoundRobin,
+        };
+        for qos in [None, Some(qos)] {
+            let mut n = net(16);
+            if let Some(q) = qos {
+                n.set_qos(q);
+            }
+            n.set_faults(FaultParams {
+                drop_ppm: 20_000,
+                dup_ppm: 100_000,
+                corrupt_ppm: 20_000,
+                reorder_ppm: 100_000,
+                seed: 0x4A12,
+            });
+            let mut twin = n.clone();
+            let mut out = Vec::new();
+            let mut harvested = 0;
+            for step in 0..80u64 {
+                let now = Time::from_ns(step * 150);
+                for net in [&mut n, &mut twin] {
+                    net.advance(now);
+                    if step % 3 != 0 {
+                        net.take_delivered();
+                    }
+                    if step % 2 == 0 {
+                        net.ckpt_clear_dirty();
+                    }
+                    for s in 0..16u16 {
+                        if (u64::from(s) + step) % 3 == 0 {
+                            let d = (s + 5 + 6 * (step % 2) as u16) % 16;
+                            let prio = if (u64::from(s) + step) % 4 == 0 {
+                                Priority::High
+                            } else {
+                                Priority::Low
+                            };
+                            let bytes = 8 + u32::from(s % 4) * 24;
+                            let tag = (step as u32) << 8 | u32::from(s);
+                            net.inject(now, Packet::new(s, d, prio, bytes, tag));
+                        }
+                    }
+                }
+                for ahead in [0, 60, 219, 1_000, 5_000] {
+                    let horizon = now.plus(ahead);
+                    let mut probe = twin.clone();
+                    probe.advance(horizon);
+                    let want = probe.take_delivered();
+                    out.clear();
+                    n.harvest(horizon, &mut out);
+                    let at = format!("qos {qos:?}, step {step}, horizon {horizon}");
+                    assert_eq!(format!("{out:?}"), format!("{want:?}"), "{at}");
+                    assert!(snapshot(&n) == snapshot(&twin), "{at}: snapshot changed");
+                    assert_eq!(n.ckpt_dirty(), twin.ckpt_dirty(), "{at}");
+                    assert_eq!(n.next_event_time(), twin.next_event_time(), "{at}");
+                    harvested += out.len();
+                }
+            }
+            assert!(harvested > 0);
+            assert!(n.stats.faults_duplicated.get() > 0 && n.stats.faults_reordered.get() > 0);
+            if qos.is_some() {
+                assert!(n.stats.credit_stalls.get() > 0, "2-credit VCs must stall");
+            }
+            assert_eq!(
+                format!("{:?}", run_until_quiet(&mut n)),
+                format!("{:?}", run_until_quiet(&mut twin))
+            );
+            assert_eq!(format!("{:?}", n.stats), format!("{:?}", twin.stats));
+            assert_eq!(n.outstanding_credits(), 0);
+        }
     }
 
     #[test]

@@ -53,26 +53,31 @@
 //! - **Inline cycles.** When fewer than two shards have work inside the
 //!   next window span but a network event is due, the scheduler executes
 //!   that one event cycle in place — the exact oracle per-cycle sequence
-//!   over the sharded structures, with no cloning and no channel traffic.
+//!   over the sharded structures, with no harvest and no channel traffic.
 //! - **Parallel windows** `[w0, w1)` with span strictly below `L`:
 //!   1. **Harvest** — the committed network (already advanced to the
-//!      window start) is cloned — cheaply, the immutable topology is
-//!      behind an `Arc` — and advanced to the window end; everything it
-//!      delivers is scheduled onto the owning shard at the exact cycle
-//!      the oracle would deliver it. Injections made *inside* the window
-//!      cannot produce deliveries inside it (the lookahead invariant), so
-//!      this pre-computed schedule is complete.
+//!      window start) advances to the window end in place with an undo
+//!      journal armed, then rolls back exactly what the advance changed
+//!      ([`sv_arctic::Network::harvest`]), so the cost follows the
+//!      window's events, not the fabric's size. Everything it delivered
+//!      is scheduled onto the owning shard at the exact cycle the oracle
+//!      would deliver it. Injections made *inside* the window cannot
+//!      produce deliveries inside it (the lookahead invariant), so this
+//!      pre-computed schedule is complete.
 //!   2. **Execute** — every shard with a wake or an arrival in the
 //!      window is sent to the worker pool (a shared task channel, so
 //!      idle workers steal whatever shard is ready next) and runs its
 //!      event cycles, recording packet injections as
-//!      `(cycle, node, seq)`.
+//!      `(cycle, node, seq)`. Arrivals and injections travel in buffers
+//!      owned by the shard, so a warm window allocates nothing.
 //!   3. **Commit** — the scheduler merges all injections in the global
 //!      order the oracle would have produced (cycle, then node index,
 //!      then per-node FIFO) and replays them into the committed network,
 //!      interleaved with `advance` calls so link arbitration — and the
 //!      fault model's RNG draws — see events in exactly the oracle's
-//!      order.
+//!      order. Debug builds check that the commit delivers the harvested
+//!      `(time, src, dst)` sequence, and that each harvest left the
+//!      fabric's snapshot bytes and dirty flag untouched.
 //!
 //! Every step of the protocol is deterministic — window placement, the
 //! burst/inline/parallel choice, and the merge order are pure functions
@@ -94,8 +99,10 @@ use crate::node::Node;
 use crate::ApiError;
 
 use crossbeam::channel;
+use std::cell::RefCell;
 use sv_arctic::{IdealNetwork, Network, Packet};
 use sv_niu::msg::NetPayload;
+use sv_sim::ckpt::{SnapWriter, StateSave};
 use sv_sim::trace::Subsys;
 use sv_sim::{Clock, Time, WakeIndex};
 
@@ -265,10 +272,11 @@ pub(crate) struct RunScratch {
     merged: Vec<(u16, u32, u32)>,
     /// Shards an inline cycle drained.
     drained: Vec<usize>,
-    /// Per-shard harvested arrivals of a parallel window.
-    arrivals: Vec<Vec<(u64, u32, Packet<NetPayload>)>>,
     /// A parallel window's injections, awaiting commit.
     injections: Vec<(u64, u16, Packet<NetPayload>)>,
+    /// Debug builds only: the `(time, src, dst)` sequence of a parallel
+    /// window's harvest, which its commit must reproduce.
+    harvested: Vec<(Time, u16, u16)>,
 }
 
 /// The fabric as the run loops see it: the Arctic model and the ideal
@@ -280,8 +288,9 @@ trait NetModel {
     fn drain_delivered_into(&mut self, out: &mut Vec<Delivery>);
     fn inject(&mut self, now: Time, pkt: Packet<NetPayload>);
     /// Append everything the fabric will deliver up to `horizon` to
-    /// `out`, computed on a clone so the committed state is untouched.
-    fn harvest(&self, horizon: Time, out: &mut Vec<Delivery>);
+    /// `out`, leaving the committed state as it was: the fabric advances
+    /// in place and then rolls back what the advance changed.
+    fn harvest(&mut self, horizon: Time, out: &mut Vec<Delivery>);
 }
 
 macro_rules! net_model {
@@ -302,15 +311,42 @@ macro_rules! net_model {
             fn inject(&mut self, now: Time, pkt: Packet<NetPayload>) {
                 $net::inject(self, now, pkt)
             }
-            fn harvest(&self, horizon: Time, out: &mut Vec<Delivery>) {
-                let mut probe = self.clone();
-                probe.advance(horizon);
-                probe.drain_delivered_into(out);
+            fn harvest(&mut self, horizon: Time, out: &mut Vec<Delivery>) {
+                checked_harvest(self, $net::ckpt_dirty, |net| $net::harvest(net, horizon, out))
             }
         }
     )*};
 }
 net_model!(Network, IdealNetwork);
+
+/// Run `harvest` on `net`. Debug builds also check that it left the
+/// fabric's snapshot bytes and dirty flag exactly as they were. The
+/// check keeps its two snapshot buffers between harvests, so all it
+/// allocates per window is the event queue's pop-order copy inside
+/// each snapshot.
+fn checked_harvest<N: StateSave>(net: &mut N, dirty: fn(&N) -> bool, harvest: impl FnOnce(&mut N)) {
+    if !cfg!(debug_assertions) {
+        return harvest(net);
+    }
+    thread_local! {
+        static SNAPSHOTS: RefCell<[Vec<u8>; 2]> = const { RefCell::new([Vec::new(), Vec::new()]) };
+    }
+    let snapshot = |net: &N, buf: &mut Vec<u8>| {
+        let mut w = SnapWriter::reusing(std::mem::take(buf));
+        net.save(&mut w);
+        *buf = w.finish();
+    };
+    SNAPSHOTS.with_borrow_mut(|[before, after]| {
+        let was_dirty = dirty(net);
+        snapshot(net, before);
+        harvest(net);
+        snapshot(net, after);
+        assert!(
+            before == after && was_dirty == dirty(net),
+            "harvest changed the committed fabric"
+        );
+    });
+}
 
 /// The machine's one fabric dispatch point: the ideal pipe when the
 /// network-cost ablation armed it
@@ -634,12 +670,20 @@ struct Shard<'a> {
     wake: WakeIndex,
     /// `drain_due` scratch, reused across windows.
     due: Vec<u32>,
+    /// Harvested arrivals of the next window: `(cycle, local index,
+    /// packet)`, ascending by cycle. Travels with the shard to the pool
+    /// and back, so its buffer is reused.
+    arrivals: Vec<(u64, u32, Packet<NetPayload>)>,
+    /// Packets popped from NIUs in the last window: `(cycle, node id,
+    /// packet)`, in per-node FIFO order; drained at commit.
+    injections: Vec<(u64, u16, Packet<NetPayload>)>,
 }
 
 impl Shard<'_> {
     /// Release the member borrows at the end of a run, keeping every
     /// buffer for the next one.
     fn detach(self) -> Shard<'static> {
+        debug_assert!(self.arrivals.is_empty() && self.injections.is_empty());
         let mut members = self.members;
         members.clear();
         Shard {
@@ -648,6 +692,8 @@ impl Shard<'_> {
             members: members.into_iter().map(|_| unreachable!()).collect(),
             wake: self.wake,
             due: self.due,
+            arrivals: self.arrivals,
+            injections: self.injections,
         }
     }
 
@@ -680,23 +726,18 @@ impl Shard<'_> {
     }
 }
 
-/// One window of work for a shard: execute `[cursor, w1)` with
-/// `arrivals` pre-scheduled at their exact delivery cycles (ascending),
-/// already resolved to local member indices.
+/// One window of work for a shard: execute `[cursor, w1)` with the
+/// shard's harvested arrivals.
 struct ShardTask<'a> {
     si: usize,
     shard: Shard<'a>,
     w1: u64,
-    arrivals: Vec<(u64, u32, Packet<NetPayload>)>,
 }
 
-/// A shard coming back from the pool, with everything it produced.
+/// A shard coming back from the pool, its injections in its buffer.
 struct ShardOut<'a> {
     si: usize,
     shard: Shard<'a>,
-    /// Packets popped from NIUs this window: `(cycle, node id, packet)`,
-    /// in per-node FIFO order.
-    injections: Vec<(u64, u16, Packet<NetPayload>)>,
     w: WindowOut,
 }
 
@@ -725,21 +766,19 @@ struct WindowsResult {
     republishes: u64,
 }
 
-/// Execute one shard's window up to `w1` (exclusive): pre-scheduled
-/// `arrivals` interleaved with the shard's own event cycles — the exact
-/// per-cycle sequence of [`Machine::step`], restricted to this shard.
-/// Injections are appended to `injections` in per-node FIFO order.
-fn exec_window(
-    shard: &mut Shard<'_>,
-    clock: &Clock,
-    w1: u64,
-    arrivals: Vec<(u64, u32, Packet<NetPayload>)>,
-    injections: &mut Vec<(u64, u16, Packet<NetPayload>)>,
-) -> WindowOut {
+/// Execute one shard's window up to `w1` (exclusive): its pre-scheduled
+/// arrivals interleaved with its own event cycles — the exact per-cycle
+/// sequence of [`Machine::step`], restricted to this shard. Injections
+/// are appended to the shard's buffer in per-node FIFO order.
+fn exec_window(shard: &mut Shard<'_>, clock: &Clock, w1: u64) -> WindowOut {
     let mut last_exec = None;
     let mut ticks = 0u64;
     let mut republishes = 0u64;
-    let mut arr = arrivals.into_iter().peekable();
+    // Lift both buffers out while `run_due` borrows the shard; they go
+    // back, emptied and filled, below.
+    let mut arrivals = std::mem::take(&mut shard.arrivals);
+    let mut injections = std::mem::take(&mut shard.injections);
+    let mut arr = arrivals.drain(..).peekable();
     loop {
         // Next cycle on which this shard can act: its own engines'
         // wake-ups plus pre-scheduled packet arrivals.
@@ -767,6 +806,9 @@ fn exec_window(
         republishes += ran;
         last_exec = Some(ce);
     }
+    drop(arr);
+    shard.arrivals = arrivals;
+    shard.injections = injections;
     // All live wakes are >= w1 here (the loop above drained anything
     // earlier), so the index min IS the shard's wake at the window
     // end — no rescan.
@@ -847,24 +889,9 @@ fn shard_worker<'a>(
     tasks: channel::Receiver<ShardTask<'a>>,
     out: channel::Sender<ShardOut<'a>>,
 ) {
-    while let Ok(ShardTask {
-        si,
-        mut shard,
-        w1,
-        arrivals,
-    }) = tasks.recv()
-    {
-        let mut injections = Vec::new();
-        let w = exec_window(&mut shard, &clock, w1, arrivals, &mut injections);
-        if out
-            .send(ShardOut {
-                si,
-                shard,
-                injections,
-                w,
-            })
-            .is_err()
-        {
+    while let Ok(ShardTask { si, mut shard, w1 }) = tasks.recv() {
+        let w = exec_window(&mut shard, &clock, w1);
+        if out.send(ShardOut { si, shard, w }).is_err() {
             return;
         }
     }
@@ -877,7 +904,7 @@ fn shard_worker<'a>(
 /// Each iteration runs one shard in a burst, executes one event cycle
 /// inline (when at most one shard has work inside the next window span —
 /// the oracle's per-cycle sequence over the sharded structures, no
-/// cloning, no channel traffic), or dispatches one parallel
+/// harvest, no channel traffic), or dispatches one parallel
 /// harvest/execute/commit window across every active shard. With one
 /// shard only the first two ever happen.
 #[allow(clippy::too_many_arguments)]
@@ -898,8 +925,8 @@ fn run_sharded<'a>(
         delivered,
         merged,
         drained,
-        arrivals: arrivals_buf,
         injections,
+        harvested,
     } = scratch;
     let map = map.as_ref().expect("shard map built before the run");
     debug_assert_eq!(map.owner.len(), nodes.len());
@@ -924,7 +951,6 @@ fn run_sharded<'a>(
     // shard executes (its nodes are frozen in between).
     wakes.clear();
     wakes.extend(shards.iter_mut().map(|s| s.wake.min()));
-    arrivals_buf.resize_with(map.shards, Vec::new);
     let mut last_exec: Option<u64> = None;
     let mut ticks = 0u64;
     let mut republishes = 0u64;
@@ -1037,16 +1063,18 @@ fn run_sharded<'a>(
                 // in this window, scheduled at exact delivery cycles.
                 // Window spans are below the lookahead bound, so this
                 // window's own injections cannot add to the set.
-                let mut harvested = 0usize;
                 if net.next_event_time().is_some_and(|t| t <= horizon) {
                     net.harvest(horizon, delivered);
-                    harvested = delivered.len();
-                    for (t, pkt) in delivered.drain(..) {
-                        let c = clock.edge_at_or_after(t).max(w0);
-                        debug_assert!(c < w1, "delivery past the window end");
-                        let (si, li) = map.owner[pkt.dst as usize];
-                        arrivals_buf[si as usize].push((c, li, pkt));
-                    }
+                }
+                if cfg!(debug_assertions) {
+                    harvested.clear();
+                    harvested.extend(delivered.iter().map(|(t, p)| (*t, p.src, p.dst)));
+                }
+                for (t, pkt) in delivered.drain(..) {
+                    let c = clock.edge_at_or_after(t).max(w0);
+                    debug_assert!(c < w1, "delivery past the window end");
+                    let (si, li) = map.owner[pkt.dst as usize];
+                    shards[si as usize].arrivals.push((c, li, pkt));
                 }
                 let (task_tx, out_rx) = pool.get_or_insert_with(|| {
                     let (task_tx, task_rx) = channel::unbounded();
@@ -1061,7 +1089,7 @@ fn run_sharded<'a>(
                 // stay in place, frozen, their cached wakes still exact.
                 let mut outstanding = 0usize;
                 for si in 0..shards.len() {
-                    if arrivals_buf[si].is_empty() && wakes[si].is_none_or(|w| w >= w1) {
+                    if shards[si].arrivals.is_empty() && wakes[si].is_none_or(|w| w >= w1) {
                         continue;
                     }
                     task_tx
@@ -1069,18 +1097,17 @@ fn run_sharded<'a>(
                             si,
                             shard: std::mem::take(&mut shards[si]),
                             w1,
-                            arrivals: std::mem::take(&mut arrivals_buf[si]),
                         })
                         .expect("shard worker exited early");
                     outstanding += 1;
                 }
                 for _ in 0..outstanding {
-                    let out = out_rx.recv().expect("shard worker died");
+                    let mut out = out_rx.recv().expect("shard worker died");
                     wakes[out.si] = out.w.next_wake;
                     last_exec = last_exec.max(out.w.last_exec);
                     ticks += out.w.ticks;
                     republishes += out.w.republishes;
-                    injections.extend(out.injections);
+                    injections.append(&mut out.shard.injections);
                     shards[out.si] = out.shard;
                 }
                 // Commit: replay injections in the order the oracle
@@ -1098,10 +1125,16 @@ fn run_sharded<'a>(
                     net.inject(clock.edge(c), pkt);
                 }
                 net.advance(horizon);
-                // These deliveries are exactly the set harvested above
-                // and already executed by the shards.
+                // These deliveries are exactly the ones harvested above,
+                // in the same order, and already executed by the shards.
                 net.drain_delivered_into(delivered);
-                debug_assert_eq!(delivered.len(), harvested, "commit/harvest disagree");
+                debug_assert!(
+                    delivered
+                        .iter()
+                        .map(|(t, p)| (*t, p.src, p.dst))
+                        .eq(harvested.iter().copied()),
+                    "commit/harvest disagree"
+                );
                 delivered.clear();
                 cursor = w1;
             }

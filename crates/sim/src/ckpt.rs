@@ -334,6 +334,15 @@ impl SnapWriter {
         SnapWriter::default()
     }
 
+    /// An empty writer that appends into `buf`'s existing capacity, so
+    /// a caller snapshotting repeatedly can recycle what
+    /// [`SnapWriter::finish`] returned instead of growing a new buffer.
+    #[must_use]
+    pub fn reusing(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        SnapWriter { buf }
+    }
+
     /// Bytes written so far.
     #[must_use]
     pub fn len(&self) -> usize {

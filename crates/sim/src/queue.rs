@@ -43,7 +43,7 @@ impl PartialOrd for Key {
 /// assert_eq!(q.pop(), Some((Time::from_ns(30), "late")));
 /// assert_eq!(q.pop(), None);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<(Key, EventSlot<E>)>>,
     next_seq: u64,
@@ -70,6 +70,23 @@ impl<E> PartialOrd for EventSlot<E> {
 impl<E> Ord for EventSlot<E> {
     fn cmp(&self, _: &Self) -> std::cmp::Ordering {
         std::cmp::Ordering::Equal
+    }
+}
+
+impl<E: Clone> Clone for EventQueue<E> {
+    fn clone(&self) -> Self {
+        EventQueue {
+            heap: self.heap.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies `source` into this queue's existing heap buffer, so a queue
+    /// kept as a savepoint is refreshed without allocating.
+    fn clone_from(&mut self, source: &Self) {
+        self.heap.clone_from(&source.heap);
+        self.next_seq = source.next_seq;
+        self.horizon = source.horizon;
     }
 }
 
@@ -251,6 +268,26 @@ mod tests {
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.horizon(), Time(4));
+    }
+
+    #[test]
+    fn clone_from_restores_pending_events_and_horizon() {
+        let mut q = EventQueue::new();
+        q.push(Time(10), 1u32);
+        q.push(Time(5), 2);
+        q.pop(); // horizon -> 5
+        let mut saved = EventQueue::new();
+        saved.push(Time(99), 7); // stale contents are replaced
+        saved.clone_from(&q);
+        q.push(Time(10), 3);
+        q.pop();
+        std::mem::swap(&mut q, &mut saved);
+        assert_eq!(q.horizon(), Time(5));
+        // A push after the restore still loses its tie to the event that
+        // was pending when the copy was taken.
+        q.push(Time(10), 4);
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![1, 4]);
     }
 
     #[test]
