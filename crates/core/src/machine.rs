@@ -213,7 +213,7 @@ pub struct Machine {
 /// Linkage state for an in-progress delta-checkpoint chain.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DeltaChain {
-    /// [`sv_sim::ckpt::fnv1a64`] over the base snapshot bytes.
+    /// [`sv_sim::ckpt::snapshot_id`] of the base snapshot bytes.
     base_id: u64,
     /// [`sv_sim::ckpt::fnv1a64`] over the serialized parameter section.
     param_hash: u64,
@@ -949,7 +949,7 @@ impl Machine {
     /// marks again, opening the next epoch.
     ///
     /// Every delta is pinned to its chain by parameter hash, base
-    /// snapshot id ([`sv_sim::ckpt::fnv1a64`] of the base bytes),
+    /// snapshot id ([`sv_sim::ckpt::snapshot_id`] of the base bytes),
     /// sequence number, and cycle span; [`MachineBuilder::restore_chain`]
     /// verifies all four. Restoring the base plus the deltas in order
     /// resumes byte-identical to the uninterrupted run, in every run
@@ -959,11 +959,11 @@ impl Machine {
     /// chain state untouched) when a still-running program cannot
     /// capture its state.
     pub fn try_checkpoint_delta(&mut self) -> Result<DeltaCheckpoint, crate::api::ApiError> {
-        use sv_sim::ckpt::{fnv1a64, write_delta_header, DeltaHeader, FORMAT_VERSION};
+        use sv_sim::ckpt::{snapshot_id, write_delta_header, DeltaHeader, FORMAT_VERSION};
         let Some(chain) = self.delta_chain else {
             let base = self.try_checkpoint()?;
             self.delta_chain = Some(DeltaChain {
-                base_id: fnv1a64(&base),
+                base_id: snapshot_id(&base),
                 param_hash: self.param_hash(),
                 seq: 0,
                 last_cycle: self.cycle,
@@ -1163,9 +1163,8 @@ impl MachineBuilder {
         base: &[u8],
         deltas: &[D],
     ) -> Result<Machine, crate::api::ApiError> {
-        use sv_sim::ckpt::fnv1a64;
         let mut m = self.restore_core(base)?;
-        let base_id = fnv1a64(base);
+        let base_id = sv_sim::ckpt::snapshot_id(base);
         let mut seq = 0u64;
         for d in deltas {
             seq += 1;

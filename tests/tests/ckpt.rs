@@ -471,6 +471,32 @@ fn delta_on_wrong_base_is_base_mismatch() {
     );
 }
 
+/// The base id is checked after the base decodes, so a flip the decoder
+/// cannot see must still change the id: no single-byte flip anywhere in
+/// the base lets the chain restore.
+#[test]
+fn no_single_byte_flip_in_the_base_restores_the_chain() {
+    let mut m = all_pairs(8, Some(Parallelism::Sequential));
+    m.run_for(10_000);
+    let (base, deltas) = chain_cuts(&mut m, 10_000, 1);
+    let chain = |b: &[u8]| {
+        Machine::builder(1)
+            .parallelism(Parallelism::Sequential)
+            .restore_chain(b, &deltas)
+    };
+    assert!(chain(&base).is_ok());
+    for pos in (0..base.len()).step_by(4001) {
+        let mut b = base.clone();
+        b[pos] ^= 0xFF;
+        let err = chain(&b).err();
+        assert!(
+            matches!(err, Some(ApiError::Snapshot(_))),
+            "flip at {pos}/{}: {err:?}",
+            base.len()
+        );
+    }
+}
+
 #[test]
 fn chain_with_missing_duplicate_or_reordered_link_is_chain_broken() {
     let mut m = all_pairs(4, Some(Parallelism::Sequential));
@@ -549,6 +575,17 @@ fn delta_headers_reject_format_confusion_and_tampering() {
         chain(&d),
         Err(ApiError::Snapshot(SnapshotError::BaseMismatch { .. }))
     ));
+    // A delta naming its base by `fnv1a64` of the base bytes, as builds
+    // before `snapshot_id` did, is refused rather than trusted.
+    let fnv = sv_sim::ckpt::fnv1a64(&base);
+    let mut d = deltas[0].clone();
+    d[24..32].copy_from_slice(&fnv.to_le_bytes());
+    let err = chain(&d).err();
+    assert!(
+        matches!(err, Some(ApiError::Snapshot(SnapshotError::BaseMismatch { found, expected }))
+            if found == fnv && expected != fnv),
+        "fnv-named base: {err:?}"
+    );
     // Sequence number (bytes 32..40).
     let mut d = deltas[0].clone();
     d[32..40].copy_from_slice(&7u64.to_le_bytes());
