@@ -10,48 +10,15 @@
 //! hardware cache avoids for hot destinations.
 
 use sv_bench::print_table;
-use voyager::api::{BasicMsg, SendBasic};
-use voyager::niu::queues::RxFullPolicy;
-use voyager::niu::translate::XlateEntry;
-use voyager::niu::QueueId;
+use voyager::workloads::{load_rxq_spray, RXQ_MSGS_PER_QUEUE};
 use voyager::{Machine, SystemParams};
 
-const MSGS_PER_QUEUE: usize = 12;
-const HW_SLOTS: &[u8] = &[3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14];
+/// Hardware rx slots bound to logical queues.
+const HW_SLOTS: usize = 12;
 
 fn run(k: usize) -> (f64, u64, u64) {
-    let params = SystemParams::default();
-    let mut m = Machine::builder(2).params(params).build();
-    // Lossless miss queue for clean accounting.
-    let miss = m.nodes[1].niu.params.miss_queue_slot;
-    m.nodes[1].niu.ctrl.rx[miss].full_policy = RxFullPolicy::Retry;
-    // Logical queues 100..100+k at the receiver; sender names them via
-    // virtual destinations 0x300..; the first min(k, 12) are bound.
-    for i in 0..k {
-        m.nodes[0].niu.ctrl.xlate.install(
-            0x300 + i as u16,
-            XlateEntry {
-                valid: true,
-                node: 1,
-                logical_q: 100 + i as u16,
-                high_priority: false,
-            },
-        );
-    }
-    for (slot, i) in HW_SLOTS.iter().zip(0..k) {
-        m.nodes[1]
-            .niu
-            .ctrl
-            .rx_cache
-            .bind(100 + i as u16, QueueId(*slot));
-        m.nodes[1].niu.ctrl.rx[*slot as usize].service = voyager::niu::RxService::SpPolled;
-    }
-    let lib0 = m.lib(0);
-    let items: Vec<BasicMsg> = (0..MSGS_PER_QUEUE)
-        .flat_map(|_| (0..k).map(|i| BasicMsg::new(0x300 + i as u16, vec![0u8; 32])))
-        .collect();
-    let total = items.len();
-    m.load_program(0, SendBasic::new(&lib0, items));
+    let mut m = Machine::builder(2).params(SystemParams::default()).build();
+    let total = load_rxq_spray(&mut m, k);
     let t = m.run_to_quiescence();
     let fw_serviced = m.nodes[1].fw.stats.miss_msgs.get();
     let hw_hits = m.nodes[1].niu.ctrl.rx_cache.hits.get();
@@ -63,6 +30,11 @@ fn main() {
     let mut baseline = 0.0;
     for k in [1usize, 4, 8, 12, 16, 24, 32, 48] {
         let (ns_per_msg, hw, fw) = run(k);
+        // Every message is delivered exactly once, and the firmware
+        // serves exactly the queues the hardware slots cannot hold.
+        let per_q = RXQ_MSGS_PER_QUEUE as u64;
+        assert_eq!(hw + fw, per_q * k as u64, "k = {k}: hw {hw} + fw {fw}");
+        assert_eq!(fw, per_q * k.saturating_sub(HW_SLOTS) as u64, "k = {k}");
         if k == 1 {
             baseline = ns_per_msg;
         }

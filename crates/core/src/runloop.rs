@@ -415,12 +415,24 @@ impl Machine {
     }
 
     /// True when nothing in the machine has work left: no packets in
-    /// flight and every node's engines are drained.
+    /// flight and every node's engines are drained. Debug builds check
+    /// it against the wake computation: a machine that reports idle
+    /// must have nothing scheduled, or a run loop would stop with work
+    /// still queued.
     pub(crate) fn quiescent(&mut self) -> bool {
-        fabric(&mut self.network, &mut self.ideal)
+        let idle = fabric(&mut self.network, &mut self.ideal)
             .next_event_time()
             .is_none()
-            && self.nodes.iter().all(|n| !n.has_work())
+            && self.nodes.iter().all(|n| !n.has_work());
+        if cfg!(debug_assertions) && idle {
+            let next = self.next_exec_cycle();
+            assert!(
+                next.is_none(),
+                "quiescent at cycle {} with work scheduled at cycle {next:?}",
+                self.cycle
+            );
+        }
+        idle
     }
 
     /// Earliest cycle (`>= self.cycle`) at which any node or the fabric

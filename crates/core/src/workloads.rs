@@ -474,6 +474,50 @@ pub fn hot_spot(
     }
 }
 
+/// Messages ablation A1's sender sends to each logical queue
+/// ([`load_rxq_spray`]).
+pub const RXQ_MSGS_PER_QUEUE: usize = 12;
+
+/// Ablation A1's receive-queue spray on a 2-node machine: node 0 sends
+/// [`RXQ_MSGS_PER_QUEUE`] 32-byte Basic messages round-robin to each of
+/// `k` logical queues on node 1. The first `min(k, 12)` queues are bound
+/// to sP-polled hardware rx slots; the rest divert through node 1's miss
+/// queue, made lossless (`Retry`), to the firmware. Returns the number
+/// of messages sent.
+pub fn load_rxq_spray(m: &mut Machine, k: usize) -> usize {
+    use sv_niu::queues::RxFullPolicy;
+    use sv_niu::translate::XlateEntry;
+    use sv_niu::{QueueId, RxService};
+    const HW_SLOTS: [u8; 12] = [3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14];
+    let miss = m.nodes[1].niu.params.miss_queue_slot;
+    m.nodes[1].niu.ctrl.rx[miss].full_policy = RxFullPolicy::Retry;
+    // Logical queues 100..100+k at the receiver, named by the sender's
+    // virtual destinations 0x300...
+    for i in 0..k as u16 {
+        m.nodes[0].niu.ctrl.xlate.install(
+            0x300 + i,
+            XlateEntry {
+                valid: true,
+                node: 1,
+                logical_q: 100 + i,
+                high_priority: false,
+            },
+        );
+    }
+    for (&slot, i) in HW_SLOTS.iter().zip(0..k as u16) {
+        let niu = &mut m.nodes[1].niu;
+        niu.ctrl.rx_cache.bind(100 + i, QueueId(slot));
+        niu.ctrl.rx[usize::from(slot)].service = RxService::SpPolled;
+    }
+    let lib = m.lib(0);
+    let items: Vec<BasicMsg> = (0..RXQ_MSGS_PER_QUEUE)
+        .flat_map(|_| (0..k as u16).map(|i| BasicMsg::new(0x300 + i, vec![0u8; 32])))
+        .collect();
+    let total = items.len();
+    m.load_program(0, SendBasic::new(&lib, items));
+    total
+}
+
 /// Load the [`hot_spot`] programs onto an already-built machine (the
 /// bench smoke reuses this across run modes); returns the total message
 /// count node 0 expects.

@@ -263,7 +263,16 @@ impl Firmware {
             || self.scoma.has_pending()
             || self.coll.has_pending()
             || self.svc_pending(niu)
+            || self.miss_pending(niu)
             || self.tenant_slots_pending(niu)
+    }
+
+    /// Whether the miss queue holds messages for the firmware to drain.
+    /// Shared by [`Firmware::has_work`] and [`Firmware::next_wake`], so
+    /// quiescence and the wake computation agree on it.
+    fn miss_pending(&self, niu: &Niu) -> bool {
+        let miss_q = niu.params.miss_queue_slot;
+        QueueId(miss_q as u8) != self.cfg.svc_q && niu.ctrl.rx[miss_q].pending() > 0
     }
 
     /// Whether any tenant-managed hardware slot holds undrained messages.
@@ -291,12 +300,9 @@ impl Firmware {
             return Some(cycle);
         }
         let deep = niu.ctrl.cmdq[Q_SVC].len() > 48 || niu.ctrl.cmdq[Q_PROTO].len() > 48;
-        let miss_q = niu.params.miss_queue_slot;
-        let miss_pending =
-            QueueId(miss_q as u8) != self.cfg.svc_q && niu.ctrl.rx[miss_q].pending() > 0;
         let work = niu.sp_requests_pending() > 0
             || self.svc_pending(niu)
-            || miss_pending
+            || self.miss_pending(niu)
             || self.tenant_slots_pending(niu)
             || self.xfer.has_work()
             // Collectives waiting on tree messages need no engagement

@@ -271,6 +271,46 @@ fn stats_snapshot_identical_across_worker_counts() {
     }
 }
 
+/// Ablation A1's configuration: queues past the 12 bound hardware slots
+/// divert through node 1's miss queue to the firmware. The oracle used
+/// to stop while that queue still held messages, because quiescence did
+/// not count it as work although the wake computation did.
+#[test]
+fn modes_agree_while_the_miss_queue_drains() {
+    use voyager::workloads::{load_rxq_spray, RXQ_MSGS_PER_QUEUE};
+    for k in [16, 48] {
+        let run = |b: MachineBuilder| {
+            let mut m = b.build();
+            load_rxq_spray(&mut m, k);
+            m.run_to_quiescence();
+            let served =
+                m.nodes[1].niu.ctrl.rx_cache.hits.get() + m.nodes[1].fw.stats.miss_msgs.get();
+            assert_eq!(
+                served,
+                (RXQ_MSGS_PER_QUEUE * k) as u64,
+                "k = {k}: messages served"
+            );
+            // The run counters measure the loop itself, not the model.
+            let mut s = m.stats();
+            s.run.node_ticks = 0;
+            s.run.skipped_node_ticks = 0;
+            s.run.wake_republishes = 0;
+            s.to_json()
+        };
+        let stepped = run(Machine::builder(2).cycle_stepped());
+        assert_eq!(
+            stepped,
+            run(Machine::builder(2).parallelism(Parallelism::Sequential)),
+            "k = {k}: sequential"
+        );
+        assert_eq!(
+            stepped,
+            run(Machine::builder(2).parallelism(Parallelism::Fixed(2))),
+            "k = {k}: Fixed(2)"
+        );
+    }
+}
+
 #[test]
 fn phased_sends_resume_cleanly() {
     // Regression for the SendBasic::resuming consumer-shadow estimate: a
