@@ -37,7 +37,7 @@ use bytes::Bytes;
 use sv_arctic::Network;
 use sv_niu::msg::NetPayload;
 use sv_niu::queues::{QueueBuffer, RxFullPolicy, RxService};
-use sv_niu::translate::XlateEntry;
+use sv_niu::translate::{XlateEntry, XlateTable};
 use sv_niu::{QueueId, SramSel};
 use sv_sim::{Clock, Time};
 
@@ -480,8 +480,9 @@ impl Machine {
         let mut nodes: Vec<Node> = (0..n)
             .map(|i| Node::new(i as u16, n as u16, params))
             .collect();
+        let xlate = Self::conventions_table(nodes[0].niu.ctrl.xlate.clone(), n as u16);
         for node in &mut nodes {
-            Self::configure_node(node, n as u16);
+            Self::configure_node(node, &xlate);
         }
         let mut network = Network::new(n.max(2), params.link, params.routing);
         network.set_faults(params.faults);
@@ -544,7 +545,7 @@ impl Machine {
         }
     }
 
-    fn configure_node(node: &mut Node, nodes: u16) {
+    fn configure_node(node: &mut Node, xlate: &XlateTable) {
         let niu = &mut node.niu;
         // rx 0: sP service queue in sSRAM.
         {
@@ -602,11 +603,17 @@ impl Machine {
         niu.ctrl.rx_cache.bind(0, QueueId(0));
         niu.ctrl.rx_cache.bind(1, QueueId(1));
         niu.ctrl.rx_cache.bind(2, QueueId(2));
-        // Translation table: the four destination classes for every
-        // node, strided by machine size (a no-op grow at ≤ 256 nodes,
-        // where the table's construction size already covers them).
+        // Translation table: a clone of the machine's conventions table.
+        niu.ctrl.xlate = xlate.clone();
+    }
+
+    /// `table` with the four destination classes installed for every
+    /// node, strided by machine size (a no-op grow at ≤ 256 nodes, where
+    /// the table's construction size already covers them). Built once
+    /// per machine; every node gets a copy-on-write clone.
+    fn conventions_table(mut table: XlateTable, nodes: u16) -> XlateTable {
         let stride = dest::stride(nodes);
-        niu.ctrl.xlate.grow_to(4 * stride as usize);
+        table.grow_to(4 * stride as usize);
         for d in 0..nodes {
             for (base, lq, high) in [
                 (dest::USER, 1u16, false),
@@ -614,7 +621,7 @@ impl Machine {
                 (2 * stride, 2u16, false),
                 (3 * stride, 1u16, true),
             ] {
-                niu.ctrl.xlate.install(
+                table.install(
                     base + d,
                     XlateEntry {
                         valid: true,
@@ -625,6 +632,7 @@ impl Machine {
                 );
             }
         }
+        table
     }
 
     /// Install the tenancy conventions on every node: per-tenant
@@ -639,27 +647,31 @@ impl Machine {
     ) {
         use crate::tenancy::{TenantClass, CONFINED_TX_Q, TENANT_SLOT_HI, TENANT_SLOT_LO};
         let nodes = self.nodes.len() as u16;
+        // Tenant t's slice entry d names node d's copy of the same
+        // tenant's logical queue — no slice can name another tenant's
+        // inbox. Latency-class slices ride the network's High priority
+        // (the QoS-isolation lever of study S10). Every node still
+        // shares the build's conventions table, so the slices go into
+        // one copy that every node then shares.
+        let mut xlate = self.nodes[0].niu.ctrl.xlate.clone();
+        xlate.grow_to(reg.xlate_end());
+        for t in 0..reg.count {
+            let high = tp.tenant_class(t) == TenantClass::Latency;
+            for d in 0..nodes {
+                xlate.install(
+                    reg.tenant_dest(t, d),
+                    XlateEntry {
+                        valid: true,
+                        node: d,
+                        logical_q: reg.lq(t),
+                        high_priority: high,
+                    },
+                );
+            }
+        }
         for node in &mut self.nodes {
             let niu = &mut node.niu;
-            // Tenant t's slice entry d names node d's copy of the same
-            // tenant's logical queue — no slice can name another
-            // tenant's inbox. Latency-class slices ride the network's
-            // High priority (the QoS-isolation lever of study S10).
-            niu.ctrl.xlate.grow_to(reg.xlate_end());
-            for t in 0..reg.count {
-                let high = tp.tenant_class(t) == TenantClass::Latency;
-                for d in 0..nodes {
-                    niu.ctrl.xlate.install(
-                        reg.tenant_dest(t, d),
-                        XlateEntry {
-                            valid: true,
-                            node: d,
-                            logical_q: reg.lq(t),
-                            high_priority: high,
-                        },
-                    );
-                }
-            }
+            niu.ctrl.xlate = xlate.clone();
             // The managed hardware slots cache the tenant logical
             // queues under firmware LRU control; arriving messages are
             // drained by the sP, and a full slot diverts to the miss
@@ -1295,6 +1307,67 @@ mod tests {
         assert_eq!(n0.niu.ctrl.rx[0].buf.sram, SramSel::S);
         assert_eq!(n0.niu.ctrl.rx[0].service, RxService::SpPolled);
         assert!(n0.niu.ctrl.tx[2].express);
+    }
+
+    /// At 300 nodes the stride is 512, so the conventions grow every
+    /// node's table past its 1,024-entry construction size.
+    #[test]
+    fn xlate_conventions_hold_on_every_node_past_256_nodes() {
+        const N: u16 = 300;
+        let mut m = Machine::builder(N as usize).build();
+        let stride = dest::stride(N);
+        assert_eq!(stride, 512);
+        // Per class: logical queue and priority.
+        let classes = [(1, false), (0, false), (2, false), (1, true)];
+        for node in &mut m.nodes {
+            let xlate = &mut node.niu.ctrl.xlate;
+            assert_eq!(xlate.len(), 4 * stride as usize);
+            for v in 0..4 * stride {
+                let (d, (logical_q, high_priority)) = (v % stride, classes[(v / stride) as usize]);
+                let want = (d < N).then_some(XlateEntry {
+                    valid: true,
+                    node: d,
+                    logical_q,
+                    high_priority,
+                });
+                assert_eq!(xlate.lookup(v), want, "virtual destination {v:#x}");
+            }
+        }
+    }
+
+    /// Nodes share the conventions table copy-on-write: an install on
+    /// node 0 alone, as `workloads::load_rxq_spray` makes, leaves every
+    /// other node's table as built.
+    #[test]
+    fn xlate_install_on_one_node_leaves_the_others_alone() {
+        let saved = |m: &Machine, i: usize| {
+            let mut w = sv_sim::ckpt::SnapWriter::new();
+            w.save(&m.nodes[i].niu.ctrl.xlate);
+            w.finish()
+        };
+        let mut built = Machine::builder(4).build();
+        let mut m = Machine::builder(4).build();
+        let e = XlateEntry {
+            valid: true,
+            node: 1,
+            logical_q: 100,
+            high_priority: false,
+        };
+        m.nodes[0].niu.ctrl.xlate.install(dest::USER_HI, e);
+        assert_ne!(saved(&m, 0), saved(&built, 0));
+        for i in 1..4 {
+            assert_eq!(saved(&m, i), saved(&built, i), "node {i}");
+            let len = built.nodes[i].niu.ctrl.xlate.len() as u16;
+            for v in 0..len {
+                let want = built.nodes[i].niu.ctrl.xlate.lookup(v);
+                assert_eq!(
+                    m.nodes[i].niu.ctrl.xlate.lookup(v),
+                    want,
+                    "node {i}, {v:#x}"
+                );
+            }
+        }
+        assert_eq!(m.nodes[0].niu.ctrl.xlate.lookup(dest::USER_HI), Some(e));
     }
 
     #[test]

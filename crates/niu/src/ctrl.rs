@@ -15,6 +15,7 @@ use crate::translate::{RxQueueCache, XlateTable};
 use bytes::Bytes;
 use std::collections::HashSet;
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 use sv_sim::stats::Counter;
 
 /// The IBus: the NIU's single internal data path. Every transfer between
@@ -199,7 +200,7 @@ impl Ctrl {
         Ctrl {
             tx,
             rx,
-            xlate: XlateTable::new(1024),
+            xlate: fresh_xlate(),
             rx_cache: RxQueueCache::new(params.logical_rx_queues, params.rx_queues),
             ibus: IBus::default(),
             cmdq: [VecDeque::new(), VecDeque::new()],
@@ -321,6 +322,14 @@ sv_sim::checkpointed! {
         notify,
         watermark,
     }
+}
+
+/// A fresh CTRL's translation table: 1024 invalid entries, one
+/// copy-on-write array shared by every CTRL in the process, so building
+/// a node allocates no table of its own.
+fn fresh_xlate() -> XlateTable {
+    static FRESH: OnceLock<XlateTable> = OnceLock::new();
+    FRESH.get_or_init(|| XlateTable::new(1024)).clone()
 }
 
 sv_sim::checkpointed! {

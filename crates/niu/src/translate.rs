@@ -15,6 +15,7 @@
 
 use crate::queues::QueueId;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use sv_arctic::Priority;
 use sv_sim::stats::Counter;
 
@@ -31,6 +32,17 @@ pub struct XlateEntry {
     pub high_priority: bool,
 }
 
+/// The entry every slot of a fresh or grown table holds.
+const INVALID: XlateEntry = XlateEntry {
+    valid: false,
+    node: 0,
+    logical_q: 0,
+    high_priority: false,
+};
+
+/// Bits of the 8-byte encoding that no field uses: 2–15 and 48–63.
+const RESERVED_BITS: u64 = 0xffff_0000_0000_fffc;
+
 impl XlateEntry {
     /// Encode to the 8-byte sSRAM representation.
     pub fn encode(&self) -> u64 {
@@ -40,14 +52,15 @@ impl XlateEntry {
             | ((self.logical_q as u64) << 32)
     }
 
-    /// Decode from the 8-byte sSRAM representation.
-    pub fn decode(v: u64) -> Self {
-        XlateEntry {
+    /// Decode from the 8-byte sSRAM representation; `None` if a reserved
+    /// bit is set, so every decoded entry re-encodes to the same word.
+    pub fn decode(v: u64) -> Option<Self> {
+        (v & RESERVED_BITS == 0).then_some(XlateEntry {
             valid: v & 1 != 0,
             high_priority: v & 2 != 0,
             node: (v >> 16) as u16,
             logical_q: (v >> 32) as u16,
-        }
+        })
     }
 
     /// Network priority of this entry.
@@ -63,9 +76,16 @@ impl XlateEntry {
 /// The transmit-side translation table. The table semantically lives in
 /// sSRAM (and the lookup is charged an IBus access by the tx engine);
 /// contents are kept structured here.
+///
+/// Entries are shared copy-on-write: a clone shares the entry array
+/// (an `Arc`, since nodes move between worker threads) and the first
+/// `install` or growing `grow_to` on either side copies it. A machine
+/// fills one table with its conventions and gives every node a clone,
+/// so building `n` nodes costs one table, not `n`. The lookup counters
+/// stay per table.
 #[derive(Debug, Clone)]
 pub struct XlateTable {
-    entries: Vec<XlateEntry>,
+    entries: Arc<Vec<XlateEntry>>,
     /// Lookups performed.
     pub lookups: Counter,
     /// Translation faults (protection violations).
@@ -76,15 +96,7 @@ impl XlateTable {
     /// A table of `size` invalid entries.
     pub fn new(size: usize) -> Self {
         XlateTable {
-            entries: vec![
-                XlateEntry {
-                    valid: false,
-                    node: 0,
-                    logical_q: 0,
-                    high_priority: false
-                };
-                size
-            ],
+            entries: Arc::new(vec![INVALID; size]),
             lookups: Counter::default(),
             faults: Counter::default(),
         }
@@ -96,15 +108,7 @@ impl XlateTable {
     /// shrink, so snapshots taken before a grow stay restorable.
     pub fn grow_to(&mut self, size: usize) {
         if size > self.entries.len() {
-            self.entries.resize(
-                size,
-                XlateEntry {
-                    valid: false,
-                    node: 0,
-                    logical_q: 0,
-                    high_priority: false,
-                },
-            );
+            Arc::make_mut(&mut self.entries).resize(size, INVALID);
         }
     }
 
@@ -113,10 +117,12 @@ impl XlateTable {
     /// [`XlateTable::grow_to`]'s never-shrink contract — instead of
     /// panicking the way the old direct indexing did.
     pub fn install(&mut self, virt: u16, entry: XlateEntry) {
-        if virt as usize >= self.entries.len() {
-            self.grow_to(virt as usize + 1);
+        let i = usize::from(virt);
+        let entries = Arc::make_mut(&mut self.entries);
+        if i >= entries.len() {
+            entries.resize(i + 1, INVALID);
         }
-        self.entries[virt as usize] = entry;
+        entries[i] = entry;
     }
 
     /// Translate a masked virtual destination. `None` is a protection
@@ -282,7 +288,8 @@ impl StateSave for XlateEntry {
 }
 impl StateLoad for XlateEntry {
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(XlateEntry::decode(r.u64()?))
+        let at = r.offset();
+        XlateEntry::decode(r.u64()?).ok_or(SnapshotError::Corrupt { offset: at })
     }
 }
 
@@ -353,6 +360,7 @@ impl StateLoad for RxQueueCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sv_sim::ckpt::roundtrip;
 
     #[test]
     fn xlate_entry_roundtrip() {
@@ -362,7 +370,7 @@ mod tests {
             logical_q: 0x1234,
             high_priority: true,
         };
-        assert_eq!(XlateEntry::decode(e.encode()), e);
+        assert_eq!(XlateEntry::decode(e.encode()), Some(e));
         assert_eq!(e.priority(), Priority::High);
     }
 
@@ -415,6 +423,61 @@ mod tests {
             },
         );
         assert_eq!(t.len(), 101);
+    }
+
+    fn saved(t: &XlateTable) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.save(t);
+        w.finish()
+    }
+
+    fn entry(node: u16) -> XlateEntry {
+        XlateEntry {
+            valid: true,
+            node,
+            logical_q: 1,
+            high_priority: node % 2 == 1,
+        }
+    }
+
+    #[test]
+    fn xlate_reserved_bits_are_corrupt_at_their_entry() {
+        let mut t = XlateTable::new(16);
+        t.install(3, entry(0xBEEF));
+        let bytes = saved(&t);
+        assert_eq!(saved(&roundtrip(&t).unwrap()), bytes);
+        // A u64 entry count, then one little-endian u64 per entry.
+        for k in [0usize, 3, 15] {
+            let at = 8 + 8 * k;
+            for bit in [2, 15, 48, 63] {
+                let mut bad = bytes.clone();
+                bad[at + bit / 8] ^= 1 << (bit % 8);
+                let got = SnapReader::new(&bad).load::<XlateTable>();
+                assert_eq!(
+                    got.err(),
+                    Some(SnapshotError::Corrupt { offset: at }),
+                    "entry {k}, bit {bit}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn xlate_clone_saves_the_bytes_of_an_installed_table() {
+        let mut filled = XlateTable::new(16);
+        let mut shared = XlateTable::new(16);
+        for (v, node) in [(2, 5), (20, 6)] {
+            filled.install(v, entry(node));
+            shared.install(v, entry(node));
+        }
+        let mut clone = shared.clone();
+        assert_eq!(saved(&clone), saved(&filled));
+        // The first install copies: the table it was cloned from keeps
+        // its bytes.
+        clone.install(7, entry(8));
+        assert_eq!(saved(&shared), saved(&filled));
+        assert_eq!(clone.lookup(7), Some(entry(8)));
+        assert_eq!(shared.lookup(7), None);
     }
 
     #[test]

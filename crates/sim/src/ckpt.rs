@@ -41,6 +41,7 @@
 //! for a stale copy to disagree with the authoritative one.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 use bytes::Bytes;
 
@@ -996,6 +997,19 @@ impl<T: StateLoad> StateLoad for Option<T> {
     }
 }
 
+// A shared value is written as the value itself; a load yields an
+// unshared one.
+impl<T: StateSave> StateSave for Arc<T> {
+    fn save(&self, w: &mut SnapWriter) {
+        T::save(self, w);
+    }
+}
+impl<T: StateLoad> StateLoad for Arc<T> {
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        T::load(r).map(Arc::new)
+    }
+}
+
 impl<T: StateSave> StateSave for Vec<T> {
     fn save(&self, w: &mut SnapWriter) {
         w.usize_(self.len());
@@ -1226,6 +1240,19 @@ mod tests {
         assert_eq!(roundtrip(&hs).unwrap(), hs);
         let b = Bytes::copy_from_slice(&[1, 2, 3]);
         assert_eq!(roundtrip(&b).unwrap(), b);
+    }
+
+    #[test]
+    fn arc_saves_the_bytes_of_its_value() {
+        let v = vec![3u64, 1, 4, 1, 5];
+        let shared = Arc::new(v.clone());
+        let _other = Arc::clone(&shared);
+        let (mut plain, mut arc) = (SnapWriter::new(), SnapWriter::new());
+        v.save(&mut plain);
+        shared.save(&mut arc);
+        assert_eq!(plain.finish(), arc.finish());
+        let back = roundtrip(&shared).unwrap();
+        assert_eq!((*back == v, Arc::strong_count(&back)), (true, 1));
     }
 
     #[test]
