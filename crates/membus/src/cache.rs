@@ -14,42 +14,44 @@
 //! an ARTRY-writeback-retry loop (timing-equivalent to first order, and
 //! it keeps ARTRY free for its load-bearing role in S-COMA).
 //!
-//! Way slots are stored flat and set-major (set `s` owns slots
-//! `s * ways .. (s + 1) * ways`), one zero-initialised array per field.
-//! Every field is encoded so that all-zero bytes mean "never used": the
-//! state byte 0 is [`Mesi::Invalid`] and tags are stored bit-inverted, so
-//! a zero reads as the never-used tag `u64::MAX`. A fresh cache is thus
-//! three `calloc`s whose untouched pages cost no resident memory.
+//! Way slots are grouped in chunks of [`CHUNK_SETS`] consecutive sets,
+//! the unit delta snapshots track. A chunk's ways are allocated, in one
+//! allocation of exactly that chunk, by the first `install` into it; a
+//! chunk never installed into holds no memory and reads as never-used
+//! ways, so a node pays host memory only for the sets its run touches.
+//! Each slot is kept in its snapshot encoding, so an allocated chunk
+//! saves and loads as one copy.
 
 use crate::op::{line_of, Addr, BusOpKind, SnoopVerdict, CACHE_LINE};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use sv_sim::stats::Counter;
 
-/// MESI coherence states. The discriminants are the slot-array encoding
-/// (`Invalid` is 0 so zeroed memory is an empty cache); snapshots use
-/// their own fixed byte codes (`SNAP_STATE`).
+/// MESI coherence states. The discriminants are the state bytes of
+/// the slot encoding, which is also the snapshot's (M=0 E=1 S=2 I=3,
+/// part of the format).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[repr(u8)]
 pub enum Mesi {
     /// Exclusive and dirty.
-    Modified = 1,
+    Modified = 0,
     /// Sole clean copy.
-    Exclusive = 2,
+    Exclusive = 1,
     /// Another agent holds the line (drives SHD).
-    Shared = 3,
+    Shared = 2,
     /// No valid copy.
-    Invalid = 0,
+    Invalid = 3,
 }
 
 impl Mesi {
-    /// Decode a slot-array state byte.
+    /// Decode a slot state byte. Loads reject any byte above 3, so no
+    /// stored slot holds one.
     #[inline]
-    fn from_slot(b: u8) -> Mesi {
+    fn from_byte(b: u8) -> Mesi {
         match b {
-            1 => Mesi::Modified,
-            2 => Mesi::Exclusive,
-            3 => Mesi::Shared,
+            0 => Mesi::Modified,
+            1 => Mesi::Exclusive,
+            2 => Mesi::Shared,
             _ => Mesi::Invalid,
         }
     }
@@ -124,9 +126,60 @@ pub struct SnoopOutcome {
     pub pushed_dirty: bool,
 }
 
-/// Sets per dirty-tracking chunk: deltas snapshot the way arrays in
-/// groups of this many consecutive sets.
+/// Sets per chunk: the unit a cache allocates its ways in, and the unit
+/// deltas snapshot them in.
 const CHUNK_SETS: usize = 64;
+
+/// Encoded size of one way slot: `tag: u64`, the state byte, `lru: u64`.
+const SLOT_BYTES: usize = 17;
+
+/// One way in its snapshot encoding: the plain `tag: u64` (an
+/// invalidated way keeps its stale tag), the [`Mesi`] byte and
+/// `lru: u64` (larger = more recently used), little-endian.
+type Slot = [u8; SLOT_BYTES];
+
+/// Offset of the [`Mesi`] byte in a [`Slot`].
+const STATE: usize = 8;
+
+/// Encode one way.
+const fn slot(tag: u64, state: Mesi, lru: u64) -> Slot {
+    let (tag, lru) = (tag.to_le_bytes(), lru.to_le_bytes());
+    let mut s = [state as u8; SLOT_BYTES];
+    let mut i = 0;
+    while i < 8 {
+        s[i] = tag[i];
+        s[STATE + 1 + i] = lru[i];
+        i += 1;
+    }
+    s
+}
+
+/// A way no line was ever installed in: tag `u64::MAX`, state I, LRU
+/// age 0. Every slot of an unallocated chunk reads as this.
+const NEVER_USED: Slot = slot(u64::MAX, Mesi::Invalid, 0);
+
+/// Never-used slots written per [`SnapWriter::raw`] call for an
+/// unallocated chunk.
+const BLOCK_SLOTS: usize = 256;
+
+/// [`BLOCK_SLOTS`] never-used slots.
+static NEVER_USED_BLOCK: [Slot; BLOCK_SLOTS] = [NEVER_USED; BLOCK_SLOTS];
+
+#[inline]
+fn tag_of(s: &Slot) -> u64 {
+    u64::from_le_bytes(s[..STATE].try_into().expect("8-byte tag"))
+}
+
+#[inline]
+fn lru_of(s: &Slot) -> u64 {
+    u64::from_le_bytes(s[STATE + 1..].try_into().expect("8-byte LRU age"))
+}
+
+/// Whether slot `s` holds a valid copy of line `tag`.
+#[inline]
+fn holds(s: &Slot, tag: u64) -> bool {
+    s[STATE] != Mesi::Invalid as u8 && tag_of(s) == tag
+}
 
 /// One level of snoopy MESI cache.
 #[derive(Debug)]
@@ -135,19 +188,16 @@ pub struct SnoopyCache {
     pub params: CacheParams,
     /// Number of sets.
     sets: usize,
-    /// Per slot, the line number bit-inverted (`!tag`): zero reads as the
-    /// never-used tag `u64::MAX`. Invalidation keeps the stale tag.
-    tags: Vec<u64>,
-    /// Per slot, the [`Mesi`] discriminant (0 = `Invalid`).
-    states: Vec<u8>,
-    /// Per slot, the LRU age: larger = more recently used.
-    lru: Vec<u64>,
+    /// Per [`CHUNK_SETS`]-set chunk, its way slots, set-major (the
+    /// chunk's `k`-th set owns slots `k * ways .. (k + 1) * ways`);
+    /// `None` until the first `install` into the chunk.
+    chunks: Vec<Option<Box<[Slot]>>>,
     tick: u64,
     /// Running statistics.
     pub stats: CacheStats,
-    /// Bitmap over [`CHUNK_SETS`]-set chunks: bit set = some way in the
-    /// chunk changed since the last checkpoint cut. Runtime bookkeeping,
-    /// never serialized; a fresh cache starts all-dirty.
+    /// Bitmap over chunks: bit set = some way in the chunk changed since
+    /// the last checkpoint cut. Runtime bookkeeping, never serialized; a
+    /// fresh cache starts all-dirty.
     dirty_chunks: Vec<u64>,
     /// `tick` or `stats` changed since the last checkpoint cut.
     dirty_meta: bool,
@@ -162,17 +212,14 @@ impl SnoopyCache {
     pub fn new(params: CacheParams) -> Self {
         assert!(params.validate(), "cache geometry has no sets: {params:?}");
         let sets = params.sets();
-        let slots = sets * params.ways;
-        let words = sets.div_ceil(CHUNK_SETS).div_ceil(64);
+        let chunks = sets.div_ceil(CHUNK_SETS);
         SnoopyCache {
             params,
             sets,
-            tags: vec![0; slots],
-            states: vec![0; slots],
-            lru: vec![0; slots],
+            chunks: vec![None; chunks],
             tick: 0,
             stats: CacheStats::default(),
-            dirty_chunks: vec![u64::MAX; words],
+            dirty_chunks: vec![u64::MAX; chunks.div_ceil(64)],
             dirty_meta: true,
         }
     }
@@ -184,18 +231,30 @@ impl SnoopyCache {
         (set, line)
     }
 
-    /// The slot range of `set`.
+    /// The chunk holding `set`, and the range of the set's slots in it.
     #[inline]
-    fn slots(&self, set: usize) -> Range<usize> {
-        let lo = set * self.params.ways;
-        lo..lo + self.params.ways
+    fn place(&self, set: usize) -> (usize, Range<usize>) {
+        let lo = set % CHUNK_SETS * self.params.ways;
+        (set / CHUNK_SETS, lo..lo + self.params.ways)
     }
 
-    /// The slot in `set` holding a valid copy of line `tag`, if any.
+    /// The way in `set` holding a valid copy of line `tag`, if any. A
+    /// set in an unallocated chunk holds nothing.
     #[inline]
-    fn find(&self, set: usize, tag: u64) -> Option<usize> {
-        self.slots(set)
-            .find(|&i| self.tags[i] == !tag && self.states[i] != Mesi::Invalid as u8)
+    fn find(&self, set: usize, tag: u64) -> Option<&Slot> {
+        let (c, ways) = self.place(set);
+        self.chunks[c].as_deref()?[ways]
+            .iter()
+            .find(|s| holds(s, tag))
+    }
+
+    /// [`SnoopyCache::find`], for update.
+    #[inline]
+    fn find_mut(&mut self, set: usize, tag: u64) -> Option<&mut Slot> {
+        let (c, ways) = self.place(set);
+        self.chunks[c].as_deref_mut()?[ways]
+            .iter_mut()
+            .find(|s| holds(s, tag))
     }
 
     #[inline]
@@ -208,74 +267,81 @@ impl SnoopyCache {
     pub fn peek(&self, addr: Addr) -> Mesi {
         let (set, tag) = self.index(addr);
         self.find(set, tag)
-            .map_or(Mesi::Invalid, |i| Mesi::from_slot(self.states[i]))
+            .map_or(Mesi::Invalid, |s| Mesi::from_byte(s[STATE]))
     }
 
     /// Look up `addr`, updating LRU and hit/miss statistics.
     pub fn lookup(&mut self, addr: Addr) -> Mesi {
         self.tick += 1;
         self.dirty_meta = true;
+        let tick = self.tick;
         let (set, tag) = self.index(addr);
-        let Some(i) = self.find(set, tag) else {
+        let hit = self.find_mut(set, tag).map(|s| {
+            s[STATE + 1..].copy_from_slice(&tick.to_le_bytes());
+            Mesi::from_byte(s[STATE])
+        });
+        let Some(state) = hit else {
             self.stats.misses.bump();
             return Mesi::Invalid;
         };
-        self.lru[i] = self.tick;
         self.stats.hits.bump();
         self.mark_set(set);
-        Mesi::from_slot(self.states[i])
+        state
     }
 
     /// Change the state of a resident line (e.g. S→M after a Kill). No-op
     /// if the line is absent.
     pub fn set_state(&mut self, addr: Addr, state: Mesi) {
         let (set, tag) = self.index(addr);
-        if let Some(i) = self.find(set, tag) {
-            self.states[i] = state as u8;
+        if let Some(s) = self.find_mut(set, tag) {
+            s[STATE] = state as u8;
             self.mark_set(set);
         }
     }
 
     /// Install a line in `state`, evicting the LRU way if the set is full.
-    /// Returns the evicted line `(addr, was_dirty)` if any.
+    /// Returns the evicted line `(addr, was_dirty)` if any. The first
+    /// install into a chunk allocates the chunk's ways.
     pub fn install(&mut self, addr: Addr, state: Mesi) -> Option<(Addr, bool)> {
         assert_ne!(state, Mesi::Invalid);
         self.tick += 1;
         self.dirty_meta = true;
         let (set, tag) = self.index(addr);
         self.mark_set(set);
+        let (c, r) = self.place(set);
+        let len = self.chunk_len(c);
+        let ways = &mut self.chunks[c].get_or_insert_with(|| vec![NEVER_USED; len].into())[r];
         // Already resident: just update. Otherwise take a free way, or
         // evict the least recently used one.
-        let slots = self.slots(set);
-        let i = self
-            .find(set, tag)
-            .or_else(|| {
-                slots
-                    .clone()
-                    .find(|&i| self.states[i] == Mesi::Invalid as u8)
-            })
-            .unwrap_or_else(|| slots.min_by_key(|&i| self.lru[i]).expect("nonzero ways"));
+        let i = ways
+            .iter()
+            .position(|s| holds(s, tag))
+            .or_else(|| ways.iter().position(|s| s[STATE] == Mesi::Invalid as u8))
+            .unwrap_or_else(|| {
+                (0..ways.len())
+                    .min_by_key(|&i| lru_of(&ways[i]))
+                    .expect("nonzero ways")
+            });
+        let way = &mut ways[i];
         let mut evicted = None;
-        if self.states[i] != Mesi::Invalid as u8 && self.tags[i] != !tag {
-            let dirty = self.states[i] == Mesi::Modified as u8;
+        if way[STATE] != Mesi::Invalid as u8 && tag_of(way) != tag {
+            let dirty = way[STATE] == Mesi::Modified as u8;
             self.stats.evictions.bump();
             if dirty {
                 self.stats.dirty_evictions.bump();
             }
-            evicted = Some((!self.tags[i] * CACHE_LINE, dirty));
+            evicted = Some((tag_of(way) * CACHE_LINE, dirty));
         }
-        self.tags[i] = !tag;
-        self.states[i] = state as u8;
-        self.lru[i] = self.tick;
+        *way = slot(tag, state, self.tick);
         evicted
     }
 
     /// Drop the line containing `addr`; returns whether it was dirty.
     pub fn invalidate(&mut self, addr: Addr) -> Option<bool> {
         let (set, tag) = self.index(addr);
-        let i = self.find(set, tag)?;
-        let dirty = self.states[i] == Mesi::Modified as u8;
-        self.states[i] = Mesi::Invalid as u8;
+        let s = self.find_mut(set, tag)?;
+        let dirty = s[STATE] == Mesi::Modified as u8;
+        s[STATE] = Mesi::Invalid as u8;
         self.mark_set(set);
         Some(dirty)
     }
@@ -283,13 +349,10 @@ impl SnoopyCache {
     /// React to an external bus operation (issued by another master).
     pub fn snoop(&mut self, kind: BusOpKind, addr: Addr) -> SnoopOutcome {
         let (set, tag) = self.index(addr);
-        let Some(i) = self.find(set, tag) else {
+        let Some(s) = self.find_mut(set, tag) else {
             return SnoopOutcome::default();
         };
-        self.stats.snoop_hits.bump();
-        self.dirty_meta = true;
-        self.mark_set(set);
-        let state = Mesi::from_slot(self.states[i]);
+        let state = Mesi::from_byte(s[STATE]);
         let mut out = SnoopOutcome::default();
         let next = match kind {
             BusOpKind::Read | BusOpKind::SingleRead | BusOpKind::Clean => {
@@ -306,21 +369,32 @@ impl SnoopyCache {
                 Mesi::Invalid
             }
         };
+        s[STATE] = next as u8;
+        self.stats.snoop_hits.bump();
+        self.dirty_meta = true;
+        self.mark_set(set);
         if state == Mesi::Modified && kind != BusOpKind::Kill {
             out.pushed_dirty = true;
             out.verdict.supply_latency = self.params.push_latency_cycles;
             self.stats.snoop_pushes.bump();
         }
-        self.states[i] = next as u8;
         out
     }
 
     /// Number of resident (non-invalid) lines; test/diagnostic helper.
     pub fn resident_lines(&self) -> usize {
-        self.states
+        self.chunks
             .iter()
-            .filter(|&&s| s != Mesi::Invalid as u8)
+            .flatten()
+            .flat_map(|c| c.iter())
+            .filter(|s| s[STATE] != Mesi::Invalid as u8)
             .count()
+    }
+
+    /// Number of allocated chunks.
+    #[cfg(test)]
+    fn allocated_chunks(&self) -> usize {
+        self.chunks.iter().flatten().count()
     }
 }
 
@@ -352,101 +426,74 @@ impl StateSave for SnoopyCache {
     fn save(&self, w: &mut SnapWriter) {
         w.u64(self.tick);
         w.save(&self.stats);
-        self.save_slots(w, 0..self.tags.len());
+        for c in 0..self.chunks.len() {
+            self.save_chunk(w, c);
+        }
     }
 }
 
-/// Slots moved through one [`SnapWriter::raw`] / [`SnapReader::take`]
-/// call by the slot codec.
-const BLOCK_SLOTS: usize = 256;
-
-/// Encoded size of one slot: `tag: u64`, the state byte, `lru: u64`.
-const SLOT_BYTES: usize = 17;
-
-/// Snapshot state byte for each slot-array state byte. The snapshot
-/// codes (M=0 E=1 S=2 I=3) predate the slot encoding (I=0 M=1 E=2 S=3)
-/// and are part of the format.
-const SNAP_STATE: [u8; 4] = [3, 0, 1, 2];
-
-/// Slot-array state byte for each snapshot state byte; the inverse of
-/// [`SNAP_STATE`]. Any other snapshot byte is corrupt.
-const SLOT_STATE: [u8; 4] = [1, 2, 3, 0];
-
 impl SnoopyCache {
-    /// Emit `slots` in order, per way `tag: u64` (plain, including the
-    /// stale tag an invalidated way keeps), the snapshot state byte and
-    /// `lru: u64`, encoding [`BLOCK_SLOTS`] slots per write.
-    fn save_slots(&self, w: &mut SnapWriter, slots: Range<usize>) {
-        let mut buf = [0u8; BLOCK_SLOTS * SLOT_BYTES];
-        for lo in slots.clone().step_by(BLOCK_SLOTS) {
-            let hi = (lo + BLOCK_SLOTS).min(slots.end);
-            let out = &mut buf[..(hi - lo) * SLOT_BYTES];
-            let ways = self.tags[lo..hi]
-                .iter()
-                .zip(&self.states[lo..hi])
-                .zip(&self.lru[lo..hi]);
-            for (((tag, &state), lru), o) in ways.zip(out.chunks_exact_mut(SLOT_BYTES)) {
-                o[..8].copy_from_slice(&(!tag).to_le_bytes());
-                o[8] = SNAP_STATE[usize::from(state)];
-                o[9..].copy_from_slice(&lru.to_le_bytes());
-            }
-            w.raw(out);
-        }
-    }
-
-    /// Inverse of [`SnoopyCache::save_slots`]. A state byte outside the
-    /// snapshot codes is [`SnapshotError::Corrupt`] at its own offset.
-    fn load_slots(
-        &mut self,
-        r: &mut SnapReader<'_>,
-        slots: Range<usize>,
-    ) -> Result<(), SnapshotError> {
-        for lo in slots.clone().step_by(BLOCK_SLOTS) {
-            let hi = (lo + BLOCK_SLOTS).min(slots.end);
-            let at = r.offset();
-            let block = r.take((hi - lo) * SLOT_BYTES)?;
-            let ways = self.tags[lo..hi]
-                .iter_mut()
-                .zip(&mut self.states[lo..hi])
-                .zip(&mut self.lru[lo..hi]);
-            for (k, (((tag, state), lru), b)) in
-                ways.zip(block.chunks_exact(SLOT_BYTES)).enumerate()
-            {
-                let Some(&s) = SLOT_STATE.get(usize::from(b[8])) else {
-                    return Err(SnapshotError::Corrupt {
-                        offset: at + k * SLOT_BYTES + 8,
-                    });
-                };
-                *tag = !u64::from_le_bytes(b[..8].try_into().expect("8-byte tag"));
-                *state = s;
-                *lru = u64::from_le_bytes(b[9..].try_into().expect("8-byte LRU age"));
-            }
-        }
-        Ok(())
-    }
-
-    /// Overwrite this cache from a full snapshot taken under its own
-    /// geometry. The result is conservatively all-dirty (inherited from
-    /// [`SnoopyCache::new`]) until the next checkpoint cut.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        let mut cache = SnoopyCache::new(self.params);
-        cache.tick = r.u64()?;
-        cache.stats = r.load()?;
-        cache.load_slots(r, 0..cache.tags.len())?;
-        *self = cache;
-        Ok(())
-    }
-
-    /// Number of [`CHUNK_SETS`]-set chunks covering this geometry.
-    fn chunk_count(&self) -> usize {
-        self.sets.div_ceil(CHUNK_SETS)
-    }
-
-    /// The slot range of chunk `c`.
-    fn chunk_slots(&self, c: usize) -> Range<usize> {
+    /// Number of slots in chunk `c` (the last chunk of a geometry whose
+    /// set count is not a multiple of [`CHUNK_SETS`] is short).
+    fn chunk_len(&self, c: usize) -> usize {
         let lo = c * CHUNK_SETS;
-        let hi = (lo + CHUNK_SETS).min(self.sets);
-        lo * self.params.ways..hi * self.params.ways
+        ((lo + CHUNK_SETS).min(self.sets) - lo) * self.params.ways
+    }
+
+    /// Emit chunk `c`'s slots in order: an allocated chunk's bytes as
+    /// they are, an unallocated one as never-used slots.
+    fn save_chunk(&self, w: &mut SnapWriter, c: usize) {
+        match &self.chunks[c] {
+            Some(slots) => w.raw(slots.as_flattened()),
+            None => {
+                let len = self.chunk_len(c);
+                for lo in (0..len).step_by(BLOCK_SLOTS) {
+                    let n = (len - lo).min(BLOCK_SLOTS);
+                    w.raw(NEVER_USED_BLOCK[..n].as_flattened());
+                }
+            }
+        }
+    }
+
+    /// Inverse of [`SnoopyCache::save_chunk`]. A state byte outside
+    /// [`Mesi`]'s codes is [`SnapshotError::Corrupt`] at its own offset.
+    /// An unallocated chunk whose slots all read never-used stays
+    /// unallocated; any other slot allocates it.
+    fn load_chunk(&mut self, r: &mut SnapReader<'_>, c: usize) -> Result<(), SnapshotError> {
+        let len = self.chunk_len(c);
+        let at = r.offset();
+        let bytes = r.take(len * SLOT_BYTES)?;
+        let mut states = bytes[STATE..].iter().step_by(SLOT_BYTES);
+        if let Some(k) = states.position(|&b| b > Mesi::Invalid as u8) {
+            return Err(SnapshotError::Corrupt {
+                offset: at + k * SLOT_BYTES + STATE,
+            });
+        }
+        let block = NEVER_USED_BLOCK.as_flattened();
+        let never_used = bytes.chunks(block.len()).all(|b| b == &block[..b.len()]);
+        let slots = match &mut self.chunks[c] {
+            Some(slots) => slots,
+            None if never_used => return Ok(()),
+            empty => empty.insert(vec![NEVER_USED; len].into()),
+        };
+        slots.as_flattened_mut().copy_from_slice(bytes);
+        Ok(())
+    }
+
+    /// Overwrite this cache, in place, from a full snapshot taken under
+    /// its own geometry; allocated chunks stay allocated. The result is
+    /// conservatively all-dirty until the next checkpoint cut. On error
+    /// the cache is partly overwritten (still well-formed); callers
+    /// discard it.
+    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+        self.tick = r.u64()?;
+        self.stats = r.load()?;
+        for c in 0..self.chunks.len() {
+            self.load_chunk(r, c)?;
+        }
+        self.dirty_chunks.fill(u64::MAX);
+        self.dirty_meta = true;
+        Ok(())
     }
 
     /// True if anything (ways, tick, or stats) changed since the last
@@ -468,12 +515,12 @@ impl SnoopyCache {
         w.u64(self.tick);
         w.save(&self.stats);
         let dirty = || {
-            (0..self.chunk_count()).filter(|c| self.dirty_chunks[c / 64] & (1u64 << (c % 64)) != 0)
+            (0..self.chunks.len()).filter(|c| self.dirty_chunks[c / 64] & (1u64 << (c % 64)) != 0)
         };
         w.usize_(dirty().count());
         for c in dirty() {
             w.u64(c as u64);
-            self.save_slots(w, self.chunk_slots(c));
+            self.save_chunk(w, c);
         }
     }
 
@@ -485,15 +532,14 @@ impl SnoopyCache {
         self.stats = r.load()?;
         self.dirty_meta = true;
         let n = r.count()?;
-        let chunks = self.chunk_count();
         for _ in 0..n {
             let at = r.offset();
             let c = r.u64()?;
-            if c as usize >= chunks {
+            if c as usize >= self.chunks.len() {
                 return Err(SnapshotError::Corrupt { offset: at });
             }
             let c = c as usize;
-            self.load_slots(r, self.chunk_slots(c))?;
+            self.load_chunk(r, c)?;
             self.dirty_chunks[c / 64] |= 1u64 << (c % 64);
         }
         Ok(())
@@ -751,9 +797,124 @@ mod tests {
     #[test]
     fn geometry_604e() {
         let l1 = SnoopyCache::new(CacheParams::l1_604e());
-        assert_eq!((l1.sets, l1.tags.len()), (256, 1024));
+        assert_eq!((l1.sets, l1.chunks.len(), l1.chunk_len(0)), (256, 4, 256));
         let l2 = SnoopyCache::new(CacheParams::l2_voyager());
-        assert_eq!((l2.sets, l2.tags.len()), (16384, 16384));
+        assert_eq!(
+            (l2.sets, l2.chunks.len(), l2.chunk_len(0)),
+            (16384, 256, 64)
+        );
+    }
+
+    /// Full-snapshot bytes of `c`.
+    fn saved(c: &SnoopyCache) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        c.save(&mut w);
+        w.finish()
+    }
+
+    /// Delta bytes of `c`.
+    fn saved_delta(c: &SnoopyCache) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        c.save_delta(&mut w);
+        w.finish()
+    }
+
+    #[test]
+    fn chunk_untouched_sets_miss_without_allocating() {
+        let mut c = SnoopyCache::new(CacheParams::l2_voyager());
+        let addr = 0x0012_3440;
+        assert_eq!(c.peek(addr), Mesi::Invalid);
+        assert_eq!(c.lookup(addr), Mesi::Invalid);
+        for kind in [BusOpKind::Read, BusOpKind::Rwitm, BusOpKind::Kill] {
+            assert_eq!(c.snoop(kind, addr), SnoopOutcome::default());
+        }
+        c.set_state(addr, Mesi::Modified);
+        assert_eq!(c.invalidate(addr), None);
+        assert_eq!(c.peek(addr), Mesi::Invalid);
+        assert_eq!((c.stats.misses.get(), c.stats.snoop_hits.get()), (1, 0));
+        assert_eq!(c.allocated_chunks(), 0);
+        c.install(addr, Mesi::Shared);
+        assert_eq!(c.allocated_chunks(), 1);
+        assert_eq!(c.peek(addr), Mesi::Shared);
+        // The next set is in the same 64-set chunk.
+        c.install(addr + CACHE_LINE, Mesi::Shared);
+        assert_eq!((c.allocated_chunks(), c.resident_lines()), (1, 2));
+    }
+
+    #[test]
+    fn chunk_restore_of_an_untouched_cache_allocates_nothing() {
+        let mut c = SnoopyCache::new(CacheParams::l2_voyager());
+        c.lookup(0x40); // a miss moves the tick and stats, not the ways
+        let (full, delta) = (saved(&c), saved_delta(&c));
+        let mut r = SnoopyCache::new(CacheParams::l2_voyager());
+        r.restore(&mut SnapReader::new(&full)).unwrap();
+        assert_eq!(r.allocated_chunks(), 0);
+        assert_eq!(saved(&r), full);
+        // A fresh cache is all-dirty, so its delta carries every chunk.
+        let mut r = SnoopyCache::new(CacheParams::l2_voyager());
+        r.apply_delta(&mut SnapReader::new(&delta)).unwrap();
+        assert_eq!(r.allocated_chunks(), 0);
+        assert_eq!(saved_delta(&r), delta);
+    }
+
+    #[test]
+    fn chunk_holding_only_a_stale_invalidated_way_is_restored() {
+        let mut c = small();
+        c.install(0x0e0, Mesi::Shared);
+        assert_eq!(c.invalidate(0x0e0), Some(false));
+        assert_eq!(c.resident_lines(), 0);
+        let full = saved(&c);
+        let mut r = small();
+        r.restore(&mut SnapReader::new(&full)).unwrap();
+        assert_eq!(r.allocated_chunks(), 1);
+        assert_eq!(saved(&r), full);
+    }
+
+    #[test]
+    fn chunk_apply_delta_of_never_used_slots_overwrites_an_allocated_chunk() {
+        let donor = small();
+        let delta = saved_delta(&donor);
+        let mut c = small();
+        c.install(0x40, Mesi::Modified);
+        c.apply_delta(&mut SnapReader::new(&delta)).unwrap();
+        assert_eq!(c.peek(0x40), Mesi::Invalid);
+        assert_eq!(
+            c.allocated_chunks(),
+            1,
+            "an allocated chunk stays allocated"
+        );
+        assert_eq!(saved(&c), saved(&donor));
+    }
+
+    /// Eight ways: each 64-set chunk is 512 slots, written as two
+    /// never-used blocks while unallocated.
+    #[test]
+    fn chunk_of_eight_ways_round_trips_with_only_its_second_block_used() {
+        let eight = || {
+            SnoopyCache::new(CacheParams {
+                size_bytes: 64 * 1024,
+                ways: 8,
+                push_latency_cycles: 1,
+            })
+        };
+        let mut c = eight();
+        assert_eq!((c.chunks.len(), c.chunk_len(0)), (4, 2 * BLOCK_SLOTS));
+        // Sets 32 and 63 own slots 256.. of chunk 0: its second block.
+        c.install(32 * CACHE_LINE, Mesi::Exclusive);
+        c.install(63 * CACHE_LINE, Mesi::Modified);
+        let (full, delta) = (saved(&c), saved_delta(&c));
+        let first_block = META..META + BLOCK_SLOTS * SLOT_BYTES;
+        assert_eq!(&full[first_block], NEVER_USED_BLOCK.as_flattened());
+        let mut r = eight();
+        r.restore(&mut SnapReader::new(&full)).unwrap();
+        assert_eq!(r.allocated_chunks(), 1);
+        assert_eq!(r.peek(32 * CACHE_LINE), Mesi::Exclusive);
+        assert_eq!(r.peek(63 * CACHE_LINE), Mesi::Modified);
+        assert_eq!(saved(&r), full);
+        let mut r = eight();
+        r.apply_delta(&mut SnapReader::new(&delta)).unwrap();
+        assert_eq!(r.allocated_chunks(), 1);
+        assert_eq!(saved_delta(&r), delta);
     }
 
     #[test]
