@@ -1,33 +1,91 @@
-//! Machine build cost, gated on work rather than time: a counting global
-//! allocator measures how many heap allocations `Machine::builder(256)
-//! .build()` makes per node. Allocation counts are deterministic, so the
-//! gate holds on any host; a wall-clock budget would not.
+//! Machine build and restore cost, gated on work rather than time: a
+//! counting global allocator measures how many heap allocations, and how
+//! many bytes, building `Machine::builder(n)` and restoring its snapshot
+//! make per node. Both are deterministic, so the gates hold on any host;
+//! a wall-clock budget would not.
 //!
-//! Its own test binary because the allocator is process-global: keep it
-//! to this one test so nothing else allocates concurrently.
+//! Its own test binary because the allocator is process-global. The
+//! tests take one lock for their whole body, so no test allocates while
+//! another measures.
 
-use sv_tests::{allocations, Counting};
+use std::sync::Mutex;
+use sv_tests::{allocated_bytes, allocations, Counting};
 use voyager::Machine;
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
+
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Per-node allocation budget for a default build. Cache tags, the
 /// tracer ring and every other per-node structure must stay a handful of
 /// flat arrays, not one allocation per set or per record.
 const MAX_ALLOCS_PER_NODE: u64 = 64;
 
+/// Per-node byte budget for a default build. A node allocates its
+/// cache ways only as a run touches them, and shares one translation
+/// table with every other node, so a build pays for neither.
+const MAX_BUILD_BYTES_PER_NODE: u64 = 32 * 1024;
+
+/// Per-node byte budget for restoring the snapshot of a fresh build:
+/// 28.2 KiB measured at 256 nodes, plus headroom. Restore assembles a
+/// machine as build does, then loads every node's state, including its
+/// own copy of the translation table. Cache chunks whose slots all read
+/// never-used stay unallocated.
+const MAX_RESTORE_BYTES_PER_NODE: u64 = 40 * 1024;
+
+/// Allocation calls and bytes `f` makes, and its result (dropped by the
+/// caller, outside the measurement).
+fn measure<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let (calls, bytes) = (allocations(), allocated_bytes());
+    let out = f();
+    (out, allocations() - calls, allocated_bytes() - bytes)
+}
+
 #[test]
 fn build_allocations_per_node_stay_bounded() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     const NODES: u64 = 256;
-    let before = allocations();
-    let m = Machine::builder(NODES as usize).build();
-    let allocs = allocations() - before;
+    let (m, allocs, _) = measure(|| Machine::builder(NODES as usize).build());
     drop(m);
     let per_node = allocs as f64 / NODES as f64;
     println!("build of {NODES} nodes: {allocs} allocations, {per_node:.1} per node");
     assert!(
         allocs <= MAX_ALLOCS_PER_NODE * NODES,
         "{per_node:.1} allocations per node exceed the budget of {MAX_ALLOCS_PER_NODE}"
+    );
+}
+
+#[test]
+fn build_bytes_per_node_stay_bounded() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    for nodes in [256u64, 2048] {
+        let (m, _, bytes) = measure(|| Machine::builder(nodes as usize).build());
+        drop(m);
+        let per_node = bytes as f64 / nodes as f64 / 1024.0;
+        println!("build of {nodes} nodes: {bytes} bytes, {per_node:.1} KiB per node");
+        assert!(
+            bytes <= MAX_BUILD_BYTES_PER_NODE * nodes,
+            "{per_node:.1} KiB per node at {nodes} nodes exceed the budget of {} KiB",
+            MAX_BUILD_BYTES_PER_NODE / 1024
+        );
+    }
+}
+
+#[test]
+fn restore_bytes_per_node_stay_bounded() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const NODES: u64 = 256;
+    let snapshot = Machine::builder(NODES as usize).build().checkpoint();
+    let (m, allocs, bytes) = measure(|| Machine::builder(1).restore(&snapshot));
+    m.expect("a fresh build's snapshot restores");
+    let per_node = bytes as f64 / NODES as f64 / 1024.0;
+    println!(
+        "restore of {NODES} nodes: {allocs} allocations, {bytes} bytes, {per_node:.1} KiB per node"
+    );
+    assert!(
+        bytes <= MAX_RESTORE_BYTES_PER_NODE * NODES,
+        "{per_node:.1} KiB per node exceed the budget of {} KiB",
+        MAX_RESTORE_BYTES_PER_NODE / 1024
     );
 }
