@@ -195,6 +195,11 @@ impl MemoryArray {
         }
     }
 
+    /// Whether every stored page lies below byte address `end`.
+    pub fn lies_below(&self, end: Addr) -> bool {
+        self.pages.keys().all(|&p| p < end.div_ceil(PAGE as u64))
+    }
+
     /// Apply a delta produced by [`MemoryArray::save_delta`], overwriting
     /// the listed pages. Applied pages are re-marked dirty; callers clear
     /// the marks once the whole chain has been applied.

@@ -104,9 +104,15 @@ impl Sram {
         self.mem.save_delta(w);
     }
 
-    /// Apply a delta produced by [`Sram::save_delta`].
+    /// Apply a delta produced by [`Sram::save_delta`]. A page past the
+    /// bank is [`SnapshotError::Corrupt`] at the delta's start.
     pub fn apply_delta(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.mem.apply_delta(r)
+        let at = r.offset();
+        self.mem.apply_delta(r)?;
+        if !self.mem.lies_below(self.bytes.into()) {
+            return Err(SnapshotError::Corrupt { offset: at });
+        }
+        Ok(())
     }
 }
 
@@ -252,11 +258,16 @@ impl StateSave for Sram {
     }
 }
 impl StateLoad for Sram {
+    /// A page past the bank is [`SnapshotError::Corrupt`] at the bank's
+    /// start: no write puts one there.
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Sram {
-            bytes: r.u32()?,
-            mem: r.load()?,
-        })
+        let at = r.offset();
+        let bytes = r.u32()?;
+        let mem: MemoryArray = r.load()?;
+        if !mem.lies_below(bytes.into()) {
+            return Err(SnapshotError::Corrupt { offset: at });
+        }
+        Ok(Sram { bytes, mem })
     }
 }
 
