@@ -318,6 +318,11 @@ pub struct Network<P> {
     /// mutating entry point. Runtime bookkeeping, never serialized; fresh
     /// and restored networks start conservatively dirty.
     dirty: bool,
+    /// Bitmap over links: bit set = the link was written since the last
+    /// checkpoint cut, so the next delta carries it. Set by the
+    /// [`Network::touch`] write barrier; like `dirty`, never serialized
+    /// and all-set in fresh and restored networks.
+    dirty_links: Vec<u64>,
     /// Undo journal of [`Network::harvest`]; empty between harvests
     /// apart from buffers kept for reuse. Never serialized.
     save: Savepoint,
@@ -328,8 +333,9 @@ pub struct Network<P> {
 /// The buffers outlive the harvest, so once they have grown to a
 /// window's size a harvest allocates nothing.
 ///
-/// An advance pops and pushes events, writes links, moves flights one
-/// hop per arrival, and updates `stats` and `dirty`. It never launches a
+/// An advance pops and pushes events, writes links (and sets their dirty
+/// bits), moves flights one hop per arrival, and updates `stats` and
+/// `dirty`. It never launches a
 /// flight (only `inject` does), so the slot allocator and the fault RNG
 /// stay as they were; and during a harvest a delivered flight keeps its
 /// slot, so `free_slots` does too.
@@ -337,8 +343,9 @@ pub struct Network<P> {
 struct Savepoint {
     /// A harvest is advancing: link writes and flight hops are journaled.
     active: bool,
-    /// Links saved this harvest, in first-write order.
-    links: Vec<LinkId>,
+    /// Links saved this harvest, in first-write order, each with its
+    /// dirty bit before the harvest.
+    links: Vec<(LinkId, bool)>,
     /// `pre[i]` is the pre-image of link `links[i]`. Entries past
     /// `links.len()` are spare buffers for later harvests.
     pre: Vec<LinkState>,
@@ -354,8 +361,9 @@ struct Savepoint {
 }
 
 impl Savepoint {
-    /// Keep `link`'s pre-image unless this harvest already has it.
-    fn save_link(&mut self, id: LinkId, link: &LinkState) {
+    /// Keep `link`'s pre-image and dirty bit unless this harvest already
+    /// has them.
+    fn save_link(&mut self, id: LinkId, link: &LinkState, dirty: bool) {
         if std::mem::replace(&mut self.saved[id], true) {
             return;
         }
@@ -363,7 +371,7 @@ impl Savepoint {
             Some(spare) => spare.clone_from(link),
             None => self.pre.push(link.clone()),
         }
-        self.links.push(id);
+        self.links.push((id, dirty));
     }
 }
 
@@ -371,10 +379,11 @@ impl<P> Network<P> {
     /// Build a network spanning `nodes` endpoints.
     pub fn new(nodes: usize, params: LinkParams, policy: RoutingPolicy) -> Self {
         let topology = FatTree::build(nodes);
-        let links = (0..topology.link_count())
+        let links: Vec<LinkState> = (0..topology.link_count())
             .map(|_| LinkState::new(2, 0))
             .collect();
         Network {
+            dirty_links: vec![u64::MAX; links.len().div_ceil(64)],
             topology,
             params,
             policy,
@@ -419,6 +428,7 @@ impl<P> Network<P> {
             "set_qos must run before traffic"
         );
         self.dirty = true;
+        self.dirty_links.fill(u64::MAX);
         self.qos = Some(qos);
         for link in &mut self.links {
             *link = LinkState::new(qos.vcs as usize, qos.credits_per_vc);
@@ -450,10 +460,16 @@ impl<P> Network<P> {
         self.dirty
     }
 
-    /// Forget the dirty mark — called when a checkpoint cut captures the
+    /// Forget the dirty marks — called when a checkpoint cut captures the
     /// current contents.
     pub fn ckpt_clear_dirty(&mut self) {
         self.dirty = false;
+        self.dirty_links.fill(0);
+    }
+
+    /// Whether link `l` was written since the last checkpoint cut.
+    fn link_dirty(&self, l: LinkId) -> bool {
+        self.dirty_links[l / 64] & (1u64 << (l % 64)) != 0
     }
 
     /// The fault configuration in force, if any.
@@ -612,13 +628,16 @@ impl<P> Network<P> {
     }
 
     /// Write barrier of the link state: every function that writes a link
-    /// calls this first. During a harvest it saves the link's pre-image
-    /// once; otherwise it is one predictable branch.
+    /// calls this first. It marks the link dirty for the next delta cut,
+    /// and during a harvest it first saves the link's pre-image and dirty
+    /// bit once; otherwise that is one predictable branch.
     #[inline]
     fn touch(&mut self, link: LinkId) {
         if self.save.active {
-            self.save.save_link(link, &self.links[link]);
+            let dirty = self.link_dirty(link);
+            self.save.save_link(link, &self.links[link], dirty);
         }
+        self.dirty_links[link / 64] |= 1u64 << (link % 64);
     }
 
     fn dispatch(&mut self, now: Time, link_id: LinkId) {
@@ -790,7 +809,7 @@ impl<P> Network<P> {
     /// Append to `out` every delivery the network makes up to `horizon`
     /// — first any still undrained, then those `advance(horizon)` would
     /// make — and leave the network exactly as it was: the same state,
-    /// snapshot bytes, dirty flag and next event.
+    /// snapshot and delta bytes, dirty marks and next event.
     ///
     /// The advance runs on the network itself with the [`Savepoint`]
     /// journal armed, and the rollback restores only what it changed, so
@@ -820,9 +839,15 @@ impl<P> Network<P> {
         std::mem::swap(&mut self.events, &mut save.events);
         std::mem::swap(&mut self.stats, &mut save.stats);
         self.dirty = save.dirty;
-        for (pre, &id) in save.pre.iter_mut().zip(&save.links) {
+        for (pre, &(id, dirty)) in save.pre.iter_mut().zip(&save.links) {
             std::mem::swap(&mut self.links[id], pre);
             save.saved[id] = false;
+            let bit = 1u64 << (id % 64);
+            if dirty {
+                self.dirty_links[id / 64] |= bit;
+            } else {
+                self.dirty_links[id / 64] &= !bit;
+            }
         }
         save.links.clear();
         for &(slot, hop) in save.hops.iter().rev() {
@@ -1070,11 +1095,18 @@ impl<P: StateSave + Clone> StateSave for Network<P> {
     /// The topology is not serialized — it is a pure function of the node
     /// count, rebuilt by [`Network::new`] on restore.
     fn save(&self, w: &mut SnapWriter) {
+        self.save_with(w, |w| w.save(&self.links));
+    }
+}
+
+impl<P: StateSave + Clone> Network<P> {
+    /// The snapshot layout, with `links` writing the link section.
+    fn save_with(&self, w: &mut SnapWriter, links: impl FnOnce(&mut SnapWriter)) {
         w.usize_(self.nodes());
         w.save(&self.params);
         w.save(&self.policy);
         w.save(&self.qos);
-        w.save(&self.links);
+        links(w);
         w.save(&self.flights);
         w.save(&self.free_slots);
         w.save(&self.events);
@@ -1083,7 +1115,24 @@ impl<P: StateSave + Clone> StateSave for Network<P> {
         w.save(&self.fault);
         w.save(&self.stats);
     }
+
+    /// A delta record: the snapshot layout with the link section cut to
+    /// the links written since the last checkpoint cut, as a `u64` entry
+    /// count and ascending `(u64 link index, link)` entries. A window of
+    /// traffic writes a few links of a large fabric; everything else is
+    /// small and rewritten whole.
+    pub fn save_delta(&self, w: &mut SnapWriter) {
+        self.save_with(w, |w| {
+            let dirty = || (0..self.links.len()).filter(|&l| self.link_dirty(l));
+            w.usize_(dirty().count());
+            for l in dirty() {
+                w.u64(l as u64);
+                w.save(&self.links[l]);
+            }
+        });
+    }
 }
+
 impl<P: StateLoad + Clone> StateLoad for Network<P> {
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
         let at = r.offset();
@@ -1106,17 +1155,51 @@ impl<P: StateLoad + Clone> StateLoad for Network<P> {
             return Err(SnapshotError::Corrupt { offset: links_at });
         }
         net.links = links;
-        let body_at = r.offset();
-        net.flights = r.load()?;
-        net.free_slots = r.load()?;
-        net.events = r.load()?;
-        net.delivered = r.load()?;
-        net.route_salt = r.u64()?;
-        net.fault = r.load()?;
-        net.stats = r.load()?;
-        net.validate_restored()
-            .map_err(|()| SnapshotError::Corrupt { offset: body_at })?;
+        net.load_body(r)?;
         Ok(net)
+    }
+}
+
+impl<P: StateLoad + Clone> Network<P> {
+    /// Apply a record written by [`Network::save_delta`] on top of this
+    /// (restored) network, which must span the same node count. A link
+    /// index out of range, repeated or out of order is
+    /// [`SnapshotError::Corrupt`] at its offset. Applied links are
+    /// re-marked dirty; callers clear the marks once the whole chain has
+    /// been applied. On error the network is partly overwritten; callers
+    /// discard it.
+    pub fn apply_delta(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+        let at = r.offset();
+        if r.usize_()? != self.nodes() {
+            return Err(SnapshotError::Corrupt { offset: at });
+        }
+        self.params = r.load()?;
+        self.policy = r.load()?;
+        self.qos = r.load()?;
+        let mut prev = None;
+        for _ in 0..r.list_len(self.links.len())? {
+            let l = r.ascending_index(prev, self.links.len())?;
+            prev = Some(l);
+            self.links[l] = r.load()?;
+            self.dirty_links[l / 64] |= 1u64 << (l % 64);
+        }
+        self.dirty = true;
+        self.load_body(r)
+    }
+
+    /// Load the sections after the links, then cross-check the whole
+    /// network ([`Network::validate_restored`]).
+    fn load_body(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+        let at = r.offset();
+        self.flights = r.load()?;
+        self.free_slots = r.load()?;
+        self.events = r.load()?;
+        self.delivered = r.load()?;
+        self.route_salt = r.u64()?;
+        self.fault = r.load()?;
+        self.stats = r.load()?;
+        self.validate_restored()
+            .map_err(|()| SnapshotError::Corrupt { offset: at })
     }
 }
 
@@ -1789,10 +1872,117 @@ mod tests {
         w.finish()
     }
 
+    fn delta(n: &Network<u32>) -> Vec<u8> {
+        let mut w = sv_sim::ckpt::SnapWriter::new();
+        n.save_delta(&mut w);
+        w.finish()
+    }
+
+    /// Links whose dirty bit is set.
+    fn dirty_links(n: &Network<u32>) -> Vec<LinkId> {
+        (0..n.links.len()).filter(|&l| n.link_dirty(l)).collect()
+    }
+
+    /// Offset of a delta record's link entry count: past the node count,
+    /// the link parameters, the routing policy and the QoS option.
+    fn links_at(n: &Network<u32>) -> usize {
+        let mut w = sv_sim::ckpt::SnapWriter::new();
+        w.usize_(n.nodes());
+        w.save(&n.params);
+        w.save(&n.policy);
+        w.save(&n.qos);
+        w.len()
+    }
+
+    /// A donor whose last cut saw a 16-node network mid-traffic, with
+    /// one packet injected after the cut and carried one hop since.
+    fn cut_then_one_hop() -> (Network<u32>, Vec<u8>) {
+        let mut n = net(16);
+        for s in 0..16u16 {
+            n.inject(
+                Time::ZERO,
+                Packet::new(s, (s + 5) % 16, Priority::Low, 64, s.into()),
+            );
+        }
+        n.advance(Time::from_ns(700));
+        let base = snapshot(&n);
+        n.ckpt_clear_dirty();
+        n.inject(
+            Time::from_ns(700),
+            Packet::new(3, 12, Priority::High, 8, 99),
+        );
+        n.advance(Time::from_ns(1_400));
+        (n, base)
+    }
+
+    #[test]
+    fn network_delta_carries_only_the_links_written_since_the_cut() {
+        let (mut n, base) = cut_then_one_hop();
+        let written = dirty_links(&n);
+        assert!(
+            !written.is_empty() && written.len() < n.links.len(),
+            "{written:?}"
+        );
+        let d = delta(&n);
+        let at = links_at(&n);
+        assert_eq!(d[at..at + 8], (written.len() as u64).to_le_bytes());
+        assert!(d.len() < snapshot(&n).len());
+        let mut r = Network::<u32>::load(&mut sv_sim::ckpt::SnapReader::new(&base)).unwrap();
+        r.ckpt_clear_dirty();
+        r.apply_delta(&mut sv_sim::ckpt::SnapReader::new(&d))
+            .unwrap();
+        assert_eq!(snapshot(&r), snapshot(&n));
+        // The applied record re-saves byte-identically, and the copy
+        // runs on as the donor does.
+        assert_eq!((dirty_links(&r), delta(&r)), (written, d));
+        assert_eq!(
+            format!("{:?}", run_until_quiet(&mut n)),
+            format!("{:?}", run_until_quiet(&mut r))
+        );
+        assert_eq!(snapshot(&r), snapshot(&n));
+    }
+
+    #[test]
+    fn network_delta_link_list_out_of_range_repeated_or_out_of_order_is_corrupt() {
+        let (n, base) = cut_then_one_hop();
+        let written = dirty_links(&n);
+        assert!(written.len() >= 2);
+        let d = delta(&n);
+        let first = links_at(&n) + 8;
+        let mut w = sv_sim::ckpt::SnapWriter::new();
+        w.save(&n.links[written[0]]);
+        let second = first + 8 + w.len();
+        let set = |at: usize, v: u64| {
+            let mut b = d.clone();
+            b[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            b
+        };
+        let last = n.links.len() as u64 - 1;
+        for (bytes, at, what) in [
+            (set(second, n.links.len() as u64), second, "out of range"),
+            (set(second, written[0] as u64), second, "repeated"),
+            (set(first, last), second, "out of order"),
+            (set(first - 8, n.links.len() as u64 + 1), first - 8, "count"),
+        ] {
+            let mut r = Network::<u32>::load(&mut sv_sim::ckpt::SnapReader::new(&base)).unwrap();
+            assert_eq!(
+                r.apply_delta(&mut sv_sim::ckpt::SnapReader::new(&bytes)),
+                Err(sv_sim::ckpt::SnapshotError::Corrupt { offset: at }),
+                "{what}"
+            );
+        }
+        // A record for another fabric size is refused at its first byte.
+        let mut other = net(32);
+        assert_eq!(
+            other.apply_delta(&mut sv_sim::ckpt::SnapReader::new(&d)),
+            Err(sv_sim::ckpt::SnapshotError::Corrupt { offset: 0 })
+        );
+    }
+
     /// Every harvest must return what a clone advanced to the same
     /// horizon delivers, and leave no trace: after each one the network
-    /// matches a twin that never harvested in snapshot bytes, dirty flag
-    /// and next event. The traffic drives every write the savepoint
+    /// matches a twin that never harvested in snapshot and delta bytes,
+    /// dirty flag, per-link dirty bits and next event. The traffic drives every write the savepoint
     /// journals: crossing flows of both classes contend for links,
     /// 2-credit VCs stall and register waiters (QoS armed), and the fault
     /// model duplicates and reorders packets. Horizons range from inside
@@ -1854,6 +2044,8 @@ mod tests {
                     assert_eq!(format!("{out:?}"), format!("{want:?}"), "{at}");
                     assert!(snapshot(&n) == snapshot(&twin), "{at}: snapshot changed");
                     assert_eq!(n.ckpt_dirty(), twin.ckpt_dirty(), "{at}");
+                    assert_eq!(dirty_links(&n), dirty_links(&twin), "{at}");
+                    assert!(delta(&n) == delta(&twin), "{at}: delta changed");
                     assert_eq!(n.next_event_time(), twin.next_event_time(), "{at}");
                     harvested += out.len();
                 }

@@ -294,7 +294,7 @@ trait NetModel {
 }
 
 macro_rules! net_model {
-    ($($net:ident),*) => {$(
+    ($($net:ident: $delta:expr),*) => {$(
         impl NetModel for $net<NetPayload> {
             fn next_event_time(&self) -> Option<Time> {
                 $net::next_event_time(self)
@@ -312,19 +312,30 @@ macro_rules! net_model {
                 $net::inject(self, now, pkt)
             }
             fn harvest(&mut self, horizon: Time, out: &mut Vec<Delivery>) {
-                checked_harvest(self, $net::ckpt_dirty, |net| $net::harvest(net, horizon, out))
+                checked_harvest(self, $net::ckpt_dirty, $delta, |net| {
+                    $net::harvest(net, horizon, out)
+                })
             }
         }
     )*};
 }
-net_model!(Network, IdealNetwork);
+// The ideal pipe's delta record is its whole state.
+net_model!(
+    Network: Network::save_delta,
+    IdealNetwork: StateSave::save
+);
 
 /// Run `harvest` on `net`. Debug builds also check that it left the
-/// fabric's snapshot bytes and dirty flag exactly as they were. The
-/// check keeps its two snapshot buffers between harvests, so all it
-/// allocates per window is the event queue's pop-order copy inside
-/// each snapshot.
-fn checked_harvest<N: StateSave>(net: &mut N, dirty: fn(&N) -> bool, harvest: impl FnOnce(&mut N)) {
+/// fabric's snapshot bytes, dirty flag and delta record (which carries
+/// the per-link dirty bits) exactly as they were. The check keeps its
+/// two snapshot buffers between harvests, so all it allocates per window
+/// is the event queue's pop-order copy inside each snapshot.
+fn checked_harvest<N: StateSave>(
+    net: &mut N,
+    dirty: fn(&N) -> bool,
+    delta: fn(&N, &mut SnapWriter),
+    harvest: impl FnOnce(&mut N),
+) {
     if !cfg!(debug_assertions) {
         return harvest(net);
     }
@@ -334,6 +345,7 @@ fn checked_harvest<N: StateSave>(net: &mut N, dirty: fn(&N) -> bool, harvest: im
     let snapshot = |net: &N, buf: &mut Vec<u8>| {
         let mut w = SnapWriter::reusing(std::mem::take(buf));
         net.save(&mut w);
+        delta(net, &mut w);
         *buf = w.finish();
     };
     SNAPSHOTS.with_borrow_mut(|[before, after]| {

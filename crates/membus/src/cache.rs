@@ -15,12 +15,14 @@
 //! it keeps ARTRY free for its load-bearing role in S-COMA).
 //!
 //! Way slots are grouped in chunks of [`CHUNK_SETS`] consecutive sets,
-//! the unit delta snapshots track. A chunk's ways are allocated, in one
+//! the unit snapshots list. A chunk's ways are allocated, in one
 //! allocation of exactly that chunk, by the first `install` into it; a
 //! chunk never installed into holds no memory and reads as never-used
 //! ways, so a node pays host memory only for the sets its run touches.
-//! Each slot is kept in its snapshot encoding, so an allocated chunk
-//! saves and loads as one copy.
+//! A full snapshot lists only the chunks holding a slot that is not
+//! never-used, and a delta only the dirty ones, so a node pays snapshot
+//! bytes for the same sets. Each slot is kept in its snapshot encoding,
+//! so a listed chunk saves and loads as one copy.
 
 use crate::op::{line_of, Addr, BusOpKind, SnoopVerdict, CACHE_LINE};
 use serde::{Deserialize, Serialize};
@@ -127,7 +129,7 @@ pub struct SnoopOutcome {
 }
 
 /// Sets per chunk: the unit a cache allocates its ways in, and the unit
-/// deltas snapshot them in.
+/// snapshots list them in.
 const CHUNK_SETS: usize = 64;
 
 /// Encoded size of one way slot: `tag: u64`, the state byte, `lru: u64`.
@@ -421,15 +423,22 @@ sv_sim::checkpointed! {
 }
 
 impl StateSave for SnoopyCache {
-    /// Geometry is rebuilt from params; only the ways (tag, state, LRU
-    /// age) and the LRU tick are snapshotted.
+    /// Geometry is rebuilt from params. The LRU tick and the stats are
+    /// written, then every chunk that holds a slot that is not never-used:
+    /// a run that touches few sets saves only those.
     fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.tick);
-        w.save(&self.stats);
-        for c in 0..self.chunks.len() {
-            self.save_chunk(w, c);
-        }
+        self.save_listed(w, |c| {
+            self.chunks[c]
+                .as_deref()
+                .is_some_and(|slots| !never_used(slots.as_flattened()))
+        });
     }
+}
+
+/// Whether encoded slots all read never-used.
+fn never_used(bytes: &[u8]) -> bool {
+    let block = NEVER_USED_BLOCK.as_flattened();
+    bytes.chunks(block.len()).all(|b| b == &block[..b.len()])
 }
 
 impl SnoopyCache {
@@ -438,6 +447,42 @@ impl SnoopyCache {
     fn chunk_len(&self, c: usize) -> usize {
         let lo = c * CHUNK_SETS;
         ((lo + CHUNK_SETS).min(self.sets) - lo) * self.params.ways
+    }
+
+    /// The layout shared by full snapshots and deltas: the LRU tick, the
+    /// stats, a `u64` entry count, then per chunk `listed` picks, in
+    /// ascending order, its `u64` index and its slots.
+    fn save_listed(&self, w: &mut SnapWriter, listed: impl Fn(usize) -> bool) {
+        w.u64(self.tick);
+        w.save(&self.stats);
+        let entries = || (0..self.chunks.len()).filter(|&c| listed(c));
+        w.usize_(entries().count());
+        for c in entries() {
+            w.u64(c as u64);
+            self.save_chunk(w, c);
+        }
+    }
+
+    /// Inverse of [`SnoopyCache::save_listed`]; marks every listed chunk
+    /// dirty. An index out of range, repeated or out of order is
+    /// [`SnapshotError::Corrupt`] at its offset, and so, when `full`, is
+    /// an entry whose slots all read never-used: a full snapshot never
+    /// lists one, so each full snapshot has exactly one encoding.
+    fn load_listed(&mut self, r: &mut SnapReader<'_>, full: bool) -> Result<(), SnapshotError> {
+        self.tick = r.u64()?;
+        self.stats = r.load()?;
+        self.dirty_meta = true;
+        let mut prev = None;
+        for _ in 0..r.list_len(self.chunks.len())? {
+            let at = r.offset();
+            let c = r.ascending_index(prev, self.chunks.len())?;
+            prev = Some(c);
+            if self.load_chunk(r, c)? && full {
+                return Err(SnapshotError::Corrupt { offset: at });
+            }
+            self.dirty_chunks[c / 64] |= 1u64 << (c % 64);
+        }
+        Ok(())
     }
 
     /// Emit chunk `c`'s slots in order: an allocated chunk's bytes as
@@ -455,11 +500,12 @@ impl SnoopyCache {
         }
     }
 
-    /// Inverse of [`SnoopyCache::save_chunk`]. A state byte outside
-    /// [`Mesi`]'s codes is [`SnapshotError::Corrupt`] at its own offset.
-    /// An unallocated chunk whose slots all read never-used stays
-    /// unallocated; any other slot allocates it.
-    fn load_chunk(&mut self, r: &mut SnapReader<'_>, c: usize) -> Result<(), SnapshotError> {
+    /// Inverse of [`SnoopyCache::save_chunk`]; returns whether every
+    /// slot read never-used. A state byte outside [`Mesi`]'s codes is
+    /// [`SnapshotError::Corrupt`] at its own offset. An unallocated chunk
+    /// whose slots all read never-used stays unallocated; any other slot
+    /// allocates it.
+    fn load_chunk(&mut self, r: &mut SnapReader<'_>, c: usize) -> Result<bool, SnapshotError> {
         let len = self.chunk_len(c);
         let at = r.offset();
         let bytes = r.take(len * SLOT_BYTES)?;
@@ -469,30 +515,28 @@ impl SnoopyCache {
                 offset: at + k * SLOT_BYTES + STATE,
             });
         }
-        let block = NEVER_USED_BLOCK.as_flattened();
-        let never_used = bytes.chunks(block.len()).all(|b| b == &block[..b.len()]);
+        let unused = never_used(bytes);
         let slots = match &mut self.chunks[c] {
             Some(slots) => slots,
-            None if never_used => return Ok(()),
+            None if unused => return Ok(true),
             empty => empty.insert(vec![NEVER_USED; len].into()),
         };
         slots.as_flattened_mut().copy_from_slice(bytes);
-        Ok(())
+        Ok(unused)
     }
 
     /// Overwrite this cache, in place, from a full snapshot taken under
-    /// its own geometry; allocated chunks stay allocated. The result is
+    /// its own geometry; allocated chunks stay allocated, and those the
+    /// snapshot does not list read never-used. The result is
     /// conservatively all-dirty until the next checkpoint cut. On error
     /// the cache is partly overwritten (still well-formed); callers
     /// discard it.
     pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.tick = r.u64()?;
-        self.stats = r.load()?;
-        for c in 0..self.chunks.len() {
-            self.load_chunk(r, c)?;
+        for slots in self.chunks.iter_mut().flatten() {
+            slots.fill(NEVER_USED);
         }
+        self.load_listed(r, true)?;
         self.dirty_chunks.fill(u64::MAX);
-        self.dirty_meta = true;
         Ok(())
     }
 
@@ -510,39 +554,19 @@ impl SnoopyCache {
     }
 
     /// Emit the LRU tick, stats, and only the dirty chunks of the way
-    /// array, in ascending chunk order (deterministic bytes).
+    /// array, in the layout of a full snapshot.
     pub fn save_delta(&self, w: &mut SnapWriter) {
-        w.u64(self.tick);
-        w.save(&self.stats);
-        let dirty = || {
-            (0..self.chunks.len()).filter(|c| self.dirty_chunks[c / 64] & (1u64 << (c % 64)) != 0)
-        };
-        w.usize_(dirty().count());
-        for c in dirty() {
-            w.u64(c as u64);
-            self.save_chunk(w, c);
-        }
+        self.save_listed(w, |c| self.dirty_chunks[c / 64] & (1u64 << (c % 64)) != 0);
     }
 
     /// Apply a delta produced by [`SnoopyCache::save_delta`] under the
-    /// same geometry. Applied chunks are re-marked dirty; callers clear
-    /// the marks once the whole chain has been applied.
+    /// same geometry. Unlike a full snapshot's, a listed chunk may read
+    /// all never-used: a cache replaced by a fresh one mid-chain (a
+    /// flush) must erase what the copy holds there. Applied chunks are
+    /// re-marked dirty; callers clear the marks once the whole chain has
+    /// been applied.
     pub fn apply_delta(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.tick = r.u64()?;
-        self.stats = r.load()?;
-        self.dirty_meta = true;
-        let n = r.count()?;
-        for _ in 0..n {
-            let at = r.offset();
-            let c = r.u64()?;
-            if c as usize >= self.chunks.len() {
-                return Err(SnapshotError::Corrupt { offset: at });
-            }
-            let c = c as usize;
-            self.load_chunk(r, c)?;
-            self.dirty_chunks[c / 64] |= 1u64 << (c % 64);
-        }
-        Ok(())
+        self.load_listed(r, false)
     }
 }
 
@@ -557,6 +581,20 @@ mod tests {
             ways: 2,
             push_latency_cycles: 2,
         })
+    }
+
+    /// Full-snapshot bytes of `c`.
+    fn saved(c: &SnoopyCache) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        c.save(&mut w);
+        w.finish()
+    }
+
+    /// Delta bytes of `c`.
+    fn saved_delta(c: &SnoopyCache) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        c.save_delta(&mut w);
+        w.finish()
     }
 
     #[test]
@@ -664,72 +702,84 @@ mod tests {
         assert_eq!(c.resident_lines(), 1);
     }
 
-    /// `save` and `save_delta` bytes, pinned as literal hex: per way,
-    /// set-major, `tag: u64`, the snapshot `Mesi` byte (M=0 E=1 S=2 I=3)
-    /// and `lru: u64`, all little-endian. Covers a never-used way (tag
-    /// `u64::MAX`), an invalidated way keeping its stale tag, and an LRU
-    /// eviction; restoring either form re-saves the same bytes.
+    /// 128 sets x 2 ways: two chunks of 64 sets.
+    fn two_chunks() -> SnoopyCache {
+        SnoopyCache::new(CacheParams {
+            size_bytes: 8192,
+            ways: 2,
+            push_latency_cycles: 2,
+        })
+    }
+
+    /// `save` and `save_delta` bytes, pinned as literal hex: the LRU tick
+    /// and the six stats counters, a `u64` entry count, then per listed
+    /// chunk its `u64` index and its slots; per way, set-major,
+    /// `tag: u64`, the snapshot `Mesi` byte (M=0 E=1 S=2 I=3) and
+    /// `lru: u64`, all little-endian. A full snapshot lists the chunks
+    /// holding a slot that is not never-used, a delta the dirty ones.
+    /// Covers a never-used way (tag `u64::MAX`), an invalidated way
+    /// keeping its stale tag, an LRU eviction and an untouched chunk left
+    /// out; restoring either form re-saves the same bytes.
     #[test]
     fn snapshot_bytes_are_pinned() {
-        let mut c = small();
-        c.install(0x000, Mesi::Exclusive); // set 0, tick 1
-        c.install(0x100, Mesi::Modified); // set 0, tick 2
-        c.install(0x0e0, Mesi::Shared); // set 7, tick 3
-        assert_eq!(c.invalidate(0x0e0), Some(false));
-        c.lookup(0x000); // hit, tick 4
-        c.lookup(0x300); // miss, tick 5
-        assert_eq!(c.install(0x200, Mesi::Exclusive), Some((0x100, true))); // tick 6
         let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
         let u64s = |vs: &[u64]| vs.iter().map(|v| hex(&v.to_le_bytes())).collect::<String>();
+        assert_eq!(hex(&saved(&two_chunks())), u64s(&[0; 8]), "no chunk listed");
+        let mut c = two_chunks();
+        c.install(0x800, Mesi::Exclusive); // line 64, set 64 (chunk 1), tick 1
+        c.install(0x1800, Mesi::Modified); // line 192, set 64, tick 2
+        c.install(0x8e0, Mesi::Shared); // line 71, set 71, tick 3
+        assert_eq!(c.invalidate(0x8e0), Some(false));
+        c.lookup(0x800); // hit, tick 4
+        c.lookup(0x2300); // miss in chunk 0, which stays unallocated; tick 5
+        assert_eq!(c.install(0x2800, Mesi::Exclusive), Some((0x1800, true))); // tick 6
         let empty = "ffffffffffffffff030000000000000000";
-        let set7 = ["0700000000000000030300000000000000", empty].concat();
+        let tail = [
+            empty.repeat(12),                            // sets 65..=70
+            "4700000000000000030300000000000000".into(), // stale line 71, I
+            empty.repeat(1 + 2 * 56),                    // sets 71..=127
+        ]
+        .concat();
         // tick, then hits/misses/evictions/dirty/snoop_hits/snoop_pushes.
         let want_save = [
             u64s(&[6, 1, 1, 1, 1, 0, 0]),
-            "0000000000000000010400000000000000".into(), // set 0: line 0, E
-            "1000000000000000010600000000000000".into(), // line 16, E
-            empty.repeat(12),                            // sets 1..=6
-            set7.clone(),                                // stale line 7, I
+            u64s(&[1, 1]),                               // one entry: chunk 1
+            "4000000000000000010400000000000000".into(), // set 64: line 64, E
+            "4001000000000000010600000000000000".into(), // line 320, E
+            tail.clone(),
         ]
         .concat();
-        let mut w = SnapWriter::new();
-        c.save(&mut w);
-        let full = w.finish();
+        let full = saved(&c);
         assert_eq!(hex(&full), want_save);
-        let mut r = small();
+        let mut r = two_chunks();
         r.restore(&mut SnapReader::new(&full)).unwrap();
-        let mut w = SnapWriter::new();
-        r.save(&mut w);
-        assert_eq!(w.finish(), full);
+        assert_eq!((r.allocated_chunks(), saved(&r)), (1, full));
 
         c.clear_dirty();
-        c.snoop(BusOpKind::Read, 0x200); // E -> S in set 0, chunk 0
+        c.snoop(BusOpKind::Read, 0x2800); // E -> S in set 64, chunk 1
         let want_delta = [
             u64s(&[6, 1, 1, 1, 1, 1, 0]),
-            u64s(&[1, 0]), // one dirty chunk: chunk 0
-            "0000000000000000010400000000000000".into(),
-            "1000000000000000020600000000000000".into(),
-            empty.repeat(12),
-            set7,
+            u64s(&[1, 1]), // one dirty chunk: chunk 1
+            "4000000000000000010400000000000000".into(),
+            "4001000000000000020600000000000000".into(),
+            tail,
         ]
         .concat();
-        let mut w = SnapWriter::new();
-        c.save_delta(&mut w);
-        let delta = w.finish();
+        let delta = saved_delta(&c);
         assert_eq!(hex(&delta), want_delta);
-        let mut r = small();
+        let mut r = two_chunks();
+        r.clear_dirty();
         r.apply_delta(&mut SnapReader::new(&delta)).unwrap();
-        let mut w = SnapWriter::new();
-        r.save_delta(&mut w);
-        assert_eq!(w.finish(), delta);
+        assert_eq!(saved_delta(&r), delta);
     }
 
     /// Bytes before the first slot of a full snapshot: the LRU tick and
     /// the six stats counters.
     const META: usize = 7 * 8;
 
-    /// A full snapshot of an L1-geometry cache (1024 slots, four codec
-    /// blocks) holding every state, stale tags and never-used ways.
+    /// A full snapshot of an L1-geometry cache (1024 slots in four
+    /// 256-slot chunks, all listed) holding every state, stale tags and
+    /// never-used ways.
     fn l1_snapshot() -> Vec<u8> {
         let mut c = SnoopyCache::new(CacheParams::l1_604e());
         let states = [Mesi::Modified, Mesi::Exclusive, Mesi::Shared];
@@ -739,9 +789,13 @@ mod tests {
         for line in (0..700u64).step_by(5) {
             c.invalidate(line * 7 * CACHE_LINE);
         }
-        let mut w = SnapWriter::new();
-        c.save(&mut w);
-        w.finish()
+        saved(&c)
+    }
+
+    /// Offset of slot `k`'s state byte in [`l1_snapshot`]: past the meta
+    /// block, the entry count and one index per chunk up to slot `k`'s.
+    fn l1_state_at(k: usize) -> usize {
+        META + 8 + (k / BLOCK_SLOTS + 1) * 8 + k * SLOT_BYTES + STATE
     }
 
     #[test]
@@ -751,7 +805,7 @@ mod tests {
             |b: &[u8]| SnoopyCache::new(CacheParams::l1_604e()).restore(&mut SnapReader::new(b));
         assert_eq!(restore(&full), Ok(()));
         for k in [0, 1, 255, 256, 700, 1023] {
-            let at = META + k * SLOT_BYTES + 8;
+            let at = l1_state_at(k);
             for b in 4..=u8::MAX {
                 let mut bad = full.clone();
                 bad[at] = b;
@@ -766,11 +820,9 @@ mod tests {
         // the chunk count and the chunk index.
         let mut c = small();
         c.install(0x40, Mesi::Shared);
-        let mut w = SnapWriter::new();
-        c.save_delta(&mut w);
-        let delta = w.finish();
+        let delta = saved_delta(&c);
         for k in [0, 15] {
-            let at = META + 16 + k * SLOT_BYTES + 8;
+            let at = META + 16 + k * SLOT_BYTES + STATE;
             let mut bad = delta.clone();
             bad[at] = 4;
             assert_eq!(
@@ -784,7 +836,8 @@ mod tests {
     #[test]
     fn slot_codec_truncation_through_two_blocks_is_typed() {
         let full = l1_snapshot();
-        for cut in 0..=META + 2 * BLOCK_SLOTS * SLOT_BYTES {
+        // Through the second chunk entry, each one 256-slot block.
+        for cut in 0..l1_state_at(2 * BLOCK_SLOTS) - STATE {
             let got = SnoopyCache::new(CacheParams::l1_604e())
                 .restore(&mut SnapReader::new(&full[..cut]));
             assert!(
@@ -803,20 +856,6 @@ mod tests {
             (l2.sets, l2.chunks.len(), l2.chunk_len(0)),
             (16384, 256, 64)
         );
-    }
-
-    /// Full-snapshot bytes of `c`.
-    fn saved(c: &SnoopyCache) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        c.save(&mut w);
-        w.finish()
-    }
-
-    /// Delta bytes of `c`.
-    fn saved_delta(c: &SnoopyCache) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        c.save_delta(&mut w);
-        w.finish()
     }
 
     #[test]
@@ -886,8 +925,7 @@ mod tests {
         assert_eq!(saved(&c), saved(&donor));
     }
 
-    /// Eight ways: each 64-set chunk is 512 slots, written as two
-    /// never-used blocks while unallocated.
+    /// Eight ways: each 64-set chunk is 512 slots, two codec blocks.
     #[test]
     fn chunk_of_eight_ways_round_trips_with_only_its_second_block_used() {
         let eight = || {
@@ -903,8 +941,14 @@ mod tests {
         c.install(32 * CACHE_LINE, Mesi::Exclusive);
         c.install(63 * CACHE_LINE, Mesi::Modified);
         let (full, delta) = (saved(&c), saved_delta(&c));
-        let first_block = META..META + BLOCK_SLOTS * SLOT_BYTES;
+        // One entry, chunk 0, whose first block is never-used slots.
+        assert_eq!(
+            full[META..META + 16],
+            [[1u8, 0, 0, 0, 0, 0, 0, 0], [0; 8]].concat()
+        );
+        let first_block = META + 16..META + 16 + BLOCK_SLOTS * SLOT_BYTES;
         assert_eq!(&full[first_block], NEVER_USED_BLOCK.as_flattened());
+        assert_eq!(full.len(), META + 16 + 2 * BLOCK_SLOTS * SLOT_BYTES);
         let mut r = eight();
         r.restore(&mut SnapReader::new(&full)).unwrap();
         assert_eq!(r.allocated_chunks(), 1);
@@ -915,6 +959,70 @@ mod tests {
         r.apply_delta(&mut SnapReader::new(&delta)).unwrap();
         assert_eq!(r.allocated_chunks(), 1);
         assert_eq!(saved_delta(&r), delta);
+    }
+
+    /// An L1-geometry snapshot listing chunks 1 and 2, and the offsets of
+    /// its two chunk indices.
+    fn two_listed() -> (Vec<u8>, [usize; 2]) {
+        let mut c = SnoopyCache::new(CacheParams::l1_604e());
+        c.install(64 * CACHE_LINE, Mesi::Exclusive);
+        c.install(130 * CACHE_LINE, Mesi::Modified);
+        let at = META + 8;
+        (saved(&c), [at, at + 8 + BLOCK_SLOTS * SLOT_BYTES])
+    }
+
+    #[test]
+    fn chunk_list_out_of_range_repeated_or_out_of_order_is_corrupt_at_the_index() {
+        let (full, [first, second]) = two_listed();
+        let index = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+        assert_eq!((index(&full, first), index(&full, second)), (1, 2));
+        let set = |at: usize, v: u64| {
+            let mut b = full.clone();
+            b[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            b
+        };
+        let l1 = || SnoopyCache::new(CacheParams::l1_604e());
+        for (bytes, at, what) in [
+            (set(second, 4), second, "out of range"),
+            (set(first, u64::MAX), first, "far out of range"),
+            (set(second, 1), second, "repeated"),
+            (set(first, 3), second, "out of order"),
+        ] {
+            let want = Err(SnapshotError::Corrupt { offset: at });
+            assert_eq!(l1().restore(&mut SnapReader::new(&bytes)), want, "{what}");
+            // A delta lists its chunks in the same layout, under the same
+            // rule.
+            assert_eq!(
+                l1().apply_delta(&mut SnapReader::new(&bytes)),
+                want,
+                "delta {what}"
+            );
+        }
+        let mut r = l1();
+        r.restore(&mut SnapReader::new(&full)).unwrap();
+        assert_eq!(saved(&r), full);
+    }
+
+    #[test]
+    fn chunk_list_entry_reading_all_never_used_is_corrupt_only_in_a_full_snapshot() {
+        let (full, [first, _]) = two_listed();
+        let mut bytes = full.clone();
+        let slots = first + 8..first + 8 + BLOCK_SLOTS * SLOT_BYTES;
+        bytes[slots].copy_from_slice(NEVER_USED_BLOCK.as_flattened());
+        let l1 = || SnoopyCache::new(CacheParams::l1_604e());
+        assert_eq!(
+            l1().restore(&mut SnapReader::new(&bytes)),
+            Err(SnapshotError::Corrupt { offset: first })
+        );
+        let mut r = l1();
+        r.apply_delta(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(
+            r.allocated_chunks(),
+            1,
+            "the never-used entry allocates nothing"
+        );
+        assert_eq!(r.peek(64 * CACHE_LINE), Mesi::Invalid);
+        assert_eq!(r.peek(130 * CACHE_LINE), Mesi::Modified);
     }
 
     #[test]

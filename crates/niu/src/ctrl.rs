@@ -353,11 +353,13 @@ sv_sim::checkpointed! {
     }
 }
 
+// Nested in the NIU's delta record only so that the translation
+// table's entries can leave its head for the tail (see `XlateTable`).
 sv_sim::checkpointed! {
-    struct Ctrl {
+    pub(crate) struct Ctrl {
         tx,
         rx,
-        xlate,
+        xlate: nested,
         rx_cache,
         ibus,
         cmdq,
@@ -374,6 +376,7 @@ sv_sim::checkpointed! {
         rr_next,
         stats,
     }
+    delta {}
 }
 
 #[cfg(test)]

@@ -53,7 +53,7 @@ pub const MAGIC: [u8; 4] = *b"SVCK";
 /// Current snapshot format version. Bump on **any** layout change, even
 /// a reordered field — restores across versions are rejected, never
 /// migrated (see the module docs for why).
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Typed failure surface for snapshot encode/decode.
 ///
@@ -542,6 +542,37 @@ impl<'a> SnapReader<'a> {
         Ok(n)
     }
 
+    /// Read the entry count of an ascending entry list over `bound`
+    /// indices ([`SnapReader::ascending_index`]): a count above `bound`
+    /// is [`SnapshotError::Corrupt`] at its offset. The bound, not the
+    /// bytes left, limits it, so a list cut short fails as
+    /// [`SnapshotError::Truncated`] at the entry where the bytes end.
+    pub fn list_len(&mut self, bound: usize) -> Result<usize, SnapshotError> {
+        let at = self.pos;
+        match self.usize_()? {
+            n if n <= bound => Ok(n),
+            _ => Err(SnapshotError::Corrupt { offset: at }),
+        }
+    }
+
+    /// Read the next index of an ascending entry list (the sparse
+    /// sections of a snapshot: cache chunks, network links): a `u64`
+    /// below `bound` and above `prev`, the index read before it. An index
+    /// out of range, repeated or out of order is
+    /// [`SnapshotError::Corrupt`] at its own offset, so a list has one
+    /// encoding and an accepted one re-saves byte-identically.
+    pub fn ascending_index(
+        &mut self,
+        prev: Option<usize>,
+        bound: usize,
+    ) -> Result<usize, SnapshotError> {
+        let at = self.pos;
+        match usize::try_from(self.u64()?) {
+            Ok(i) if i < bound && prev.is_none_or(|p| i > p) => Ok(i),
+            _ => Err(SnapshotError::Corrupt { offset: at }),
+        }
+    }
+
     /// Read a `u64`-length-prefixed byte run.
     pub fn lp_bytes(&mut self) -> Result<&'a [u8], SnapshotError> {
         let n = self.count()?;
@@ -662,8 +693,11 @@ pub trait StateLoad: Sized {
 /// [`StateSave`], an in-place full `restore`, `delta_save` /
 /// `delta_apply` (plus their `_head` / `_tail` halves, for nesting),
 /// and `ckpt_is_dirty` / `ckpt_clear_dirty` over the whole-section
-/// flag named by `dirty:` and every tracked field. `validate` runs
-/// after a full restore and after each delta half.
+/// flag named by `dirty:` and every tracked field. A component nested
+/// only to place a tracked field of its own in its owner's tail (the
+/// NIU's CTRL and translation table) names no `dirty:` flag: its head
+/// is rewritten whenever its owner is dirty. `validate` runs after a
+/// full restore and after each delta half.
 #[macro_export]
 macro_rules! checkpointed {
     // ---- internal: post-load invariant check ----
@@ -816,7 +850,7 @@ macro_rules! checkpointed {
     (
         $vis:vis struct $name:ident { $($f:ident $(: $k:ident)?),+ $(,)? }
         delta {
-            dirty: $dirty:ident
+            $(dirty: $dirty:ident)?
             $(, tail: [$($tf:ident: $tk:ident),+ $(,)?])?
             $(,)?
         }
@@ -837,7 +871,7 @@ macro_rules! checkpointed {
             ) -> Result<(), $crate::ckpt::SnapshotError> {
                 let at = r.offset();
                 $($crate::checkpointed!(@restore [$($k)?] self.$f, r);)+
-                self.$dirty = true;
+                $(self.$dirty = true;)?
                 $crate::checkpointed!(@validate &*self, at $(, $v)?);
                 Ok(())
             }
@@ -860,7 +894,7 @@ macro_rules! checkpointed {
             ) -> Result<(), $crate::ckpt::SnapshotError> {
                 let at = r.offset();
                 $($crate::checkpointed!(@head_apply [$($k)?] self.$f, r);)+
-                self.$dirty = true;
+                $(self.$dirty = true;)?
                 $crate::checkpointed!(@validate &*self, at $(, $v)?);
                 Ok(())
             }
@@ -896,12 +930,12 @@ macro_rules! checkpointed {
             /// True if anything changed since the last checkpoint cut:
             /// the whole-section flag or any tracked field.
             $vis fn ckpt_is_dirty(&self) -> bool {
-                self.$dirty $(|| $crate::checkpointed!(@dirty [$($k)?] self.$f))+
+                false $(|| self.$dirty)? $(|| $crate::checkpointed!(@dirty [$($k)?] self.$f))+
             }
 
             /// Forget every dirty mark: a cut captured the contents.
             $vis fn ckpt_clear_dirty(&mut self) {
-                self.$dirty = false;
+                $(self.$dirty = false;)?
                 $($crate::checkpointed!(@clear [$($k)?] self.$f);)+
             }
         }
@@ -1460,6 +1494,69 @@ mod tests {
         assert!(matches!(
             read_header(&mut SnapReader::new(b"SV")),
             Err(SnapshotError::BadMagic { .. })
+        ));
+    }
+
+    #[test]
+    fn format_3_snapshots_and_deltas_are_refused_as_version() {
+        let version = Some(SnapshotError::Version {
+            found: 3,
+            expected: 4,
+        });
+        let mut w = SnapWriter::new();
+        write_header(
+            &mut w,
+            &SnapHeader {
+                version: 3,
+                param_hash: 1,
+                nodes: 8,
+            },
+        );
+        assert_eq!(
+            read_header(&mut SnapReader::new(&w.finish())).err(),
+            version
+        );
+        let mut w = SnapWriter::new();
+        write_delta_header(
+            &mut w,
+            &DeltaHeader {
+                version: 3,
+                param_hash: 1,
+                nodes: 8,
+                base_id: 2,
+                seq: 1,
+                from_cycle: 0,
+                to_cycle: 9,
+            },
+        );
+        let got = read_delta_header(&mut SnapReader::new(&w.finish()));
+        assert_eq!(got.err(), version);
+    }
+
+    #[test]
+    fn ascending_lists_reject_a_bad_count_or_index_at_its_offset() {
+        let mut w = SnapWriter::new();
+        for v in [3u64, 1, 4, 4, 2, 9, u64::MAX] {
+            w.u64(v);
+        }
+        let bytes = w.finish();
+        let corrupt = |k: usize| Err(SnapshotError::Corrupt { offset: 8 * k });
+        let mut r = SnapReader::new(&bytes);
+        assert_eq!(r.list_len(3), Ok(3));
+        assert_eq!(r.ascending_index(None, 5), Ok(1));
+        assert_eq!(r.ascending_index(Some(1), 5), Ok(4));
+        assert_eq!(r.ascending_index(Some(4), 5), corrupt(3), "repeated");
+        assert_eq!(r.ascending_index(Some(4), 5), corrupt(4), "out of order");
+        assert_eq!(r.ascending_index(None, 5), corrupt(5), "out of range");
+        assert_eq!(r.ascending_index(None, 5), corrupt(6), "far out of range");
+        assert_eq!(SnapReader::new(&bytes).list_len(2), corrupt(0));
+        // A list cut short is truncated, not corrupt: the count is held
+        // to the index range, not to the bytes left.
+        let mut r = SnapReader::new(&bytes[..8]);
+        assert_eq!(r.list_len(5), Ok(3));
+        assert!(matches!(
+            r.ascending_index(None, 5),
+            Err(SnapshotError::Truncated { .. })
         ));
     }
 
