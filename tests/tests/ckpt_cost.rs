@@ -1,0 +1,93 @@
+//! Snapshot size gated as work rather than time: on the cadence
+//! workload of `simspeed --nodes 256 --delta-every 20000` (256-node
+//! staggered pairs, a delta cut every 20,000 bus cycles), a full
+//! snapshot must cost a bounded number of bytes per node, and a cadence
+//! delta must stay at least ten times smaller. Byte counts are
+//! deterministic, so the gates hold on any host.
+
+use voyager::api::{BasicMsg, RecvBasic, SendBasic};
+use voyager::app::{Delay, Seq};
+use voyager::{DeltaCheckpoint, Machine, Parallelism};
+
+const NODES: u16 = 256;
+
+/// Full-snapshot budget per node. A full snapshot lists only the cache
+/// chunks a run has used, and this run installs no cache line, so a
+/// node costs its NIU, its translation table and its small state:
+/// 21.1 KiB measured, plus headroom.
+const MAX_FULL_BYTES_PER_NODE: usize = 24 * 1024;
+
+/// Node `2k` sends four Basic messages to node `2k+1`, both starting at
+/// `k` x 20 us, as the simspeed sweep does: at most one pair is active
+/// at any instant.
+fn load_staggered_pairs(m: &mut Machine) {
+    const STAGGER_NS: u64 = 20_000;
+    for k in 0..NODES / 2 {
+        let (a, b) = (2 * k, 2 * k + 1);
+        let (lib_a, lib_b) = (m.lib(a), m.lib(b));
+        let start = u64::from(k) * STAGGER_NS;
+        let msgs = (0..4u8)
+            .map(|r| BasicMsg::new(lib_a.user_dest(b), vec![r; 16]))
+            .collect();
+        m.load_program(
+            a,
+            Seq::new(vec![
+                Box::new(Delay(start)),
+                Box::new(SendBasic::new(&lib_a, msgs)),
+            ]),
+        );
+        m.load_program(
+            b,
+            Seq::new(vec![
+                Box::new(Delay(start)),
+                Box::new(RecvBasic::expecting(&lib_b, 4)),
+            ]),
+        );
+    }
+}
+
+fn build() -> Machine {
+    let mut m = Machine::builder(NODES.into())
+        .parallelism(Parallelism::Sequential)
+        .sample_latency(true)
+        .build();
+    load_staggered_pairs(&mut m);
+    m
+}
+
+#[test]
+fn cadence_snapshot_bytes_stay_bounded_per_node_and_deltas_ten_times_smaller() {
+    let end_ns = build().run_to_quiescence().ns();
+    // 20,000 cycles of the 66 MHz bus clock, in simulated ns.
+    let every_ns = (20_000u64 * 1000).div_ceil(66);
+    let mut m = build();
+    assert!(m.checkpoint_delta().is_base());
+    let mut deltas = Vec::new();
+    let mut target = every_ns;
+    while target < end_ns {
+        m.run_for(target - m.now.ns());
+        match m.checkpoint_delta() {
+            DeltaCheckpoint::Delta(d) => deltas.push(d.len()),
+            DeltaCheckpoint::Base(_) => unreachable!("the chain is open"),
+        }
+        target += every_ns;
+    }
+    let full = m.checkpoint().len();
+    let mean = deltas.iter().sum::<usize>() / deltas.len();
+    let per_node = full / usize::from(NODES);
+    println!(
+        "{NODES} nodes: full snapshot at the last cut {full} bytes ({:.1} KiB per node); \
+         mean of {} cadence deltas {mean} bytes ({:.1}x below full)",
+        per_node as f64 / 1024.0,
+        deltas.len(),
+        full as f64 / mean as f64,
+    );
+    assert!(
+        per_node <= MAX_FULL_BYTES_PER_NODE,
+        "{per_node} full-snapshot bytes per node exceed the budget of {MAX_FULL_BYTES_PER_NODE}"
+    );
+    assert!(
+        mean * 10 <= full,
+        "mean cadence delta {mean} bytes is not 10x below the full snapshot's {full}"
+    );
+}
