@@ -872,3 +872,18 @@ fn delay_program_checkpoints_mid_wait() {
     r.run_to_quiescence();
     assert_eq!(r.stats().to_json(), want);
 }
+
+/// Cuts taken at the same cycles carry the same bytes under every
+/// worker count: a parallel window's harvest sets per-link dirty bits
+/// and rolls them back with the links, so a `Fixed(k)` delta lists
+/// exactly the links a `Sequential` one does.
+#[test]
+fn delta_bytes_at_the_same_cuts_match_across_worker_counts() {
+    let n = 8u16;
+    let (end_ns, _) = baseline(n, Some(Parallelism::Sequential));
+    let cut = |p| chain_cuts(&mut all_pairs(n, Some(p)), end_ns / 2, 4);
+    let want = cut(Parallelism::Sequential);
+    for k in [2, 4] {
+        assert!(cut(Parallelism::Fixed(k)) == want, "Fixed({k})");
+    }
+}
