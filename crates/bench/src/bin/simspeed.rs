@@ -20,16 +20,13 @@
 //! `BENCH_simspeed.json` (simulated ns and bus cycles per wall second,
 //! per loop mode and node count).
 //!
-//! Usage: `simspeed [--nodes N] [--stats] [--faults] [--collectives]
+//! Usage: `simspeed [--nodes N] [--faults] [--collectives]
 //! [--hotspot] [--checkpoint-every C] [--delta-every C] [--restore FILE]
 //! [--artifacts-dir DIR]` — with `--nodes` only the
 //! sweep entry for `N` runs (the CI smoke configuration); without
-//! arguments the full ring table and node-count sweep run. With
-//! `--stats`, a deterministic re-run of the staggered-pair workload
-//! (latency sampling on) additionally dumps the full
-//! `Machine::stats()` counter snapshot to
-//! `BENCH_simspeed_stats.json` — byte-comparable against a committed
-//! golden, since the snapshot contains no wall-clock quantities. With
+//! arguments the full ring table and node-count sweep run. The
+//! staggered-pair workload is [`voyager::workloads::load_staggered_pairs`];
+//! `tests/stats_golden.rs` pins its 64-node counter snapshot. With
 //! `--faults`, the bin instead runs only the fault-injection smoke: the
 //! staggered-pair workload over a lossy, duplicating, corrupting,
 //! reordering fabric with the reliable-delivery layer armed, asserting
@@ -73,9 +70,8 @@
 //! records paired full-vs-delta snapshot cost (size, save, restore) for
 //! 8..1024-node machines in the JSON report.
 //!
-//! Scratch artifacts (`BENCH_simspeed_ckpt.bin`,
-//! `BENCH_simspeed_stats.json`) land under `target/` by default;
-//! `--artifacts-dir DIR` redirects them. The committed
+//! The scratch artifact `BENCH_simspeed_ckpt.bin` lands under `target/`
+//! by default; `--artifacts-dir DIR` redirects it. The committed
 //! `BENCH_simspeed.json` report stays in the working directory.
 
 use std::io::Write as _;
@@ -86,6 +82,7 @@ use voyager::api::{BasicMsg, CollReq, RecvBasic, SendBasic};
 use voyager::app::{AppEventKind, Delay, Seq};
 use voyager::collectives::{AllReduce, BasicAllReduce, ReduceOp};
 use voyager::firmware::proto::CollOp;
+use voyager::workloads::{load_staggered_pairs, PAIR_MSGS, STAGGER_NS};
 use voyager::{Machine, MachineBuilder, Parallelism, Program, ShardPolicy};
 
 /// Compute gap between ring rounds, in ns. At 66 MHz this is ~3300 bus
@@ -94,15 +91,11 @@ use voyager::{Machine, MachineBuilder, Parallelism, Program, ShardPolicy};
 const GAP_NS: u64 = 50_000;
 const ROUNDS: u16 = 30;
 
-/// Stagger between pair activations in the sweep workload, and how many
-/// messages each pair exchanges inside its slot.
-const STAGGER_NS: u64 = 20_000;
-const PAIR_MSGS: u16 = 4;
-
 /// A ring: each node computes for `GAP_NS`, sends one Basic message to
 /// its successor, then receives one from its predecessor, `ROUNDS`
 /// times over.
-fn load_ring(m: &mut Machine, n: u16) {
+fn load_ring(m: &mut Machine) {
+    let n = m.nodes.len() as u16;
     for i in 0..n {
         let lib = m.lib(i);
         let next = (i + 1) % n;
@@ -117,46 +110,10 @@ fn load_ring(m: &mut Machine, n: u16) {
     }
 }
 
-/// Staggered pairs: node `2k` sends [`PAIR_MSGS`] Basic messages to node
-/// `2k+1` starting at `k * STAGGER_NS`; both then finish. At any instant
-/// at most one pair is exchanging (its slot is far shorter than the
-/// stagger) and every other node is idle in a delay or done — the
-/// idle-heavy *node-count* regime, where total work grows linearly with
-/// `n` but concurrent work does not.
-fn load_staggered_pairs(m: &mut Machine, n: u16) {
-    assert!(
-        n >= 2 && n.is_multiple_of(2),
-        "pairs need an even node count"
-    );
-    for k in 0..n / 2 {
-        let (a, b) = (2 * k, 2 * k + 1);
-        let start = k as u64 * STAGGER_NS;
-        let lib_a = m.lib(a);
-        let lib_b = m.lib(b);
-        let msgs = (0..PAIR_MSGS)
-            .map(|r| BasicMsg::new(lib_a.user_dest(b), vec![r as u8; 16]))
-            .collect();
-        m.load_program(
-            a,
-            Seq::new(vec![
-                Box::new(Delay(start)),
-                Box::new(SendBasic::new(&lib_a, msgs)),
-            ]),
-        );
-        m.load_program(
-            b,
-            Seq::new(vec![
-                Box::new(Delay(start)),
-                Box::new(RecvBasic::expecting(&lib_b, PAIR_MSGS as usize)),
-            ]),
-        );
-    }
-}
-
 /// Run `load` to quiescence; return (simulated ns, wall seconds).
-fn measure(builder: MachineBuilder, n: u16, load: fn(&mut Machine, u16)) -> (u64, f64) {
+fn measure(builder: MachineBuilder, load: fn(&mut Machine)) -> (u64, f64) {
     let mut m = builder.build();
-    load(&mut m, n);
+    load(&mut m);
     let start = Instant::now();
     let t = m.run_to_quiescence();
     (t.ns(), start.elapsed().as_secs_f64())
@@ -191,19 +148,16 @@ fn sweep_point(n: u16, workers: usize) -> SweepRow {
     // stays cheap at the largest sweep sizes).
     let _ = measure(
         Machine::builder(n.into()).parallelism(Parallelism::Fixed(workers)),
-        n,
         load_staggered_pairs,
     );
     let (t_ev, w_ev) = measure(
         Machine::builder(n.into()).parallelism(Parallelism::Sequential),
-        n,
         load_staggered_pairs,
     );
     let (t_par, w_par) = measure(
         Machine::builder(n.into())
             .parallelism(Parallelism::Fixed(workers))
             .shard_policy(ShardPolicy::BySubtree),
-        n,
         load_staggered_pairs,
     );
     assert_eq!(
@@ -213,7 +167,6 @@ fn sweep_point(n: u16, workers: usize) -> SweepRow {
     if n <= 32 {
         let (t_step, _) = measure(
             Machine::builder(n.into()).cycle_stepped(),
-            n,
             load_staggered_pairs,
         );
         assert_eq!(
@@ -230,10 +183,9 @@ fn sweep_point(n: u16, workers: usize) -> SweepRow {
     }
 }
 
-/// Scratch-artifact filenames, placed under `--artifacts-dir`
-/// (default `target/`).
+/// Scratch-artifact filename, placed under `--artifacts-dir` (default
+/// `target/`).
 const CKPT_FILE: &str = "BENCH_simspeed_ckpt.bin";
-const STATS_FILE: &str = "BENCH_simspeed_stats.json";
 
 /// One checkpoint cost measurement for the JSON report: a full snapshot
 /// and, one stagger slot later, the delta back to it.
@@ -258,7 +210,7 @@ fn ckpt_point(n: u16) -> CkptPoint {
     let mut m = Machine::builder(n.into())
         .parallelism(Parallelism::Sequential)
         .build();
-    load_staggered_pairs(&mut m, n);
+    load_staggered_pairs(&mut m);
     m.run_for(u64::from(n / 4) * STAGGER_NS);
     let t0 = Instant::now();
     let bytes = m.checkpoint();
@@ -312,7 +264,7 @@ fn checkpoint_every_smoke(n: u16, every_cycles: u64, ckpt_path: &std::path::Path
             .parallelism(Parallelism::Sequential)
             .sample_latency(true)
             .build();
-        load_staggered_pairs(&mut m, n);
+        load_staggered_pairs(&mut m);
         m
     };
     let mut reference = build();
@@ -379,7 +331,7 @@ fn delta_every_smoke(n: u16, every_cycles: u64) {
             .parallelism(Parallelism::Sequential)
             .sample_latency(true)
             .build();
-        load_staggered_pairs(&mut m, n);
+        load_staggered_pairs(&mut m);
         m
     };
     let mut reference = build();
@@ -539,23 +491,6 @@ fn write_json(
     f.write_all(s.as_bytes()).expect("write json report");
 }
 
-/// Deterministic observability sidecar: re-run the staggered-pair
-/// workload sequentially with latency sampling on and dump the complete
-/// counter snapshot. Everything in it is simulation-determined, so the
-/// output is byte-stable across hosts and runs.
-fn write_stats_sidecar(n: u16, path: &std::path::Path) {
-    let mut m = Machine::builder(n.into())
-        .parallelism(Parallelism::Sequential)
-        .sample_latency(true)
-        .build();
-    load_staggered_pairs(&mut m, n);
-    m.run_to_quiescence();
-    let mut json = m.stats().to_json();
-    json.push('\n');
-    std::fs::write(path, json).expect("write stats sidecar");
-    println!("wrote {}", path.display());
-}
-
 /// Fault-injection smoke (`--faults`): the staggered-pair workload over
 /// a hostile fabric. The run must finish with every payload delivered
 /// exactly once, visible retransmission work, and stats JSON identical
@@ -573,7 +508,7 @@ fn faults_smoke(n: u16, workers: usize) {
             .faults(faults)
             .parallelism(par)
             .build();
-        load_staggered_pairs(&mut m, n);
+        load_staggered_pairs(&mut m);
         let t = m.run_to_quiescence().ns();
         (t, m.stats())
     };
@@ -910,7 +845,6 @@ fn main() {
             .and_then(|v| v.parse().ok())
             .expect("--nodes takes a node count")
     });
-    let want_stats = args.iter().any(|a| a == "--stats");
     let artifacts_dir = std::path::PathBuf::from(
         args.iter()
             .position(|a| a == "--artifacts-dir")
@@ -997,17 +931,14 @@ fn main() {
         let mut rows = Vec::new();
         let mut speedup_8 = (0.0f64, 0.0f64);
         for n in [2u16, 8, 32] {
-            let _ = measure(Machine::builder(n.into()), n, load_ring);
-            let (t_step, w_step) =
-                measure(Machine::builder(n.into()).cycle_stepped(), n, load_ring);
+            let _ = measure(Machine::builder(n.into()), load_ring);
+            let (t_step, w_step) = measure(Machine::builder(n.into()).cycle_stepped(), load_ring);
             let (t_ev, w_ev) = measure(
                 Machine::builder(n.into()).parallelism(Parallelism::Sequential),
-                n,
                 load_ring,
             );
             let (t_par, w_par) = measure(
                 Machine::builder(n.into()).parallelism(Parallelism::Fixed(workers)),
-                n,
                 load_ring,
             );
             assert_eq!(
@@ -1126,7 +1057,4 @@ fn main() {
 
     write_json("BENCH_simspeed.json", workers, &sweep, &ring, &ckpt, &coll);
     println!("\nwrote BENCH_simspeed.json");
-    if want_stats {
-        write_stats_sidecar(only_nodes.unwrap_or(64), &artifacts_dir.join(STATS_FILE));
-    }
 }

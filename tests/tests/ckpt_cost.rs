@@ -5,8 +5,7 @@
 //! delta must stay at least ten times smaller. Byte counts are
 //! deterministic, so the gates hold on any host.
 
-use voyager::api::{BasicMsg, RecvBasic, SendBasic};
-use voyager::app::{Delay, Seq};
+use voyager::workloads::load_staggered_pairs;
 use voyager::{DeltaCheckpoint, Machine, Parallelism};
 
 const NODES: u16 = 256;
@@ -16,35 +15,6 @@ const NODES: u16 = 256;
 /// node costs its NIU, its translation table and its small state:
 /// 21.1 KiB measured, plus headroom.
 const MAX_FULL_BYTES_PER_NODE: usize = 24 * 1024;
-
-/// Node `2k` sends four Basic messages to node `2k+1`, both starting at
-/// `k` x 20 us, as the simspeed sweep does: at most one pair is active
-/// at any instant.
-fn load_staggered_pairs(m: &mut Machine) {
-    const STAGGER_NS: u64 = 20_000;
-    for k in 0..NODES / 2 {
-        let (a, b) = (2 * k, 2 * k + 1);
-        let (lib_a, lib_b) = (m.lib(a), m.lib(b));
-        let start = u64::from(k) * STAGGER_NS;
-        let msgs = (0..4u8)
-            .map(|r| BasicMsg::new(lib_a.user_dest(b), vec![r; 16]))
-            .collect();
-        m.load_program(
-            a,
-            Seq::new(vec![
-                Box::new(Delay(start)),
-                Box::new(SendBasic::new(&lib_a, msgs)),
-            ]),
-        );
-        m.load_program(
-            b,
-            Seq::new(vec![
-                Box::new(Delay(start)),
-                Box::new(RecvBasic::expecting(&lib_b, 4)),
-            ]),
-        );
-    }
-}
 
 fn build() -> Machine {
     let mut m = Machine::builder(NODES.into())
