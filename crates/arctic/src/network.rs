@@ -934,12 +934,7 @@ impl<P> Network<P> {
             .iter()
             .enumerate()
             .filter(|(_, l)| l.bytes > 0)
-            .map(|(id, l)| LinkUsage {
-                link: id,
-                bytes: l.bytes,
-                busy_ns: l.busy_ns,
-                high_water: l.high_water as u64,
-            })
+            .map(|(id, l)| LinkUsage::capture(id, l))
             .collect()
     }
 
@@ -951,54 +946,44 @@ impl<P> Network<P> {
     pub fn vc_usage(&self) -> Vec<VcUsage> {
         let nvcs = self.qos.map_or(2, |q| q.vcs as usize);
         (0..nvcs)
-            .map(|vc| {
-                let mut u = VcUsage {
-                    vc: vc as u64,
-                    ..VcUsage::default()
-                };
-                for l in &self.links {
-                    let v = &l.vcs[vc];
-                    u.bytes += v.bytes;
-                    u.busy_ns += v.busy_ns;
-                    u.high_water = u.high_water.max(v.high_water as u64);
-                    u.stalls += v.stalls;
-                    u.stall_ns += v.stall_ns;
-                }
-                u
-            })
+            .map(|vc| VcUsage::capture(&self.links, vc))
             .collect()
     }
 }
 
-/// Per-VC usage record exported by [`Network::vc_usage`], aggregated
-/// over all links.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct VcUsage {
-    /// Virtual-channel index (0 carries the High class).
-    pub vc: u64,
-    /// Bytes transmitted on this VC.
-    pub bytes: u64,
-    /// Serialization time spent on this VC, ns.
-    pub busy_ns: u64,
-    /// Deepest any single link's queue for this VC has been.
-    pub high_water: u64,
-    /// Credit-stall episodes charged to this VC.
-    pub stalls: u64,
-    /// Time this VC's heads spent credit-blocked, ns.
-    pub stall_ns: u64,
+sv_sim::json_stats! {
+    /// Per-VC usage record exported by [`Network::vc_usage`], aggregated
+    /// over all links.
+    #[derive(Copy)]
+    pub struct VcUsage(links: &[LinkState], vc: usize) {
+        /// Virtual-channel index (0 carries the High class).
+        vc = vc as u64,
+        /// Bytes transmitted on this VC.
+        bytes = links.iter().map(|l| l.vcs[vc].bytes).sum(),
+        /// Serialization time spent on this VC, ns.
+        busy_ns = links.iter().map(|l| l.vcs[vc].busy_ns).sum(),
+        /// Deepest any single link's queue for this VC has been.
+        high_water = links.iter().map(|l| l.vcs[vc].high_water as u64).max().unwrap_or(0),
+        /// Credit-stall episodes charged to this VC.
+        stalls = links.iter().map(|l| l.vcs[vc].stalls).sum(),
+        /// Time this VC's heads spent credit-blocked, ns.
+        stall_ns = links.iter().map(|l| l.vcs[vc].stall_ns).sum(),
+    }
 }
 
-/// Per-link usage record exported by [`Network::link_usage`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LinkUsage {
-    /// Link id in the fat tree.
-    pub link: usize,
-    /// Bytes serialized onto the link.
-    pub bytes: u64,
-    /// Time spent serializing (occupancy numerator), ns.
-    pub busy_ns: u64,
-    /// Output-queue high-water mark.
-    pub high_water: u64,
+sv_sim::json_stats! {
+    /// Per-link usage record exported by [`Network::link_usage`].
+    #[derive(Copy)]
+    pub struct LinkUsage(id: usize, l: &LinkState) {
+        /// Link id in the fat tree.
+        link: usize = id,
+        /// Bytes serialized onto the link.
+        bytes = l.bytes,
+        /// Time spent serializing (occupancy numerator), ns.
+        busy_ns = l.busy_ns,
+        /// Output-queue high-water mark.
+        high_water = l.high_water as u64,
+    }
 }
 
 use sv_sim::ckpt::{SnapReader, SnapWriter, SnapshotError, StateLoad, StateSave};

@@ -12,6 +12,12 @@
 //! worker counts and [`crate::ShardPolicy`] choices, and the
 //! golden-stats tests pin exact values per scenario.
 //!
+//! Each record is one [`sv_sim::json_stats!`] declaration: one line per
+//! counter holds its doc, its field name (also its JSON key) and the
+//! live counter it copies, so the struct, the copy and the JSON cannot
+//! drift apart. An `Option` section (`qos`, `tenancy`, per-node
+//! `tenants`) is written only when the feature is armed.
+//!
 //! Collecting a snapshot costs nothing during the run: all counters are
 //! maintained inline by the components (a handful of integer adds on
 //! paths that already mutate state), and latency *sampling* — the only
@@ -19,684 +25,514 @@
 //! ([`crate::MachineBuilder::sample_latency`]).
 
 use crate::machine::Machine;
-use serde::{Deserialize, Serialize};
+use crate::node::{Node, NodeStats};
+use crate::tenancy::{TenancyParams, TenantRegistry, TenantSchedStat, TenantSpec};
+use sv_arctic::{LinkUsage, Network, QosParams, VcUsage};
+use sv_firmware::{Firmware, FwTenant};
+use sv_membus::BusStats;
 use sv_niu::msg::{MsgClass, MSG_CLASSES};
-use sv_sim::JsonWriter;
+use sv_niu::niu::ClassStats;
+use sv_niu::queues::{RxQueue, TxQueue};
+use sv_niu::translate::PerLqStats;
+use sv_niu::{NetPayload, Niu, TenantAttr};
+use sv_sim::json::WriteJson;
+use sv_sim::{json_stats, JsonWriter};
 
-/// Per-class message conservation and latency. At quiescence
-/// `sent == delivered + dropped` holds for every class as long as no
-/// sender abandoned a message at the retransmit cap (the property suite
-/// asserts it, faults included). Under cap exhaustion the sender cannot
-/// know whether the receiver accepted a message whose ack was lost, so
-/// the invariant relaxes to
-/// `sent <= delivered + dropped <= sent + reliable_dropped`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ClassSnapshot {
-    /// Packets launched (loopbacks included).
-    pub sent: u64,
-    /// Packets accepted at the destination NIU.
-    pub delivered: u64,
-    /// Packets discarded at the destination.
-    pub dropped: u64,
-    /// Latency samples recorded (equals `delivered` while sampling is on
-    /// from cycle 0; zero when sampling is off).
-    pub latency_count: u64,
-    /// Sum of inject→deliver latencies, 66 MHz bus cycles.
-    pub latency_sum_cycles: u64,
-    /// Smallest latency sample (0 when none).
-    pub latency_min_cycles: u64,
-    /// Largest latency sample.
-    pub latency_max_cycles: u64,
+json_stats! {
+    /// Per-class message conservation and latency. At quiescence
+    /// `sent == delivered + dropped` holds for every class as long as no
+    /// sender abandoned a message at the retransmit cap (the property
+    /// suite asserts it, faults included). Under cap exhaustion the sender
+    /// cannot know whether the receiver accepted a message whose ack was
+    /// lost, so the invariant relaxes to
+    /// `sent <= delivered + dropped <= sent + reliable_dropped`.
+    #[derive(Copy)]
+    pub struct ClassSnapshot(c: &ClassStats) {
+        /// Packets launched (loopbacks included).
+        sent = c.sent.get(),
+        /// Packets accepted at the destination NIU.
+        delivered = c.delivered.get(),
+        /// Packets discarded at the destination.
+        dropped = c.dropped.get(),
+        /// Latency samples recorded (equals `delivered` while sampling is
+        /// on from cycle 0; zero when sampling is off).
+        latency_count = c.latency.count,
+        /// Sum of inject→deliver latencies, 66 MHz bus cycles.
+        latency_sum_cycles = c.latency.sum,
+        /// Smallest latency sample (0 when none).
+        latency_min_cycles = c.latency.min_or_zero(),
+        /// Largest latency sample.
+        latency_max_cycles = c.latency.max,
+    }
 }
 
-/// One transmit queue's counters. Queues with all-zero counters are
-/// omitted from [`NiuSnapshot::tx_queues`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TxQueueSnapshot {
-    /// Hardware queue index.
-    pub q: u64,
-    /// Messages enqueued (producer-pointer advances).
-    pub enqueued: u64,
-    /// Payload bytes launched.
-    pub sent_bytes: u64,
-    /// Launch stalls on a full buffer (Express backpressure).
-    pub full_stalls: u64,
-    /// Protection violations observed.
-    pub violations: u64,
+json_stats! {
+    /// One transmit queue's counters. Queues with all-zero counters are
+    /// omitted from [`NiuSnapshot::tx_queues`].
+    #[derive(Copy)]
+    pub struct TxQueueSnapshot(q: usize, t: &TxQueue) {
+        /// Hardware queue index.
+        q = q as u64,
+        /// Messages enqueued (producer-pointer advances).
+        enqueued = t.enqueued.get(),
+        /// Payload bytes launched.
+        sent_bytes = t.sent.get(),
+        /// Launch stalls on a full buffer (Express backpressure).
+        full_stalls = t.full_stalls.get(),
+        /// Protection violations observed.
+        violations = t.violations.get(),
+    }
 }
 
-/// One receive queue's counters. All-zero queues are omitted.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RxQueueSnapshot {
-    /// Hardware queue index.
-    pub q: u64,
-    /// Payload bytes received.
-    pub received_bytes: u64,
-    /// Messages dequeued (consumer-pointer advances).
-    pub dequeued: u64,
-    /// Messages dropped (full queue, Drop policy).
-    pub dropped: u64,
-    /// Messages diverted to the miss queue.
-    pub diverted: u64,
-    /// Delivery attempts stalled on a full queue (Retry policy).
-    pub full_stalls: u64,
+json_stats! {
+    /// One receive queue's counters. All-zero queues are omitted.
+    #[derive(Copy)]
+    pub struct RxQueueSnapshot(q: usize, r: &RxQueue) {
+        /// Hardware queue index.
+        q = q as u64,
+        /// Payload bytes received.
+        received_bytes = r.received.get(),
+        /// Messages dequeued (consumer-pointer advances).
+        dequeued = r.dequeued.get(),
+        /// Messages dropped (full queue, Drop policy).
+        dropped = r.dropped.get(),
+        /// Messages diverted to the miss queue.
+        diverted = r.diverted.get(),
+        /// Delivery attempts stalled on a full queue (Retry policy).
+        full_stalls = r.full_stalls.get(),
+    }
 }
 
-/// One NIU's counters: CTRL engines, queues, translation, aBIU, IBus.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct NiuSnapshot {
-    /// Messages launched by the transmit engine.
-    pub msgs_launched: u64,
-    /// Messages delivered into receive queues.
-    pub msgs_delivered: u64,
-    /// Messages diverted to the miss queue.
-    pub msgs_diverted: u64,
-    /// Messages dropped.
-    pub msgs_dropped: u64,
-    /// Remote commands executed.
-    pub remote_cmds: u64,
-    /// Local commands executed.
-    pub cmds_executed: u64,
-    /// Protection violations observed.
-    pub violations: u64,
-    /// TagOn bytes appended.
-    pub tagon_bytes: u64,
-    /// Contested transmit arbitrations won on priority.
-    pub tx_priority_wins: u64,
-    /// Block-transmit data chunks packetized (DMA chain steps).
-    pub dma_chain_steps: u64,
-    /// Messages short-circuited to this node's own receive path.
-    pub loopback_msgs: u64,
-    /// Express entries dropped (full queue, Drop policy).
-    pub express_dropped: u64,
-    /// Deepest receive-engine backlog seen.
-    pub rxu_high_water: u64,
-    /// Receive-queue-cache hits (message landed in a hardware queue).
-    pub rq_cache_hits: u64,
-    /// Receive-queue-cache misses (message took the firmware path).
-    pub rq_cache_misses: u64,
-    /// Destination-translation lookups.
-    pub xlate_lookups: u64,
-    /// Translation faults (protection violations).
-    pub xlate_faults: u64,
-    /// IBus busy cycles.
-    pub ibus_busy_cycles: u64,
-    /// IBus transactions.
-    pub ibus_transactions: u64,
-    /// aBIU bus operations claimed.
-    pub abiu_claimed: u64,
-    /// aBIU ARTRY retries observed.
-    pub abiu_retries: u64,
-    /// Reliable-delivery retransmissions (timeout resends).
-    pub retransmits: u64,
-    /// Cumulative acks emitted by the link interface.
-    pub acks_sent: u64,
-    /// Cumulative acks consumed by the transmit side.
-    pub acks_received: u64,
-    /// Duplicate/out-of-window sequenced frames discarded on arrival.
-    pub dup_drops: u64,
-    /// CRC-failed (fault-corrupted) frames discarded on arrival.
-    pub corrupt_drops: u64,
-    /// Head-of-line messages dropped after the Retry-policy cap.
-    pub rx_retry_drops: u64,
-    /// Messages abandoned by the sender at the retransmit cap.
-    pub reliable_dropped: u64,
-    /// Per-class conservation/latency, indexed by [`MsgClass`].
-    pub classes: [ClassSnapshot; MSG_CLASSES],
-    /// Non-idle transmit queues.
-    pub tx_queues: Vec<TxQueueSnapshot>,
-    /// Non-idle receive queues.
-    pub rx_queues: Vec<RxQueueSnapshot>,
+json_stats! {
+    /// One NIU's counters: CTRL engines, queues, translation, aBIU, IBus.
+    pub struct NiuSnapshot(niu: &Niu) {
+        /// Messages launched by the transmit engine.
+        msgs_launched = niu.ctrl.stats.msgs_launched.get(),
+        /// Messages delivered into receive queues.
+        msgs_delivered = niu.ctrl.stats.msgs_delivered.get(),
+        /// Messages diverted to the miss queue.
+        msgs_diverted = niu.ctrl.stats.msgs_diverted.get(),
+        /// Messages dropped.
+        msgs_dropped = niu.ctrl.stats.msgs_dropped.get(),
+        /// Remote commands executed.
+        remote_cmds = niu.ctrl.stats.remote_cmds.get(),
+        /// Local commands executed.
+        cmds_executed = niu.ctrl.stats.cmds_executed.get(),
+        /// Protection violations observed.
+        violations = niu.ctrl.stats.violations.get(),
+        /// TagOn bytes appended.
+        tagon_bytes = niu.ctrl.stats.tagon_bytes,
+        /// Contested transmit arbitrations won on priority.
+        tx_priority_wins = niu.ctrl.stats.tx_priority_wins.get(),
+        /// Block-transmit data chunks packetized (DMA chain steps).
+        dma_chain_steps = niu.ctrl.stats.dma_chain_steps.get(),
+        /// Messages short-circuited to this node's own receive path.
+        loopback_msgs = niu.stats.loopback_msgs.get(),
+        /// Express entries dropped (full queue, Drop policy).
+        express_dropped = niu.stats.express_dropped.get(),
+        /// Deepest receive-engine backlog seen.
+        rxu_high_water = niu.stats.rxu_high_water as u64,
+        /// Receive-queue-cache hits (message landed in a hardware queue).
+        rq_cache_hits = niu.ctrl.rx_cache.hits.get(),
+        /// Receive-queue-cache misses (message took the firmware path).
+        rq_cache_misses = niu.ctrl.rx_cache.misses.get(),
+        /// Destination-translation lookups.
+        xlate_lookups = niu.ctrl.xlate.lookups.get(),
+        /// Translation faults (protection violations).
+        xlate_faults = niu.ctrl.xlate.faults.get(),
+        /// IBus busy cycles.
+        ibus_busy_cycles = niu.ctrl.ibus.busy_cycles,
+        /// IBus transactions.
+        ibus_transactions = niu.ctrl.ibus.transactions.get(),
+        /// aBIU bus operations claimed.
+        abiu_claimed = niu.abiu.stats.claimed.get(),
+        /// aBIU ARTRY retries observed.
+        abiu_retries = niu.abiu.stats.retries.get(),
+        /// Reliable-delivery retransmissions (timeout resends).
+        retransmits = niu.stats.retransmits.get(),
+        /// Cumulative acks emitted by the link interface.
+        acks_sent = niu.stats.acks_sent.get(),
+        /// Cumulative acks consumed by the transmit side.
+        acks_received = niu.stats.acks_received.get(),
+        /// Duplicate/out-of-window sequenced frames discarded on arrival.
+        dup_drops = niu.stats.dup_drops.get(),
+        /// CRC-failed (fault-corrupted) frames discarded on arrival.
+        corrupt_drops = niu.stats.corrupt_drops.get(),
+        /// Head-of-line messages dropped after the Retry-policy cap.
+        rx_retry_drops = niu.stats.rx_retry_drops.get(),
+        /// Messages abandoned by the sender at the retransmit cap.
+        reliable_dropped = niu.stats.reliable_dropped.get(),
+        /// Per-class conservation/latency, indexed by [`MsgClass`] and
+        /// keyed by its names in the JSON.
+        classes by MsgClass::NAMES: [ClassSnapshot; MSG_CLASSES] =
+            niu.stats.class.each_ref().map(ClassSnapshot::capture),
+        /// Non-idle transmit queues.
+        tx_queues: Vec<TxQueueSnapshot> = niu.ctrl.tx.iter().enumerate()
+            .map(|(q, t)| TxQueueSnapshot::capture(q, t))
+            .filter(|t| *t != TxQueueSnapshot { q: t.q, ..Default::default() })
+            .collect(),
+        /// Non-idle receive queues.
+        rx_queues: Vec<RxQueueSnapshot> = niu.ctrl.rx.iter().enumerate()
+            .map(|(q, r)| RxQueueSnapshot::capture(q, r))
+            .filter(|r| *r != RxQueueSnapshot { q: r.q, ..Default::default() })
+            .collect(),
+    }
 }
 
-/// One node's firmware counters: engine, occupancy, NUMA, S-COMA, DMA.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FwSnapshot {
-    /// Work items handled.
-    pub handled: u64,
-    /// Service-queue messages processed.
-    pub svc_msgs: u64,
-    /// Miss-queue messages processed.
-    pub miss_msgs: u64,
-    /// Violation interrupts observed.
-    pub violations_seen: u64,
-    /// Malformed, stale, or protocol-inconsistent messages discarded.
-    pub proto_errors: u64,
-    /// sP busy time, ns.
-    pub busy_ns: u64,
-    /// Distinct sP busy intervals (handler engagements).
-    pub busy_intervals: u64,
-    /// NUMA requests forwarded to a home node (load misses + stores).
-    pub numa_forwards: u64,
-    /// NUMA home-side reads serviced.
-    pub numa_home_reads: u64,
-    /// NUMA home-side writes serviced.
-    pub numa_home_writes: u64,
-    /// NUMA replies delivered to the waiting aP.
-    pub numa_replies: u64,
-    /// S-COMA local misses serviced.
-    pub scoma_local_misses: u64,
-    /// S-COMA directory state transitions.
-    pub scoma_transitions: u64,
-    /// S-COMA owner recalls issued.
-    pub scoma_recalls: u64,
-    /// S-COMA sharer invalidations issued.
-    pub scoma_invals: u64,
-    /// S-COMA writebacks serviced.
-    pub scoma_writebacks: u64,
-    /// Block-transfer requests accepted.
-    pub xfer_requests: u64,
-    /// Block-transfer sends completed.
-    pub xfer_completed_sends: u64,
-    /// Block-transfer chunks sent (firmware DMA chain steps).
-    pub xfer_chunks_sent: u64,
-    /// Completion notifications sent.
-    pub xfer_notifies: u64,
-    /// Collectives started by the local aP (COLL_START accepted).
-    pub coll_started: u64,
-    /// Collective results delivered to the local aP.
-    pub coll_completed: u64,
-    /// Collective fan-in (COLL_UP) messages sent.
-    pub coll_ups_sent: u64,
-    /// Collective fan-out (COLL_DOWN) messages sent.
-    pub coll_downs_sent: u64,
-    /// Contributions folded while a fan-in was still incomplete (wait
-    /// depth the sP absorbed on behalf of the aPs).
-    pub coll_fanin_stalls: u64,
-    /// sP busy time attributed to collective handlers, ns.
-    pub coll_busy_ns: u64,
+json_stats! {
+    /// One node's firmware counters: engine, occupancy, NUMA, S-COMA, DMA.
+    #[derive(Copy)]
+    pub struct FwSnapshot(fw: &Firmware) {
+        /// Work items handled.
+        handled = fw.stats.handled.get(),
+        /// Service-queue messages processed.
+        svc_msgs = fw.stats.svc_msgs.get(),
+        /// Miss-queue messages processed.
+        miss_msgs = fw.stats.miss_msgs.get(),
+        /// Violation interrupts observed.
+        violations_seen = fw.stats.violations_seen.get(),
+        /// Malformed, stale, or protocol-inconsistent messages discarded.
+        proto_errors = fw.stats.proto_errors.get(),
+        /// sP busy time, ns.
+        busy_ns = fw.occupancy.busy_ns,
+        /// Distinct sP busy intervals (handler engagements).
+        busy_intervals = fw.occupancy.intervals,
+        /// NUMA requests forwarded to a home node (load misses + stores).
+        numa_forwards = fw.numa.load_misses.get() + fw.numa.stores_forwarded.get(),
+        /// NUMA home-side reads serviced.
+        numa_home_reads = fw.numa.home_reads.get(),
+        /// NUMA home-side writes serviced.
+        numa_home_writes = fw.numa.home_writes.get(),
+        /// NUMA replies delivered to the waiting aP.
+        numa_replies = fw.numa.replies.get(),
+        /// S-COMA local misses serviced.
+        scoma_local_misses = fw.scoma.stats.local_misses.get(),
+        /// S-COMA directory state transitions.
+        scoma_transitions = fw.scoma.stats.transitions.get(),
+        /// S-COMA owner recalls issued.
+        scoma_recalls = fw.scoma.stats.recalls.get(),
+        /// S-COMA sharer invalidations issued.
+        scoma_invals = fw.scoma.stats.invals.get(),
+        /// S-COMA writebacks serviced.
+        scoma_writebacks = fw.scoma.stats.writebacks.get(),
+        /// Block-transfer requests accepted.
+        xfer_requests = fw.xfer.requests.get(),
+        /// Block-transfer sends completed.
+        xfer_completed_sends = fw.xfer.completed_sends.get(),
+        /// Block-transfer chunks sent (firmware DMA chain steps).
+        xfer_chunks_sent = fw.xfer.chunks_sent.get(),
+        /// Completion notifications sent.
+        xfer_notifies = fw.xfer.notifies.get(),
+        /// Collectives started by the local aP (COLL_START accepted).
+        coll_started = fw.coll.started.get(),
+        /// Collective results delivered to the local aP.
+        coll_completed = fw.coll.completed.get(),
+        /// Collective fan-in (COLL_UP) messages sent.
+        coll_ups_sent = fw.coll.ups_sent.get(),
+        /// Collective fan-out (COLL_DOWN) messages sent.
+        coll_downs_sent = fw.coll.downs_sent.get(),
+        /// Contributions folded while a fan-in was still incomplete (wait
+        /// depth the sP absorbed on behalf of the aPs).
+        coll_fanin_stalls = fw.coll.fanin_stalls.get(),
+        /// sP busy time attributed to collective handlers, ns.
+        coll_busy_ns = fw.coll.busy_ns,
+    }
 }
 
-/// One node's memory-bus counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BusSnapshot {
-    /// Address tenures started.
-    pub tenures: u64,
-    /// ARTRY retries observed.
-    pub retries: u64,
-    /// Transactions completed.
-    pub completions: u64,
-    /// Busy data-bus cycles (occupancy numerator).
-    pub data_cycles: u64,
-    /// Bytes moved on the data bus.
-    pub data_bytes: u64,
+json_stats! {
+    /// One node's memory-bus counters.
+    #[derive(Copy)]
+    pub struct BusSnapshot(s: &BusStats) {
+        /// Address tenures started.
+        tenures = s.tenures.get(),
+        /// ARTRY retries observed.
+        retries = s.retries.get(),
+        /// Transactions completed.
+        completions = s.completions.get(),
+        /// Busy data-bus cycles (occupancy numerator).
+        data_cycles = s.data_cycles,
+        /// Bytes moved on the data bus.
+        data_bytes = s.data_bytes,
+    }
 }
 
-/// One node's aP-core counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CpuSnapshot {
-    /// Loads executed.
-    pub loads: u64,
-    /// Stores executed.
-    pub stores: u64,
-    /// L1 hits.
-    pub l1_hits: u64,
-    /// L2 hits.
-    pub l2_hits: u64,
-    /// Bus operations issued.
-    pub bus_ops_issued: u64,
-    /// Dirty-line castouts.
-    pub castouts: u64,
-    /// Time spent computing, ns.
-    pub compute_ns: u64,
-    /// Time stalled on memory, ns.
-    pub mem_stall_ns: u64,
-    /// ARTRY retries suffered.
-    pub ap_retries: u64,
+json_stats! {
+    /// One node's aP-core counters.
+    #[derive(Copy)]
+    pub struct CpuSnapshot(s: &NodeStats) {
+        /// Loads executed.
+        loads = s.loads.get(),
+        /// Stores executed.
+        stores = s.stores.get(),
+        /// L1 hits.
+        l1_hits = s.l1_hits.get(),
+        /// L2 hits.
+        l2_hits = s.l2_hits.get(),
+        /// Bus operations issued.
+        bus_ops_issued = s.bus_ops_issued.get(),
+        /// Dirty-line castouts.
+        castouts = s.castouts.get(),
+        /// Time spent computing, ns.
+        compute_ns = s.cpu_compute_ns,
+        /// Time stalled on memory, ns.
+        mem_stall_ns = s.cpu_mem_stall_ns,
+        /// ARTRY retries suffered.
+        ap_retries = s.ap_retries.get(),
+    }
 }
 
-/// One tenant's attribution on one node: scheduler occupancy, rx-queue-
-/// cache behaviour of the tenant's logical queue, firmware service
-/// counts, and the inject→deliver latency split by cache outcome. All
-/// integers (`done` is 0/1, quantiles come from the deterministic
-/// [`sv_sim::stats::Log2Histogram`]), so the JSON stays byte-
-/// deterministic across run modes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TenantSnapshot {
-    /// Tenant index on its node.
-    pub id: u64,
-    /// Workload-class code ([`crate::tenancy::TenantClass::code`]).
-    pub class: u64,
-    /// Scheduler weight.
-    pub weight: u64,
-    /// Scheduling slices granted.
-    pub slices: u64,
-    /// Program steps executed on the tenant's behalf.
-    pub steps: u64,
-    /// aP time attributed, ns.
-    pub active_ns: u64,
-    /// Basic messages completed through the shared tx muxes.
-    pub sent_msgs: u64,
-    /// 1 when the tenant's job ran to completion.
-    pub done: u64,
-    /// Arrivals to the tenant's logical queue that found it cached in a
-    /// hardware rx slot.
-    pub rq_hits: u64,
-    /// Arrivals that took the miss-queue path (queue not resident).
-    pub rq_misses: u64,
-    /// Arrivals diverted to the miss queue because the resident slot was
-    /// full.
-    pub diversions: u64,
-    /// Messages the firmware drained from the tenant's resident slot.
-    pub drained: u64,
-    /// Messages the firmware served for this tenant via the miss queue.
-    pub miss_served: u64,
-    /// Inject→deliver latency samples on the cache-hit path.
-    pub hit_latency_count: u64,
-    /// P99 of the hit-path latency, ns (bucketed upper bound; 0 with no
-    /// samples).
-    pub hit_latency_p99_ns: u64,
-    /// Largest hit-path latency, ns.
-    pub hit_latency_max_ns: u64,
-    /// Latency samples on the miss path (stamped at firmware service, so
-    /// sP occupancy is part of the cost).
-    pub miss_latency_count: u64,
-    /// P99 of the miss-path latency, ns.
-    pub miss_latency_p99_ns: u64,
-    /// Largest miss-path latency, ns.
-    pub miss_latency_max_ns: u64,
+json_stats! {
+    /// One tenant's attribution on one node: scheduler occupancy,
+    /// rx-queue-cache behaviour of the tenant's logical queue, firmware
+    /// service counts, and the inject→deliver latency split by cache
+    /// outcome. All integers (`done` is 0/1, quantiles come from the
+    /// deterministic [`sv_sim::stats::Log2Histogram`]), so the JSON stays
+    /// byte-deterministic across run modes.
+    #[derive(Copy)]
+    pub struct TenantSnapshot(
+        t: usize,
+        spec: TenantSpec,
+        sched: TenantSchedStat,
+        rq: Option<(&PerLqStats, usize)>,
+        fw: Option<&FwTenant>,
+        niu: Option<&TenantAttr>,
+    ) {
+        /// Tenant index on its node.
+        id = t as u64,
+        /// Workload-class code ([`crate::tenancy::TenantClass::code`]).
+        class = spec.class.code() as u64,
+        /// Scheduler weight.
+        weight = spec.weight as u64,
+        /// Scheduling slices granted.
+        slices = sched.slices,
+        /// Program steps executed on the tenant's behalf.
+        steps = sched.steps,
+        /// aP time attributed, ns.
+        active_ns = sched.active_ns,
+        /// Basic messages completed through the shared tx muxes.
+        sent_msgs = sched.sent_msgs,
+        /// 1 when the tenant's job ran to completion.
+        done = sched.done as u64,
+        /// Arrivals to the tenant's logical queue that found it cached in
+        /// a hardware rx slot.
+        rq_hits = rq.map_or(0, |(p, lq)| p.hits[lq]),
+        /// Arrivals that took the miss-queue path (queue not resident).
+        rq_misses = rq.map_or(0, |(p, lq)| p.misses[lq]),
+        /// Arrivals diverted to the miss queue because the resident slot
+        /// was full.
+        diversions = rq.map_or(0, |(p, lq)| p.diversions[lq]),
+        /// Messages the firmware drained from the tenant's resident slot.
+        drained = fw.map_or(0, |f| f.drained[t].get()),
+        /// Messages the firmware served for this tenant via the miss
+        /// queue.
+        miss_served = fw.map_or(0, |f| f.miss_served[t].get()),
+        /// Inject→deliver latency samples on the cache-hit path.
+        hit_latency_count = niu.map_or(0, |a| a.hit_latency[t].summary.count),
+        /// P99 of the hit-path latency, ns (bucketed upper bound; 0 with
+        /// no samples).
+        hit_latency_p99_ns = niu.and_then(|a| a.hit_latency[t].quantile(0.99)).unwrap_or(0),
+        /// Largest hit-path latency, ns.
+        hit_latency_max_ns = niu.map_or(0, |a| a.hit_latency[t].summary.max),
+        /// Latency samples on the miss path (stamped at firmware service,
+        /// so sP occupancy is part of the cost).
+        miss_latency_count = niu.map_or(0, |a| a.miss_latency[t].summary.count),
+        /// P99 of the miss-path latency, ns.
+        miss_latency_p99_ns = niu.and_then(|a| a.miss_latency[t].quantile(0.99)).unwrap_or(0),
+        /// Largest miss-path latency, ns.
+        miss_latency_max_ns = niu.map_or(0, |a| a.miss_latency[t].summary.max),
+    }
 }
 
-/// One node's tenancy section ([`NodeSnapshot::tenants`]), present only
-/// when the machine was built with [`crate::MachineBuilder::tenants`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TenantNodeSnapshot {
-    /// Queue-cache rebinds the firmware performed on this node.
-    pub rebinds: u64,
-    /// Per-tenant rows, in tenant order.
-    pub tenants: Vec<TenantSnapshot>,
+json_stats! {
+    /// One node's tenancy section ([`NodeSnapshot::tenants`]), present
+    /// only when the machine was built with
+    /// [`crate::MachineBuilder::tenants`].
+    pub struct TenantNodeSnapshot(n: &Node, tp: &TenancyParams) {
+        /// Queue-cache rebinds the firmware performed on this node.
+        rebinds = n.fw.tenant.as_ref().map_or(0, |f| f.rebinds.get()),
+        /// Per-tenant rows, in tenant order.
+        tenants as "per_tenant": Vec<TenantSnapshot> = tenant_rows(n, tp),
+    }
 }
 
-/// Everything one node counted.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct NodeSnapshot {
-    /// Node id.
-    pub node: u64,
-    /// aP core.
-    pub cpu: CpuSnapshot,
-    /// Memory bus.
-    pub bus: BusSnapshot,
-    /// Network interface unit.
-    pub niu: NiuSnapshot,
-    /// Service-processor firmware.
-    pub fw: FwSnapshot,
-    /// Per-tenant attribution, when tenancy is armed. The JSON emits the
-    /// `tenants` object only in that case, so untenanted machines keep
-    /// their historical byte-identical snapshots.
-    pub tenants: Option<TenantNodeSnapshot>,
+/// Node `n`'s per-tenant rows. A node without a `TenantScheduler`
+/// program (tenancy armed but some other workload loaded) reports zero
+/// occupancy.
+fn tenant_rows(n: &Node, tp: &TenancyParams) -> Vec<TenantSnapshot> {
+    let report = n.tenant_report().unwrap_or_default();
+    let attr = n.niu.tenant.as_ref();
+    let lq_base = attr.map_or(crate::tenancy::TENANT_LQ_BASE, |a| a.lq_base);
+    let per_lq = n.niu.ctrl.rx_cache.per_lq.as_ref();
+    (0..tp.tenants_per_node)
+        .map(|t| {
+            let sched = report.get(usize::from(t)).copied().unwrap_or_default();
+            let rq = per_lq.map(|p| (p, usize::from(lq_base) + usize::from(t)));
+            let fw = n.fw.tenant.as_ref();
+            TenantSnapshot::capture(usize::from(t), tp.tenant_spec(t), sched, rq, fw, attr)
+        })
+        .collect()
 }
 
-/// Network-level counters plus per-link occupancy (links that carried no
-/// bytes are omitted). All zeros under the ideal-network ablation, which
-/// bypasses the Arctic model.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct NetworkSnapshot {
-    /// Packets injected.
-    pub injected: u64,
-    /// Packets delivered.
-    pub delivered: u64,
-    /// Payload+header bytes delivered.
-    pub bytes_delivered: u64,
-    /// End-to-end latency samples (== delivered).
-    pub latency_count: u64,
-    /// Sum of end-to-end latencies, ns.
-    pub latency_sum_ns: u64,
-    /// Smallest end-to-end latency, ns (0 when none).
-    pub latency_min_ns: u64,
-    /// Largest end-to-end latency, ns.
-    pub latency_max_ns: u64,
-    /// Deepest output queue seen on any link.
-    pub max_link_queue: u64,
-    /// Packets discarded by the fault model at injection.
-    pub faults_dropped: u64,
-    /// Extra in-flight copies created by the fault model.
-    pub faults_duplicated: u64,
-    /// Packets whose payload the fault model corrupted.
-    pub faults_corrupted: u64,
-    /// Packets the fault model pushed ahead of their priority peers.
-    pub faults_reordered: u64,
-    /// Per-link usage: `(link id, bytes, serialization-busy ns, deepest
-    /// queue)`, links with traffic only.
-    pub links: Vec<sv_arctic::LinkUsage>,
-    /// Virtual-channel / credit-flow-control counters, populated only
-    /// when QoS is armed ([`crate::MachineBuilder::network_qos`]). The
-    /// JSON emits the `qos` object only in that case, so unarmed
-    /// machines keep their historical byte-identical snapshots.
-    pub qos: Option<QosSnapshot>,
+json_stats! {
+    /// Everything one node counted.
+    pub struct NodeSnapshot(n: &Node, tp: Option<&TenancyParams>) {
+        /// Node id.
+        node = n.id as u64,
+        /// aP core.
+        cpu: CpuSnapshot = CpuSnapshot::capture(&n.stats),
+        /// Memory bus.
+        bus: BusSnapshot = BusSnapshot::capture(&n.bus.stats),
+        /// Network interface unit.
+        niu: NiuSnapshot = NiuSnapshot::capture(&n.niu),
+        /// Service-processor firmware.
+        fw: FwSnapshot = FwSnapshot::capture(&n.fw),
+        /// Per-tenant attribution, when tenancy is armed. The JSON emits
+        /// the `tenants` object only in that case, so untenanted machines
+        /// keep their historical byte-identical snapshots.
+        tenants: Option<TenantNodeSnapshot> = tp.map(|tp| TenantNodeSnapshot::capture(n, tp)),
+    }
 }
 
-/// Arctic virtual-channel counters (see [`NetworkSnapshot::qos`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct QosSnapshot {
-    /// Armed virtual channels per link.
-    pub vcs: u64,
-    /// Credit pool (input-buffer slots) per `(link, vc)`.
-    pub credits_per_vc: u64,
-    /// Credit-stall episodes (a VC head finding its downstream pool
-    /// empty; one count per episode, not per retry).
-    pub credit_stalls: u64,
-    /// Total time VC heads spent credit-blocked, ns.
-    pub credit_stall_ns: u64,
-    /// High-class end-to-end latency samples.
-    pub latency_hi_count: u64,
-    /// Sum of High-class end-to-end latencies, ns.
-    pub latency_hi_sum_ns: u64,
-    /// Smallest High-class latency, ns (0 when none).
-    pub latency_hi_min_ns: u64,
-    /// Largest High-class latency, ns — the S9 tail metric.
-    pub latency_hi_max_ns: u64,
-    /// Low-class end-to-end latency samples.
-    pub latency_lo_count: u64,
-    /// Sum of Low-class end-to-end latencies, ns.
-    pub latency_lo_sum_ns: u64,
-    /// Smallest Low-class latency, ns (0 when none).
-    pub latency_lo_min_ns: u64,
-    /// Largest Low-class latency, ns.
-    pub latency_lo_max_ns: u64,
-    /// Per-VC usage aggregated over all links, one row per VC index.
-    pub vc_usage: Vec<sv_arctic::VcUsage>,
+json_stats! {
+    /// Network-level counters plus per-link occupancy (links that carried
+    /// no bytes are omitted). All zeros under the ideal-network ablation,
+    /// which bypasses the Arctic model.
+    pub struct NetworkSnapshot(net: &Network<NetPayload>) {
+        /// Packets injected.
+        injected = net.stats.injected.get(),
+        /// Packets delivered.
+        delivered = net.stats.delivered.get(),
+        /// Payload+header bytes delivered.
+        bytes_delivered = net.stats.bytes_delivered,
+        /// End-to-end latency samples (== delivered).
+        latency_count = net.stats.latency.count,
+        /// Sum of end-to-end latencies, ns.
+        latency_sum_ns = net.stats.latency.sum,
+        /// Smallest end-to-end latency, ns (0 when none).
+        latency_min_ns = net.stats.latency.min_or_zero(),
+        /// Largest end-to-end latency, ns.
+        latency_max_ns = net.stats.latency.max,
+        /// Deepest output queue seen on any link.
+        max_link_queue = net.stats.max_link_queue as u64,
+        /// Packets discarded by the fault model at injection.
+        faults_dropped = net.stats.faults_dropped.get(),
+        /// Extra in-flight copies created by the fault model.
+        faults_duplicated = net.stats.faults_duplicated.get(),
+        /// Packets whose payload the fault model corrupted.
+        faults_corrupted = net.stats.faults_corrupted.get(),
+        /// Packets the fault model pushed ahead of their priority peers.
+        faults_reordered = net.stats.faults_reordered.get(),
+        /// Per-link usage: `(link id, bytes, serialization-busy ns,
+        /// deepest queue)`, links with traffic only.
+        links: Vec<LinkUsage> = net.link_usage(),
+        /// Virtual-channel / credit-flow-control counters, populated only
+        /// when QoS is armed ([`crate::MachineBuilder::network_qos`]). The
+        /// JSON emits the `qos` object only in that case, so unarmed
+        /// machines keep their historical byte-identical snapshots.
+        qos: Option<QosSnapshot> = net.qos().map(|q| QosSnapshot::capture(net, q)),
+    }
 }
 
-/// Run-loop execution counters (see
-/// [`crate::machine::RunLoopCounters`] for what is — deliberately — not
-/// counted).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RunSnapshot {
-    /// Bus cycles the run has reached.
-    pub cycles: u64,
-    /// Node ticks actually executed.
-    pub node_ticks: u64,
-    /// Node ticks the event loop skipped (`cycles × nodes − node_ticks`;
-    /// zero under [`crate::MachineBuilder::cycle_stepped`]).
-    pub skipped_node_ticks: u64,
-    /// Wake-index publishes on arrival and post-tick edges.
-    pub wake_republishes: u64,
+json_stats! {
+    /// Arctic virtual-channel counters (see [`NetworkSnapshot::qos`]).
+    pub struct QosSnapshot(net: &Network<NetPayload>, q: QosParams) {
+        /// Armed virtual channels per link.
+        vcs = q.vcs as u64,
+        /// Credit pool (input-buffer slots) per `(link, vc)`.
+        credits_per_vc = q.credits_per_vc as u64,
+        /// Credit-stall episodes (a VC head finding its downstream pool
+        /// empty; one count per episode, not per retry).
+        credit_stalls = net.stats.credit_stalls.get(),
+        /// Total time VC heads spent credit-blocked, ns.
+        credit_stall_ns = net.stats.credit_stall_ns,
+        /// High-class end-to-end latency samples.
+        latency_hi_count = net.stats.latency_hi.count,
+        /// Sum of High-class end-to-end latencies, ns.
+        latency_hi_sum_ns = net.stats.latency_hi.sum,
+        /// Smallest High-class latency, ns (0 when none).
+        latency_hi_min_ns = net.stats.latency_hi.min_or_zero(),
+        /// Largest High-class latency, ns — the S9 tail metric.
+        latency_hi_max_ns = net.stats.latency_hi.max,
+        /// Low-class end-to-end latency samples.
+        latency_lo_count = net.stats.latency_lo.count,
+        /// Sum of Low-class end-to-end latencies, ns.
+        latency_lo_sum_ns = net.stats.latency_lo.sum,
+        /// Smallest Low-class latency, ns (0 when none).
+        latency_lo_min_ns = net.stats.latency_lo.min_or_zero(),
+        /// Largest Low-class latency, ns.
+        latency_lo_max_ns = net.stats.latency_lo.max,
+        /// Per-VC usage aggregated over all links, one row per VC index.
+        vc_usage: Vec<VcUsage> = net.vc_usage(),
+    }
 }
 
-/// The machine-level tenancy configuration echo
-/// ([`MachineStats::tenancy`]): what the per-node tenant rows were
-/// carved from, so a stats file is self-describing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TenancySnapshot {
-    /// Tenants per node.
-    pub tenants_per_node: u64,
-    /// Scheduler policy code (0 round-robin, 1 weighted time slice).
-    pub policy: u64,
-    /// Weighted-time-slice base quantum, ns (0 under round-robin).
-    pub quantum_ns: u64,
-    /// Confined tenant index plus one; 0 = no confined tenant.
-    pub confined_plus_one: u64,
-    /// First tenant logical rx queue.
-    pub lq_base: u64,
-    /// First virtual destination of tenant 0's translation slice.
-    pub xlate_base: u64,
-    /// Virtual destinations per tenant slice.
-    pub slice: u64,
+json_stats! {
+    /// Run-loop execution counters (see
+    /// [`crate::machine::RunLoopCounters`] for what is — deliberately —
+    /// not counted).
+    #[derive(Copy)]
+    pub struct RunSnapshot(m: &Machine) {
+        /// Bus cycles the run has reached.
+        cycles = m.cycle,
+        /// Node ticks actually executed.
+        node_ticks = m.runstats.node_ticks,
+        /// Node ticks the event loop skipped (`cycles × nodes −
+        /// node_ticks`; zero under [`crate::MachineBuilder::cycle_stepped`]).
+        skipped_node_ticks = (m.cycle * m.nodes.len() as u64).saturating_sub(m.runstats.node_ticks),
+        /// Wake-index publishes on arrival and post-tick edges.
+        wake_republishes = m.runstats.wake_republishes,
+    }
 }
 
-/// The machine-wide snapshot. Integers only, so [`MachineStats::to_json`]
-/// is byte-deterministic across runs, run modes and thread counts.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MachineStats {
-    /// Simulated time, ns.
-    pub sim_time_ns: u64,
-    /// Run-loop execution counters.
-    pub run: RunSnapshot,
-    /// Per-node counters.
-    pub nodes: Vec<NodeSnapshot>,
-    /// Network counters.
-    pub network: NetworkSnapshot,
-    /// Tenancy configuration echo, when armed (the JSON emits the
-    /// `tenancy` object only in that case).
-    pub tenancy: Option<TenancySnapshot>,
+json_stats! {
+    /// The machine-level tenancy configuration echo
+    /// ([`MachineStats::tenancy`]): what the per-node tenant rows were
+    /// carved from, so a stats file is self-describing.
+    #[derive(Copy)]
+    pub struct TenancySnapshot(tp: TenancyParams, reg: TenantRegistry) {
+        /// Tenants per node.
+        tenants_per_node = tp.tenants_per_node as u64,
+        /// Scheduler policy code (0 round-robin, 1 weighted time slice).
+        policy = tp.policy.code() as u64,
+        /// Weighted-time-slice base quantum, ns (0 under round-robin).
+        quantum_ns = tp.policy.quantum_ns(),
+        /// Confined tenant index plus one; 0 = no confined tenant.
+        confined_plus_one = tp.confined.map_or(0, |c| c as u64 + 1),
+        /// First tenant logical rx queue.
+        lq_base = reg.lq_base as u64,
+        /// First virtual destination of tenant 0's translation slice.
+        xlate_base = reg.xlate_base as u64,
+        /// Virtual destinations per tenant slice.
+        slice = reg.slice as u64,
+    }
+}
+
+json_stats! {
+    /// The machine-wide snapshot. Integers only, so
+    /// [`MachineStats::to_json`] is byte-deterministic across runs, run
+    /// modes and thread counts.
+    pub struct MachineStats(m: &Machine, tp: Option<TenancyParams>) {
+        /// Simulated time, ns.
+        sim_time_ns = m.now.ns(),
+        /// Run-loop execution counters.
+        run: RunSnapshot = RunSnapshot::capture(m),
+        /// Per-node counters.
+        nodes: Vec<NodeSnapshot> =
+            m.nodes.iter().map(|n| NodeSnapshot::capture(n, tp.as_ref())).collect(),
+        /// Network counters.
+        network: NetworkSnapshot = NetworkSnapshot::capture(&m.network),
+        /// Tenancy configuration echo, when armed (the JSON emits the
+        /// `tenancy` object only in that case).
+        tenancy: Option<TenancySnapshot> =
+            tp.zip(m.tenant_registry()).map(|(tp, reg)| TenancySnapshot::capture(tp, reg)),
+    }
 }
 
 impl Machine {
     /// Snapshot every component's counters. Cheap (pure reads over state
     /// the components maintain inline) and side-effect free.
     pub fn stats(&self) -> MachineStats {
-        let tp = self.tenancy();
-        let reg = self.tenant_registry();
-        let nodes = self
-            .nodes
-            .iter()
-            .map(|n| snapshot_node(n, tp.as_ref()))
-            .collect();
-        let net = &self.network.stats;
-        MachineStats {
-            sim_time_ns: self.now.ns(),
-            run: RunSnapshot {
-                cycles: self.cycle,
-                node_ticks: self.runstats.node_ticks,
-                skipped_node_ticks: (self.cycle * self.nodes.len() as u64)
-                    .saturating_sub(self.runstats.node_ticks),
-                wake_republishes: self.runstats.wake_republishes,
-            },
-            nodes,
-            network: NetworkSnapshot {
-                injected: net.injected.get(),
-                delivered: net.delivered.get(),
-                bytes_delivered: net.bytes_delivered,
-                latency_count: net.latency.count,
-                latency_sum_ns: net.latency.sum,
-                latency_min_ns: net.latency.min_or_zero(),
-                latency_max_ns: net.latency.max,
-                max_link_queue: net.max_link_queue as u64,
-                faults_dropped: net.faults_dropped.get(),
-                faults_duplicated: net.faults_duplicated.get(),
-                faults_corrupted: net.faults_corrupted.get(),
-                faults_reordered: net.faults_reordered.get(),
-                links: self.network.link_usage(),
-                qos: self.network.qos().map(|q| QosSnapshot {
-                    vcs: q.vcs as u64,
-                    credits_per_vc: q.credits_per_vc as u64,
-                    credit_stalls: net.credit_stalls.get(),
-                    credit_stall_ns: net.credit_stall_ns,
-                    latency_hi_count: net.latency_hi.count,
-                    latency_hi_sum_ns: net.latency_hi.sum,
-                    latency_hi_min_ns: net.latency_hi.min_or_zero(),
-                    latency_hi_max_ns: net.latency_hi.max,
-                    latency_lo_count: net.latency_lo.count,
-                    latency_lo_sum_ns: net.latency_lo.sum,
-                    latency_lo_min_ns: net.latency_lo.min_or_zero(),
-                    latency_lo_max_ns: net.latency_lo.max,
-                    vc_usage: self.network.vc_usage(),
-                }),
-            },
-            tenancy: tp.zip(reg).map(|(tp, reg)| TenancySnapshot {
-                tenants_per_node: tp.tenants_per_node as u64,
-                policy: tp.policy.code() as u64,
-                quantum_ns: tp.policy.quantum_ns(),
-                confined_plus_one: tp.confined.map_or(0, |c| c as u64 + 1),
-                lq_base: reg.lq_base as u64,
-                xlate_base: reg.xlate_base as u64,
-                slice: reg.slice as u64,
-            }),
-        }
-    }
-}
-
-fn snapshot_tenants(
-    n: &crate::node::Node,
-    tp: &crate::tenancy::TenancyParams,
-) -> TenantNodeSnapshot {
-    let report = n.tenant_report();
-    let per_lq = n.niu.ctrl.rx_cache.per_lq.as_ref();
-    let attr = n.niu.tenant.as_ref();
-    let fwt = n.fw.tenant.as_ref();
-    let lq_base = attr.map_or(crate::tenancy::TENANT_LQ_BASE, |a| a.lq_base) as usize;
-    let tenants = (0..tp.tenants_per_node)
-        .map(|t| {
-            let spec = tp.tenant_spec(t);
-            // A node without a TenantScheduler program (tenancy armed
-            // but some other workload loaded) reports zero occupancy.
-            let sched = report
-                .as_ref()
-                .and_then(|r| r.get(t as usize).copied())
-                .unwrap_or_default();
-            let lq = lq_base + t as usize;
-            let (hit, miss) = attr
-                .map(|a| (&a.hit_latency[t as usize], &a.miss_latency[t as usize]))
-                .map_or((None, None), |(h, m)| (Some(h), Some(m)));
-            TenantSnapshot {
-                id: t as u64,
-                class: spec.class.code() as u64,
-                weight: spec.weight as u64,
-                slices: sched.slices,
-                steps: sched.steps,
-                active_ns: sched.active_ns,
-                sent_msgs: sched.sent_msgs,
-                done: sched.done as u64,
-                rq_hits: per_lq.map_or(0, |p| p.hits[lq]),
-                rq_misses: per_lq.map_or(0, |p| p.misses[lq]),
-                diversions: per_lq.map_or(0, |p| p.diversions[lq]),
-                drained: fwt.map_or(0, |f| f.drained[t as usize].get()),
-                miss_served: fwt.map_or(0, |f| f.miss_served[t as usize].get()),
-                hit_latency_count: hit.map_or(0, |h| h.summary.count),
-                hit_latency_p99_ns: hit.and_then(|h| h.quantile(0.99)).unwrap_or(0),
-                hit_latency_max_ns: hit.map_or(0, |h| h.summary.max),
-                miss_latency_count: miss.map_or(0, |m| m.summary.count),
-                miss_latency_p99_ns: miss.and_then(|m| m.quantile(0.99)).unwrap_or(0),
-                miss_latency_max_ns: miss.map_or(0, |m| m.summary.max),
-            }
-        })
-        .collect();
-    TenantNodeSnapshot {
-        rebinds: fwt.map_or(0, |f| f.rebinds.get()),
-        tenants,
-    }
-}
-
-fn snapshot_node(
-    n: &crate::node::Node,
-    tp: Option<&crate::tenancy::TenancyParams>,
-) -> NodeSnapshot {
-    let cs = &n.niu.ctrl.stats;
-    let mut classes = [ClassSnapshot::default(); MSG_CLASSES];
-    for (i, c) in n.niu.stats.class.iter().enumerate() {
-        classes[i] = ClassSnapshot {
-            sent: c.sent.get(),
-            delivered: c.delivered.get(),
-            dropped: c.dropped.get(),
-            latency_count: c.latency.count,
-            latency_sum_cycles: c.latency.sum,
-            latency_min_cycles: c.latency.min_or_zero(),
-            latency_max_cycles: c.latency.max,
-        };
-    }
-    let tx_queues = n
-        .niu
-        .ctrl
-        .tx
-        .iter()
-        .enumerate()
-        .map(|(q, t)| TxQueueSnapshot {
-            q: q as u64,
-            enqueued: t.enqueued.get(),
-            sent_bytes: t.sent.get(),
-            full_stalls: t.full_stalls.get(),
-            violations: t.violations.get(),
-        })
-        .filter(|t| t.enqueued + t.sent_bytes + t.full_stalls + t.violations > 0)
-        .collect();
-    let rx_queues = n
-        .niu
-        .ctrl
-        .rx
-        .iter()
-        .enumerate()
-        .map(|(q, r)| RxQueueSnapshot {
-            q: q as u64,
-            received_bytes: r.received.get(),
-            dequeued: r.dequeued.get(),
-            dropped: r.dropped.get(),
-            diverted: r.diverted.get(),
-            full_stalls: r.full_stalls.get(),
-        })
-        .filter(|r| r.received_bytes + r.dequeued + r.dropped + r.diverted + r.full_stalls > 0)
-        .collect();
-    NodeSnapshot {
-        node: n.id as u64,
-        cpu: CpuSnapshot {
-            loads: n.stats.loads.get(),
-            stores: n.stats.stores.get(),
-            l1_hits: n.stats.l1_hits.get(),
-            l2_hits: n.stats.l2_hits.get(),
-            bus_ops_issued: n.stats.bus_ops_issued.get(),
-            castouts: n.stats.castouts.get(),
-            compute_ns: n.stats.cpu_compute_ns,
-            mem_stall_ns: n.stats.cpu_mem_stall_ns,
-            ap_retries: n.stats.ap_retries.get(),
-        },
-        bus: BusSnapshot {
-            tenures: n.bus.stats.tenures.get(),
-            retries: n.bus.stats.retries.get(),
-            completions: n.bus.stats.completions.get(),
-            data_cycles: n.bus.stats.data_cycles,
-            data_bytes: n.bus.stats.data_bytes,
-        },
-        niu: NiuSnapshot {
-            msgs_launched: cs.msgs_launched.get(),
-            msgs_delivered: cs.msgs_delivered.get(),
-            msgs_diverted: cs.msgs_diverted.get(),
-            msgs_dropped: cs.msgs_dropped.get(),
-            remote_cmds: cs.remote_cmds.get(),
-            cmds_executed: cs.cmds_executed.get(),
-            violations: cs.violations.get(),
-            tagon_bytes: cs.tagon_bytes,
-            tx_priority_wins: cs.tx_priority_wins.get(),
-            dma_chain_steps: cs.dma_chain_steps.get(),
-            loopback_msgs: n.niu.stats.loopback_msgs.get(),
-            express_dropped: n.niu.stats.express_dropped.get(),
-            rxu_high_water: n.niu.stats.rxu_high_water as u64,
-            rq_cache_hits: n.niu.ctrl.rx_cache.hits.get(),
-            rq_cache_misses: n.niu.ctrl.rx_cache.misses.get(),
-            xlate_lookups: n.niu.ctrl.xlate.lookups.get(),
-            xlate_faults: n.niu.ctrl.xlate.faults.get(),
-            ibus_busy_cycles: n.niu.ctrl.ibus.busy_cycles,
-            ibus_transactions: n.niu.ctrl.ibus.transactions.get(),
-            abiu_claimed: n.niu.abiu.stats.claimed.get(),
-            abiu_retries: n.niu.abiu.stats.retries.get(),
-            retransmits: n.niu.stats.retransmits.get(),
-            acks_sent: n.niu.stats.acks_sent.get(),
-            acks_received: n.niu.stats.acks_received.get(),
-            dup_drops: n.niu.stats.dup_drops.get(),
-            corrupt_drops: n.niu.stats.corrupt_drops.get(),
-            rx_retry_drops: n.niu.stats.rx_retry_drops.get(),
-            reliable_dropped: n.niu.stats.reliable_dropped.get(),
-            classes,
-            tx_queues,
-            rx_queues,
-        },
-        fw: FwSnapshot {
-            handled: n.fw.stats.handled.get(),
-            svc_msgs: n.fw.stats.svc_msgs.get(),
-            miss_msgs: n.fw.stats.miss_msgs.get(),
-            violations_seen: n.fw.stats.violations_seen.get(),
-            proto_errors: n.fw.stats.proto_errors.get(),
-            busy_ns: n.fw.occupancy.busy_ns,
-            busy_intervals: n.fw.occupancy.intervals,
-            numa_forwards: n.fw.numa.load_misses.get() + n.fw.numa.stores_forwarded.get(),
-            numa_home_reads: n.fw.numa.home_reads.get(),
-            numa_home_writes: n.fw.numa.home_writes.get(),
-            numa_replies: n.fw.numa.replies.get(),
-            scoma_local_misses: n.fw.scoma.stats.local_misses.get(),
-            scoma_transitions: n.fw.scoma.stats.transitions.get(),
-            scoma_recalls: n.fw.scoma.stats.recalls.get(),
-            scoma_invals: n.fw.scoma.stats.invals.get(),
-            scoma_writebacks: n.fw.scoma.stats.writebacks.get(),
-            xfer_requests: n.fw.xfer.requests.get(),
-            xfer_completed_sends: n.fw.xfer.completed_sends.get(),
-            xfer_chunks_sent: n.fw.xfer.chunks_sent.get(),
-            xfer_notifies: n.fw.xfer.notifies.get(),
-            coll_started: n.fw.coll.started.get(),
-            coll_completed: n.fw.coll.completed.get(),
-            coll_ups_sent: n.fw.coll.ups_sent.get(),
-            coll_downs_sent: n.fw.coll.downs_sent.get(),
-            coll_fanin_stalls: n.fw.coll.fanin_stalls.get(),
-            coll_busy_ns: n.fw.coll.busy_ns,
-        },
-        tenants: tp.map(|tp| snapshot_tenants(n, tp)),
+        MachineStats::capture(self, self.tenancy())
     }
 }
 
@@ -706,255 +542,9 @@ impl MachineStats {
     /// snapshot.
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
-        w.begin_obj();
-        w.field_u64("sim_time_ns", self.sim_time_ns);
-        w.key("run");
-        w.begin_obj();
-        w.field_u64("cycles", self.run.cycles);
-        w.field_u64("node_ticks", self.run.node_ticks);
-        w.field_u64("skipped_node_ticks", self.run.skipped_node_ticks);
-        w.field_u64("wake_republishes", self.run.wake_republishes);
-        w.end_obj();
-        w.key("nodes");
-        w.begin_arr();
-        for n in &self.nodes {
-            write_node(&mut w, n);
-        }
-        w.end_arr();
-        w.key("network");
-        w.begin_obj();
-        w.field_u64("injected", self.network.injected);
-        w.field_u64("delivered", self.network.delivered);
-        w.field_u64("bytes_delivered", self.network.bytes_delivered);
-        w.field_u64("latency_count", self.network.latency_count);
-        w.field_u64("latency_sum_ns", self.network.latency_sum_ns);
-        w.field_u64("latency_min_ns", self.network.latency_min_ns);
-        w.field_u64("latency_max_ns", self.network.latency_max_ns);
-        w.field_u64("max_link_queue", self.network.max_link_queue);
-        w.field_u64("faults_dropped", self.network.faults_dropped);
-        w.field_u64("faults_duplicated", self.network.faults_duplicated);
-        w.field_u64("faults_corrupted", self.network.faults_corrupted);
-        w.field_u64("faults_reordered", self.network.faults_reordered);
-        w.key("links");
-        w.begin_arr();
-        for l in &self.network.links {
-            w.begin_obj();
-            w.field_u64("link", l.link as u64);
-            w.field_u64("bytes", l.bytes);
-            w.field_u64("busy_ns", l.busy_ns);
-            w.field_u64("high_water", l.high_water);
-            w.end_obj();
-        }
-        w.end_arr();
-        // Emitted only when QoS is armed: unarmed machines keep their
-        // historical byte-identical JSON.
-        if let Some(q) = &self.network.qos {
-            w.key("qos");
-            w.begin_obj();
-            w.field_u64("vcs", q.vcs);
-            w.field_u64("credits_per_vc", q.credits_per_vc);
-            w.field_u64("credit_stalls", q.credit_stalls);
-            w.field_u64("credit_stall_ns", q.credit_stall_ns);
-            w.field_u64("latency_hi_count", q.latency_hi_count);
-            w.field_u64("latency_hi_sum_ns", q.latency_hi_sum_ns);
-            w.field_u64("latency_hi_min_ns", q.latency_hi_min_ns);
-            w.field_u64("latency_hi_max_ns", q.latency_hi_max_ns);
-            w.field_u64("latency_lo_count", q.latency_lo_count);
-            w.field_u64("latency_lo_sum_ns", q.latency_lo_sum_ns);
-            w.field_u64("latency_lo_min_ns", q.latency_lo_min_ns);
-            w.field_u64("latency_lo_max_ns", q.latency_lo_max_ns);
-            w.key("vc_usage");
-            w.begin_arr();
-            for v in &q.vc_usage {
-                w.begin_obj();
-                w.field_u64("vc", v.vc);
-                w.field_u64("bytes", v.bytes);
-                w.field_u64("busy_ns", v.busy_ns);
-                w.field_u64("high_water", v.high_water);
-                w.field_u64("stalls", v.stalls);
-                w.field_u64("stall_ns", v.stall_ns);
-                w.end_obj();
-            }
-            w.end_arr();
-            w.end_obj();
-        }
-        w.end_obj();
-        // Emitted only when tenancy is armed, mirroring the qos rule.
-        if let Some(t) = &self.tenancy {
-            w.key("tenancy");
-            w.begin_obj();
-            w.field_u64("tenants_per_node", t.tenants_per_node);
-            w.field_u64("policy", t.policy);
-            w.field_u64("quantum_ns", t.quantum_ns);
-            w.field_u64("confined_plus_one", t.confined_plus_one);
-            w.field_u64("lq_base", t.lq_base);
-            w.field_u64("xlate_base", t.xlate_base);
-            w.field_u64("slice", t.slice);
-            w.end_obj();
-        }
-        w.end_obj();
+        self.write_json(&mut w);
         w.finish()
     }
-}
-
-fn write_node(w: &mut JsonWriter, n: &NodeSnapshot) {
-    w.begin_obj();
-    w.field_u64("node", n.node);
-    w.key("cpu");
-    w.begin_obj();
-    w.field_u64("loads", n.cpu.loads);
-    w.field_u64("stores", n.cpu.stores);
-    w.field_u64("l1_hits", n.cpu.l1_hits);
-    w.field_u64("l2_hits", n.cpu.l2_hits);
-    w.field_u64("bus_ops_issued", n.cpu.bus_ops_issued);
-    w.field_u64("castouts", n.cpu.castouts);
-    w.field_u64("compute_ns", n.cpu.compute_ns);
-    w.field_u64("mem_stall_ns", n.cpu.mem_stall_ns);
-    w.field_u64("ap_retries", n.cpu.ap_retries);
-    w.end_obj();
-    w.key("bus");
-    w.begin_obj();
-    w.field_u64("tenures", n.bus.tenures);
-    w.field_u64("retries", n.bus.retries);
-    w.field_u64("completions", n.bus.completions);
-    w.field_u64("data_cycles", n.bus.data_cycles);
-    w.field_u64("data_bytes", n.bus.data_bytes);
-    w.end_obj();
-    w.key("niu");
-    w.begin_obj();
-    w.field_u64("msgs_launched", n.niu.msgs_launched);
-    w.field_u64("msgs_delivered", n.niu.msgs_delivered);
-    w.field_u64("msgs_diverted", n.niu.msgs_diverted);
-    w.field_u64("msgs_dropped", n.niu.msgs_dropped);
-    w.field_u64("remote_cmds", n.niu.remote_cmds);
-    w.field_u64("cmds_executed", n.niu.cmds_executed);
-    w.field_u64("violations", n.niu.violations);
-    w.field_u64("tagon_bytes", n.niu.tagon_bytes);
-    w.field_u64("tx_priority_wins", n.niu.tx_priority_wins);
-    w.field_u64("dma_chain_steps", n.niu.dma_chain_steps);
-    w.field_u64("loopback_msgs", n.niu.loopback_msgs);
-    w.field_u64("express_dropped", n.niu.express_dropped);
-    w.field_u64("rxu_high_water", n.niu.rxu_high_water);
-    w.field_u64("rq_cache_hits", n.niu.rq_cache_hits);
-    w.field_u64("rq_cache_misses", n.niu.rq_cache_misses);
-    w.field_u64("xlate_lookups", n.niu.xlate_lookups);
-    w.field_u64("xlate_faults", n.niu.xlate_faults);
-    w.field_u64("ibus_busy_cycles", n.niu.ibus_busy_cycles);
-    w.field_u64("ibus_transactions", n.niu.ibus_transactions);
-    w.field_u64("abiu_claimed", n.niu.abiu_claimed);
-    w.field_u64("abiu_retries", n.niu.abiu_retries);
-    w.field_u64("retransmits", n.niu.retransmits);
-    w.field_u64("acks_sent", n.niu.acks_sent);
-    w.field_u64("acks_received", n.niu.acks_received);
-    w.field_u64("dup_drops", n.niu.dup_drops);
-    w.field_u64("corrupt_drops", n.niu.corrupt_drops);
-    w.field_u64("rx_retry_drops", n.niu.rx_retry_drops);
-    w.field_u64("reliable_dropped", n.niu.reliable_dropped);
-    w.key("classes");
-    w.begin_obj();
-    for (i, c) in n.niu.classes.iter().enumerate() {
-        w.key(MsgClass::NAMES[i]);
-        w.begin_obj();
-        w.field_u64("sent", c.sent);
-        w.field_u64("delivered", c.delivered);
-        w.field_u64("dropped", c.dropped);
-        w.field_u64("latency_count", c.latency_count);
-        w.field_u64("latency_sum_cycles", c.latency_sum_cycles);
-        w.field_u64("latency_min_cycles", c.latency_min_cycles);
-        w.field_u64("latency_max_cycles", c.latency_max_cycles);
-        w.end_obj();
-    }
-    w.end_obj();
-    w.key("tx_queues");
-    w.begin_arr();
-    for t in &n.niu.tx_queues {
-        w.begin_obj();
-        w.field_u64("q", t.q);
-        w.field_u64("enqueued", t.enqueued);
-        w.field_u64("sent_bytes", t.sent_bytes);
-        w.field_u64("full_stalls", t.full_stalls);
-        w.field_u64("violations", t.violations);
-        w.end_obj();
-    }
-    w.end_arr();
-    w.key("rx_queues");
-    w.begin_arr();
-    for r in &n.niu.rx_queues {
-        w.begin_obj();
-        w.field_u64("q", r.q);
-        w.field_u64("received_bytes", r.received_bytes);
-        w.field_u64("dequeued", r.dequeued);
-        w.field_u64("dropped", r.dropped);
-        w.field_u64("diverted", r.diverted);
-        w.field_u64("full_stalls", r.full_stalls);
-        w.end_obj();
-    }
-    w.end_arr();
-    w.end_obj();
-    w.key("fw");
-    w.begin_obj();
-    w.field_u64("handled", n.fw.handled);
-    w.field_u64("svc_msgs", n.fw.svc_msgs);
-    w.field_u64("miss_msgs", n.fw.miss_msgs);
-    w.field_u64("violations_seen", n.fw.violations_seen);
-    w.field_u64("proto_errors", n.fw.proto_errors);
-    w.field_u64("busy_ns", n.fw.busy_ns);
-    w.field_u64("busy_intervals", n.fw.busy_intervals);
-    w.field_u64("numa_forwards", n.fw.numa_forwards);
-    w.field_u64("numa_home_reads", n.fw.numa_home_reads);
-    w.field_u64("numa_home_writes", n.fw.numa_home_writes);
-    w.field_u64("numa_replies", n.fw.numa_replies);
-    w.field_u64("scoma_local_misses", n.fw.scoma_local_misses);
-    w.field_u64("scoma_transitions", n.fw.scoma_transitions);
-    w.field_u64("scoma_recalls", n.fw.scoma_recalls);
-    w.field_u64("scoma_invals", n.fw.scoma_invals);
-    w.field_u64("scoma_writebacks", n.fw.scoma_writebacks);
-    w.field_u64("xfer_requests", n.fw.xfer_requests);
-    w.field_u64("xfer_completed_sends", n.fw.xfer_completed_sends);
-    w.field_u64("xfer_chunks_sent", n.fw.xfer_chunks_sent);
-    w.field_u64("xfer_notifies", n.fw.xfer_notifies);
-    w.field_u64("coll_started", n.fw.coll_started);
-    w.field_u64("coll_completed", n.fw.coll_completed);
-    w.field_u64("coll_ups_sent", n.fw.coll_ups_sent);
-    w.field_u64("coll_downs_sent", n.fw.coll_downs_sent);
-    w.field_u64("coll_fanin_stalls", n.fw.coll_fanin_stalls);
-    w.field_u64("coll_busy_ns", n.fw.coll_busy_ns);
-    w.end_obj();
-    // Emitted only when tenancy is armed: untenanted machines keep
-    // their historical byte-identical node objects.
-    if let Some(ts) = &n.tenants {
-        w.key("tenants");
-        w.begin_obj();
-        w.field_u64("rebinds", ts.rebinds);
-        w.key("per_tenant");
-        w.begin_arr();
-        for t in &ts.tenants {
-            w.begin_obj();
-            w.field_u64("id", t.id);
-            w.field_u64("class", t.class);
-            w.field_u64("weight", t.weight);
-            w.field_u64("slices", t.slices);
-            w.field_u64("steps", t.steps);
-            w.field_u64("active_ns", t.active_ns);
-            w.field_u64("sent_msgs", t.sent_msgs);
-            w.field_u64("done", t.done);
-            w.field_u64("rq_hits", t.rq_hits);
-            w.field_u64("rq_misses", t.rq_misses);
-            w.field_u64("diversions", t.diversions);
-            w.field_u64("drained", t.drained);
-            w.field_u64("miss_served", t.miss_served);
-            w.field_u64("hit_latency_count", t.hit_latency_count);
-            w.field_u64("hit_latency_p99_ns", t.hit_latency_p99_ns);
-            w.field_u64("hit_latency_max_ns", t.hit_latency_max_ns);
-            w.field_u64("miss_latency_count", t.miss_latency_count);
-            w.field_u64("miss_latency_p99_ns", t.miss_latency_p99_ns);
-            w.field_u64("miss_latency_max_ns", t.miss_latency_max_ns);
-            w.end_obj();
-        }
-        w.end_arr();
-        w.end_obj();
-    }
-    w.end_obj();
 }
 
 #[cfg(test)]
