@@ -4,8 +4,7 @@
 //! fault/retransmit machinery must stay bit-deterministic across run
 //! modes, because every measurement in this repository rests on that.
 
-use voyager::api::{BasicMsg, RecvBasic, SendBasic};
-use voyager::app::Seq;
+use voyager::api::{BasicMsg, SendBasic};
 use voyager::arctic::FaultParams;
 use voyager::firmware::proto::{encode_addr_msg, op};
 use voyager::niu::msg::{MsgClass, MSG_CLASSES};
@@ -24,8 +23,7 @@ fn hostile() -> FaultParams {
     }
 }
 
-/// Every node sends one Basic (even senders) or TagOn (odd senders)
-/// message to every other node, then waits for its own seven.
+/// [`voyager::workloads::load_all_pairs`] on `n` nodes over `faults`.
 fn all_pairs_with(n: u16, faults: FaultParams, par: Parallelism, policy: ShardPolicy) -> Machine {
     let mut m = Machine::builder(n as usize)
         .faults(faults)
@@ -33,27 +31,7 @@ fn all_pairs_with(n: u16, faults: FaultParams, par: Parallelism, policy: ShardPo
         .shard_policy(policy)
         .sample_latency(true)
         .build();
-    for i in 0..n {
-        let lib = m.lib(i);
-        let items: Vec<BasicMsg> = (0..n)
-            .filter(|&d| d != i)
-            .map(|d| {
-                let msg = BasicMsg::new(lib.user_dest(d), vec![i as u8 * 16 + d as u8; 32]);
-                if i % 2 == 1 {
-                    msg.with_tagon(vec![0xA5; 48])
-                } else {
-                    msg
-                }
-            })
-            .collect();
-        m.load_program(
-            i,
-            Seq::new(vec![
-                Box::new(SendBasic::new(&lib, items)),
-                Box::new(RecvBasic::expecting(&lib, n as usize - 1)),
-            ]),
-        );
-    }
+    voyager::workloads::load_all_pairs(&mut m);
     m
 }
 
