@@ -8,7 +8,9 @@
 
 use crate::op::Addr;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasherDefault;
 
 /// DRAM timing parameters, in bus cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -56,6 +58,13 @@ const PAGE: usize = 4096;
 /// Sentinel for the "last page marked dirty" micro-cache: no page.
 const NO_PAGE: u64 = u64::MAX;
 
+/// Page table of a [`MemoryArray`], hashed with fixed keys. Under std's
+/// per-process random keys, dropping or cloning an array visits its
+/// pages in a different order in every process, so the allocator's free
+/// lists, and with them the host's resident set, differ from one run of
+/// the same simulation to the next.
+type Pages = HashMap<u64, Box<[u8; PAGE]>, BuildHasherDefault<DefaultHasher>>;
+
 /// Sparse byte-addressable memory. Unwritten bytes read as zero.
 ///
 /// Every write also records the touched page in a dirty set so delta
@@ -64,7 +73,7 @@ const NO_PAGE: u64 = u64::MAX;
 /// loaded array starts conservatively all-dirty.
 #[derive(Debug, Clone)]
 pub struct MemoryArray {
-    pages: HashMap<u64, Box<[u8; PAGE]>>,
+    pages: Pages,
     /// Pages written since the last [`MemoryArray::clear_dirty`].
     dirty: HashSet<u64>,
     /// Last page inserted into `dirty` — writes are bursty and page-local,
@@ -75,7 +84,7 @@ pub struct MemoryArray {
 impl Default for MemoryArray {
     fn default() -> Self {
         MemoryArray {
-            pages: HashMap::new(),
+            pages: Pages::default(),
             dirty: HashSet::new(),
             last_dirty: NO_PAGE,
         }
@@ -253,7 +262,7 @@ impl StateSave for MemoryArray {
 impl StateLoad for MemoryArray {
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
         let n = r.count()?;
-        let mut pages = HashMap::with_capacity(n);
+        let mut pages = Pages::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let i = r.u64()?;
             let at = r.offset();
@@ -286,6 +295,19 @@ mod tests {
         let mut b = [0xAA; 16];
         m.read(0x1_0000, &mut b);
         assert_eq!(b, [0; 16]);
+    }
+
+    #[test]
+    fn every_array_visits_its_pages_in_the_same_order() {
+        let fill = || {
+            let mut m = MemoryArray::new();
+            for i in 0..64u64 {
+                m.write(i * 3 * PAGE as u64, &[1]);
+            }
+            m
+        };
+        let order = |m: &MemoryArray| m.pages.keys().copied().collect::<Vec<_>>();
+        assert_eq!(order(&fill()), order(&fill()));
     }
 
     #[test]
