@@ -936,16 +936,6 @@ impl Machine {
         Ok(())
     }
 
-    /// Let every node whose translation entries equal node 0's hold node
-    /// 0's array, as after a build: a restore loads one copy per node.
-    fn share_xlate(&mut self) {
-        if let Some((first, rest)) = self.nodes.split_first_mut() {
-            for node in rest {
-                node.niu.ctrl.xlate.share_entries_of(&first.niu.ctrl.xlate);
-            }
-        }
-    }
-
     /// Forget every dirty mark across the machine — a checkpoint cut has
     /// captured the current contents, opening a new epoch.
     fn ckpt_clear_dirty(&mut self) {
@@ -964,8 +954,8 @@ impl Machine {
     /// snapshot ([`DeltaCheckpoint::Base`], identical to
     /// [`Machine::try_checkpoint`] output) and clears every dirty mark.
     /// Each subsequent call emits a [`DeltaCheckpoint::Delta`] holding
-    /// only the sections that changed since the previous cut — dirty
-    /// DRAM/SRAM pages, dirty cache chunks, the network links written
+    /// only the sections that changed since the previous cut — the
+    /// 64-byte DRAM/SRAM lines, cache chunks and network links written
     /// and translation tables changed since then, and whole small
     /// sections (node CPU/bus/firmware/NIU-queue state, the network's
     /// flights, events and fault RNG) for components that were active —
@@ -1114,6 +1104,11 @@ impl Machine {
             _ => return Err(SnapshotError::Corrupt { offset: ideal_at }.into()),
         }
         self.check_fabric(net_at)?;
+        // A translation table the delta carries shares an array the
+        // machine already holds when their entries are equal.
+        for node in &self.nodes {
+            node.niu.ctrl.xlate.hold_entries(&mut r);
+        }
         for i in 0..self.nodes.len() {
             let at = r.offset();
             match r.u8()? {
@@ -1193,7 +1188,6 @@ impl MachineBuilder {
             seq += 1;
             m.apply_delta(d.as_ref(), base_id, seq)?;
         }
-        m.share_xlate();
         m.delta_chain = Some(DeltaChain {
             base_id,
             param_hash: m.param_hash(),
@@ -1279,7 +1273,6 @@ impl MachineBuilder {
             }
         }
         r.finish()?;
-        m.share_xlate();
         Ok(m)
     }
 }
@@ -1383,10 +1376,10 @@ mod tests {
         assert_eq!(m.nodes[0].niu.ctrl.xlate.lookup(dest::USER_HI), Some(e));
     }
 
-    /// Restores load a private translation table per node; afterwards
-    /// every node whose entries equal node 0's shares node 0's array
-    /// again, after a full and after a chain restore, and an install
-    /// still copies only the installing node's table.
+    /// A restore shares equal translation tables by construction: every
+    /// node whose entries equal node 0's holds node 0's array, after a
+    /// full and after a chain restore, and an install still copies only
+    /// the installing node's table.
     #[test]
     fn restored_nodes_share_one_translation_table() {
         const N: usize = 300;
@@ -1431,6 +1424,21 @@ mod tests {
                 assert_eq!(m.nodes[i].niu.ctrl.xlate.lookup(dest::USER_HI), want);
             }
         }
+    }
+
+    /// Snapshot bytes depend on table contents only: a node that
+    /// reinstalls an entry unchanged holds a private array equal to the
+    /// shared one and saves the bytes of a fresh build.
+    #[test]
+    fn a_node_that_reinstalls_an_entry_unchanged_saves_a_fresh_build() {
+        let built = Machine::builder(4).build();
+        let mut m = Machine::builder(4).build();
+        let table = &mut m.nodes[3].niu.ctrl.xlate;
+        let same = table.clone().lookup(2).unwrap();
+        table.install(2, same);
+        let (node0, node3) = (&m.nodes[0].niu.ctrl.xlate, &m.nodes[3].niu.ctrl.xlate);
+        assert!(!node3.shares_entries_with(node0));
+        assert_eq!(m.checkpoint(), built.checkpoint());
     }
 
     #[test]

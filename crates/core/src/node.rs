@@ -756,7 +756,7 @@ impl Node {
 // as a [`crate::api::ProgramSnapshot`]) and the per-tick scratch buffers
 // (always empty between ticks). Delta records rewrite the small state
 // whole — it is a few KB and mutates together on every active cycle —
-// then carry dirty pages/chunks of DRAM, the NIU SRAMs and the caches.
+// then carry the lines written to DRAM and SRAM and the dirty cache chunks.
 // The caches rebuild their geometry from their own params on restore,
 // matching the param-hash check the machine header already passed.
 sv_sim::checkpointed! {

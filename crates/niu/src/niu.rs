@@ -2118,7 +2118,7 @@ sv_sim::checkpointed! {
     }
 }
 
-// The SRAM banks are tracked per page (aSRAM/sSRAM) or as one
+// The SRAM banks are tracked per 64-byte line (aSRAM/sSRAM) or as one
 // presence-flagged section (the sparse, small clsSRAM), and CTRL's
 // translation entries travel only when they changed; everything else is
 // small, mutates together on every active cycle, and is rewritten whole
@@ -2386,7 +2386,8 @@ mod tests {
         n.ctrl.xlate.grow_to(16);
         assert_eq!(delta(&n).len(), quiet, "a grow that grows nothing");
         n.ctrl.xlate.install(5, e);
-        let table = 8 + 8 * n.ctrl.xlate.len();
+        // The delta stream's table index, an entry count and the entries.
+        let table = 8 + 8 + 8 * n.ctrl.xlate.len();
         let d = delta(&n);
         assert_eq!(d.len(), quiet + table);
         copy.delta_apply(&mut sv_sim::ckpt::SnapReader::new(&d))
@@ -2395,7 +2396,7 @@ mod tests {
         assert_eq!(copy.ctrl.xlate.lookup(5), Some(e));
         n.ckpt_clear_dirty();
         n.ctrl.xlate.grow_to(2048);
-        assert_eq!(delta(&n).len(), quiet + 8 + 8 * 2048);
+        assert_eq!(delta(&n).len(), quiet + 8 + 8 + 8 * 2048);
     }
 
     #[test]

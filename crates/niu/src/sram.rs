@@ -99,7 +99,7 @@ impl Sram {
         self.mem.clear_dirty();
     }
 
-    /// Emit only dirty pages of the backing array.
+    /// Emit only the written lines of the backing array.
     pub fn save_delta(&self, w: &mut SnapWriter) {
         self.mem.save_delta(w);
     }

@@ -82,8 +82,11 @@ impl XlateEntry {
 /// `install` or growing `grow_to` on either side copies it. A machine
 /// fills one table with its conventions and gives every node a clone,
 /// so building `n` nodes costs one table, not `n`. The lookup counters
-/// stay per table. A delta snapshot carries the entries only when an
-/// `install` or a growing `grow_to` changed them since the last cut.
+/// stay per table. A snapshot stream writes each distinct entry array
+/// once and names it by index after that, so a restore shares equal
+/// tables by construction. A delta snapshot carries the entries only
+/// when an `install` or a growing `grow_to` changed them since the last
+/// cut.
 #[derive(Debug, Clone)]
 pub struct XlateTable {
     entries: Entries,
@@ -141,18 +144,16 @@ impl XlateTable {
         }
     }
 
-    /// Hold `other`'s entry array instead of this table's own when the
-    /// two hold equal entries, as the tables of a built machine do; the
-    /// counters and the changed mark stay this table's.
-    pub fn share_entries_of(&mut self, other: &XlateTable) {
-        if !self.shares_entries_with(other) && self.entries.array == other.entries.array {
-            self.entries.array = Arc::clone(&other.entries.array);
-        }
-    }
-
     /// Whether this table and `other` hold one entry array.
     pub fn shares_entries_with(&self, other: &XlateTable) -> bool {
         Arc::ptr_eq(&self.entries.array, &other.entries.array)
+    }
+
+    /// Offer this table's entry array to a delta restore: a table the
+    /// delta carries with equal entries then shares it instead of
+    /// loading a copy.
+    pub fn hold_entries(&self, r: &mut SnapReader<'_>) {
+        r.hold(&self.entries.array);
     }
 
     /// Install an entry (privileged: OS/firmware only). An index past the
@@ -514,9 +515,10 @@ mod tests {
         t.install(3, entry(0xBEEF));
         let bytes = saved(&t);
         assert_eq!(saved(&roundtrip(&t).unwrap()), bytes);
-        // A u64 entry count, then one little-endian u64 per entry.
+        // The stream's table index and a u64 entry count, then one
+        // little-endian u64 per entry.
         for k in [0usize, 3, 15] {
-            let at = 8 + 8 * k;
+            let at = 16 + 8 * k;
             for bit in [2, 15, 48, 63] {
                 let mut bad = bytes.clone();
                 bad[at + bit / 8] ^= 1 << (bit % 8);
@@ -528,6 +530,83 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Tables as one snapshot stream writes them, node after node.
+    fn saved_all(tables: &[&XlateTable]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        for t in tables {
+            w.save(*t);
+        }
+        w.finish()
+    }
+
+    fn load_all(bytes: &[u8], n: usize) -> Result<Vec<XlateTable>, SnapshotError> {
+        let mut r = SnapReader::new(bytes);
+        let tables = (0..n)
+            .map(|_| r.load())
+            .collect::<Result<Vec<XlateTable>, _>>()?;
+        r.finish()?;
+        Ok(tables)
+    }
+
+    #[test]
+    fn a_stream_writes_each_distinct_table_once_and_shares_it_on_load() {
+        let shared = XlateTable::new(16);
+        let mut private = shared.clone();
+        private.install(3, entry(5));
+        // Reinstalling an entry unchanged copies the array: equal
+        // entries in an allocation of its own.
+        let mut copy = shared.clone();
+        copy.install(0, INVALID);
+        assert!(!copy.shares_entries_with(&shared));
+        let bytes = saved_all(&[&private, &shared, &copy, &shared]);
+        // Index, count, 16 entries and two counters; a table named
+        // again costs its index and counters.
+        let whole = saved(&shared).len();
+        let named = whole - 8 * 17;
+        assert_eq!(bytes.len(), 2 * whole + 2 * named);
+        assert_eq!(bytes[2 * whole..2 * whole + 8], 1u64.to_le_bytes());
+        let back = load_all(&bytes, 4).unwrap();
+        assert!(back[1].shares_entries_with(&back[2]) && back[1].shares_entries_with(&back[3]));
+        assert!(!back[0].shares_entries_with(&back[1]));
+        assert_eq!(saved_all(&back.iter().collect::<Vec<_>>()), bytes);
+    }
+
+    #[test]
+    fn a_forged_table_index_is_corrupt_at_its_offset() {
+        let shared = XlateTable::new(16);
+        let bytes = saved_all(&[&shared, &shared]);
+        assert!(load_all(&bytes, 2).is_ok());
+        let second = saved(&shared).len();
+        for forged in [2u64, 7, u64::MAX] {
+            let mut bad = bytes.clone();
+            bad[second..second + 8].copy_from_slice(&forged.to_le_bytes());
+            assert_eq!(
+                load_all(&bad, 2).err(),
+                Some(SnapshotError::Corrupt { offset: second }),
+                "index {forged}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_new_table_equal_to_an_earlier_one_is_corrupt() {
+        let first = XlateTable::new(16);
+        let mut second = first.clone();
+        second.install(2, entry(9));
+        let bytes = saved_all(&[&first, &second]);
+        assert!(load_all(&bytes, 2).is_ok());
+        // Give the second table, written new as index 1, the first's
+        // entries: the writer would have named it by index 0.
+        let at = saved(&first).len();
+        let entries = 16..16 + 8 * 16;
+        let mut bad = bytes.clone();
+        bad[at + entries.start..at + entries.end].copy_from_slice(&bytes[entries]);
+        assert_eq!(
+            load_all(&bad, 2).err(),
+            Some(SnapshotError::Corrupt { offset: at })
+        );
     }
 
     #[test]

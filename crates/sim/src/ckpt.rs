@@ -40,6 +40,7 @@
 //! the parameters, which keeps snapshots small and makes it impossible
 //! for a stale copy to disagree with the authoritative one.
 
+use std::any::Any;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -53,7 +54,7 @@ pub const MAGIC: [u8; 4] = *b"SVCK";
 /// Current snapshot format version. Bump on **any** layout change, even
 /// a reordered field — restores across versions are rejected, never
 /// migrated (see the module docs for why).
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Typed failure surface for snapshot encode/decode.
 ///
@@ -366,12 +367,26 @@ pub fn read_delta_header(r: &mut SnapReader<'_>) -> Result<DeltaHeader, Snapshot
     })
 }
 
+/// A shared value as a snapshot stream remembers it: type-erased, so one
+/// list serves every `Arc<T>` the stream meets.
+type Shared = Arc<dyn Any + Send + Sync>;
+
+/// Whether `a` and `b` are one allocation.
+fn same_allocation<T>(a: &Shared, b: &Arc<T>) -> bool {
+    std::ptr::addr_eq(Arc::as_ptr(a), Arc::as_ptr(b))
+}
+
 /// Append-only little-endian byte sink for snapshot encoding.
 ///
 /// Writing is infallible; all validation happens on the read side.
 #[derive(Debug, Default)]
 pub struct SnapWriter {
     buf: Vec<u8>,
+    /// Every allocation [`SnapWriter::shared`] has met, with the stream
+    /// index of the value it holds; equal values share an index.
+    shared: Vec<(Shared, u64)>,
+    /// Distinct shared values written so far: the next new index.
+    distinct: u64,
 }
 
 impl SnapWriter {
@@ -387,7 +402,10 @@ impl SnapWriter {
     #[must_use]
     pub fn reusing(mut buf: Vec<u8>) -> Self {
         buf.clear();
-        SnapWriter { buf }
+        SnapWriter {
+            buf,
+            ..SnapWriter::default()
+        }
     }
 
     /// Bytes written so far.
@@ -449,6 +467,29 @@ impl SnapWriter {
     pub fn save<T: StateSave + ?Sized>(&mut self, v: &T) {
         v.save(self);
     }
+
+    /// Write a shared value once per stream: a `u64` index into the
+    /// distinct values this stream has written, in first-use order, and
+    /// the value itself after an index it has not used before. Values
+    /// are told apart by content, a shared allocation first, so the
+    /// bytes depend on the values alone and never on which of them
+    /// happen to share an allocation.
+    pub fn shared<T: StateSave + PartialEq + Send + Sync + 'static>(&mut self, v: &Arc<T>) {
+        let index_where = |w: &Self, same: &dyn Fn(&Shared) -> bool| {
+            w.shared.iter().find(|(s, _)| same(s)).map(|&(_, i)| i)
+        };
+        if let Some(index) = index_where(self, &|s| same_allocation(s, v)) {
+            return self.u64(index);
+        }
+        let equal = index_where(self, &|s| s.downcast_ref::<T>() == Some(&**v));
+        let index = equal.unwrap_or(self.distinct);
+        self.u64(index);
+        if equal.is_none() {
+            self.distinct += 1;
+            T::save(v, self);
+        }
+        self.shared.push((Arc::clone(v) as Shared, index));
+    }
 }
 
 /// Bounds-checked little-endian cursor over snapshot bytes.
@@ -462,13 +503,22 @@ impl SnapWriter {
 pub struct SnapReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// The shared values this stream has read, in first-use order.
+    shared: Vec<Shared>,
+    /// Values held before the stream began ([`SnapReader::hold`]).
+    held: Vec<Shared>,
 }
 
 impl<'a> SnapReader<'a> {
     /// A reader over `buf`, positioned at the start.
     #[must_use]
     pub fn new(buf: &'a [u8]) -> Self {
-        SnapReader { buf, pos: 0 }
+        SnapReader {
+            buf,
+            pos: 0,
+            shared: Vec::new(),
+            held: Vec::new(),
+        }
     }
 
     /// Current byte offset from the start of the buffer.
@@ -584,6 +634,49 @@ impl<'a> SnapReader<'a> {
         T::load(self)
     }
 
+    /// Offer a value held before this stream: a new shared value the
+    /// stream carries that equals it loads as `v` itself, not as a copy.
+    /// A delta restore offers the values its machine already holds.
+    pub fn hold<T: Send + Sync + 'static>(&mut self, v: &Arc<T>) {
+        if !self.held.iter().any(|h| same_allocation(h, v)) {
+            self.held.push(Arc::clone(v) as Shared);
+        }
+    }
+
+    /// Read a value written by [`SnapWriter::shared`]. An index past the
+    /// values read so far, or naming one of another type, is
+    /// [`SnapshotError::Corrupt`] at its offset, and so is a new value
+    /// equal to an earlier one, which the writer would have named by
+    /// index: a stream has one encoding. Equal values share one
+    /// allocation, a held one if there is one.
+    pub fn shared<T: StateLoad + PartialEq + Send + Sync + 'static>(
+        &mut self,
+    ) -> Result<Arc<T>, SnapshotError> {
+        let at = self.pos;
+        let corrupt = SnapshotError::Corrupt { offset: at };
+        let index = self.u64()?;
+        if let Some(s) = usize::try_from(index).ok().and_then(|i| self.shared.get(i)) {
+            return Arc::clone(s).downcast::<T>().map_err(|_| corrupt);
+        }
+        if index != self.shared.len() as u64 {
+            return Err(corrupt);
+        }
+        let v = T::load(self)?;
+        if self
+            .shared
+            .iter()
+            .any(|s| s.downcast_ref::<T>() == Some(&v))
+        {
+            return Err(corrupt);
+        }
+        let v = match self.held.iter().find(|h| h.downcast_ref::<T>() == Some(&v)) {
+            Some(h) => Arc::clone(h).downcast::<T>().map_err(|_| corrupt)?,
+            None => Arc::new(v),
+        };
+        self.shared.push(Arc::clone(&v) as Shared);
+        Ok(v)
+    }
+
     /// Fail with [`SnapshotError::Corrupt`] at the current offset —
     /// for callers that detect an invariant violation after a
     /// structurally valid read.
@@ -681,7 +774,8 @@ pub trait StateLoad: Sized {
 /// Each field is marked with its delta granularity:
 ///
 /// - *(unmarked)* — whole: rewritten in every delta record;
-/// - `pages` — a dirty-page array (`save_delta` / `apply_delta`);
+/// - `pages` — a memory array tracked per 64-byte line (`save_delta` /
+///   `apply_delta`);
 /// - `chunks` — a dirty-chunk array rebuilt under its own geometry on
 ///   a full restore (`restore` / `save_delta` / `apply_delta`);
 /// - `presence` — a presence byte, then the whole value if it changed;
@@ -1031,16 +1125,16 @@ impl<T: StateLoad> StateLoad for Option<T> {
     }
 }
 
-// A shared value is written as the value itself; a load yields an
-// unshared one.
-impl<T: StateSave> StateSave for Arc<T> {
+// A shared value is written once per stream and named by index after
+// that (`SnapWriter::shared`); equal values load as one allocation.
+impl<T: StateSave + PartialEq + Send + Sync + 'static> StateSave for Arc<T> {
     fn save(&self, w: &mut SnapWriter) {
-        T::save(self, w);
+        w.shared(self);
     }
 }
-impl<T: StateLoad> StateLoad for Arc<T> {
+impl<T: StateLoad + PartialEq + Send + Sync + 'static> StateLoad for Arc<T> {
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        T::load(r).map(Arc::new)
+        r.shared()
     }
 }
 
@@ -1282,11 +1376,92 @@ mod tests {
         let shared = Arc::new(v.clone());
         let _other = Arc::clone(&shared);
         let (mut plain, mut arc) = (SnapWriter::new(), SnapWriter::new());
+        // The stream's first shared value: index 0, then the value.
+        plain.u64(0);
         v.save(&mut plain);
         shared.save(&mut arc);
         assert_eq!(plain.finish(), arc.finish());
         let back = roundtrip(&shared).unwrap();
         assert_eq!((*back == v, Arc::strong_count(&back)), (true, 1));
+    }
+
+    #[test]
+    fn a_stream_writes_each_shared_value_once_by_content() {
+        let a = Arc::new(vec![1u16, 2]);
+        let equal = Arc::new(vec![1u16, 2]);
+        let other = Arc::new(vec![9u16]);
+        let mut w = SnapWriter::new();
+        for v in [&a, &equal, &other, &a, &other] {
+            w.save(v);
+        }
+        let bytes = w.finish();
+        let mut want = SnapWriter::new();
+        want.u64(0);
+        want.save(&*a);
+        want.u64(0);
+        want.u64(1);
+        want.save(&*other);
+        want.u64(0);
+        want.u64(1);
+        assert_eq!(bytes, want.finish());
+        let mut r = SnapReader::new(&bytes);
+        let back: Vec<Arc<Vec<u16>>> = (0..5).map(|_| r.load().unwrap()).collect();
+        r.finish().unwrap();
+        assert!(Arc::ptr_eq(&back[0], &back[1]) && Arc::ptr_eq(&back[0], &back[3]));
+        assert!(Arc::ptr_eq(&back[2], &back[4]) && !Arc::ptr_eq(&back[0], &back[2]));
+        assert_eq!((*back[1] == *a, *back[2] == *other), (true, true));
+    }
+
+    #[test]
+    fn a_forged_or_repeated_shared_value_is_corrupt_at_its_index() {
+        let mut w = SnapWriter::new();
+        w.save(&Arc::new(7u32));
+        w.save(&Arc::new(8u32));
+        let bytes = w.finish();
+        let load2 = |b: &[u8]| {
+            let mut r = SnapReader::new(b);
+            let first: Arc<u32> = r.load()?;
+            let second: Arc<u32> = r.load()?;
+            r.finish().map(|()| (*first, *second))
+        };
+        assert_eq!(load2(&bytes), Ok((7, 8)));
+        let corrupt = Err(SnapshotError::Corrupt { offset: 12 });
+        for index in [2u64, 9, u64::MAX] {
+            let mut bad = bytes.clone();
+            bad[12..20].copy_from_slice(&index.to_le_bytes());
+            assert_eq!(load2(&bad), corrupt, "index {index}");
+        }
+        // A second value written new but equal to the first: the writer
+        // names it by index, so no snapshot holds this.
+        let mut bad = bytes.clone();
+        bad[20..24].copy_from_slice(&7u32.to_le_bytes());
+        assert_eq!(load2(&bad), corrupt);
+        // An index naming a value of another type.
+        let mut w = SnapWriter::new();
+        w.save(&Arc::new(7u64));
+        w.u64(0);
+        let bytes = w.finish();
+        let mut r = SnapReader::new(&bytes);
+        let _: Arc<u64> = r.load().unwrap();
+        assert_eq!(
+            r.load::<Arc<u32>>().err(),
+            Some(SnapshotError::Corrupt { offset: 16 })
+        );
+    }
+
+    #[test]
+    fn a_new_shared_value_equal_to_a_held_one_loads_as_it() {
+        let held = Arc::new(vec![5u8; 3]);
+        let mut w = SnapWriter::new();
+        w.save(&Arc::new(vec![5u8; 3]));
+        w.save(&Arc::new(vec![6u8]));
+        let bytes = w.finish();
+        let mut r = SnapReader::new(&bytes);
+        r.hold(&held);
+        r.hold(&held);
+        let same: Arc<Vec<u8>> = r.load().unwrap();
+        let other: Arc<Vec<u8>> = r.load().unwrap();
+        assert!(Arc::ptr_eq(&same, &held) && !Arc::ptr_eq(&other, &held));
     }
 
     #[test]
@@ -1498,39 +1673,38 @@ mod tests {
     }
 
     #[test]
-    fn format_3_snapshots_and_deltas_are_refused_as_version() {
-        let version = Some(SnapshotError::Version {
-            found: 3,
-            expected: 4,
-        });
-        let mut w = SnapWriter::new();
-        write_header(
-            &mut w,
-            &SnapHeader {
-                version: 3,
-                param_hash: 1,
-                nodes: 8,
-            },
-        );
-        assert_eq!(
-            read_header(&mut SnapReader::new(&w.finish())).err(),
-            version
-        );
-        let mut w = SnapWriter::new();
-        write_delta_header(
-            &mut w,
-            &DeltaHeader {
-                version: 3,
-                param_hash: 1,
-                nodes: 8,
-                base_id: 2,
-                seq: 1,
-                from_cycle: 0,
-                to_cycle: 9,
-            },
-        );
-        let got = read_delta_header(&mut SnapReader::new(&w.finish()));
-        assert_eq!(got.err(), version);
+    fn format_4_snapshots_and_deltas_are_refused_as_version() {
+        for found in [3, 4] {
+            let version = Some(SnapshotError::Version { found, expected: 5 });
+            let mut w = SnapWriter::new();
+            write_header(
+                &mut w,
+                &SnapHeader {
+                    version: found,
+                    param_hash: 1,
+                    nodes: 8,
+                },
+            );
+            assert_eq!(
+                read_header(&mut SnapReader::new(&w.finish())).err(),
+                version
+            );
+            let mut w = SnapWriter::new();
+            write_delta_header(
+                &mut w,
+                &DeltaHeader {
+                    version: found,
+                    param_hash: 1,
+                    nodes: 8,
+                    base_id: 2,
+                    seq: 1,
+                    from_cycle: 0,
+                    to_cycle: 9,
+                },
+            );
+            let got = read_delta_header(&mut SnapReader::new(&w.finish()));
+            assert_eq!(got.err(), version);
+        }
     }
 
     #[test]
