@@ -29,9 +29,10 @@ const MAX_ALLOCS_PER_NODE: u64 = 64;
 const MAX_BUILD_BYTES_PER_NODE: u64 = 32 * 1024;
 
 /// Per-node byte budget for restoring the snapshot of a fresh build:
-/// 28.2 KiB measured at 256 nodes, plus headroom. Restore assembles a
-/// machine as build does, then loads every node's state, including its
-/// own copy of the translation table. Cache chunks whose slots all read
+/// 22.1 KiB measured at 256 nodes and 35.6 KiB at 2048, plus headroom.
+/// Restore assembles a machine as build does, then loads every node's
+/// state. The snapshot holds the translation table once, so every node
+/// shares the one copy restore loads. Cache chunks whose slots all read
 /// never-used stay unallocated.
 const MAX_RESTORE_BYTES_PER_NODE: u64 = 40 * 1024;
 
@@ -82,19 +83,20 @@ fn build_bytes_per_node_stay_bounded() {
 #[test]
 fn restore_bytes_per_node_stay_bounded() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    const NODES: u64 = 256;
-    let snapshot = Machine::builder(NODES as usize).build().checkpoint();
-    let (m, allocs, bytes) = measure(|| Machine::builder(1).restore(&snapshot));
-    m.expect("a fresh build's snapshot restores");
-    let per_node = bytes as f64 / NODES as f64 / 1024.0;
-    println!(
-        "restore of {NODES} nodes: {allocs} allocations, {bytes} bytes, {per_node:.1} KiB per node"
-    );
-    assert!(
-        bytes <= MAX_RESTORE_BYTES_PER_NODE * NODES,
-        "{per_node:.1} KiB per node exceed the budget of {} KiB",
-        MAX_RESTORE_BYTES_PER_NODE / 1024
-    );
+    for nodes in [256u64, 2048] {
+        let snapshot = Machine::builder(nodes as usize).build().checkpoint();
+        let (m, allocs, bytes) = measure(|| Machine::builder(1).restore(&snapshot));
+        m.expect("a fresh build's snapshot restores");
+        let per_node = bytes as f64 / nodes as f64 / 1024.0;
+        println!(
+            "restore of {nodes} nodes: {allocs} allocations, {bytes} bytes, {per_node:.1} KiB per node"
+        );
+        assert!(
+            bytes <= MAX_RESTORE_BYTES_PER_NODE * nodes,
+            "{per_node:.1} KiB per node at {nodes} nodes exceed the budget of {} KiB",
+            MAX_RESTORE_BYTES_PER_NODE / 1024
+        );
+    }
 }
 
 #[test]

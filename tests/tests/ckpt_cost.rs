@@ -2,8 +2,9 @@
 //! workload of `simspeed --nodes 256 --delta-every 20000` (256-node
 //! staggered pairs, a delta cut every 20,000 bus cycles), a full
 //! snapshot must cost a bounded number of bytes per node, and a cadence
-//! delta must stay at least ten times smaller. Byte counts are
-//! deterministic, so the gates hold on any host.
+//! delta must stay at least ten times smaller; a fresh 2048-node build's
+//! snapshot must cost as few bytes per node as the 256-node one. Byte
+//! counts are deterministic, so the gates hold on any host.
 
 use voyager::workloads::load_staggered_pairs;
 use voyager::{DeltaCheckpoint, Machine, Parallelism};
@@ -11,10 +12,19 @@ use voyager::{DeltaCheckpoint, Machine, Parallelism};
 const NODES: u16 = 256;
 
 /// Full-snapshot budget per node. A full snapshot lists only the cache
-/// chunks a run has used, and this run installs no cache line, so a
-/// node costs its NIU, its translation table and its small state:
-/// 21.1 KiB measured, plus headroom.
-const MAX_FULL_BYTES_PER_NODE: usize = 24 * 1024;
+/// chunks a run has used, and writes each distinct translation table
+/// once, so a node costs its NIU and its small state: 13.1 KiB measured
+/// at the last cadence cut and 7.5 KiB for a fresh 2048-node build,
+/// plus headroom.
+const MAX_FULL_BYTES_PER_NODE: usize = 16 * 1024;
+
+/// The bytes of each cadence delta, pinned: what a delta carries is
+/// work, so any change to it shows here first. The first cut after the
+/// base finds every node changed since the build; later ones carry the
+/// active pairs' written lines and small state.
+const CADENCE_DELTA_BYTES: [usize; 8] = [
+    1_114_191, 145_163, 145_163, 145_163, 145_163, 145_163, 154_792, 154_319,
+];
 
 fn build() -> Machine {
     let mut m = Machine::builder(NODES.into())
@@ -52,6 +62,7 @@ fn cadence_snapshot_bytes_stay_bounded_per_node_and_deltas_ten_times_smaller() {
         deltas.len(),
         full as f64 / mean as f64,
     );
+    assert_eq!(deltas, CADENCE_DELTA_BYTES, "bytes of each cadence delta");
     assert!(
         per_node <= MAX_FULL_BYTES_PER_NODE,
         "{per_node} full-snapshot bytes per node exceed the budget of {MAX_FULL_BYTES_PER_NODE}"
@@ -59,5 +70,24 @@ fn cadence_snapshot_bytes_stay_bounded_per_node_and_deltas_ten_times_smaller() {
     assert!(
         mean * 10 <= full,
         "mean cadence delta {mean} bytes is not 10x below the full snapshot's {full}"
+    );
+}
+
+/// Every node of a build holds one translation table of 4 × stride
+/// entries, stride = next_pow2(n). Written once per node, it made a
+/// snapshot grow as n²; written once per snapshot, it leaves a node's
+/// share of the bytes flat.
+#[test]
+fn fresh_2048_node_snapshot_bytes_stay_bounded_per_node() {
+    const NODES: usize = 2048;
+    let full = Machine::builder(NODES).build().checkpoint().len();
+    let per_node = full / NODES;
+    println!(
+        "fresh {NODES}-node build: snapshot {full} bytes ({:.1} KiB per node)",
+        per_node as f64 / 1024.0
+    );
+    assert!(
+        per_node <= MAX_FULL_BYTES_PER_NODE,
+        "{per_node} snapshot bytes per node exceed the budget of {MAX_FULL_BYTES_PER_NODE}"
     );
 }
