@@ -66,6 +66,20 @@ impl FaultParams {
         }
     }
 
+    /// A hostile-but-survivable fabric: 4% drops, 2% duplicates, 1.5%
+    /// corruption, 3% reorders. Well inside the default retransmit cap,
+    /// and enough that a mid-run cut catches retransmit timers and
+    /// sequence windows in flight.
+    pub fn hostile(seed: u64) -> Self {
+        FaultParams {
+            drop_ppm: 40_000,
+            dup_ppm: 20_000,
+            corrupt_ppm: 15_000,
+            reorder_ppm: 30_000,
+            seed,
+        }
+    }
+
     /// Whether any fault rate is nonzero.
     pub fn enabled(&self) -> bool {
         self.drop_ppm | self.dup_ppm | self.corrupt_ppm | self.reorder_ppm != 0

@@ -12,18 +12,11 @@ use voyager::app::{AppEventKind, Delay, FnProgram};
 use voyager::arctic::FaultParams;
 use voyager::{Machine, MachineBuilder, Parallelism, ShardPolicy};
 
-/// Same hostile-but-survivable fabric as `faults.rs`: enough loss,
-/// duplication, corruption and reordering that a mid-run checkpoint is
-/// guaranteed to catch retransmit timers and sequence windows in
-/// flight.
+/// The hostile fabric of `faults.rs`, seed included: a mid-run
+/// checkpoint is guaranteed to catch retransmit timers and sequence
+/// windows in flight.
 fn hostile() -> FaultParams {
-    FaultParams {
-        drop_ppm: 40_000,
-        dup_ppm: 20_000,
-        corrupt_ppm: 15_000,
-        reorder_ppm: 30_000,
-        seed: 0xD15E_A5E0,
-    }
+    FaultParams::hostile(0xD15E_A5E0)
 }
 
 /// Run-mode axis for the headline test: `None` = cycle-stepped,

@@ -158,16 +158,10 @@ mod fw {
     use voyager::firmware::proto::CollOp;
     use voyager::{Parallelism, ShardPolicy};
 
-    /// Same hostile-but-survivable fabric as the fault suite, different
-    /// seed so the two suites do not share an RNG stream.
+    /// The fault suite's hostile fabric with a seed of its own, so the
+    /// two suites do not share an RNG stream.
     fn hostile() -> FaultParams {
-        FaultParams {
-            drop_ppm: 40_000,
-            dup_ppm: 20_000,
-            corrupt_ppm: 15_000,
-            reorder_ppm: 30_000,
-            seed: 0x0C01_1EC7,
-        }
+        FaultParams::hostile(0x0C01_1EC7)
     }
 
     /// A machine where every node runs the collective program

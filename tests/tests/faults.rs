@@ -11,16 +11,9 @@ use voyager::niu::msg::{MsgClass, MSG_CLASSES};
 use voyager::niu::queues::RxFullPolicy;
 use voyager::{Machine, Parallelism, ShardPolicy, SystemParams};
 
-/// A hostile-but-survivable fabric: 4% drops, 2% duplicates, 1.5%
-/// corruption, 3% reorders. Well inside the default retransmit cap.
+/// The hostile fabric ([`FaultParams::hostile`]) this suite runs on.
 fn hostile() -> FaultParams {
-    FaultParams {
-        drop_ppm: 40_000,
-        dup_ppm: 20_000,
-        corrupt_ppm: 15_000,
-        reorder_ppm: 30_000,
-        seed: 0xD15E_A5E0,
-    }
+    FaultParams::hostile(0xD15E_A5E0)
 }
 
 /// [`voyager::workloads::load_all_pairs`] on `n` nodes over `faults`.

@@ -439,10 +439,7 @@ proptest! {
         use voyager::api::{BasicMsg, RecvBasic, SendBasic};
         use voyager::arctic::{QosParams, VcArbitration};
         use voyager::{Parallelism, ShardPolicy};
-        let faults = voyager::arctic::FaultParams {
-            drop_ppm: 40_000, dup_ppm: 20_000, corrupt_ppm: 15_000,
-            reorder_ppm: 30_000, seed: fault_seed,
-        };
+        let faults = voyager::arctic::FaultParams::hostile(fault_seed);
         let params = voyager::SystemParams {
             qos: qos.map(|(vcs, credits_per_vc, rr)| QosParams {
                 vcs,
@@ -519,10 +516,7 @@ proptest! {
         use sv_sim::ckpt::SnapshotError;
         use voyager::api::{ApiError, BasicMsg, RecvBasic, SendBasic};
         use voyager::{DeltaCheckpoint, Parallelism, ShardPolicy};
-        let faults = voyager::arctic::FaultParams {
-            drop_ppm: 40_000, dup_ppm: 20_000, corrupt_ppm: 15_000,
-            reorder_ppm: 30_000, seed: fault_seed,
-        };
+        let faults = voyager::arctic::FaultParams::hostile(fault_seed);
         let par = if workers == 1 {
             Parallelism::Sequential
         } else {
@@ -707,10 +701,7 @@ proptest! {
         use voyager::api::CollReq;
         use voyager::firmware::proto::CollOp;
         use voyager::{DeltaCheckpoint, Parallelism, ShardPolicy};
-        let faults = voyager::arctic::FaultParams {
-            drop_ppm: 40_000, dup_ppm: 20_000, corrupt_ppm: 15_000,
-            reorder_ppm: 30_000, seed: fault_seed,
-        };
+        let faults = voyager::arctic::FaultParams::hostile(fault_seed);
         let par = if workers == 1 {
             Parallelism::Sequential
         } else {

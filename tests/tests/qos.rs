@@ -104,13 +104,7 @@ fn strip_loop_meta(json: &str) -> String {
 /// loop, and every parallel worker count and shard policy.
 #[test]
 fn qos_stats_identical_across_every_run_mode() {
-    let faults = FaultParams {
-        drop_ppm: 40_000,
-        dup_ppm: 20_000,
-        corrupt_ppm: 15_000,
-        reorder_ppm: 30_000,
-        seed: 0x905_0FF5,
-    };
+    let faults = FaultParams::hostile(0x905_0FF5);
     let p = SystemParams {
         qos: Some(qos(2, 2, VcArbitration::Priority)),
         ..Default::default()
@@ -173,13 +167,7 @@ fn incast_isolation_cuts_the_high_priority_tail() {
 /// different worker count than the donor's.
 #[test]
 fn qos_state_survives_checkpoint_and_restore() {
-    let faults = FaultParams {
-        drop_ppm: 40_000,
-        dup_ppm: 20_000,
-        corrupt_ppm: 15_000,
-        reorder_ppm: 30_000,
-        seed: 0xC4ED_1757,
-    };
+    let faults = FaultParams::hostile(0xC4ED_1757);
     let p = SystemParams {
         qos: Some(qos(2, 1, VcArbitration::RoundRobin)),
         ..Default::default()

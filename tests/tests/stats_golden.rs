@@ -339,13 +339,7 @@ fn golden_stats_tenancy() {
 fn golden_stats_faults() {
     let n = 8u16;
     let mut m = Machine::builder(n.into())
-        .faults(FaultParams {
-            drop_ppm: 40_000,
-            dup_ppm: 20_000,
-            corrupt_ppm: 15_000,
-            reorder_ppm: 30_000,
-            seed: 0xD15E_A5E0,
-        })
+        .faults(FaultParams::hostile(0xD15E_A5E0))
         .sample_latency(true)
         .build();
     voyager::workloads::load_all_pairs(&mut m);

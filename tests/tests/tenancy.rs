@@ -13,17 +13,10 @@ use voyager::{
     TenantScheduler,
 };
 
-/// Same hostile-but-survivable fabric as `ckpt.rs`: enough loss,
-/// duplication, corruption and reordering that retransmit timers and
-/// sequence windows are live at any mid-run cut.
+/// The hostile fabric of `ckpt.rs`, seed included: retransmit timers
+/// and sequence windows are live at any mid-run cut.
 fn hostile() -> FaultParams {
-    FaultParams {
-        drop_ppm: 40_000,
-        dup_ppm: 20_000,
-        corrupt_ppm: 15_000,
-        reorder_ppm: 30_000,
-        seed: 0xD15E_A5E0,
-    }
+    FaultParams::hostile(0xD15E_A5E0)
 }
 
 /// The serving mix under test: six tenants per node (latency, bursty,
