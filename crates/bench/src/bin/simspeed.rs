@@ -4,7 +4,7 @@
 //!
 //! 1. **Synchronized ring** (every node computes for a long gap, then all
 //!    exchange at once): how do the cycle-stepped oracle and the
-//!    idle-skipping event loop, on one shard and on a worker pool,
+//!    idle-skipping event loop, on one shard and sharded over threads,
 //!    compare when the *time* axis is idle-heavy? The event loop must
 //!    reproduce the cycle-stepped quiescence time exactly; the bin
 //!    asserts it.

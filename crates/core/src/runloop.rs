@@ -30,7 +30,7 @@
 //! exchange the cheapest, most frequent traffic (2-hop, through their
 //! shared leaf switch) land in the same shard and cross-shard traffic has
 //! to climb the tree ([`sv_arctic::FatTree::min_cross_subtree_hops`]).
-//! Shards move wholesale between the scheduler and the worker pool over
+//! Shards move wholesale between the scheduler and the pool threads over
 //! channels, so no node is ever visible to two threads at once and the
 //! loop needs no locks.
 //!
@@ -65,11 +65,18 @@
 //!      produce deliveries inside it (the lookahead invariant), so this
 //!      pre-computed schedule is complete.
 //!   2. **Execute** — every shard with a wake or an arrival in the
-//!      window is sent to the worker pool (a shared task channel, so
-//!      idle workers steal whatever shard is ready next) and runs its
-//!      event cycles, recording packet injections as
-//!      `(cycle, node, seq)`. Arrivals and injections travel in buffers
-//!      owned by the shard, so a warm window allocates nothing.
+//!      window runs its event cycles on its owner thread, recording
+//!      packet injections as `(cycle, node, seq)`. Shard `si` of a run
+//!      on `t` threads is owned by thread `si % t`, where thread 0 is
+//!      the scheduler itself: it sends each active pool-owned shard down
+//!      its owner's task channel, runs its own active shards in place,
+//!      then collects the pool's shards from one shared results channel.
+//!      The owner is a pure function of the shard map, so a shard's
+//!      nodes stay on one thread (and in its core's cache) from window
+//!      to window. A waiting thread polls its channel for a few µs
+//!      before it blocks, since the next message usually comes sooner
+//!      than a sleeping thread wakes. Arrivals and injections travel in
+//!      buffers owned by the shard, so a warm window allocates nothing.
 //!   3. **Commit** — the scheduler merges all injections in the global
 //!      order the oracle would have produced (cycle, then node index,
 //!      then per-node FIFO) and replays them into the committed network,
@@ -98,8 +105,10 @@ use crate::machine::Machine;
 use crate::node::Node;
 use crate::ApiError;
 
-use crossbeam::channel;
 use std::cell::RefCell;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc::{self, TryRecvError};
+use std::time::{Duration, Instant};
 use sv_arctic::{IdealNetwork, Network, Packet};
 use sv_niu::msg::NetPayload;
 use sv_sim::ckpt::{SnapWriter, StateSave};
@@ -118,11 +127,14 @@ type Delivery = (Time, Packet<NetPayload>);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
     /// One thread, one shard — the default. The same event loop as every
-    /// other choice, run on the calling thread without a worker pool;
+    /// other choice, run on the calling thread without pool threads;
     /// the fastest option for small and mostly idle machines.
     #[default]
     Sequential,
-    /// Exactly this many worker threads; `Fixed(1)` is `Sequential`.
+    /// Run on this many threads, the calling thread included: it
+    /// schedules and runs its own share of the shards, and `n - 1` pool
+    /// threads run the rest (fewer when the machine has fewer shards
+    /// than `n`). `Fixed(1)` is `Sequential`.
     /// [`MachineBuilder::try_build`] rejects `Fixed(0)`
     /// ([`ApiError::WorkerCountZero`]) and worker counts exceeding the
     /// finest shard partition — one shard per node
@@ -130,8 +142,8 @@ pub enum Parallelism {
     ///
     /// [`MachineBuilder::try_build`]: crate::machine::MachineBuilder::try_build
     Fixed(usize),
-    /// Size the pool from the host: the `VOYAGER_WORKERS` environment
-    /// variable if set to a positive integer, otherwise
+    /// `Fixed(n)` with `n` taken from the host: the `VOYAGER_WORKERS`
+    /// environment variable if set to a positive integer, otherwise
     /// [`std::thread::available_parallelism`], clamped to the node
     /// count. Results are still bit-identical to every other setting —
     /// only wall-clock speed varies.
@@ -277,6 +289,24 @@ pub(crate) struct RunScratch {
     /// Debug builds only: the `(time, src, dst)` sequence of a parallel
     /// window's harvest, which its commit must reproduce.
     harvested: Vec<(Time, u16, u16)>,
+    /// Parallel-window work since the machine was built.
+    work: WindowWork,
+}
+
+/// The parallel windows a machine has run since it was built, for the
+/// work gates. Deterministic for a given plan, but they differ between
+/// plans, so they live beside the run loop's buffers and never reach
+/// the statistics or a snapshot.
+#[doc(hidden)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct WindowWork {
+    /// Parallel windows executed.
+    pub windows: u64,
+    /// Windows each shard executed in, by shard index.
+    pub shard_runs: Vec<u64>,
+    /// Shard windows handed to a pool thread rather than run on the
+    /// scheduler thread.
+    pub handoffs: u64,
 }
 
 /// The fabric as the run loops see it: the Arctic model and the ideal
@@ -589,6 +619,12 @@ impl Machine {
         }
     }
 
+    /// The parallel windows this machine has run since it was built.
+    #[doc(hidden)]
+    pub fn window_work(&self) -> &WindowWork {
+        &self.scratch.work
+    }
+
     /// Largest window span (in bus cycles) safe under lookahead `la_ns`:
     /// `edge(c + w - 1) - edge(c) < la_ns` for every `c`, so injections
     /// inside a window can never produce deliveries inside it.
@@ -682,9 +718,9 @@ impl Machine {
 
 /// One shard of the machine during a run: exclusive ownership of its
 /// member nodes (ascending node id), its own wake index, and drain
-/// scratch. Shards move wholesale between the scheduler and the worker
-/// pool (`std::mem::take` + channels), so no node is ever aliased across
-/// threads and the loop needs no locks.
+/// scratch. Shards move wholesale between the scheduler and their owner
+/// pool threads (`std::mem::take` + channels), so no node is ever
+/// aliased across threads and the loop needs no locks.
 #[derive(Default)]
 struct Shard<'a> {
     /// The shard's nodes, local index -> disjoint `&mut` borrow.
@@ -695,8 +731,8 @@ struct Shard<'a> {
     /// `drain_due` scratch, reused across windows.
     due: Vec<u32>,
     /// Harvested arrivals of the next window: `(cycle, local index,
-    /// packet)`, ascending by cycle. Travels with the shard to the pool
-    /// and back, so its buffer is reused.
+    /// packet)`, ascending by cycle. Travels with the shard to its
+    /// owner thread and back, so its buffer is reused.
     arrivals: Vec<(u64, u32, Packet<NetPayload>)>,
     /// Packets popped from NIUs in the last window: `(cycle, node id,
     /// packet)`, in per-node FIFO order; drained at commit.
@@ -758,7 +794,8 @@ struct ShardTask<'a> {
     w1: u64,
 }
 
-/// A shard coming back from the pool, its injections in its buffer.
+/// A shard coming back from a pool thread, its injections in its
+/// buffer.
 struct ShardOut<'a> {
     si: usize,
     shard: Shard<'a>,
@@ -781,6 +818,7 @@ struct WindowOut {
 }
 
 /// What [`run_sharded`] hands back to the machine.
+#[derive(Default)]
 struct WindowsResult {
     /// Last cycle on which anything executed, if any did.
     last_exec: Option<u64>,
@@ -788,6 +826,15 @@ struct WindowsResult {
     ticks: u64,
     /// Arrival + post-tick wake publishes across all shards.
     republishes: u64,
+}
+
+impl WindowsResult {
+    /// Add one shard's burst or window.
+    fn absorb(&mut self, w: &WindowOut) {
+        self.last_exec = self.last_exec.max(w.last_exec);
+        self.ticks += w.ticks;
+        self.republishes += w.republishes;
+    }
 }
 
 /// Execute one shard's window up to `w1` (exclusive): its pre-scheduled
@@ -905,30 +952,55 @@ fn exec_burst(
     )
 }
 
-/// Worker loop: pull shard windows off the shared task channel (idle
-/// workers steal whatever shard is ready next), execute, hand the shard
-/// back.
+/// How long a thread waiting on a channel polls it before it blocks. A
+/// pool thread's next shard usually arrives within the scheduler's
+/// serial part of a window (harvest and commit, a few µs), and the
+/// pool's results within the scheduler's own share of it; a blocking
+/// receive costs a sleep and a wake-up, several µs on a virtual machine.
+const POLL: Duration = Duration::from_micros(20);
+
+/// Receive from `rx`: poll for [`POLL`], yielding the core between tries
+/// so that hosts with more threads than cores keep moving, then block.
+/// `None` once every sender is gone.
+fn recv_polled<T>(rx: &mpsc::Receiver<T>) -> Option<T> {
+    let start = Instant::now();
+    loop {
+        match rx.try_recv() {
+            Ok(v) => return Some(v),
+            Err(TryRecvError::Empty) if start.elapsed() < POLL => std::thread::yield_now(),
+            Err(TryRecvError::Empty) => return rx.recv().ok(),
+            Err(TryRecvError::Disconnected) => return None,
+        }
+    }
+}
+
+/// Pool thread loop: run each shard window that arrives on this thread's
+/// own task channel and hand the shard back on the shared results
+/// channel. A panic inside a window (a program's own) goes back in place
+/// of the shard for the scheduler to re-raise; a shard that never came
+/// back would leave the scheduler waiting forever.
 fn shard_worker<'a>(
     clock: Clock,
-    tasks: channel::Receiver<ShardTask<'a>>,
-    out: channel::Sender<ShardOut<'a>>,
+    tasks: mpsc::Receiver<ShardTask<'a>>,
+    out: mpsc::Sender<std::thread::Result<ShardOut<'a>>>,
 ) {
-    while let Ok(ShardTask { si, mut shard, w1 }) = tasks.recv() {
-        let w = exec_window(&mut shard, &clock, w1);
-        if out.send(ShardOut { si, shard, w }).is_err() {
+    while let Some(ShardTask { si, mut shard, w1 }) = recv_polled(&tasks) {
+        let w = panic::catch_unwind(AssertUnwindSafe(|| exec_window(&mut shard, &clock, w1)));
+        if out.send(w.map(|w| ShardOut { si, shard, w })).is_err() {
             return;
         }
     }
 }
 
 /// Drive `nodes` from cycle `start` to `target` under the shard map in
-/// `scratch`, with up to `workers` pool threads. See the module docs for
-/// the protocol and its determinism argument.
+/// `scratch`, on up to `workers` threads: this one and `workers - 1` pool
+/// threads. See the module docs for the protocol and its determinism
+/// argument.
 ///
 /// Each iteration runs one shard in a burst, executes one event cycle
 /// inline (when at most one shard has work inside the next window span —
 /// the oracle's per-cycle sequence over the sharded structures, no
-/// harvest, no channel traffic), or dispatches one parallel
+/// harvest, no channel traffic), or runs one parallel
 /// harvest/execute/commit window across every active shard. With one
 /// shard only the first two ever happen.
 #[allow(clippy::too_many_arguments)]
@@ -951,6 +1023,7 @@ fn run_sharded<'a>(
         drained,
         injections,
         harvested,
+        work,
     } = scratch;
     let map = map.as_ref().expect("shard map built before the run");
     debug_assert_eq!(map.owner.len(), nodes.len());
@@ -975,17 +1048,16 @@ fn run_sharded<'a>(
     // shard executes (its nodes are frozen in between).
     wakes.clear();
     wakes.extend(shards.iter_mut().map(|s| s.wake.min()));
-    let mut last_exec: Option<u64> = None;
-    let mut ticks = 0u64;
-    let mut republishes = 0u64;
+    work.shard_runs.resize(map.shards, 0);
+    // Shard `si` runs on thread `si % threads`; thread 0 is this one.
+    let threads = workers.min(map.shards).max(1);
+    let mut res = WindowsResult::default();
     std::thread::scope(|scope| {
         // The pool and its channels are created lazily on the first
         // parallel window, so runs that never leave bursts and inline
         // cycles (one shard, sparse phases) never pay thread startup.
-        let mut pool: Option<(
-            channel::Sender<ShardTask<'a>>,
-            channel::Receiver<ShardOut<'a>>,
-        )> = None;
+        // One task channel per pool thread; one results channel for all.
+        let mut pool = None;
         let mut cursor = start;
         loop {
             // Next cycle anything can happen, shard wakes or network.
@@ -1022,9 +1094,7 @@ fn run_sharded<'a>(
                 debug_assert!(nx < bound);
                 let (end, w) = exec_burst(&mut shards[si], net, &clock, bound);
                 wakes[si] = w.next_wake;
-                last_exec = last_exec.max(w.last_exec);
-                ticks += w.ticks;
-                republishes += w.republishes;
+                res.absorb(&w);
                 cursor = end;
             } else if wake_active < 2 {
                 // ---- Inline event cycle at `nx` ----
@@ -1039,7 +1109,7 @@ fn run_sharded<'a>(
                     let sh = &mut shards[si as usize];
                     deliver(&mut *sh.members[li as usize], nx, now, pkt);
                     sh.wake.publish(li as usize, Some(nx));
-                    republishes += 1;
+                    res.republishes += 1;
                     wakes[si as usize] = Some(wakes[si as usize].map_or(nx, |w| w.min(nx)));
                 }
                 drained.clear();
@@ -1070,13 +1140,13 @@ fn run_sharded<'a>(
                     sh.wake.publish(li as usize, w);
                 }
                 let ran = merged.len() as u64;
-                ticks += ran;
-                republishes += ran;
+                res.ticks += ran;
+                res.republishes += ran;
                 for &si in drained.iter() {
                     wakes[si] = shards[si].wake.min();
                 }
                 if ran > 0 {
-                    last_exec = last_exec.max(Some(nx));
+                    res.last_exec = res.last_exec.max(Some(nx));
                 }
                 cursor = nx + 1;
             } else {
@@ -1100,45 +1170,70 @@ fn run_sharded<'a>(
                     let (si, li) = map.owner[pkt.dst as usize];
                     shards[si as usize].arrivals.push((c, li, pkt));
                 }
-                let (task_tx, out_rx) = pool.get_or_insert_with(|| {
-                    let (task_tx, task_rx) = channel::unbounded();
-                    let (out_tx, out_rx) = channel::unbounded();
-                    for _ in 0..workers.min(map.shards) {
-                        let (rx, tx) = (task_rx.clone(), out_tx.clone());
-                        scope.spawn(move || shard_worker(clock, rx, tx));
-                    }
-                    (task_tx, out_rx)
+                let (task_txs, out_rx) = pool.get_or_insert_with(|| {
+                    let (out_tx, out_rx) = mpsc::channel();
+                    let task_txs = (1..threads)
+                        .map(|_| {
+                            let (task_tx, task_rx) = mpsc::channel();
+                            let out_tx = out_tx.clone();
+                            scope.spawn(move || shard_worker(clock, task_rx, out_tx));
+                            task_tx
+                        })
+                        .collect::<Vec<_>>();
+                    (task_txs, out_rx)
                 });
-                // Dispatch every shard with work in the window; the rest
-                // stay in place, frozen, their cached wakes still exact.
-                let mut outstanding = 0usize;
+                // Execute every shard with work in the window on its
+                // owner thread; the rest stay in place, frozen, their
+                // cached wakes still exact. The pool's shards go out
+                // first, so the pool runs them while this thread runs
+                // its own.
+                let active = |sh: &Shard<'_>, wake: Option<u64>| {
+                    !sh.arrivals.is_empty() || wake.is_some_and(|w| w < w1)
+                };
+                work.windows += 1;
+                let mut handed = 0usize;
                 for si in 0..shards.len() {
-                    if shards[si].arrivals.is_empty() && wakes[si].is_none_or(|w| w >= w1) {
+                    if !active(&shards[si], wakes[si]) {
                         continue;
                     }
-                    task_tx
-                        .send(ShardTask {
-                            si,
-                            shard: std::mem::take(&mut shards[si]),
-                            w1,
-                        })
-                        .expect("shard worker exited early");
-                    outstanding += 1;
+                    work.shard_runs[si] += 1;
+                    if let Some(owner) = (si % threads).checked_sub(1) {
+                        let shard = std::mem::take(&mut shards[si]);
+                        task_txs[owner]
+                            .send(ShardTask { si, shard, w1 })
+                            .expect("pool thread exited early");
+                        handed += 1;
+                    }
                 }
-                for _ in 0..outstanding {
-                    let mut out = out_rx.recv().expect("shard worker died");
-                    wakes[out.si] = out.w.next_wake;
-                    last_exec = last_exec.max(out.w.last_exec);
-                    ticks += out.w.ticks;
-                    republishes += out.w.republishes;
-                    injections.append(&mut out.shard.injections);
-                    shards[out.si] = out.shard;
+                work.handoffs += handed as u64;
+                for si in (0..shards.len()).step_by(threads) {
+                    if active(&shards[si], wakes[si]) {
+                        let w = exec_window(&mut shards[si], &clock, w1);
+                        wakes[si] = w.next_wake;
+                        res.absorb(&w);
+                        injections.append(&mut shards[si].injections);
+                    }
+                }
+                for _ in 0..handed {
+                    let out = recv_polled(out_rx).expect("pool thread exited early");
+                    // A window that panicked re-raises here. Unwinding
+                    // drops the task channels, so the pool threads exit
+                    // and the scope joins them before the panic leaves
+                    // the run.
+                    let ShardOut { si, mut shard, w } =
+                        out.unwrap_or_else(|payload| panic::resume_unwind(payload));
+                    wakes[si] = w.next_wake;
+                    res.absorb(&w);
+                    injections.append(&mut shard.injections);
+                    shards[si] = shard;
                 }
                 // Commit: replay injections in the order the oracle
                 // would have produced them (cycle, then node index, then
-                // per-node FIFO — the sort is stable), interleaving
-                // network advances so link arbitration and fault RNG
-                // draws see events in time order.
+                // per-node FIFO — the sort is stable, and one node's
+                // injections all come from one shard in FIFO order, so
+                // the order shards were collected in does not matter),
+                // interleaving network advances so link arbitration and
+                // fault RNG draws see events in time order.
                 injections.sort_by_key(|&(c, src, _)| (c, src));
                 let mut advanced_to: Option<u64> = None;
                 for (c, _, pkt) in injections.drain(..) {
@@ -1163,15 +1258,11 @@ fn run_sharded<'a>(
                 cursor = w1;
             }
         }
-        // Closing the task channel lets the workers exit before the
-        // scope joins them.
+        // Closing the task channels lets the pool threads exit before
+        // the scope joins them.
         drop(pool);
     });
     // Detach the nodes, keeping every buffer for the next run.
     *kept = shards.into_iter().map(Shard::detach).collect();
-    WindowsResult {
-        last_exec,
-        ticks,
-        republishes,
-    }
+    res
 }

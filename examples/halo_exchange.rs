@@ -173,7 +173,7 @@ impl Program for Stencil {
 }
 
 fn main() {
-    // Auto sizes the worker pool from the host (or VOYAGER_WORKERS);
+    // Auto takes the thread count from the host (or VOYAGER_WORKERS);
     // results are bit-identical at any worker count.
     let mut m = Machine::builder(NODES)
         .parallelism(Parallelism::Auto)
