@@ -367,49 +367,51 @@ pub struct XferSpec {
     pub verify: bool,
 }
 
+/// Load one `len`-byte transfer from node 0 to node 1 of `m`: the source
+/// pattern at [`SRC_ADDR`], the sender, and a receiver that awaits the
+/// data (approach 1) or the notification, then reads the destination
+/// region. Returns the destination address.
+pub fn load_block_transfer(
+    m: &mut Machine,
+    approach: Approach,
+    len: u32,
+    pattern_seed: u64,
+) -> u64 {
+    m.nodes[0]
+        .mem
+        .fill_pattern(SRC_ADDR, len as usize, pattern_seed);
+    let dst = dst_addr_for(&m.params, approach);
+    let lib0 = m.lib(0);
+    let lib1 = m.lib(1);
+    let recv: Box<dyn Program> = match approach {
+        Approach::ApDirect => {
+            m.load_program(0, A1Send::new(&lib0, 1, SRC_ADDR, dst, len));
+            Box::new(A1Recv::new(&lib1, len))
+        }
+        _ => {
+            let req = XferReq {
+                approach,
+                xfer_id: 1,
+                src_addr: SRC_ADDR,
+                dst_addr: dst,
+                len,
+                dst_node: 1,
+                notify_lq: 1,
+            };
+            m.load_program(0, request_transfer(&lib0, &req));
+            Box::new(RecvBasic::expecting(&lib1, 1))
+        }
+    };
+    m.load_program(1, Seq::new(vec![recv, Box::new(ReadRegion::new(dst, len))]));
+    dst
+}
+
 /// Run one block transfer between node 0 (sender) and node 1 (receiver)
 /// and measure it.
 pub fn run_block_transfer(params: SystemParams, spec: XferSpec) -> XferPoint {
     let mut m = Machine::builder(2).params(params).build();
     let pattern_seed = params.seed ^ spec.len as u64;
-    m.nodes[0]
-        .mem
-        .fill_pattern(SRC_ADDR, spec.len as usize, pattern_seed);
-    let dst = dst_addr_for(&params, spec.approach);
-    let lib0 = m.lib(0);
-    let lib1 = m.lib(1);
-
-    match spec.approach {
-        Approach::ApDirect => {
-            m.load_program(0, A1Send::new(&lib0, 1, SRC_ADDR, dst, spec.len));
-            m.load_program(
-                1,
-                Seq::new(vec![
-                    Box::new(A1Recv::new(&lib1, spec.len)),
-                    Box::new(ReadRegion::new(dst, spec.len)),
-                ]),
-            );
-        }
-        _ => {
-            let req = XferReq {
-                approach: spec.approach,
-                xfer_id: 1,
-                src_addr: SRC_ADDR,
-                dst_addr: dst,
-                len: spec.len,
-                dst_node: 1,
-                notify_lq: 1,
-            };
-            m.load_program(0, request_transfer(&lib0, &req));
-            m.load_program(
-                1,
-                Seq::new(vec![
-                    Box::new(RecvBasic::expecting(&lib1, 1)),
-                    Box::new(ReadRegion::new(dst, spec.len)),
-                ]),
-            );
-        }
-    }
+    let dst = load_block_transfer(&mut m, spec.approach, spec.len, pattern_seed);
 
     let end = match m.run_to_quiescence_capped(10_000_000_000) {
         Ok(t) => t,

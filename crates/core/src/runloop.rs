@@ -18,8 +18,11 @@
 //! cycle at which it *might* change state. The event loop advances
 //! directly to the minimum over all nodes and the network, executes that
 //! one cycle with the exact same per-cycle sequence as the oracle, and
-//! recomputes. The two loops are bit-identical by construction, which
-//! the equivalence tests in `tests/` assert end to end.
+//! recomputes. The same holds per engine: a due node runs its NIU and
+//! its firmware only when their own wakes are due (`Node::tick_due`),
+//! while the oracle's [`Machine::step`] runs every engine of every
+//! node. The two loops are bit-identical by construction, which the
+//! equivalence tests in `tests/` assert end to end.
 //!
 //! **Shards.** The event loop always runs over *shards*. Each shard owns
 //! its member nodes, its own [`sv_sim::WakeIndex`], and its own arrival
@@ -414,13 +417,13 @@ fn deliver(node: &mut Node, cycle: u64, now: Time, pkt: Packet<NetPayload>) {
             format!("rx {}B from node {}", pkt.wire_bytes, pkt.src),
         );
     }
-    node.niu.push_arrival_packet(cycle, pkt);
+    node.push_arrival_packet(cycle, pkt);
 }
 
 /// Pass every packet `node`'s NIU has ready at `cycle` to `send`, in
 /// FIFO order.
 fn egress(node: &mut Node, cycle: u64, now: Time, mut send: impl FnMut(Packet<NetPayload>)) {
-    while let Some(pkt) = node.niu.pop_ready_packet(cycle) {
+    while let Some(pkt) = node.pop_ready_packet(cycle) {
         if node.tracer.enabled() {
             node.tracer.record(
                 now,
@@ -759,9 +762,9 @@ impl Shard<'_> {
 
     /// Execute cycle `ce` (at time `now`) for every member due by then —
     /// the oracle's per-cycle sequence after deliveries: tick the due
-    /// members in id order, pass their egress to `send` as
-    /// `(node id, packet)` in per-node FIFO order, and republish their
-    /// wakes. Returns how many members ran.
+    /// members in id order (each running only its due engines), pass
+    /// their egress to `send` as `(node id, packet)` in per-node FIFO
+    /// order, and republish their wakes. Returns how many members ran.
     fn run_due(
         &mut self,
         ce: u64,
@@ -771,7 +774,7 @@ impl Shard<'_> {
     ) -> u64 {
         self.wake.drain_due(ce, &mut self.due);
         for &i in &self.due {
-            self.members[i as usize].tick(ce, now);
+            self.members[i as usize].tick_due(ce, now);
         }
         for &i in &self.due {
             let node = &mut *self.members[i as usize];
@@ -779,7 +782,7 @@ impl Shard<'_> {
             egress(node, ce, now, |pkt| send(id, pkt));
         }
         for &i in &self.due {
-            let w = self.members[i as usize].next_event_cycle(ce + 1, clock);
+            let w = self.members[i as usize].wake(ce + 1, clock);
             self.wake.publish(i as usize, w);
         }
         self.due.len() as u64
@@ -1040,8 +1043,8 @@ fn run_sharded<'a>(
     // track in-run maintenance, which is the same under every map).
     for sh in &mut shards {
         sh.wake.reset(sh.members.len());
-        for (li, nd) in sh.members.iter().enumerate() {
-            sh.wake.publish(li, nd.next_event_cycle(start, &clock));
+        for (li, nd) in sh.members.iter_mut().enumerate() {
+            sh.wake.publish(li, nd.prime_wake(start, &clock));
         }
     }
     // Scheduler-side wake cache: exact per shard, refreshed whenever the
@@ -1128,7 +1131,7 @@ fn run_sharded<'a>(
                 }
                 merged.sort_unstable_by_key(|&(id, _, _)| id);
                 for &(_, si, li) in merged.iter() {
-                    shards[si as usize].members[li as usize].tick(nx, now);
+                    shards[si as usize].members[li as usize].tick_due(nx, now);
                 }
                 for &(_, si, li) in merged.iter() {
                     let node = &mut *shards[si as usize].members[li as usize];
@@ -1136,7 +1139,7 @@ fn run_sharded<'a>(
                 }
                 for &(_, si, li) in merged.iter() {
                     let sh = &mut shards[si as usize];
-                    let w = sh.members[li as usize].next_event_cycle(nx + 1, &clock);
+                    let w = sh.members[li as usize].wake(nx + 1, &clock);
                     sh.wake.publish(li as usize, w);
                 }
                 let ran = merged.len() as u64;

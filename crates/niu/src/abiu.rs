@@ -425,6 +425,12 @@ impl ABiu {
         Some(r)
     }
 
+    /// Whether [`ABiu::pop_request`] would hand out a request now: one is
+    /// queued and the outstanding window has room.
+    pub fn request_ready(&self, max_outstanding: usize) -> bool {
+        self.outstanding < max_outstanding && !self.requests.is_empty()
+    }
+
     /// Mark a mastered request complete.
     pub fn request_completed(&mut self) {
         debug_assert!(self.outstanding > 0);

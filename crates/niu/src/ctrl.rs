@@ -257,6 +257,13 @@ impl Ctrl {
         None
     }
 
+    /// Whether local command queue `qi` is fully drained (no queued
+    /// commands and no in-order completions outstanding). Firmware uses
+    /// this as a fence before ordering-sensitive actions.
+    pub fn cmd_quiescent(&self, qi: usize) -> bool {
+        self.cmdq[qi].is_empty() && self.cmd_wait[qi].ids.is_empty()
+    }
+
     /// Whether any engine has queued work (used by the machine to decide
     /// quiescence; engine busy-untils do not matter once queues drain).
     pub fn has_work(&self) -> bool {

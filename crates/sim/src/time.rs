@@ -125,9 +125,11 @@ impl core::fmt::Display for Time {
 ///
 /// Frequencies in this machine do not divide 1 ns evenly (66 MHz is a
 /// 15.1515… ns period), so a clock is stored as a rational
-/// `period = num/den` ns and edge times are computed exactly with 128-bit
-/// intermediates: edge *k* is at `k * num / den` ns (truncated), which keeps
-/// long simulations free of cumulative drift.
+/// `period = num/den` ns and edge times are computed exactly: edge *k* is
+/// at `k * num / den` ns (truncated), which keeps long simulations free of
+/// cumulative drift. The product is formed in 64 bits whenever it fits —
+/// every edge a run reaches in its first ~37 simulated years at 66 MHz —
+/// and in 128 bits otherwise, so both forms give the same result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Clock {
     /// Period numerator in nanoseconds.
@@ -162,15 +164,13 @@ impl Clock {
     /// Absolute time of clock edge `k` (edge 0 is at time 0).
     #[inline]
     pub fn edge(self, k: u64) -> Time {
-        Time(((k as u128 * self.num as u128) / self.den as u128) as u64)
+        Time(mul_div(k, self.num, self.den, false))
     }
 
     /// Index of the first edge at or after `t`.
     #[inline]
     pub fn edge_at_or_after(self, t: Time) -> u64 {
-        // ceil(t * den / num)
-        let tn = t.0 as u128 * self.den as u128;
-        tn.div_ceil(self.num as u128) as u64
+        mul_div(t.0, self.den, self.num, true)
     }
 
     /// Time of the first edge at or after `t`.
@@ -203,9 +203,88 @@ impl Clock {
     }
 }
 
+/// `a * b / c`, rounded down or (`ceil`) up and truncated to 64 bits.
+/// The run loops convert an edge on every executed cycle, so the product
+/// stays in 64 bits whenever it fits; a 128-bit division is a library
+/// call on most hosts.
+#[inline]
+fn mul_div(a: u64, b: u64, c: u64, ceil: bool) -> u64 {
+    match a.checked_mul(b) {
+        Some(p) if ceil => p.div_ceil(c),
+        Some(p) => p / c,
+        None if ceil => (a as u128 * b as u128).div_ceil(c as u128) as u64,
+        None => (a as u128 * b as u128 / c as u128) as u64,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The 128-bit formulas the 64-bit fast path must reproduce.
+    fn edge_u128(c: Clock, k: u64) -> Time {
+        Time(((k as u128 * c.num as u128) / c.den as u128) as u64)
+    }
+
+    fn edge_at_or_after_u128(c: Clock, t: Time) -> u64 {
+        (t.0 as u128 * c.den as u128).div_ceil(c.num as u128) as u64
+    }
+
+    /// Clocks of every shape the machine builds: fractional periods
+    /// (`from_mhz`) and integral ones.
+    fn clocks() -> [Clock; 6] {
+        [
+            Clock::from_mhz(66),
+            Clock::from_mhz(166),
+            Clock::from_mhz(1),
+            Clock::from_mhz(u64::MAX),
+            Clock::from_period_ns(15),
+            Clock::from_period_ns(u64::MAX),
+        ]
+    }
+
+    #[test]
+    fn edges_match_the_128_bit_formula_beside_the_overflow_boundary() {
+        for c in clocks() {
+            // The largest k (and t) whose product with num (den) fits.
+            let k_max = u64::MAX / c.num;
+            let t_max = u64::MAX / c.den;
+            let near = |m: u64| [0, 1, 2, m.saturating_sub(1), m, m.saturating_add(1)];
+            for k in near(k_max).into_iter().chain([u64::MAX - 1, u64::MAX]) {
+                assert_eq!(c.edge(k), edge_u128(c, k), "{c:?} edge({k})");
+            }
+            for t in near(t_max).into_iter().chain([u64::MAX - 1, u64::MAX]) {
+                let t = Time(t);
+                assert_eq!(
+                    c.edge_at_or_after(t),
+                    edge_at_or_after_u128(c, t),
+                    "{c:?} edge_at_or_after({t:?})"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Random clocks and inputs, small and huge: the 64-bit path and
+        /// the 128-bit fallback agree with the 128-bit formula.
+        #[test]
+        fn edges_match_the_128_bit_formula(
+            mhz in 1u64..4_000,
+            period in 1u64..1_000,
+            small in 0u64..(1 << 40),
+            big in any::<u64>(),
+        ) {
+            for c in [Clock::from_mhz(mhz), Clock::from_period_ns(period)] {
+                for v in [small, big] {
+                    prop_assert_eq!(c.edge(v), edge_u128(c, v));
+                    prop_assert_eq!(c.edge_at_or_after(Time(v)), edge_at_or_after_u128(c, Time(v)));
+                }
+            }
+        }
+    }
 
     #[test]
     fn time_display() {

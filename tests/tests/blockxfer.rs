@@ -2,9 +2,9 @@
 //! paper's evaluation, verified for data integrity and for the paper's
 //! comparative claims.
 
-use voyager::blockxfer::{run_block_transfer, XferSpec};
+use voyager::blockxfer::{load_block_transfer, run_block_transfer, XferSpec};
 use voyager::firmware::proto::Approach;
-use voyager::SystemParams;
+use voyager::{Machine, MachineBuilder, Parallelism, SystemParams};
 
 const APPROACHES: [Approach; 5] = [
     Approach::ApDirect,
@@ -23,6 +23,43 @@ fn point(approach: Approach, len: u32) -> voyager::XferPoint {
             verify: true,
         },
     )
+}
+
+/// The statistics every run mode must agree on: all of them but the
+/// run loop's own counters.
+fn model_stats(m: &Machine) -> String {
+    let mut s = m.stats();
+    s.run.node_ticks = 0;
+    s.run.skipped_node_ticks = 0;
+    s.run.wake_republishes = 0;
+    s.to_json()
+}
+
+/// The DMA engines and the sP's transfer service under every run loop:
+/// each approach at 4 KiB and 24 KiB (six pages) reaches the same
+/// quiescence time, statistics and destination bytes under the
+/// cycle-stepped oracle, `Sequential` and `Fixed(2)`. These are the
+/// engines whose wakes are exact, so a wake reported too late shows here
+/// as a drift from the oracle.
+#[test]
+fn oracle_agrees_on_block_transfers() {
+    for approach in APPROACHES {
+        for len in [4096u32, 24 * 1024] {
+            let run = |b: MachineBuilder| {
+                let mut m = b.build();
+                let dst = load_block_transfer(&mut m, approach, len, 5);
+                let t = m.run_to_quiescence().ns();
+                (t, model_stats(&m), m.mem_read(1, dst, len as usize))
+            };
+            let oracle = run(Machine::builder(2).cycle_stepped());
+            for par in [Parallelism::Sequential, Parallelism::Fixed(2)] {
+                let got = run(Machine::builder(2).parallelism(par));
+                assert_eq!(got.0, oracle.0, "{approach:?} {len} B {par:?}: quiescence");
+                assert!(got.1 == oracle.1, "{approach:?} {len} B {par:?}: stats");
+                assert!(got.2 == oracle.2, "{approach:?} {len} B {par:?}: bytes");
+            }
+        }
+    }
 }
 
 #[test]

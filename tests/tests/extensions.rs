@@ -6,7 +6,7 @@
 use voyager::api::{request_flush, RecvBasic};
 use voyager::app::{AppEventKind, Env, Program, Step, StoreData};
 use voyager::firmware::proto::XferFlush;
-use voyager::{Machine, SystemParams};
+use voyager::{Machine, MachineBuilder, Parallelism, SystemParams};
 
 struct Ops {
     seq: std::collections::VecDeque<Step>,
@@ -189,14 +189,46 @@ fn reflective_reader_sees_updates_coherently() {
 // Write tracking + dirty-line flush (diff-ing)
 // =========================================================================
 
-#[test]
-fn tracked_flush_ships_only_dirty_lines() {
+/// Bytes of the tracked region: 128 lines.
+const FLUSH_REGION: u32 = 4096;
+/// Where node 1 receives the flushed lines.
+const FLUSH_DST: u64 = 0x40_0000;
+
+/// A flush of node 0's tracked region (the first [`FLUSH_REGION`] bytes
+/// of the S-COMA region) to node 1.
+fn flush_request(p: &SystemParams, xfer_id: u16) -> XferFlush {
+    XferFlush {
+        xfer_id,
+        base: p.map.scoma_base,
+        dst_addr: FLUSH_DST,
+        len: FLUSH_REGION,
+        dst_node: 1,
+        notify_lq: 1,
+    }
+}
+
+/// Node 0 flushes its tracked region and awaits the notification.
+fn load_flush(m: &mut Machine, xfer_id: u16) {
+    let req = flush_request(&m.params, xfer_id);
+    let lib0 = m.lib(0);
+    m.load_program(
+        0,
+        voyager::app::Seq::new(vec![
+            Box::new(request_flush(&lib0, &req)),
+            Box::new(RecvBasic::expecting(&lib0, 1)),
+        ]),
+    );
+}
+
+/// Write tracking on a 2-node machine from `b`: aP stores dirty lines 2,
+/// 5 and 100 of node 0's tracked region, then node 0 flushes the region
+/// to node 1. Returns the machine and both phases' quiescence times.
+fn run_tracked_flush(b: MachineBuilder) -> (Machine, [u64; 2]) {
     let p = SystemParams::default();
-    let mut m = Machine::builder(2).params(p).build();
+    let mut m = b.params(p).build();
     m.enable_write_tracking(0);
     let base = p.map.scoma_base;
-    let region = 4096u32; // 128 lines
-    m.nodes[0].mem.fill_pattern(base, region as usize, 3);
+    m.nodes[0].mem.fill_pattern(base, FLUSH_REGION as usize, 3);
     // Dirty lines 2, 5, 100 via aP stores (cached; tracking snoops the
     // fill operations).
     let mut steps = Vec::new();
@@ -207,36 +239,27 @@ fn tracked_flush_ships_only_dirty_lines() {
         });
     }
     m.load_program(0, Ops::new(steps));
-    m.run_to_quiescence();
-    // Flush the region to node 1.
-    let lib0 = m.lib(0);
-    let flush = XferFlush {
-        xfer_id: 9,
-        base,
-        dst_addr: 0x40_0000,
-        len: region,
-        dst_node: 1,
-        notify_lq: 1,
-    };
-    m.load_program(
-        0,
-        voyager::app::Seq::new(vec![
-            Box::new(request_flush(&lib0, &flush)),
-            Box::new(RecvBasic::expecting(&lib0, 1)),
-        ]),
-    );
-    m.run_to_quiescence();
+    let t1 = m.run_to_quiescence().ns();
+    load_flush(&mut m, 9);
+    let t2 = m.run_to_quiescence().ns();
+    (m, [t1, t2])
+}
+
+#[test]
+fn tracked_flush_ships_only_dirty_lines() {
+    let (mut m, _) = run_tracked_flush(Machine::builder(2));
+    let base = m.params.map.scoma_base;
     // Only the three dirty lines travelled.
     assert_eq!(m.nodes[0].fw.xfer.flush_lines_sent.get(), 3);
     assert_eq!(m.nodes[0].fw.xfer.flush_lines_skipped.get(), 125);
     // Their contents (the full lines, store included) landed at node 1.
     for line in [2u64, 5, 100] {
         let want = m.nodes[0].mem.read_vec(base + line * 32, 32);
-        let got = m.nodes[1].mem.read_vec(0x40_0000 + line * 32, 32);
+        let got = m.nodes[1].mem.read_vec(FLUSH_DST + line * 32, 32);
         assert_eq!(got, want, "line {line}");
     }
     // Untouched lines did not travel.
-    assert_eq!(m.nodes[1].mem.read_vec(0x40_0000, 32), vec![0u8; 32]);
+    assert_eq!(m.nodes[1].mem.read_vec(FLUSH_DST, 32), vec![0u8; 32]);
     // The notification arrived.
     assert!(m
         .event_time(0, |k| matches!(
@@ -245,19 +268,36 @@ fn tracked_flush_ships_only_dirty_lines() {
         ))
         .is_some());
     // Tracking state was cleared: a second flush ships nothing.
-    let flush2 = XferFlush {
-        xfer_id: 10,
-        ..flush
-    };
-    m.load_program(
-        0,
-        voyager::app::Seq::new(vec![
-            Box::new(request_flush(&lib0, &flush2)),
-            Box::new(RecvBasic::expecting(&lib0, 1)),
-        ]),
-    );
+    load_flush(&mut m, 10);
     m.run_to_quiescence();
     assert_eq!(m.nodes[0].fw.xfer.flush_lines_sent.get(), 3, "no new lines");
+}
+
+/// The tracked flush's sweep under every run loop: the same quiescence
+/// times, statistics (the run loop's own counters aside) and
+/// destination bytes under the cycle-stepped oracle, `Sequential` and
+/// `Fixed(2)`.
+#[test]
+fn oracle_agrees_on_the_tracked_flush() {
+    let run = |b: MachineBuilder| {
+        let (m, t) = run_tracked_flush(b);
+        let mut s = m.stats();
+        s.run.node_ticks = 0;
+        s.run.skipped_node_ticks = 0;
+        s.run.wake_republishes = 0;
+        (
+            t,
+            s.to_json(),
+            m.mem_read(1, FLUSH_DST, FLUSH_REGION as usize),
+        )
+    };
+    let oracle = run(Machine::builder(2).cycle_stepped());
+    for par in [Parallelism::Sequential, Parallelism::Fixed(2)] {
+        let got = run(Machine::builder(2).parallelism(par));
+        assert_eq!(got.0, oracle.0, "{par:?}: quiescence times");
+        assert!(got.1 == oracle.1, "{par:?}: stats");
+        assert!(got.2 == oracle.2, "{par:?}: destination bytes");
+    }
 }
 
 #[test]

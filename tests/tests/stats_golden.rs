@@ -19,7 +19,7 @@ use voyager::app::{Seq, Step, StoreData};
 use voyager::arctic::FaultParams;
 use voyager::firmware::proto::{encode_addr_msg, op, Approach, CollOp, XferReq};
 use voyager::niu::queues::RxFullPolicy;
-use voyager::{Machine, Parallelism, SystemParams};
+use voyager::{Machine, MachineBuilder, Parallelism, SystemParams};
 
 fn golden_path(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -172,16 +172,20 @@ fn golden_stats_blockxfer() {
     check_golden("stats_blockxfer.json", s.to_json());
 }
 
+/// The NUMA address of the shared-memory scenario: page 1, home node 1.
+const SHMEM_NUMA: u64 = 0x1008;
+/// The S-COMA line of the shared-memory scenario, offset from the
+/// region base: home node 1.
+const SHMEM_SCOMA: u64 = 0x1000;
+
 /// Shared memory: a NUMA store+load round trip and an S-COMA
-/// share-then-invalidate sequence on a 4-node machine — covers the
-/// firmware NUMA/S-COMA protocol counters, directory transitions and
-/// aBIU retry counters.
-#[test]
-fn golden_stats_shmem() {
+/// share-then-invalidate sequence on a 4-node machine from `b`. Returns
+/// the machine and both phases' quiescence times.
+fn run_shmem(b: MachineBuilder) -> (Machine, [u64; 2]) {
     let p = SystemParams::default();
-    let mut m = Machine::builder(4).params(p).sample_latency(true).build();
-    let numa_addr = p.map.numa_base + 0x1008; // page 1 → home node 1
-    let scoma_addr = p.map.scoma_base + 0x1000; // home node 1
+    let mut m = b.params(p).build();
+    let numa_addr = p.map.numa_base + SHMEM_NUMA;
+    let scoma_addr = p.map.scoma_base + SHMEM_SCOMA;
     m.nodes[1].mem.write_u64(scoma_addr, 7);
     // Phase 1: NUMA round trip from node 0; S-COMA reads from 2 and 3.
     m.load_program(
@@ -209,7 +213,7 @@ fn golden_stats_shmem() {
             .into()),
         );
     }
-    m.run_to_quiescence();
+    let t1 = m.run_to_quiescence().ns();
     // Phase 2: node 0 writes the S-COMA line, invalidating both sharers.
     m.load_program(
         0,
@@ -219,7 +223,15 @@ fn golden_stats_shmem() {
         }]
         .into()),
     );
-    m.run_to_quiescence();
+    let t2 = m.run_to_quiescence().ns();
+    (m, [t1, t2])
+}
+
+/// Shared memory ([`run_shmem`]) — covers the firmware NUMA/S-COMA
+/// protocol counters, directory transitions and aBIU retry counters.
+#[test]
+fn golden_stats_shmem() {
+    let (m, _) = run_shmem(Machine::builder(4).sample_latency(true));
     let s = m.stats();
     assert_eq!(s.nodes[1].fw.numa_home_reads, 1);
     assert_eq!(s.nodes[1].fw.numa_home_writes, 1);
@@ -227,6 +239,37 @@ fn golden_stats_shmem() {
     assert_eq!(s.nodes[1].fw.scoma_invals, 2, "both sharers invalidated");
     assert!(s.nodes[1].fw.scoma_transitions > 0);
     check_golden("stats_shmem.json", s.to_json());
+}
+
+/// The NUMA and S-COMA protocol paths under every run loop: the
+/// shared-memory scenario reaches the same quiescence times, statistics
+/// (the run loop's own counters aside) and memory contents at both
+/// addresses on every node under the cycle-stepped oracle, `Sequential`
+/// and `Fixed(2)`.
+#[test]
+fn oracle_agrees_on_shared_memory() {
+    let run = |b: MachineBuilder| {
+        let (m, t) = run_shmem(b.sample_latency(true));
+        let mut s = m.stats();
+        s.run.node_ticks = 0;
+        s.run.skipped_node_ticks = 0;
+        s.run.wake_republishes = 0;
+        let map = m.params.map;
+        let bytes: Vec<Vec<u8>> = (0..4u16)
+            .flat_map(|n| {
+                [map.numa_base + SHMEM_NUMA, map.scoma_base + SHMEM_SCOMA]
+                    .map(|addr| m.mem_read(n, addr, 8))
+            })
+            .collect();
+        (t, s.to_json(), bytes)
+    };
+    let oracle = run(Machine::builder(4).cycle_stepped());
+    for par in [Parallelism::Sequential, Parallelism::Fixed(2)] {
+        let got = run(Machine::builder(4).parallelism(par));
+        assert_eq!(got.0, oracle.0, "{par:?}: quiescence times");
+        assert!(got.1 == oracle.1, "{par:?}: stats");
+        assert_eq!(got.2, oracle.2, "{par:?}: memory");
+    }
 }
 
 /// Firmware collectives: barrier, all-reduce and broadcast on a 4-node
