@@ -811,7 +811,7 @@ impl<P> Network<P> {
     /// make — and leave the network exactly as it was: the same state,
     /// snapshot and delta bytes, dirty marks and next event.
     ///
-    /// The advance runs on the network itself with the [`Savepoint`]
+    /// The advance runs on the network itself with its savepoint
     /// journal armed, and the rollback restores only what it changed, so
     /// the cost follows the events in the window, not the size of the
     /// fabric.

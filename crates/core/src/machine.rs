@@ -166,7 +166,8 @@ impl NodeLib {
 /// that are invariant across worker counts and shard policies are
 /// counted: node ticks, arrival publishes and post-tick republishes.
 /// Shard priming is deliberately excluded — it differs between shard
-/// maps.
+/// maps and between slicings of a run (`Machine::window_work` counts
+/// it).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RunLoopCounters {
     /// Node ticks executed ([`crate::Node::tick`] calls).
@@ -175,12 +176,74 @@ pub struct RunLoopCounters {
     pub wake_republishes: u64,
 }
 
+/// The machine's nodes, in id order. Reads go through `Deref` to
+/// `[Node]`. Every mutable access (`DerefMut`, so `IndexMut` and
+/// `iter_mut`, and `&mut` iteration) sets a *touched* mark, which tells
+/// the event loop that the wakes it keeps between run entries may no
+/// longer describe the nodes, so its next entry derives them afresh
+/// (see [`crate::runloop`]).
+pub struct Nodes {
+    list: Vec<Node>,
+    /// Set by every mutable access, and while a run holds the nodes;
+    /// cleared only when a run returns. A fresh list counts as touched.
+    touched: bool,
+}
+
+impl Nodes {
+    /// The nodes for one event-loop run, and whether they were touched
+    /// since the last run returned. The mark stays set while the run
+    /// holds them, and [`Nodes::release`] clears it once the run has
+    /// returned, so a run that unwinds leaves the nodes marked.
+    pub(crate) fn hold(&mut self) -> (bool, &mut [Node]) {
+        let touched = std::mem::replace(&mut self.touched, true);
+        (touched, &mut self.list)
+    }
+
+    /// End a run that returned: the kept wakes describe the nodes again.
+    pub(crate) fn release(&mut self) {
+        self.touched = false;
+    }
+}
+
+impl std::ops::Deref for Nodes {
+    type Target = [Node];
+
+    fn deref(&self) -> &[Node] {
+        &self.list
+    }
+}
+
+impl std::ops::DerefMut for Nodes {
+    fn deref_mut(&mut self) -> &mut [Node] {
+        self.touched = true;
+        &mut self.list
+    }
+}
+
+impl<'a> IntoIterator for &'a Nodes {
+    type Item = &'a Node;
+    type IntoIter = std::slice::Iter<'a, Node>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.list.iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a mut Nodes {
+    type Item = &'a mut Node;
+    type IntoIter = std::slice::IterMut<'a, Node>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter_mut()
+    }
+}
+
 /// The assembled machine.
 pub struct Machine {
     /// Timing/geometry parameters.
     pub params: SystemParams,
-    /// Number of nodes in the machine.
-    pub nodes: Vec<Node>,
+    /// The machine's nodes, indexed by node id.
+    pub nodes: Nodes,
     /// Network-level statistics.
     pub network: Network<NetPayload>,
     /// When set, packets bypass the Arctic model and travel through a
@@ -491,7 +554,10 @@ impl Machine {
         }
         Machine {
             params,
-            nodes,
+            nodes: Nodes {
+                list: nodes,
+                touched: true,
+            },
             network,
             ideal: None,
             clock: params.bus_clock(),
@@ -862,14 +928,14 @@ impl Machine {
     /// run, in every run mode and thread count.
     ///
     /// Panics when a node runs a program that cannot be snapshotted
-    /// (e.g. a closure-based [`crate::FnProgram`]); see
+    /// (e.g. a closure-based [`crate::app::FnProgram`]); see
     /// [`Machine::try_checkpoint`] for the checked form.
     pub fn checkpoint(&self) -> Vec<u8> {
         self.try_checkpoint().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Checked form of [`Machine::checkpoint`]: fails with
-    /// [`ApiError::Snapshot`] (carrying
+    /// [`crate::ApiError::Snapshot`] (carrying
     /// [`sv_sim::ckpt::SnapshotError::UnsupportedProgram`]) when a
     /// still-running program cannot capture its state. No bytes are
     /// produced on failure.
@@ -968,9 +1034,9 @@ impl Machine {
     /// resumes byte-identical to the uninterrupted run, in every run
     /// mode, worker count, and shard policy, with faults armed.
     ///
-    /// Fails with [`ApiError::Snapshot`] (and leaves the dirty marks and
-    /// chain state untouched) when a still-running program cannot
-    /// capture its state.
+    /// Fails with [`crate::ApiError::Snapshot`] (and leaves the dirty
+    /// marks and chain state untouched) when a still-running program
+    /// cannot capture its state.
     pub fn try_checkpoint_delta(&mut self) -> Result<DeltaCheckpoint, crate::api::ApiError> {
         use sv_sim::ckpt::{snapshot_id, write_delta_header, DeltaHeader, FORMAT_VERSION};
         let Some(chain) = self.delta_chain else {
@@ -1153,7 +1219,7 @@ impl MachineBuilder {
     /// bit-identical under all of them.
     ///
     /// Corrupted, truncated or version-mismatched snapshots fail with a
-    /// typed [`ApiError::Snapshot`]; no input can make this panic.
+    /// typed [`crate::ApiError::Snapshot`]; no input can make this panic.
     pub fn restore(self, bytes: &[u8]) -> Result<Machine, crate::api::ApiError> {
         let mut m = self.restore_core(bytes)?;
         self.apply_restore_knobs(&mut m);
@@ -1170,7 +1236,7 @@ impl MachineBuilder {
     /// [`sv_sim::ckpt::SnapshotError::BaseMismatch`]; a missing,
     /// duplicated, or reordered link fails with
     /// [`sv_sim::ckpt::SnapshotError::ChainBroken`]. All failures are
-    /// typed [`ApiError::Snapshot`] values; no input can panic.
+    /// typed [`crate::ApiError::Snapshot`] values; no input can panic.
     ///
     /// The restored machine resumes byte-identical to the donor at the
     /// final cut, in every run mode, worker count, and shard policy, and
@@ -1453,6 +1519,46 @@ mod tests {
         let mut m = Machine::builder(2).build();
         m.run_for(1000);
         assert!(m.now.ns() >= 1000);
+    }
+
+    #[test]
+    fn reads_leave_the_touched_mark_clear_and_writes_set_it() {
+        let mut m = Machine::builder(4).build();
+        assert!(m.nodes.touched, "a fresh machine counts as touched");
+        m.load_program(0, crate::app::Delay(5_000));
+        m.run_for(1_000);
+        assert!(!m.nodes.touched, "a run that returned clears the mark");
+        assert_eq!(m.nodes.len(), 4);
+        assert_eq!(m.nodes[3].id, 3);
+        assert_eq!(m.nodes.iter().filter(|n| n.has_work()).count(), 1);
+        for n in &m.nodes {
+            assert!(n.id < 4);
+        }
+        assert_eq!(m.stats().nodes.len(), 4);
+        assert!(!m.checkpoint().is_empty());
+        assert!(!m.nodes.touched, "reads leave the mark clear");
+        type Write = fn(&mut Machine);
+        let writes: [(&str, Write); 5] = [
+            ("IndexMut", |m| m.nodes[1].niu.ctrl.tx[1].enabled = true),
+            ("&mut iteration", |m| {
+                for n in &mut m.nodes {
+                    n.tracer.set_enabled(false);
+                }
+            }),
+            ("load_program", |m| {
+                m.load_program(2, crate::app::Delay(100))
+            }),
+            ("step", Machine::step),
+            ("checkpoint_delta", |m| {
+                m.checkpoint_delta();
+            }),
+        ];
+        for (what, write) in writes {
+            m.run_for(1_000);
+            assert!(!m.nodes.touched, "{what}: a run clears the mark");
+            write(&mut m);
+            assert!(m.nodes.touched, "{what} sets the mark");
+        }
     }
 
     #[test]

@@ -129,8 +129,9 @@ pub struct Node {
     /// them, so that [`Node::tick_due`] can skip an engine that is not
     /// due. [`TOUCHED`] marks an engine that ran or that something
     /// touched since: its wake is derived afresh before it is next used.
-    /// Runtime bookkeeping, valid only inside one run: every run entry
-    /// primes them ([`Node::prime_wake`]).
+    /// Runtime bookkeeping, kept from one run to the next like the shard
+    /// wake indexes: a run entry primes them again ([`Node::prime_wake`])
+    /// only after a write through [`crate::Machine::nodes`].
     niu_wake: Option<u64>,
     fw_wake: Option<u64>,
 }
@@ -238,8 +239,9 @@ impl Node {
         cpu.into_iter().chain(bus).min()
     }
 
-    /// [`Node::next_event_cycle`] at a run entry, keeping the NIU's and
-    /// the firmware's wakes for [`Node::tick_due`].
+    /// [`Node::next_event_cycle`] at a run entry that primes the wake
+    /// indexes, keeping the NIU's and the firmware's wakes for
+    /// [`Node::tick_due`].
     pub(crate) fn prime_wake(&mut self, cycle: u64, clock: &sv_sim::Clock) -> Option<u64> {
         self.touch_engines();
         self.wake(cycle, clock)

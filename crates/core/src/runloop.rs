@@ -97,12 +97,19 @@
 //! tests in `tests/` assert this on full
 //! [`crate::stats::MachineStats`] snapshots, with faults armed.
 //!
-//! **Run entries.** Every entry point advances in strides of at most
-//! 2^16 cycles. A stride starts with one O(n) scan to place it and one to
-//! prime the shard wake indexes; inside it only due nodes are touched.
-//! Quiescence is checked once per stride, and the 32-cycle boundary the
-//! oracle would have stopped at is reconstructed exactly (see
-//! [`Machine::run_to_quiescence_capped`]).
+//! **Run entries.** The shard wake indexes, and each node's cached NIU
+//! and firmware wakes, persist from one run entry to the next: a run
+//! ends with every kept wake at or past its end, and nothing changes a
+//! node until the next entry except a write through
+//! [`Machine::nodes`], which sets its touched mark
+//! ([`crate::machine::Nodes`]). An entry therefore primes the indexes,
+//! with one O(n) scan, only when the mark is set, the shard map was
+//! built or the kept shards are missing; otherwise it only re-attaches
+//! the nodes, and debug builds check every kept wake against a fresh
+//! one. Each entry advances in one go to its target. Quiescence is
+//! checked only when the run stopped because nothing was scheduled, and
+//! the 32-cycle boundary the oracle would have stopped at is
+//! reconstructed exactly (see [`Machine::run_to_quiescence_capped`]).
 
 use crate::machine::Machine;
 use crate::node::Node;
@@ -277,7 +284,8 @@ pub(crate) struct RunScratch {
     /// identical results, so the cache only has to match the node count.
     map: Option<ShardMap>,
     /// Per-shard wake index and due list; member lists are empty between
-    /// runs.
+    /// runs. The wake indexes are kept for the next run entry, which
+    /// trusts them unless the nodes were touched since.
     shards: Vec<Shard<'static>>,
     /// The scheduler's copy of each shard's next wake.
     wakes: Vec<Option<u64>>,
@@ -292,17 +300,22 @@ pub(crate) struct RunScratch {
     /// Debug builds only: the `(time, src, dst)` sequence of a parallel
     /// window's harvest, which its commit must reproduce.
     harvested: Vec<(Time, u16, u16)>,
-    /// Parallel-window work since the machine was built.
+    /// Run-loop work since the machine was built.
     work: WindowWork,
 }
 
-/// The parallel windows a machine has run since it was built, for the
-/// work gates. Deterministic for a given plan, but they differ between
-/// plans, so they live beside the run loop's buffers and never reach
-/// the statistics or a snapshot.
+/// The run loop's work since the machine was built that the statistics
+/// leave out, for the work gates: the parallel windows it ran, and the
+/// node wakes its run entries derived. Deterministic for a given plan
+/// and sequence of run entries, but they differ between plans and
+/// between slicings of the same run, so they live beside the run loop's
+/// buffers and never reach the statistics or a snapshot.
 #[doc(hidden)]
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WindowWork {
+    /// Node wakes run entries derived to prime the shard wake indexes:
+    /// every node's, at each entry that found its kept wakes untrusted.
+    pub entry_wakes: u64,
     /// Parallel windows executed.
     pub windows: u64,
     /// Windows each shard executed in, by shard index.
@@ -482,8 +495,8 @@ impl Machine {
 
     /// Earliest cycle (`>= self.cycle`) at which any node or the fabric
     /// might change state, or `None` if the machine is idle forever. A
-    /// plain scan over every node: run entries call it once per stride,
-    /// never per cycle.
+    /// plain scan over every node, made only by debug assertions: the
+    /// event loop reads the wakes it keeps across run entries instead.
     fn next_exec_cycle(&mut self) -> Option<u64> {
         let (c, clock) = (self.cycle, self.clock);
         let net = fabric(&mut self.network, &mut self.ideal)
@@ -531,14 +544,19 @@ impl Machine {
     /// the cap time if the machine never settled (protocol hang).
     ///
     /// The stepped oracle checks for quiescence every 32 cycles. The
-    /// event loop instead advances in long strides and *reconstructs* the
-    /// boundary the oracle would have stopped at: machine state is frozen
-    /// after the last executed cycle `c_last`, so if the machine is
-    /// quiescent at the stride end it has been quiescent at every
-    /// boundary past `c_last` — and at none before (quiescence is
-    /// absorbing: a quiescent machine can never execute again). The first
-    /// boundary `b` with `b - 1 >= c_last` is therefore exactly where the
-    /// oracle returns, and the cursor is rewound to it.
+    /// event loop instead advances in one go to the cap boundary, which
+    /// it leaves early only when nothing is scheduled, and
+    /// *reconstructs* the boundary the oracle would have stopped at:
+    /// machine state is frozen after the last executed cycle `c_last`, so
+    /// if the machine is quiescent at the run's end it has been quiescent
+    /// at every boundary past `c_last` — and at none before (quiescence
+    /// is absorbing: a quiescent machine can never execute again). The
+    /// first boundary `b` with `b - 1 >= c_last` is therefore exactly
+    /// where the oracle returns, and the cursor is rewound to it. A
+    /// quiescent machine schedules nothing, so the O(n) quiescence scan
+    /// runs only when the run stopped for that reason. The run reads the
+    /// wakes kept from earlier entries, derived afresh only after a write
+    /// through [`Machine::nodes`] (see [`crate::runloop`]).
     pub fn run_to_quiescence_capped(&mut self, max_ns: u64) -> Result<Time, Time> {
         let cap = self.now.plus(max_ns);
         if self.plan.stepped {
@@ -562,42 +580,27 @@ impl Machine {
                 }
             }
         }
-        // Strides only bound how long one placement scan stays in use;
-        // past quiescence a stride executes nothing, so overshooting is
-        // free and the boundary reconstruction keeps results exact.
-        const STRIDE: u64 = 1 << 16;
         // `first` is the lowest probe boundary strictly past run entry;
         // `b_cap` the first boundary b with edge(b - 1) > cap, where the
         // oracle reports a hang.
         let first = self.cycle / 32 + 1;
         let cap_cycle = self.clock.edge_at_or_after(cap.plus(1));
         let b_cap = 32 * (cap_cycle + 1).div_ceil(32).max(first);
-        let mut last_exec: Option<u64> = None;
-        loop {
-            let target = match self.next_exec_cycle() {
-                // Nothing can ever run again: either the machine drained
-                // or it is hung with silent work pending.
-                None => None,
-                // The next event lies past the cap boundary: the oracle
-                // reaches the cap in this exact state and gives up.
-                Some(nx) if nx >= b_cap => break,
-                Some(nx) => Some((32 * (nx + STRIDE).div_ceil(32).max(first)).min(b_cap)),
-            };
-            if let Some(t) = target {
-                last_exec = last_exec.max(self.advance_to(t));
-            }
-            if self.quiescent() {
-                let b_q = 32 * last_exec.map_or(first, |cl| (cl + 1).div_ceil(32).max(first));
-                debug_assert!(b_q <= b_cap);
-                self.cycle = b_q;
-                self.now = self.clock.edge(b_q - 1);
-                return Ok(self.now);
-            }
-            if target.is_none_or(|t| t == b_cap) {
-                break;
-            }
+        // Run to the cap boundary in one go: past quiescence nothing
+        // executes, and a run that reaches the cap with work still
+        // scheduled stops where the oracle gives up.
+        let WindowsResult {
+            last_exec, idle, ..
+        } = self.advance_to(b_cap);
+        // Nothing scheduled: the machine either drained or is hung with
+        // silent work pending.
+        if idle && self.quiescent() {
+            let b_q = 32 * last_exec.map_or(first, |cl| (cl + 1).div_ceil(32).max(first));
+            debug_assert!(b_q <= b_cap);
+            self.cycle = b_q;
+            self.now = self.clock.edge(b_q - 1);
+            return Ok(self.now);
         }
-        self.land_on(b_cap);
         Err(self.now)
     }
 
@@ -688,21 +691,26 @@ impl Machine {
         }
     }
 
-    /// Advance the event loop to `target` (exclusive). Returns the last
-    /// cycle on which anything executed, if any did.
-    fn advance_to(&mut self, target: u64) -> Option<u64> {
+    /// Advance the event loop to `target` (exclusive), or less far if
+    /// nothing is scheduled before it; the cursor lands on `target`
+    /// either way.
+    fn advance_to(&mut self, target: u64) -> WindowsResult {
         if target <= self.cycle {
             self.land_on(target);
-            return None;
+            return WindowsResult::default();
         }
         if (self.scratch.map.as_ref()).is_none_or(|m| m.owner.len() != self.nodes.len()) {
             self.scratch.map = Some(self.shard_map());
+            // The kept wake indexes belong to the old map's shards.
+            self.scratch.shards.clear();
         }
         let la_ns = fabric(&mut self.network, &mut self.ideal).lookahead_ns();
         let window = self.window_cycles(la_ns);
         let (clock, start) = (self.clock, self.cycle);
+        let (touched, nodes) = self.nodes.hold();
         let res = run_sharded(
-            &mut self.nodes,
+            nodes,
+            touched,
             fabric(&mut self.network, &mut self.ideal),
             &mut self.scratch,
             clock,
@@ -711,11 +719,12 @@ impl Machine {
             self.plan.workers,
             window,
         );
+        self.nodes.release();
         self.cycle = target;
         self.now = clock.edge(target - 1);
         self.runstats.node_ticks += res.ticks;
         self.runstats.wake_republishes += res.republishes;
-        res.last_exec
+        res
     }
 }
 
@@ -829,6 +838,9 @@ struct WindowsResult {
     ticks: u64,
     /// Arrival + post-tick wake publishes across all shards.
     republishes: u64,
+    /// The run stopped before its target because nothing was scheduled:
+    /// no shard wake and no fabric event.
+    idle: bool,
 }
 
 impl WindowsResult {
@@ -998,7 +1010,9 @@ fn shard_worker<'a>(
 /// Drive `nodes` from cycle `start` to `target` under the shard map in
 /// `scratch`, on up to `workers` threads: this one and `workers - 1` pool
 /// threads. See the module docs for the protocol and its determinism
-/// argument.
+/// argument. The shard wake indexes kept from the last run are primed
+/// afresh only when `touched` (the nodes were written since) or when
+/// they are missing.
 ///
 /// Each iteration runs one shard in a burst, executes one event cycle
 /// inline (when at most one shard has work inside the next window span —
@@ -1009,6 +1023,7 @@ fn shard_worker<'a>(
 #[allow(clippy::too_many_arguments)]
 fn run_sharded<'a>(
     nodes: &'a mut [Node],
+    touched: bool,
     net: &mut dyn NetModel,
     scratch: &mut RunScratch,
     clock: Clock,
@@ -1033,18 +1048,37 @@ fn run_sharded<'a>(
     // Attach the nodes: disjoint &mut borrows, ascending node id within
     // each shard (both policies assign local indices in id order).
     let mut shards: Vec<Shard<'a>> = std::mem::take(kept);
+    // No kept shards: the first run, a new map, or a run that unwound.
+    let prime = touched || shards.len() != map.shards;
     shards.resize_with(map.shards, Shard::default);
     for (i, node) in nodes.iter_mut().enumerate() {
         let (si, li) = map.owner[i];
         debug_assert_eq!(shards[si as usize].members.len(), li as usize);
         shards[si as usize].members.push(node);
     }
-    // Prime each shard's wake index (uncounted: republish counters only
-    // track in-run maintenance, which is the same under every map).
-    for sh in &mut shards {
-        sh.wake.reset(sh.members.len());
-        for (li, nd) in sh.members.iter_mut().enumerate() {
-            sh.wake.publish(li, nd.prime_wake(start, &clock));
+    if prime {
+        // Prime each shard's wake index (left out of the statistics:
+        // republish counters only track in-run maintenance, which is the
+        // same under every map and every slicing of a run).
+        for sh in &mut shards {
+            sh.wake.reset(sh.members.len());
+            for (li, nd) in sh.members.iter_mut().enumerate() {
+                sh.wake.publish(li, nd.prime_wake(start, &clock));
+            }
+        }
+        work.entry_wakes += map.owner.len() as u64;
+    } else if cfg!(debug_assertions) {
+        // The last run left every kept wake at or past `start`, and
+        // nothing has touched the nodes since.
+        for sh in &shards {
+            for (li, nd) in sh.members.iter().enumerate() {
+                assert_eq!(
+                    sh.wake.get(li),
+                    nd.next_event_cycle(start, &clock),
+                    "node {}: kept wake is stale at run entry (cycle {start})",
+                    nd.id
+                );
+            }
         }
     }
     // Scheduler-side wake cache: exact per shard, refreshed whenever the
@@ -1068,6 +1102,7 @@ fn run_sharded<'a>(
                 .next_event_time()
                 .map(|t| clock.edge_at_or_after(t).max(cursor));
             let Some(nx) = wakes.iter().flatten().copied().chain(net_cycle).min() else {
+                res.idle = true;
                 break;
             };
             if nx >= target {

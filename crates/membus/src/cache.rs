@@ -14,7 +14,7 @@
 //! an ARTRY-writeback-retry loop (timing-equivalent to first order, and
 //! it keeps ARTRY free for its load-bearing role in S-COMA).
 //!
-//! Way slots are grouped in chunks of [`CHUNK_SETS`] consecutive sets,
+//! Way slots are grouped in chunks of 64 consecutive sets (`CHUNK_SETS`),
 //! the unit snapshots list. A chunk's ways are allocated, in one
 //! allocation of exactly that chunk, by the first `install` into it; a
 //! chunk never installed into holds no memory and reads as never-used

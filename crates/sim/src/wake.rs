@@ -58,6 +58,11 @@ impl WakeIndex {
         self.current.len()
     }
 
+    /// Member `i`'s advertised wake, `None` when it has none.
+    pub fn get(&self, i: usize) -> Option<u64> {
+        Some(self.current[i]).filter(|&c| c != NEVER)
+    }
+
     /// Forget every advertised wake (keeps allocations), resizing to
     /// `members`. Used when the caller can no longer vouch for its
     /// memoized wakes (external mutation between runs).
@@ -137,6 +142,7 @@ mod tests {
         assert_eq!(w.min(), Some(7));
         w.publish(2, None);
         assert_eq!(w.min(), Some(10));
+        assert_eq!((w.get(1), w.get(2)), (Some(20), None));
         w.publish(0, None);
         w.publish(1, None);
         assert_eq!(w.min(), None);
