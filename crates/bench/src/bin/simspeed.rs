@@ -16,75 +16,36 @@
 //!    executed cycle degrades linearly while an indexed loop holds its
 //!    rate.
 //!
-//! Results are printed as tables and written machine-readable to
-//! `BENCH_simspeed.json` (simulated ns and bus cycles per wall second,
-//! per loop mode and node count).
+//! Without arguments the bin runs the node-count sweep over staggered
+//! pairs, the loop-mode comparison on the ring, full-vs-delta checkpoint
+//! cost (size, save, restore) for 8..1024-node machines and the same
+//! all-reduce three ways, prints each as a table and rewrites
+//! `BENCH_simspeed.json` whole with them (simulated ns and bus cycles
+//! per wall second, per loop mode and node count). The staggered-pair
+//! workload is [`voyager::workloads::load_staggered_pairs`];
+//! `tests/stats_golden.rs` pins its 64-node counter snapshot.
 //!
-//! Usage: `simspeed [--nodes N] [--faults] [--collectives]
-//! [--hotspot] [--checkpoint-every C] [--delta-every C] [--restore FILE]
-//! [--artifacts-dir DIR]` — with `--nodes` only the
-//! sweep entry for `N` runs (the CI smoke configuration), and no report
-//! is written; without arguments every table runs and the report is
-//! rewritten whole. The
-//! staggered-pair workload is [`voyager::workloads::load_staggered_pairs`];
-//! `tests/stats_golden.rs` pins its 64-node counter snapshot. With
-//! `--faults`, the bin instead runs only the fault-injection smoke: the
-//! staggered-pair workload over a lossy, duplicating, corrupting,
-//! reordering fabric with the reliable-delivery layer armed, asserting
-//! zero payload loss, engaged recovery, and byte-identical stats between
-//! the sequential and parallel event loops. With `--collectives`, the
-//! bin runs only the firmware-collectives smoke: barrier + all-reduce +
-//! broadcast sequenced NIC-side on every node, asserting exact results
-//! and byte-identical stats across loop modes, then printing the
-//! three-way all-reduce latency/occupancy comparison at that size.
-//! With `--hotspot`, the bin runs only the Arctic QoS smoke: the incast
-//! workload with virtual channels armed, asserting that 2 VCs cut the
-//! High-class tail latency below the 1-VC head-of-line-blocking
-//! baseline, that credit stalls engage, and that stats stay
-//! byte-identical between the sequential and parallel event loops with
-//! QoS and a hostile fabric armed together. With `--tenants`, the bin
-//! runs only the multi-tenant serving smoke: the S10 tenant job mix
-//! (latency + bulk + bursty classes and one confined misbehaving tenant
-//! per node) under the deterministic per-node scheduler, asserting
-//! byte-identical stats between the sequential and parallel event
-//! loops, exactly one contained protection violation per node, and
-//! printing the rx-queue-cache hit rate and tail-latency split.
-//! `--tenant-sweep` runs the full S10 scaling study instead: tenant
-//! count per node swept 4→256 on a 16-node machine (override with
+//! Usage: `simspeed [--nodes N] [--tenant-sweep]`. With `--nodes` only
+//! the sweep entry for `N` nodes (even, at least 2) runs, and no report
+//! is written. `--tenant-sweep` runs the S10 scaling study instead:
+//! tenant count per node swept 4→256 on a 16-node machine (override with
 //! `--nodes`), printing hit rate, rebinds and the P99 tail split —
 //! including the Latency class's isolation — at each point. These are
-//! the EXPERIMENTS.md S10 table rows.
-//!
-//! With `--checkpoint-every C`, the bin instead runs the checkpoint
-//! cadence smoke: the staggered-pair workload (at `--nodes`, default
-//! 16) snapshotted every `C` bus cycles, asserting that checkpointing
-//! never perturbs the run, that a mid-run snapshot restores and
-//! finishes with byte-identical stats, and leaving the final snapshot
-//! at `BENCH_simspeed_ckpt.bin` under the artifacts directory for
-//! `--restore FILE`, which rebuilds a machine from a snapshot file and
-//! runs it to quiescence. `--delta-every C` is the incremental twin:
-//! one full base snapshot up front, then a *delta* cut every `C` bus
-//! cycles ([`Machine::checkpoint_delta`]), asserting non-perturbation,
-//! that restoring base + every delta finishes byte-identical to the
-//! uninterrupted run, and that a cadence delta is at least 10x smaller
-//! than a full snapshot of the same machine. The default full run also
-//! records paired full-vs-delta snapshot cost (size, save, restore) for
-//! 8..1024-node machines in the JSON report.
-//!
-//! The scratch artifact `BENCH_simspeed_ckpt.bin` lands under `target/`
-//! by default; `--artifacts-dir DIR` redirects it. The committed
-//! `BENCH_simspeed.json` report stays in the working directory.
+//! the EXPERIMENTS.md S10 table rows. Any other argument prints the
+//! usage line and exits with status 2.
 
 use std::io::Write as _;
 use std::time::Instant;
 
 use sv_bench::print_table;
 use voyager::api::{BasicMsg, CollReq, RecvBasic, SendBasic};
-use voyager::app::{AppEventKind, Delay, Seq};
+use voyager::app::{Delay, Seq};
 use voyager::collectives::{AllReduce, BasicAllReduce, ReduceOp};
 use voyager::firmware::proto::CollOp;
 use voyager::workloads::{load_staggered_pairs, PAIR_MSGS, STAGGER_NS};
 use voyager::{Machine, MachineBuilder, Parallelism, Program, ShardPolicy};
+
+const USAGE: &str = "usage: simspeed [--nodes N] [--tenant-sweep]";
 
 /// Compute gap between ring rounds, in ns. At 66 MHz this is ~3300 bus
 /// cycles of idle per ~2 us of messaging — the regime the event loop
@@ -184,10 +145,6 @@ fn sweep_point(n: u16, workers: usize) -> SweepRow {
     }
 }
 
-/// Scratch-artifact filename, placed under `--artifacts-dir` (default
-/// `target/`).
-const CKPT_FILE: &str = "BENCH_simspeed_ckpt.bin";
-
 /// One checkpoint cost measurement for the JSON report: a full snapshot
 /// and, one stagger slot later, the delta back to it.
 struct CkptPoint {
@@ -250,159 +207,6 @@ fn ckpt_point(n: u16) -> CkptPoint {
         delta_restore_us,
         chain_len: 1,
     }
-}
-
-/// Checkpoint cadence smoke (`--checkpoint-every C`): snapshot the
-/// staggered-pair run every `C` bus cycles. The donor must finish with
-/// stats byte-identical to an uninterrupted reference run (checkpoints
-/// are pure observation), and the middle snapshot must restore and
-/// finish byte-identically too. The last snapshot is left on disk for
-/// `--restore`.
-fn checkpoint_every_smoke(n: u16, every_cycles: u64, ckpt_path: &std::path::Path) {
-    assert!(every_cycles > 0, "--checkpoint-every takes a cycle count");
-    let build = || {
-        let mut m = Machine::builder(n.into())
-            .parallelism(Parallelism::Sequential)
-            .sample_latency(true)
-            .build();
-        load_staggered_pairs(&mut m);
-        m
-    };
-    let mut reference = build();
-    let end_ns = reference.run_to_quiescence().ns();
-    let want = reference.stats().to_json();
-
-    // `C` bus cycles of the default 66 MHz clock, in simulated ns.
-    let chunk_ns = (every_cycles * 1000).div_ceil(66).max(1);
-    let mut m = build();
-    let mut snaps: Vec<Vec<u8>> = Vec::new();
-    let mut save_s = 0.0f64;
-    // Checkpoint at absolute simulated times strictly inside the run,
-    // so the harness never pushes `now` past the natural quiescence
-    // point (that would legitimately change the final time).
-    let mut target = chunk_ns;
-    while target < end_ns {
-        m.run_for(target.saturating_sub(m.now.ns()));
-        let t0 = Instant::now();
-        snaps.push(m.checkpoint());
-        save_s += t0.elapsed().as_secs_f64();
-        target += chunk_ns;
-    }
-    if snaps.is_empty() {
-        snaps.push(m.checkpoint());
-    }
-    m.run_to_quiescence();
-    assert_eq!(m.stats().to_json(), want, "checkpointing perturbed the run");
-
-    let mid = &snaps[snaps.len() / 2];
-    let mut r = Machine::builder(1)
-        .parallelism(Parallelism::Sequential)
-        .restore(mid)
-        .expect("restore mid-run snapshot");
-    r.run_to_quiescence();
-    assert_eq!(r.stats().to_json(), want, "mid-run restore diverged");
-
-    let (lo, hi) = snaps
-        .iter()
-        .map(Vec::len)
-        .fold((usize::MAX, 0), |(l, h), b| (l.min(b), h.max(b)));
-    std::fs::write(ckpt_path, snaps.last().expect("at least one snapshot"))
-        .expect("write snapshot");
-    println!(
-        "checkpoint smoke: {n} nodes, {} snapshots every {every_cycles} cycles \
-         ({lo}..{hi} bytes, {:.0} us/save); donor and mid-run restore both \
-         matched the uninterrupted run; wrote {}",
-        snaps.len(),
-        save_s / snaps.len() as f64 * 1e6,
-        ckpt_path.display(),
-    );
-}
-
-/// Incremental-checkpoint cadence smoke (`--delta-every C`): one full
-/// base snapshot before the run, then a delta cut every `C` bus cycles.
-/// Asserts that delta cuts never perturb the donor, that restoring the
-/// base plus *every* delta resumes and finishes byte-identical to the
-/// uninterrupted run, and that a cadence delta stays at least 10x below
-/// a full snapshot of the same machine in bytes — the whole point of
-/// dirty tracking.
-fn delta_every_smoke(n: u16, every_cycles: u64) {
-    assert!(every_cycles > 0, "--delta-every takes a cycle count");
-    let build = || {
-        let mut m = Machine::builder(n.into())
-            .parallelism(Parallelism::Sequential)
-            .sample_latency(true)
-            .build();
-        load_staggered_pairs(&mut m);
-        m
-    };
-    let mut reference = build();
-    let end_ns = reference.run_to_quiescence().ns();
-    let want = reference.stats().to_json();
-
-    let chunk_ns = (every_cycles * 1000).div_ceil(66).max(1);
-    let mut m = build();
-    let base = m.checkpoint_delta().into_bytes();
-    let mut deltas: Vec<Vec<u8>> = Vec::new();
-    let mut save_s = 0.0f64;
-    let mut target = chunk_ns;
-    while target < end_ns {
-        m.run_for(target.saturating_sub(m.now.ns()));
-        let t0 = Instant::now();
-        match m.checkpoint_delta() {
-            voyager::DeltaCheckpoint::Delta(d) => deltas.push(d),
-            voyager::DeltaCheckpoint::Base(_) => unreachable!("chain is open"),
-        }
-        save_s += t0.elapsed().as_secs_f64();
-        target += chunk_ns;
-    }
-    assert!(!deltas.is_empty(), "cadence longer than the whole run");
-    // A full snapshot at the last cut, for the size comparison (pure
-    // observation; the donor continues unperturbed).
-    let full_at_last_cut = m.checkpoint().len();
-    m.run_to_quiescence();
-    assert_eq!(m.stats().to_json(), want, "delta cuts perturbed the run");
-
-    let mut r = Machine::builder(1)
-        .parallelism(Parallelism::Sequential)
-        .restore_chain(&base, &deltas)
-        .expect("restore base + delta chain");
-    r.run_to_quiescence();
-    assert_eq!(r.stats().to_json(), want, "chain restore diverged");
-
-    let total: usize = deltas.iter().map(Vec::len).sum();
-    let avg = total / deltas.len();
-    assert!(
-        avg * 10 <= full_at_last_cut,
-        "cadence delta not ≥10x below full: avg {avg} vs full {full_at_last_cut} bytes"
-    );
-    println!(
-        "delta smoke: {n} nodes, base {} bytes + {} deltas every {every_cycles} \
-         cycles (avg {avg} bytes, {:.0} us/save; full snapshot {full_at_last_cut} \
-         bytes, {:.0}x); donor and base+chain restore both matched the \
-         uninterrupted run",
-        base.len(),
-        deltas.len(),
-        save_s / deltas.len() as f64 * 1e6,
-        full_at_last_cut as f64 / avg as f64,
-    );
-}
-
-/// `--restore FILE`: rebuild a machine from a snapshot file and run it
-/// to quiescence.
-fn restore_smoke(path: &str) {
-    let bytes = std::fs::read(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-    let mut m = Machine::builder(1)
-        .parallelism(Parallelism::Sequential)
-        .restore(&bytes)
-        .unwrap_or_else(|e| panic!("restore {path}: {e}"));
-    let n = m.stats().nodes.len();
-    let at = m.now.ns();
-    let t = m.run_to_quiescence();
-    println!(
-        "restored {n} nodes at {at} ns from {path} ({} bytes); quiesced at {} ns",
-        bytes.len(),
-        t.ns()
-    );
 }
 
 fn write_json(
@@ -490,174 +294,6 @@ fn write_json(
     s.push_str("    ]\n  }\n}\n");
     let mut f = std::fs::File::create(path).expect("create json report");
     f.write_all(s.as_bytes()).expect("write json report");
-}
-
-/// Fault-injection smoke (`--faults`): the staggered-pair workload over
-/// a hostile fabric. The run must finish with every payload delivered
-/// exactly once, visible retransmission work, and stats JSON identical
-/// between the sequential and windowed-parallel event loops.
-fn faults_smoke(n: u16, workers: usize) {
-    let faults = voyager::arctic::FaultParams {
-        drop_ppm: 60_000,
-        dup_ppm: 30_000,
-        corrupt_ppm: 25_000,
-        reorder_ppm: 40_000,
-        seed: 0xFA17_5EED,
-    };
-    let run = |par: Parallelism| {
-        let mut m = Machine::builder(n.into())
-            .faults(faults)
-            .parallelism(par)
-            .build();
-        load_staggered_pairs(&mut m);
-        let t = m.run_to_quiescence().ns();
-        (t, m.stats())
-    };
-    let (t_ev, s_ev) = run(Parallelism::Sequential);
-    let (t_par, s_par) = run(Parallelism::Fixed(workers));
-    assert_eq!(t_ev, t_par, "parallel loop must match under faults");
-    assert_eq!(
-        s_ev.to_json(),
-        s_par.to_json(),
-        "fault-injected stats must be identical across loop modes"
-    );
-    let delivered: u64 = s_ev
-        .nodes
-        .iter()
-        .map(|nd| nd.niu.classes[0].delivered)
-        .sum();
-    let offered = u64::from(n / 2) * u64::from(PAIR_MSGS);
-    assert_eq!(delivered, offered, "payloads lost under fault injection");
-    let retransmits: u64 = s_ev.nodes.iter().map(|nd| nd.niu.retransmits).sum();
-    assert!(retransmits > 0, "fault rates too low to exercise recovery");
-    println!(
-        "faults smoke: {n} nodes, {} drops + {} corruptions injected, \
-         {retransmits} retransmits, {offered}/{offered} payloads delivered",
-        s_ev.network.faults_dropped, s_ev.network.faults_corrupted,
-    );
-}
-
-/// Hot-spot / QoS smoke (`--hotspot`): the incast workload from
-/// `voyager::workloads::hot_spot` (every node floods node 0 with
-/// Low-class traffic while the last node interleaves High-class
-/// probes), run three ways. First the EXPERIMENTS.md S9 isolation
-/// gate: with 1 virtual channel (every class in one bounded buffer,
-/// the head-of-line-blocking baseline) the probe tail must be
-/// measurably worse than with 2 VCs isolating the High class. Then
-/// the determinism gate: with VCs *and* a hostile fabric armed, the
-/// sequential and windowed-parallel event loops must produce
-/// byte-identical stats JSON, credit stalls included.
-fn hotspot_smoke(n: u16, workers: usize) {
-    use voyager::arctic::{QosParams, VcArbitration};
-    let qos_params = |vcs: u8| voyager::SystemParams {
-        qos: Some(QosParams {
-            vcs,
-            credits_per_vc: 2,
-            arbitration: VcArbitration::Priority,
-        }),
-        ..Default::default()
-    };
-    let (per_sender, hi_probes, payload) = (30u32, 8u32, 88usize);
-    let hol = voyager::workloads::hot_spot(qos_params(1), n.into(), per_sender, hi_probes, payload);
-    let iso = voyager::workloads::hot_spot(qos_params(2), n.into(), per_sender, hi_probes, payload);
-    assert_eq!(hol.hi_count, u64::from(hi_probes));
-    assert_eq!(iso.hi_count, u64::from(hi_probes));
-    assert!(
-        hol.credit_stalls > 0,
-        "incast must exhaust 2-credit buffers"
-    );
-    assert!(
-        iso.hi_max_ns < hol.hi_max_ns,
-        "2 VCs must cut the High-class tail below the 1-VC baseline \
-         (1 VC: {} ns, 2 VCs: {} ns)",
-        hol.hi_max_ns,
-        iso.hi_max_ns
-    );
-    let faults = voyager::arctic::FaultParams::hostile(0x5909_5EED);
-    let run = |par: Parallelism| {
-        let mut m = Machine::builder(n.into())
-            .params(qos_params(2))
-            .faults(faults)
-            .parallelism(par)
-            .build();
-        voyager::workloads::load_hot_spot(&mut m, per_sender, hi_probes, payload);
-        let t = m.run_to_quiescence().ns();
-        (t, m.stats())
-    };
-    let (t_ev, s_ev) = run(Parallelism::Sequential);
-    let (t_par, s_par) = run(Parallelism::Fixed(workers));
-    assert_eq!(t_ev, t_par, "parallel loop must match under QoS + faults");
-    assert_eq!(
-        s_ev.to_json(),
-        s_par.to_json(),
-        "QoS stats must be identical across loop modes"
-    );
-    let q = s_ev.network.qos.as_ref().expect("QoS armed");
-    println!(
-        "hotspot smoke: {n} nodes, hi tail {} ns with 1 VC vs {} ns with 2 VCs \
-         ({} credit stalls in baseline); faulty-fabric loops identical \
-         ({t_ev} ns, {} stalls, {} stall-ns)",
-        hol.hi_max_ns, iso.hi_max_ns, hol.credit_stalls, q.credit_stalls, q.credit_stall_ns,
-    );
-}
-
-/// Multi-tenant serving smoke (`--tenants`): the S10 tenant job mix on
-/// an `n`-node machine with tenancy armed — per-node schedulers
-/// multiplexing latency/bulk/bursty tenants plus one confined
-/// misbehaving tenant. The sequential and windowed-parallel event loops
-/// must produce byte-identical stats (per-tenant sections included),
-/// each node must contain exactly one protection violation, and the
-/// serving metrics (cache hit rate, P99 tail split) are printed for the
-/// log.
-fn tenants_smoke(n: u16, workers: usize) {
-    use voyager::{SchedPolicy, TenancyParams};
-    let run = |par: Parallelism| {
-        let tenancy = TenancyParams {
-            tenants_per_node: 16,
-            policy: SchedPolicy::WeightedTimeSlice { quantum_ns: 20_000 },
-            confined: Some(5),
-        };
-        let mut m = Machine::builder(n.into())
-            .tenants(tenancy)
-            .parallelism(par)
-            .build();
-        voyager::workloads::load_tenant_mix(&mut m, 8);
-        let t = m.run_to_quiescence().ns();
-        let out = voyager::workloads::measure_tenant_mix(&m);
-        (t, m.stats().to_json(), out)
-    };
-    let (t_ev, s_ev, out) = run(Parallelism::Sequential);
-    let (t_par, s_par, _) = run(Parallelism::Fixed(workers));
-    assert_eq!(t_ev, t_par, "parallel loop must match with tenancy armed");
-    assert_eq!(
-        s_ev, s_par,
-        "tenant stats must be identical across loop modes"
-    );
-    assert!(s_ev.contains("\"per_tenant\":"), "per-tenant rows present");
-    assert_eq!(
-        out.tx_violations,
-        u64::from(n),
-        "one contained violation per node"
-    );
-    assert!(out.rq_hits + out.rq_misses > 0, "tenant traffic flowed");
-    assert!(out.rebinds > 0, "miss path exercised");
-    println!(
-        "tenants smoke: {n} nodes x 16 tenants, loops identical ({t_ev} ns); \
-         hit rate {:.1}% ({} hits / {} misses, {} diversions, {} rebinds), \
-         p99 {} ns (hit {} ns, miss {} ns; latency class {} ns vs others {} ns), \
-         {} violations contained",
-        out.hit_rate * 100.0,
-        out.rq_hits,
-        out.rq_misses,
-        out.diversions,
-        out.rebinds,
-        out.p99_ns,
-        out.hit_p99_ns,
-        out.miss_p99_ns,
-        out.latency_class_p99_ns,
-        out.other_class_p99_ns,
-        out.tx_violations,
-    );
 }
 
 /// The S10 scaling study (`--tenant-sweep`): sweep tenants per node
@@ -769,133 +405,40 @@ fn coll_point(n: u16) -> CollRow {
     }
 }
 
-/// Firmware-collectives smoke (`--collectives`): barrier + all-reduce +
-/// broadcast sequenced NIC-side on every node, run under both the
-/// sequential and windowed-parallel event loops. The loops must agree
-/// byte-for-byte on the stats, every node must complete all three
-/// collectives with the exact expected results, and the three-way
-/// all-reduce comparison at this size is printed for the log.
-fn collectives_smoke(n: u16, workers: usize) {
-    let want_sum: u64 = (1..=u64::from(n)).sum();
-    let run = |par: Parallelism| {
-        let mut m = Machine::builder(n.into()).parallelism(par).build();
-        for i in 0..n {
-            let lib = m.lib(i);
-            m.load_program(
-                i,
-                lib.coll_program(vec![
-                    CollReq::barrier(),
-                    CollReq::allreduce(CollOp::Sum, u64::from(i) + 1),
-                    CollReq::broadcast(0, 0xC0FFEE),
-                ]),
-            );
+/// The command line: `--nodes N`, and whether `--tenant-sweep` was
+/// given; `None` for any other argument, or an `N` that is not an even
+/// node count of at least 2.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Option<(Option<u16>, bool)> {
+    let (mut nodes, mut tenant_sweep) = (None, false);
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--nodes" => {
+                let n: u16 = args.next()?.parse().ok()?;
+                if n < 2 || !n.is_multiple_of(2) {
+                    return None;
+                }
+                nodes = Some(n);
+            }
+            "--tenant-sweep" => tenant_sweep = true,
+            _ => return None,
         }
-        let t = m.run_to_quiescence().ns();
-        for i in 0..n {
-            let vals: Vec<u64> = m
-                .events(i)
-                .iter()
-                .filter_map(|e| match e.kind {
-                    AppEventKind::Result { value, .. } => Some(value),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(
-                vals,
-                vec![0, want_sum, 0xC0FFEE],
-                "node {i} collective results"
-            );
-        }
-        (t, m.stats())
-    };
-    let (t_ev, s_ev) = run(Parallelism::Sequential);
-    let (t_par, s_par) = run(Parallelism::Fixed(workers));
-    assert_eq!(t_ev, t_par, "parallel loop must match on collectives");
-    assert_eq!(
-        s_ev.to_json(),
-        s_par.to_json(),
-        "collective stats must be identical across loop modes"
-    );
-    for nd in &s_ev.nodes {
-        assert_eq!(nd.fw.coll_started, 3, "node {} started", nd.node);
-        assert_eq!(nd.fw.coll_completed, 3, "node {} completed", nd.node);
     }
-    let r = coll_point(n);
-    println!(
-        "collectives smoke: {n} nodes, 3 collectives/node, loops identical \
-         ({t_ev} ns); allreduce express {} ns ({} aP ops/node), basic {} ns \
-         ({} aP ops/node), firmware {} ns ({} aP ops/node, {} ns sP/node)",
-        r.express_ns, r.express_apops, r.basic_ns, r.basic_apops, r.fw_ns, r.fw_apops, r.fw_sp_ns,
-    );
+    Some((nodes, tenant_sweep))
 }
 
 fn main() {
+    let Some((only_nodes, tenant_sweep_only)) = parse_args(std::env::args().skip(1)) else {
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    };
+    if tenant_sweep_only {
+        tenant_sweep(only_nodes.unwrap_or(16));
+        return;
+    }
     let workers = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(4)
         .clamp(2, 8);
-    let args: Vec<String> = std::env::args().collect();
-    let only_nodes: Option<u16> = args.iter().position(|a| a == "--nodes").map(|i| {
-        args.get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .expect("--nodes takes a node count")
-    });
-    let artifacts_dir = std::path::PathBuf::from(
-        args.iter()
-            .position(|a| a == "--artifacts-dir")
-            .map(|i| {
-                args.get(i + 1)
-                    .expect("--artifacts-dir takes a directory")
-                    .clone()
-            })
-            .unwrap_or_else(|| "target".to_string()),
-    );
-    std::fs::create_dir_all(&artifacts_dir).expect("create artifacts dir");
-    if let Some(i) = args.iter().position(|a| a == "--restore") {
-        let path = args.get(i + 1).expect("--restore takes a snapshot file");
-        restore_smoke(path);
-        return;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--checkpoint-every") {
-        let every = args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .expect("--checkpoint-every takes a bus-cycle count");
-        checkpoint_every_smoke(
-            only_nodes.unwrap_or(16),
-            every,
-            &artifacts_dir.join(CKPT_FILE),
-        );
-        return;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--delta-every") {
-        let every = args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .expect("--delta-every takes a bus-cycle count");
-        delta_every_smoke(only_nodes.unwrap_or(16), every);
-        return;
-    }
-    if args.iter().any(|a| a == "--faults") {
-        faults_smoke(only_nodes.unwrap_or(64), workers);
-        return;
-    }
-    if args.iter().any(|a| a == "--collectives") {
-        collectives_smoke(only_nodes.unwrap_or(64), workers);
-        return;
-    }
-    if args.iter().any(|a| a == "--hotspot") {
-        hotspot_smoke(only_nodes.unwrap_or(16), workers);
-        return;
-    }
-    if args.iter().any(|a| a == "--tenant-sweep") {
-        tenant_sweep(only_nodes.unwrap_or(16));
-        return;
-    }
-    if args.iter().any(|a| a == "--tenants") {
-        tenants_smoke(only_nodes.unwrap_or(16), workers);
-        return;
-    }
 
     // ---- Node-count sweep (idle-heavy staggered pairs) ----
     let sweep_sizes: Vec<u16> = match only_nodes {
@@ -920,8 +463,8 @@ fn main() {
         &sweep_rows,
     );
 
-    // A single sweep point is a smoke run: the tables below, and the
-    // record that only a full run may write, are not its business.
+    // A single sweep point prints its row only: the tables below, and
+    // the record that only a full run may write, are not its business.
     if only_nodes.is_some() {
         return;
     }

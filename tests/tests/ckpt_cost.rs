@@ -1,10 +1,12 @@
 //! Snapshot size gated as work rather than time: on the cadence
-//! workload of `simspeed --nodes 256 --delta-every 20000` (256-node
-//! staggered pairs, a delta cut every 20,000 bus cycles), a full
-//! snapshot must cost a bounded number of bytes per node, and a cadence
-//! delta must stay at least ten times smaller; a fresh 2048-node build's
-//! snapshot must cost as few bytes per node as the 256-node one. Byte
-//! counts are deterministic, so the gates hold on any host.
+//! workload (256-node staggered pairs, one base snapshot before the run
+//! and a delta cut every 20,000 bus cycles), a full snapshot must cost a
+//! bounded number of bytes per node, and a cadence delta must stay at
+//! least ten times smaller; a fresh 2048-node build's snapshot must cost
+//! as few bytes per node as the 256-node one. Byte counts are
+//! deterministic, so the gates hold on any host. The cuts are pure
+//! observation: the donor, and a machine restored from the base and
+//! every delta, both finish with the stats of the uninterrupted run.
 
 use voyager::workloads::load_staggered_pairs;
 use voyager::{DeltaCheckpoint, Machine, Parallelism};
@@ -37,23 +39,27 @@ fn build() -> Machine {
 
 #[test]
 fn cadence_snapshot_bytes_stay_bounded_per_node_and_deltas_ten_times_smaller() {
-    let end_ns = build().run_to_quiescence().ns();
+    let mut reference = build();
+    let end_ns = reference.run_to_quiescence().ns();
+    let want = reference.stats().to_json();
     // 20,000 cycles of the 66 MHz bus clock, in simulated ns.
     let every_ns = (20_000u64 * 1000).div_ceil(66);
     let mut m = build();
-    assert!(m.checkpoint_delta().is_base());
+    let base = m.checkpoint_delta();
+    assert!(base.is_base());
     let mut deltas = Vec::new();
     let mut target = every_ns;
     while target < end_ns {
         m.run_for(target - m.now.ns());
         match m.checkpoint_delta() {
-            DeltaCheckpoint::Delta(d) => deltas.push(d.len()),
+            DeltaCheckpoint::Delta(d) => deltas.push(d),
             DeltaCheckpoint::Base(_) => unreachable!("the chain is open"),
         }
         target += every_ns;
     }
     let full = m.checkpoint().len();
-    let mean = deltas.iter().sum::<usize>() / deltas.len();
+    let sizes: Vec<usize> = deltas.iter().map(Vec::len).collect();
+    let mean = sizes.iter().sum::<usize>() / sizes.len();
     let per_node = full / usize::from(NODES);
     println!(
         "{NODES} nodes: full snapshot at the last cut {full} bytes ({:.1} KiB per node); \
@@ -62,7 +68,7 @@ fn cadence_snapshot_bytes_stay_bounded_per_node_and_deltas_ten_times_smaller() {
         deltas.len(),
         full as f64 / mean as f64,
     );
-    assert_eq!(deltas, CADENCE_DELTA_BYTES, "bytes of each cadence delta");
+    assert_eq!(sizes, CADENCE_DELTA_BYTES, "bytes of each cadence delta");
     assert!(
         per_node <= MAX_FULL_BYTES_PER_NODE,
         "{per_node} full-snapshot bytes per node exceed the budget of {MAX_FULL_BYTES_PER_NODE}"
@@ -70,6 +76,17 @@ fn cadence_snapshot_bytes_stay_bounded_per_node_and_deltas_ten_times_smaller() {
     assert!(
         mean * 10 <= full,
         "mean cadence delta {mean} bytes is not 10x below the full snapshot's {full}"
+    );
+    m.run_to_quiescence();
+    assert!(m.stats().to_json() == want, "the cuts perturbed the donor");
+    let mut chain = Machine::builder(1)
+        .parallelism(Parallelism::Sequential)
+        .restore_chain(&base.into_bytes(), &deltas)
+        .expect("restore the base and every delta");
+    chain.run_to_quiescence();
+    assert!(
+        chain.stats().to_json() == want,
+        "the base and chain restore diverged from the uninterrupted run"
     );
 }
 

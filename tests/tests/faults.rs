@@ -3,6 +3,10 @@
 //! once the NIU's reliable-delivery layer is armed — and the whole
 //! fault/retransmit machinery must stay bit-deterministic across run
 //! modes, because every measurement in this repository rests on that.
+//! The hostile fabric must make recovery engage (a run with no
+//! retransmissions fails), degradation at the retry caps is counted and
+//! never hangs, and malformed service traffic lands in the firmware's
+//! `proto_errors` instead of stopping it.
 
 use voyager::api::{BasicMsg, SendBasic};
 use voyager::arctic::FaultParams;

@@ -215,3 +215,27 @@ fn qos_checkpoint_roundtrips_byte_identically() {
     let r = Machine::builder(1).restore(&a).expect("restore");
     assert_eq!(r.checkpoint(), a, "snapshot must round-trip exactly");
 }
+
+/// EXPERIMENTS.md S9 data generator: the High-class tail under incast
+/// with one and with two virtual channels, at 4 to 32 nodes. Ignored by
+/// default; reproduce the table with
+/// `cargo test -p sv-tests --test qos -- --ignored --nocapture`.
+#[test]
+#[ignore]
+fn s9_incast_sweep() {
+    println!("| nodes | hi tail, 1 VC (ns) | hi tail, 2 VCs (ns) | credit stalls (1 VC) |");
+    for n in [4usize, 8, 16, 32] {
+        let with_vcs = |vcs: u8| {
+            let p = SystemParams {
+                qos: Some(qos(vcs, 2, VcArbitration::Priority)),
+                ..Default::default()
+            };
+            hot_spot(p, n, 30, 8, 88)
+        };
+        let (hol, iso) = (with_vcs(1), with_vcs(2));
+        println!(
+            "| {n} | {} | {} | {} |",
+            hol.hi_max_ns, iso.hi_max_ns, hol.credit_stalls
+        );
+    }
+}

@@ -272,9 +272,12 @@ fn stats_snapshot_identical_across_worker_counts() {
 }
 
 /// Ablation A1's configuration: queues past the 12 bound hardware slots
-/// divert through node 1's miss queue to the firmware. The oracle used
-/// to stop while that queue still held messages, because quiescence did
-/// not count it as work although the wake computation did.
+/// divert through node 1's miss queue to the firmware. The cycle-stepped
+/// oracle, `Sequential` and `Fixed(2)` must agree on the stats, with
+/// every message served by a hardware hit or the firmware. The oracle
+/// used to stop while that queue still held messages, because
+/// quiescence did not count it as work although the wake computation
+/// did.
 #[test]
 fn modes_agree_while_the_miss_queue_drains() {
     use voyager::workloads::{load_rxq_spray, RXQ_MSGS_PER_QUEUE};

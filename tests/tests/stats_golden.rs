@@ -455,18 +455,22 @@ fn golden_stats_edges() {
     check_golden("stats_edges.json", s.to_json());
 }
 
-/// Staggered pairs at 64 nodes, the simspeed sweep's workload, on the
-/// sequential loop with latency sampling on — the largest golden, with
-/// the run-loop counters of a mostly idle machine and 63 active links.
+/// Staggered pairs at 64 nodes, the simspeed sweep's workload, with
+/// latency sampling on — the largest golden, with the run-loop counters
+/// of a mostly idle machine and 63 active links. The sequential loop and
+/// the loop sharded over two workers must both render it byte for byte,
+/// as the sweep's two columns must agree.
 #[test]
 fn golden_stats_simspeed_64() {
-    let mut m = Machine::builder(64)
-        .parallelism(Parallelism::Sequential)
-        .sample_latency(true)
-        .build();
-    voyager::workloads::load_staggered_pairs(&mut m);
-    m.run_to_quiescence();
-    check_golden("simspeed_stats_64.json", m.stats().to_json());
+    for par in [Parallelism::Sequential, Parallelism::Fixed(2)] {
+        let mut m = Machine::builder(64)
+            .parallelism(par)
+            .sample_latency(true)
+            .build();
+        voyager::workloads::load_staggered_pairs(&mut m);
+        m.run_to_quiescence();
+        check_golden("simspeed_stats_64.json", m.stats().to_json());
+    }
 }
 
 /// The golden harness itself must fail closed: a single mutated counter

@@ -3,7 +3,9 @@
 //! (with the fault fabric armed); a machine checkpointed mid-mix — full
 //! cut or delta chain — resumes to the same final stats; and no tenant
 //! can reach another tenant's destinations through the confined queue
-//! (the protection-isolation matrix).
+//! (the protection-isolation matrix: the masks fold every cross-namespace
+//! attempt back into the offender's own slice, and an out-of-slice
+//! destination shuts down only the confined queue).
 
 use voyager::arctic::FaultParams;
 use voyager::tenancy::{JobBody, StreamItem, CONFINED_TX_Q};
