@@ -181,22 +181,40 @@ pub struct RunLoopCounters {
 /// `iter_mut`, and `&mut` iteration) sets a *touched* mark, which tells
 /// the event loop that the wakes it keeps between run entries may no
 /// longer describe the nodes, so its next entry derives them afresh
-/// (see [`crate::runloop`]).
+/// (see [`crate::runloop`]). So does a list the kept wakes were not
+/// derived from, such as one swapped in from another machine.
 pub struct Nodes {
     list: Vec<Node>,
     /// Set by every mutable access, and while a run holds the nodes;
     /// cleared only when a run returns. A fresh list counts as touched.
     touched: bool,
+    /// Unique in the process, stamped at construction: names this list
+    /// to the run loop that keeps wakes for it.
+    id: u64,
 }
 
 impl Nodes {
-    /// The nodes for one event-loop run, and whether they were touched
-    /// since the last run returned. The mark stays set while the run
-    /// holds them, and [`Nodes::release`] clears it once the run has
-    /// returned, so a run that unwinds leaves the nodes marked.
-    pub(crate) fn hold(&mut self) -> (bool, &mut [Node]) {
+    fn new(list: Vec<Node>) -> Self {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        // The counter publishes no other data, so `Relaxed` suffices.
+        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+        Nodes {
+            list,
+            touched: true,
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+        }
+    }
+
+    /// The nodes for one event-loop run, and whether the wakes kept for
+    /// the list `kept_for` names may not describe them: the nodes were
+    /// touched since the last run returned, or `kept_for` names another
+    /// list. Records this list in `kept_for`. The mark stays set while
+    /// the run holds the nodes, and [`Nodes::release`] clears it once
+    /// the run has returned, so a run that unwinds leaves them marked.
+    pub(crate) fn hold(&mut self, kept_for: &mut u64) -> (bool, &mut [Node]) {
+        let moved = std::mem::replace(kept_for, self.id) != self.id;
         let touched = std::mem::replace(&mut self.touched, true);
-        (touched, &mut self.list)
+        (touched || moved, &mut self.list)
     }
 
     /// End a run that returned: the kept wakes describe the nodes again.
@@ -244,7 +262,8 @@ pub struct Machine {
     pub params: SystemParams,
     /// The machine's nodes, indexed by node id.
     pub nodes: Nodes,
-    /// Network-level statistics.
+    /// The Arctic fabric model, with its statistics. It carries no
+    /// traffic under [`MachineBuilder::ideal_network`].
     pub network: Network<NetPayload>,
     /// When set, packets bypass the Arctic model and travel through a
     /// contention-free fixed-latency pipe — the network-cost ablation
@@ -554,10 +573,7 @@ impl Machine {
         }
         Machine {
             params,
-            nodes: Nodes {
-                list: nodes,
-                touched: true,
-            },
+            nodes: Nodes::new(nodes),
             network,
             ideal: None,
             clock: params.bus_clock(),

@@ -102,9 +102,12 @@
 //! ends with every kept wake at or past its end, and nothing changes a
 //! node until the next entry except a write through
 //! [`Machine::nodes`], which sets its touched mark
-//! ([`crate::machine::Nodes`]). An entry therefore primes the indexes,
-//! with one O(n) scan, only when the mark is set, the shard map was
-//! built or the kept shards are missing; otherwise it only re-attaches
+//! ([`crate::machine::Nodes`]). Each entry records which list it held,
+//! so a list moved in whole from another machine, whose mark is clear,
+//! is not trusted either. An entry therefore primes the indexes, with
+//! one O(n) scan, only when the mark is set, the list is not the one the
+//! kept wakes were derived from, the shard map was built or the kept
+//! shards are missing; otherwise it only re-attaches
 //! the nodes, and debug builds check every kept wake against a fresh
 //! one. Each entry advances in one go to its target. Quiescence is
 //! checked only when the run stopped because nothing was scheduled, and
@@ -287,6 +290,9 @@ pub(crate) struct RunScratch {
     /// runs. The wake indexes are kept for the next run entry, which
     /// trusts them unless the nodes were touched since.
     shards: Vec<Shard<'static>>,
+    /// The node list the kept wakes were derived from (0 before the
+    /// first run); an entry that holds another list primes.
+    nodes_id: u64,
     /// The scheduler's copy of each shard's next wake.
     wakes: Vec<Option<u64>>,
     /// Fabric deliveries of the current cycle or harvest.
@@ -707,7 +713,7 @@ impl Machine {
         let la_ns = fabric(&mut self.network, &mut self.ideal).lookahead_ns();
         let window = self.window_cycles(la_ns);
         let (clock, start) = (self.clock, self.cycle);
-        let (touched, nodes) = self.nodes.hold();
+        let (touched, nodes) = self.nodes.hold(&mut self.scratch.nodes_id);
         let res = run_sharded(
             nodes,
             touched,
@@ -1011,8 +1017,8 @@ fn shard_worker<'a>(
 /// `scratch`, on up to `workers` threads: this one and `workers - 1` pool
 /// threads. See the module docs for the protocol and its determinism
 /// argument. The shard wake indexes kept from the last run are primed
-/// afresh only when `touched` (the nodes were written since) or when
-/// they are missing.
+/// afresh only when `touched` (the nodes were written since, or are not
+/// the list they were derived from) or when they are missing.
 ///
 /// Each iteration runs one shard in a burst, executes one event cycle
 /// inline (when at most one shard has work inside the next window span —
@@ -1035,6 +1041,7 @@ fn run_sharded<'a>(
     let RunScratch {
         map,
         shards: kept,
+        nodes_id: _,
         wakes,
         delivered,
         merged,

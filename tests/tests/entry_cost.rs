@@ -8,7 +8,10 @@
 //! node's wake exactly once more, and the run must still match the
 //! cycle-stepped oracle making the same write at the same cycle. That
 //! run's node ticks and wake republishes are pinned, as `tick_cost`
-//! pins the block transfers'.
+//! pins the block transfers'. A node list swapped whole between two
+//! machines carries no touched mark, yet each machine's next entry must
+//! derive the wakes of the list it now holds, once, and agree with the
+//! oracle making the same swap.
 
 use voyager::api::{BasicMsg, SendBasic};
 use voyager::workloads::{load_staggered_pairs, PAIR_MSGS};
@@ -103,4 +106,39 @@ fn run_entries_derive_each_wake_once_per_write() {
         PINNED,
         "node ticks and wake republishes of the written run"
     );
+}
+
+/// Two 8-node staggered-pairs machines from `b`, run to 30 µs and 70 µs,
+/// swap their node lists through the public field and run 40 µs more
+/// in four slices.
+fn swapped(b: impl Fn() -> MachineBuilder) -> (Machine, Machine) {
+    let (mut a, mut other) = (b().build(), b().build());
+    load_staggered_pairs(&mut a);
+    load_staggered_pairs(&mut other);
+    a.run_for(30_000);
+    other.run_for(70_000);
+    std::mem::swap(&mut a.nodes, &mut other.nodes);
+    for _ in 0..4 {
+        a.run_for(10_000);
+        other.run_for(10_000);
+    }
+    (a, other)
+}
+
+#[test]
+fn a_swapped_node_list_derives_its_wakes_once() {
+    let (a, other) = swapped(|| Machine::builder(8).parallelism(Parallelism::Sequential));
+    let (oracle_a, oracle_other) = swapped(|| Machine::builder(8).cycle_stepped());
+    for (m, oracle, name) in [(&a, &oracle_a, "a"), (&other, &oracle_other, "other")] {
+        assert_eq!(
+            m.window_work().entry_wakes,
+            16,
+            "{name}: wakes derived, 8 at the first entry and 8 after the swap"
+        );
+        assert_eq!(
+            model_stats(m),
+            model_stats(oracle),
+            "{name}: the swapped run agrees with the oracle"
+        );
+    }
 }
