@@ -119,11 +119,6 @@ impl FaultModel {
         }
     }
 
-    /// The configuration in force.
-    pub fn params(&self) -> FaultParams {
-        self.params
-    }
-
     /// Decide the fate of the next injected packet. Always consumes
     /// exactly four draws so the stream position is a pure function of
     /// the injection count, independent of earlier verdicts.

@@ -472,11 +472,6 @@ impl<P> Network<P> {
         self.dirty_links[l / 64] & (1u64 << (l % 64)) != 0
     }
 
-    /// The fault configuration in force, if any.
-    pub fn fault_params(&self) -> Option<FaultParams> {
-        self.fault.as_ref().map(|f| f.params())
-    }
-
     /// Inject a packet at time `now`. The packet begins queueing on the
     /// node's uplink immediately.
     ///

@@ -292,11 +292,6 @@ impl Ctrl {
     pub fn tx_queue(&self, q: QueueId) -> &TxQueue {
         &self.tx[q.0 as usize]
     }
-
-    /// Mutable accessor.
-    pub fn tx_queue_mut(&mut self, q: QueueId) -> &mut TxQueue {
-        &mut self.tx[q.0 as usize]
-    }
 }
 
 sv_sim::checkpointed! {

@@ -1956,11 +1956,6 @@ impl<'a> SpPort<'a> {
         self.niu.sp_requests.pop_front()
     }
 
-    /// Peek without consuming.
-    pub fn peek_request(&self) -> Option<&SpRequest> {
-        self.niu.sp_requests.front()
-    }
-
     /// Push a command into local command queue `qi` (0 or 1). Returns
     /// `false` if the queue is full.
     pub fn push_cmd(&mut self, qi: usize, cmd: LocalCmd) -> bool {
@@ -1974,18 +1969,6 @@ impl<'a> SpPort<'a> {
     /// Occupancy of local command queue `qi`.
     pub fn cmd_depth(&self, qi: usize) -> usize {
         self.niu.ctrl.cmdq[qi].len()
-    }
-
-    /// Read a receive queue's pointers (immediate command interface).
-    pub fn rx_pointers(&self, q: QueueId) -> (u16, u16) {
-        let qd = self.niu.ctrl.rx_queue(q);
-        (qd.producer, qd.consumer)
-    }
-
-    /// Read a transmit queue's pointers.
-    pub fn tx_pointers(&self, q: QueueId) -> (u16, u16) {
-        let qd = self.niu.ctrl.tx_queue(q);
-        (qd.producer, qd.consumer)
     }
 
     /// Pop the next message from an (sP-serviced) receive queue:
@@ -2027,35 +2010,9 @@ impl<'a> SpPort<'a> {
         Some((src, lq, data, sel, slot + 8))
     }
 
-    /// Direct sSRAM access (the sP's own port; no IBus crossing).
-    pub fn read_ssram(&self, addr: u32, len: usize) -> Vec<u8> {
-        self.niu.ssram.read_vec(addr, len)
-    }
-
-    /// Write to sSRAM through the sP port.
-    pub fn write_ssram(&mut self, addr: u32, data: &[u8]) {
-        self.niu.ssram.write(addr, data);
-    }
-
-    /// Read aSRAM (through CTRL, over the IBus in hardware; firmware
-    /// charges the cost).
-    pub fn read_asram(&self, addr: u32, len: usize) -> Vec<u8> {
-        self.niu.asram.read_vec(addr, len)
-    }
-
-    /// Write aSRAM through CTRL.
-    pub fn write_asram(&mut self, addr: u32, data: &[u8]) {
-        self.niu.asram.write(addr, data);
-    }
-
     /// Supply data for a pending NUMA load.
     pub fn numa_supply(&mut self, addr: u64, data: Bytes) {
         self.niu.abiu.numa_supply(addr, data);
-    }
-
-    /// Read a clsSRAM line state.
-    pub fn get_cls(&self, line: u64) -> ClsState {
-        self.niu.clssram.get(line)
     }
 
     /// Set a clsSRAM line state (immediate; bulk updates should use the

@@ -7,8 +7,8 @@
 //! child stream, so each node/component gets its own generator derived
 //! from the experiment seed.
 //!
-//! (We intentionally do not pull `rand` into the simulator's hot path;
-//! `rand` is used only by workload generators in higher-level crates.)
+//! Every random draw the simulator makes, the fault model's included,
+//! comes from a `DetRng`; no source file uses `rand`.
 
 /// A splittable SplitMix64 generator.
 #[derive(Debug, Clone)]
@@ -89,11 +89,6 @@ impl DetRng {
     #[inline]
     pub fn unit_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Bernoulli trial with probability `p`.
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.unit_f64() < p
     }
 
     /// Derive an independent child generator.

@@ -155,12 +155,6 @@ impl Clock {
         Clock { num: ns, den: 1 }
     }
 
-    /// Mean period in (fractional) nanoseconds.
-    #[inline]
-    pub fn period_ns_f64(self) -> f64 {
-        self.num as f64 / self.den as f64
-    }
-
     /// Absolute time of clock edge `k` (edge 0 is at time 0).
     #[inline]
     pub fn edge(self, k: u64) -> Time {
