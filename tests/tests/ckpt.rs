@@ -785,6 +785,63 @@ fn pinned_ideal() -> Machine {
     m
 }
 
+/// Two Express senders, each a `Seq` of `Delay`s and `SendExpress`
+/// batches, feeding two `RecvExpress` receivers on 4 nodes: Express
+/// queues, primed receivers and not-yet-run delays.
+fn pinned_express() -> Machine {
+    use voyager::api::{RecvExpress, SendExpress};
+    use voyager::app::Seq;
+    let mut m = sequential(4).build();
+    for (src, dst, wait) in [(0u16, 2u16, 200u64), (1, 3, 700)] {
+        let lib = m.lib(src);
+        let batch = |first: u32| {
+            (first..first + 20)
+                .map(|i| (lib.express_dest(dst), i as u8, 0x100 * u32::from(src) + i))
+                .collect()
+        };
+        m.load_program(
+            src,
+            Seq::new(vec![
+                Box::new(Delay(wait)),
+                Box::new(SendExpress::new(&lib, batch(0))),
+                Box::new(Delay(wait)),
+                Box::new(SendExpress::new(&lib, batch(20))),
+            ]),
+        );
+        let rx = m.lib(dst);
+        m.load_program(dst, RecvExpress::expecting(&rx, 40));
+    }
+    m
+}
+
+/// Two round-robin tenants per node on 2 nodes, no confined tenant,
+/// whose jobs are child programs (a `Seq` of `Delay`s, a `Delay`): the
+/// scheduler record's child bodies and its absent confined-queue mux.
+fn pinned_tenant_children() -> Machine {
+    use voyager::app::Seq;
+    use voyager::tenancy::JobBody;
+    let tp = voyager::TenancyParams {
+        tenants_per_node: 2,
+        policy: voyager::SchedPolicy::RoundRobin,
+        confined: None,
+    };
+    let mut m = sequential(2).tenants(tp).build();
+    for i in 0..2u16 {
+        let step = 100 * u64::from(i);
+        let jobs = vec![
+            JobBody::Child(Box::new(Seq::new(vec![
+                Box::new(Delay(700 + step)),
+                Box::new(Delay(900)),
+                Box::new(Delay(1_100 + step)),
+            ]))),
+            JobBody::Child(Box::new(Delay(2_500))),
+        ];
+        let lib = m.lib(i);
+        m.load_program(i, voyager::TenantScheduler::new(lib, &tp, jobs));
+    }
+    m
+}
+
 // Cut schedules (ns per slice): every cut lands mid-run, while the
 // scenario's own state (credit stalls, tenant slices, collective
 // rounds, coherence transactions, DMA) is live.
@@ -796,14 +853,17 @@ const SLICES_COLL: Slices = [Some(4_000), Some(3_000), Some(3_000)];
 const SLICES_SHMEM: Slices = [Some(3_000), Some(3_000), Some(2_500)];
 const SLICES_XFER: Slices = [Some(20_000), Some(30_000), Some(30_000)];
 const SLICES_IDEAL: Slices = [Some(50_000), Some(100_000), None];
+const SLICES_EXPRESS: Slices = [Some(1_000), Some(1_000), Some(1_000)];
+const SLICES_CHILDREN: Slices = [Some(1_000), Some(2_500), Some(1_000)];
 
 /// Snapshot bytes pinned across commits. Each scenario yields a chain —
 /// an SVCK base and two SVDK deltas cut mid-run — and each snapshot is
 /// reduced to its byte length and FNV-1a-64. The first scenario is an
 /// 8-node incast cut at 20 µs, 40 µs and quiescence; the others arm
 /// QoS + faults, tenancy, firmware collectives, S-COMA/NUMA, block
-/// transfers and the ideal fabric, so every checkpointed component
-/// writes real state. Any change to what a component writes, or in what
+/// transfers, the ideal fabric, Express messaging behind delays and
+/// child-bodied tenant jobs, so every checkpointed component and every
+/// program kind writes real state. Any change to what a component writes, or in what
 /// order, shows up here even if save and load change together.
 /// Regenerate deliberately with
 ///
@@ -827,13 +887,15 @@ fn snapshot_bytes_match_golden_digests() {
         entry("svdk_delta_40us", &d1),
         entry("svdk_delta_quiescent", &d2),
     ];
-    let scenarios: [(&str, Build, Slices); 6] = [
+    let scenarios: [(&str, Build, Slices); 8] = [
         ("qos_faults", pinned_qos_faults, SLICES_QOS),
         ("tenants", pinned_tenants, SLICES_TENANTS),
         ("collective", pinned_collective, SLICES_COLL),
         ("shmem", pinned_shmem, SLICES_SHMEM),
         ("blockxfer", pinned_blockxfer, SLICES_XFER),
         ("ideal", pinned_ideal, SLICES_IDEAL),
+        ("express", pinned_express, SLICES_EXPRESS),
+        ("tenant_children", pinned_tenant_children, SLICES_CHILDREN),
     ];
     for (name, build, slices) in scenarios {
         let m = build();
