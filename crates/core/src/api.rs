@@ -433,11 +433,11 @@ impl Program for SendBasic {
     }
 
     fn snapshot(&self) -> Option<ProgramSnapshot> {
-        Some(ProgramSnapshot(Repr::SendBasic {
-            items: self.items.clone(),
-            state: self.state,
-            producer: self.producer,
-            consumer_seen: self.consumer_seen,
+        Some(ProgramSnapshot::record(0, |w| {
+            w.save(&self.items);
+            w.save(&self.state);
+            w.u16(self.producer);
+            w.u16(self.consumer_seen);
         }))
     }
 }
@@ -575,15 +575,15 @@ impl Program for RecvBasic {
     }
 
     fn snapshot(&self) -> Option<ProgramSnapshot> {
-        Some(ProgramSnapshot(Repr::RecvBasic {
-            expect: self.expect,
-            got: self.got,
-            state: self.state,
-            consumer: self.consumer,
-            producer_seen: self.producer_seen,
-            cur_src: self.cur_src,
-            cur_len: self.cur_len,
-            buf: self.buf.clone(),
+        Some(ProgramSnapshot::record(1, |w| {
+            w.usize_(self.expect);
+            w.usize_(self.got);
+            w.save(&self.state);
+            w.u16(self.consumer);
+            w.u16(self.producer_seen);
+            w.u16(self.cur_src);
+            w.u32(self.cur_len);
+            w.save(&self.buf);
         }))
     }
 }
@@ -624,9 +624,7 @@ impl Program for SendExpress {
     }
 
     fn snapshot(&self) -> Option<ProgramSnapshot> {
-        Some(ProgramSnapshot(Repr::SendExpress {
-            items: self.items.clone(),
-        }))
+        Some(ProgramSnapshot::record(2, |w| w.save(&self.items)))
     }
 }
 
@@ -679,10 +677,10 @@ impl Program for RecvExpress {
         // A primed receiver is waiting on an in-flight load; the restored
         // machine replays that load because the pending CPU operation is
         // checkpointed alongside the program.
-        Some(ProgramSnapshot(Repr::RecvExpress {
-            expect: self.expect,
-            got: self.got,
-            primed: self.primed,
+        Some(ProgramSnapshot::record(3, |w| {
+            w.usize_(self.expect);
+            w.usize_(self.got);
+            w.save(&self.primed);
         }))
     }
 }
@@ -905,15 +903,15 @@ impl Program for CollWait {
     }
 
     fn snapshot(&self) -> Option<ProgramSnapshot> {
-        Some(ProgramSnapshot(Repr::CollWait {
-            kind: self.kind,
-            state: self.state,
-            consumer: self.consumer,
-            producer_seen: self.producer_seen,
-            cur_len: self.cur_len,
-            buf: self.buf.clone(),
-            done: self.done,
-            idle_polls: self.idle_polls,
+        Some(ProgramSnapshot::record(8, |w| {
+            w.u8(self.kind);
+            w.save(&self.state);
+            w.u16(self.consumer);
+            w.u16(self.producer_seen);
+            w.u32(self.cur_len);
+            w.save(&self.buf);
+            w.save(&self.done);
+            w.u32(self.idle_polls);
         }))
     }
 }
@@ -992,7 +990,9 @@ impl Program for ReadRegion {
     fn step(&mut self, env: &mut Env<'_>) -> Step {
         if self.off < self.len {
             let a = self.addr + self.off as u64;
-            self.off += 32;
+            // Saturating: a walk that would step past `u32::MAX` ends
+            // there instead of overflowing.
+            self.off = self.off.saturating_add(32);
             return Step::Load { addr: a, bytes: 8 };
         }
         env.emit(AppEventKind::RegionDone {
@@ -1003,11 +1003,7 @@ impl Program for ReadRegion {
     }
 
     fn snapshot(&self) -> Option<ProgramSnapshot> {
-        Some(ProgramSnapshot(Repr::ReadRegion {
-            addr: self.addr,
-            len: self.len,
-            off: self.off,
-        }))
+        Some(ProgramSnapshot::record(4, |w| w.save(self)))
     }
 }
 
@@ -1046,424 +1042,179 @@ impl Program for WriteRegion {
     }
 
     fn snapshot(&self) -> Option<ProgramSnapshot> {
-        Some(ProgramSnapshot(Repr::WriteRegion {
-            addr: self.addr,
-            data: self.data.clone(),
-            off: self.off,
-        }))
+        Some(ProgramSnapshot::record(5, |w| w.save(self)))
     }
 }
 
+use crate::app::{Delay, Seq};
+use crate::tenancy::TenantScheduler;
+use std::collections::VecDeque;
 use sv_sim::ckpt::{SnapReader, SnapWriter, SnapshotError, StateLoad, StateSave};
 
-/// A checkpointed program: the execution state of one layer-0 library
-/// program (or a composition of them), detached from its [`NodeLib`].
+/// A checkpointed program: the record a layer-0 library program (or a
+/// composition of them) writes from its own fields in
+/// [`Program::snapshot`] — a tag naming the program kind, then its
+/// execution state, detached from its [`NodeLib`].
 ///
-/// Produced by [`Program::snapshot`] and re-attached to a restored
-/// machine's library handle during [`crate::MachineBuilder::restore`].
-/// The contents are opaque; the only operations are serialization (via
-/// the machine checkpoint) and re-instantiation.
+/// The machine checkpoint copies the record as written, and
+/// [`crate::MachineBuilder::restore`] decodes it straight into a program
+/// on the restored node's library handle. The contents are opaque.
 #[derive(Debug, Clone)]
-pub struct ProgramSnapshot(Repr);
-
-#[derive(Debug, Clone)]
-enum Repr {
-    SendBasic {
-        items: std::collections::VecDeque<BasicMsg>,
-        state: SendState,
-        producer: u16,
-        consumer_seen: u16,
-    },
-    RecvBasic {
-        expect: usize,
-        got: usize,
-        state: RecvState,
-        consumer: u16,
-        producer_seen: u16,
-        cur_src: u16,
-        cur_len: u32,
-        buf: Vec<u8>,
-    },
-    SendExpress {
-        items: std::collections::VecDeque<(u16, u8, u32)>,
-    },
-    RecvExpress {
-        expect: usize,
-        got: usize,
-        primed: bool,
-    },
-    ReadRegion {
-        addr: u64,
-        len: u32,
-        off: u32,
-    },
-    WriteRegion {
-        addr: u64,
-        data: Vec<u8>,
-        off: usize,
-    },
-    Seq(Vec<ProgramSnapshot>),
-    Delay(u64),
-    CollWait {
-        kind: u8,
-        state: RecvState,
-        consumer: u16,
-        producer_seen: u16,
-        cur_len: u32,
-        buf: Vec<u8>,
-        done: bool,
-        idle_polls: u32,
-    },
-    TenantScheduler(crate::tenancy::SchedSnap),
-}
-
-/// Nested [`crate::app::Seq`] snapshots deeper than this are rejected as
-/// corrupt: decoding recurses, and a forged snapshot must not be able to
-/// drive the decoder's stack arbitrarily deep.
-const MAX_SEQ_DEPTH: u32 = 64;
+pub struct ProgramSnapshot(Vec<u8>);
 
 impl ProgramSnapshot {
-    pub(crate) fn seq(parts: Vec<ProgramSnapshot>) -> Self {
-        ProgramSnapshot(Repr::Seq(parts))
-    }
-
-    pub(crate) fn delay(ns: u64) -> Self {
-        ProgramSnapshot(Repr::Delay(ns))
-    }
-
-    pub(crate) fn tenant_scheduler(snap: crate::tenancy::SchedSnap) -> Self {
-        ProgramSnapshot(Repr::TenantScheduler(snap))
-    }
-
-    /// Depth-tracked decoding entry point for snapshot kinds that embed
-    /// child program snapshots (tenant job bodies); shares the
-    /// [`MAX_SEQ_DEPTH`] recursion guard with nested `Seq`.
-    pub(crate) fn load_at_depth(r: &mut SnapReader<'_>, depth: u32) -> Result<Self, SnapshotError> {
-        if depth >= MAX_SEQ_DEPTH {
-            let at = r.offset();
-            return Err(SnapshotError::Corrupt { offset: at });
-        }
-        ProgramSnapshot::load_at(r, depth)
-    }
-
-    /// Rebuild a runnable program against `lib` (the restored machine's
-    /// library handle for the same node).
-    pub(crate) fn instantiate(&self, lib: &NodeLib) -> Box<dyn Program> {
-        match &self.0 {
-            Repr::SendBasic {
-                items,
-                state,
-                producer,
-                consumer_seen,
-            } => Box::new(SendBasic {
-                lib: *lib,
-                items: items.clone(),
-                state: *state,
-                producer: *producer,
-                consumer_seen: *consumer_seen,
-            }),
-            Repr::RecvBasic {
-                expect,
-                got,
-                state,
-                consumer,
-                producer_seen,
-                cur_src,
-                cur_len,
-                buf,
-            } => Box::new(RecvBasic {
-                lib: *lib,
-                expect: *expect,
-                got: *got,
-                state: *state,
-                consumer: *consumer,
-                producer_seen: *producer_seen,
-                cur_src: *cur_src,
-                cur_len: *cur_len,
-                buf: buf.clone(),
-            }),
-            Repr::SendExpress { items } => Box::new(SendExpress {
-                lib: *lib,
-                items: items.clone(),
-            }),
-            Repr::RecvExpress {
-                expect,
-                got,
-                primed,
-            } => Box::new(RecvExpress {
-                lib: *lib,
-                expect: *expect,
-                got: *got,
-                primed: *primed,
-            }),
-            Repr::ReadRegion { addr, len, off } => Box::new(ReadRegion {
-                addr: *addr,
-                len: *len,
-                off: *off,
-            }),
-            Repr::WriteRegion { addr, data, off } => Box::new(WriteRegion {
-                addr: *addr,
-                data: data.clone(),
-                off: *off,
-            }),
-            Repr::Seq(parts) => Box::new(crate::app::Seq::new(
-                parts.iter().map(|p| p.instantiate(lib)).collect(),
-            )),
-            Repr::Delay(ns) => Box::new(crate::app::Delay(*ns)),
-            Repr::CollWait {
-                kind,
-                state,
-                consumer,
-                producer_seen,
-                cur_len,
-                buf,
-                done,
-                idle_polls,
-            } => Box::new(CollWait {
-                lib: *lib,
-                kind: *kind,
-                state: *state,
-                consumer: *consumer,
-                producer_seen: *producer_seen,
-                cur_len: *cur_len,
-                buf: buf.clone(),
-                done: *done,
-                idle_polls: *idle_polls,
-            }),
-            Repr::TenantScheduler(snap) => Box::new(snap.instantiate(lib)),
-        }
-    }
-
-    fn load_at(r: &mut SnapReader<'_>, depth: u32) -> Result<Self, SnapshotError> {
-        let at = r.offset();
-        let repr = match r.u8()? {
-            0 => {
-                let items: std::collections::VecDeque<BasicMsg> = r.load()?;
-                let state = SendState::load(r)?;
-                // The send loop indexes the front message (and its TagOn
-                // attachment) in every mid-message state; a forged
-                // snapshot must not reach those `expect`s.
-                let front_ok = match state {
-                    SendState::Next | SendState::PollSpace => true,
-                    SendState::WriteTagon { .. } => {
-                        items.front().is_some_and(|m| m.tagon.is_some())
-                    }
-                    SendState::WriteHeader
-                    | SendState::WritePayload { .. }
-                    | SendState::PtrUpdate => items.front().is_some(),
-                };
-                if !front_ok {
-                    return Err(SnapshotError::Corrupt { offset: at });
-                }
-                Repr::SendBasic {
-                    items,
-                    state,
-                    producer: r.u16()?,
-                    consumer_seen: r.u16()?,
-                }
-            }
-            1 => {
-                let expect = r.usize_()?;
-                let got = r.usize_()?;
-                let state = RecvState::load(r)?;
-                let consumer = r.u16()?;
-                let producer_seen = r.u16()?;
-                let cur_src = r.u16()?;
-                let cur_len = r.u32()?;
-                let buf: Vec<u8> = r.load()?;
-                // `ReadBody` computes `cur_len - (off - 8)`.
-                if let RecvState::ReadBody { off } = state {
-                    if off > 0 && (off < 8 || off - 8 > cur_len) {
-                        return Err(SnapshotError::Corrupt { offset: at });
-                    }
-                }
-                Repr::RecvBasic {
-                    expect,
-                    got,
-                    state,
-                    consumer,
-                    producer_seen,
-                    cur_src,
-                    cur_len,
-                    buf,
-                }
-            }
-            2 => Repr::SendExpress { items: r.load()? },
-            3 => Repr::RecvExpress {
-                expect: r.usize_()?,
-                got: r.usize_()?,
-                primed: bool::load(r)?,
-            },
-            4 => {
-                let (addr, len, off) = (r.u64()?, r.u32()?, r.u32()?);
-                // The region walk computes `addr + off`.
-                if addr.checked_add(len as u64).is_none() {
-                    return Err(SnapshotError::Corrupt { offset: at });
-                }
-                Repr::ReadRegion { addr, len, off }
-            }
-            5 => {
-                let addr = r.u64()?;
-                let data: Vec<u8> = r.load()?;
-                let off = r.usize_()?;
-                // The write loop slices `data[off..off + 8]`.
-                if !data.len().is_multiple_of(8) || !off.is_multiple_of(8) || off > data.len() {
-                    return Err(SnapshotError::Corrupt { offset: at });
-                }
-                if addr.checked_add(data.len() as u64).is_none() {
-                    return Err(SnapshotError::Corrupt { offset: at });
-                }
-                Repr::WriteRegion { addr, data, off }
-            }
-            6 => {
-                if depth >= MAX_SEQ_DEPTH {
-                    return Err(SnapshotError::Corrupt { offset: at });
-                }
-                let n = r.count()?;
-                let mut parts = Vec::with_capacity(n);
-                for _ in 0..n {
-                    parts.push(ProgramSnapshot::load_at(r, depth + 1)?);
-                }
-                Repr::Seq(parts)
-            }
-            7 => Repr::Delay(r.u64()?),
-            8 => {
-                let kind = r.u8()?;
-                let state = RecvState::load(r)?;
-                let consumer = r.u16()?;
-                let producer_seen = r.u16()?;
-                let cur_len = r.u32()?;
-                let buf: Vec<u8> = r.load()?;
-                let done = bool::load(r)?;
-                let idle_polls = r.u32()?;
-                // The kind byte indexes the result-label table, and
-                // `ReadBody` computes `cur_len - (off - 8)` exactly as
-                // in RecvBasic.
-                if kind > 3 {
-                    return Err(SnapshotError::Corrupt { offset: at });
-                }
-                if let RecvState::ReadBody { off } = state {
-                    if off > 0 && (off < 8 || off - 8 > cur_len) {
-                        return Err(SnapshotError::Corrupt { offset: at });
-                    }
-                }
-                Repr::CollWait {
-                    kind,
-                    state,
-                    consumer,
-                    producer_seen,
-                    cur_len,
-                    buf,
-                    done,
-                    idle_polls,
-                }
-            }
-            9 => Repr::TenantScheduler(crate::tenancy::SchedSnap::load_at(r, depth)?),
-            _ => return r.corrupt(),
-        };
-        Ok(ProgramSnapshot(repr))
+    /// The record of one program: `tag`, then the fields `save` writes.
+    pub(crate) fn record(tag: u8, save: impl FnOnce(&mut SnapWriter)) -> Self {
+        let mut w = SnapWriter::new();
+        w.u8(tag);
+        save(&mut w);
+        ProgramSnapshot(w.finish())
     }
 }
 
 impl StateSave for ProgramSnapshot {
     fn save(&self, w: &mut SnapWriter) {
-        match &self.0 {
-            Repr::SendBasic {
-                items,
-                state,
-                producer,
-                consumer_seen,
-            } => {
-                w.u8(0);
-                w.save(items);
-                state.save(w);
-                w.u16(*producer);
-                w.u16(*consumer_seen);
-            }
-            Repr::RecvBasic {
-                expect,
-                got,
-                state,
-                consumer,
-                producer_seen,
-                cur_src,
-                cur_len,
-                buf,
-            } => {
-                w.u8(1);
-                w.usize_(*expect);
-                w.usize_(*got);
-                state.save(w);
-                w.u16(*consumer);
-                w.u16(*producer_seen);
-                w.u16(*cur_src);
-                w.u32(*cur_len);
-                w.save(buf);
-            }
-            Repr::SendExpress { items } => {
-                w.u8(2);
-                w.save(items);
-            }
-            Repr::RecvExpress {
-                expect,
-                got,
-                primed,
-            } => {
-                w.u8(3);
-                w.usize_(*expect);
-                w.usize_(*got);
-                primed.save(w);
-            }
-            Repr::ReadRegion { addr, len, off } => {
-                w.u8(4);
-                w.u64(*addr);
-                w.u32(*len);
-                w.u32(*off);
-            }
-            Repr::WriteRegion { addr, data, off } => {
-                w.u8(5);
-                w.u64(*addr);
-                w.save(data);
-                w.usize_(*off);
-            }
-            Repr::Seq(parts) => {
-                w.u8(6);
-                w.save(parts);
-            }
-            Repr::Delay(ns) => {
-                w.u8(7);
-                w.u64(*ns);
-            }
-            Repr::CollWait {
-                kind,
-                state,
-                consumer,
-                producer_seen,
-                cur_len,
-                buf,
-                done,
-                idle_polls,
-            } => {
-                w.u8(8);
-                w.u8(*kind);
-                state.save(w);
-                w.u16(*consumer);
-                w.u16(*producer_seen);
-                w.u32(*cur_len);
-                w.save(buf);
-                done.save(w);
-                w.u32(*idle_polls);
-            }
-            Repr::TenantScheduler(snap) => {
-                w.u8(9);
-                snap.save(w);
-            }
-        }
+        w.raw(&self.0);
     }
 }
-impl StateLoad for ProgramSnapshot {
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        ProgramSnapshot::load_at(r, 0)
+
+/// Nested [`Seq`] records, and tenant child bodies, deeper than this are
+/// rejected as corrupt: decoding recurses, and a forged snapshot must not
+/// be able to drive the decoder's stack arbitrarily deep.
+pub(crate) const MAX_SEQ_DEPTH: u32 = 64;
+
+/// Decode one program record, written by [`Program::snapshot`], and
+/// build the program on `lib` (the restored machine's library handle for
+/// the same node). `depth` is the record's nesting depth: 0 for a node's
+/// program, one more for each enclosing `Seq` or tenant scheduler. Each
+/// kind's checks refuse, as [`SnapshotError::Corrupt`], states its steps
+/// would index or overflow on.
+pub(crate) fn load_program(
+    r: &mut SnapReader<'_>,
+    lib: &NodeLib,
+    depth: u32,
+) -> Result<Box<dyn Program>, SnapshotError> {
+    let at = r.offset();
+    let corrupt = SnapshotError::Corrupt { offset: at };
+    Ok(match r.u8()? {
+        0 => {
+            let items: VecDeque<BasicMsg> = r.load()?;
+            let state = r.load()?;
+            // The send loop indexes the front message (and its TagOn
+            // attachment) in every mid-message state; a forged
+            // snapshot must not reach those `expect`s.
+            let front_ok = match state {
+                SendState::Next | SendState::PollSpace => true,
+                SendState::WriteTagon { .. } => items.front().is_some_and(|m| m.tagon.is_some()),
+                SendState::WriteHeader | SendState::WritePayload { .. } | SendState::PtrUpdate => {
+                    !items.is_empty()
+                }
+            };
+            if !front_ok {
+                return Err(corrupt);
+            }
+            Box::new(SendBasic {
+                lib: *lib,
+                items,
+                state,
+                producer: r.u16()?,
+                consumer_seen: r.u16()?,
+            })
+        }
+        1 => {
+            let p = RecvBasic {
+                lib: *lib,
+                expect: r.usize_()?,
+                got: r.usize_()?,
+                state: r.load()?,
+                consumer: r.u16()?,
+                producer_seen: r.u16()?,
+                cur_src: r.u16()?,
+                cur_len: r.u32()?,
+                buf: r.load()?,
+            };
+            if !recv_state_ok(p.state, p.cur_len) {
+                return Err(corrupt);
+            }
+            Box::new(p)
+        }
+        2 => Box::new(SendExpress {
+            lib: *lib,
+            items: r.load()?,
+        }),
+        3 => Box::new(RecvExpress {
+            lib: *lib,
+            expect: r.usize_()?,
+            got: r.usize_()?,
+            primed: r.load()?,
+        }),
+        4 => Box::new(r.load::<ReadRegion>()?),
+        5 => Box::new(r.load::<WriteRegion>()?),
+        6 => {
+            if depth >= MAX_SEQ_DEPTH {
+                return Err(corrupt);
+            }
+            let n = r.count()?;
+            let parts = (0..n).map(|_| load_program(r, lib, depth + 1));
+            Box::new(Seq::new(parts.collect::<Result<_, _>>()?))
+        }
+        7 => Box::new(r.load::<Delay>()?),
+        8 => {
+            let p = CollWait {
+                lib: *lib,
+                kind: r.u8()?,
+                state: r.load()?,
+                consumer: r.u16()?,
+                producer_seen: r.u16()?,
+                cur_len: r.u32()?,
+                buf: r.load()?,
+                done: r.load()?,
+                idle_polls: r.u32()?,
+            };
+            // The kind byte indexes the result-label table.
+            if p.kind > 3 || !recv_state_ok(p.state, p.cur_len) {
+                return Err(corrupt);
+            }
+            Box::new(p)
+        }
+        9 => Box::new(TenantScheduler::load(r, lib, depth)?),
+        _ => return Err(corrupt),
+    })
+}
+
+/// Whether a restored receive loop ([`RecvBasic`], [`CollWait`]) can
+/// step from `state`: `cur_len` only ever holds the rx slot's one-byte
+/// length, and `ReadBody` computes `cur_len - (off - 8)` and `off + 8`.
+fn recv_state_ok(state: RecvState, cur_len: u32) -> bool {
+    let body_ok = match state {
+        RecvState::ReadBody { off } => off == 0 || (off >= 8 && off - 8 <= cur_len),
+        _ => true,
+    };
+    cur_len <= u32::from(u8::MAX) && body_ok
+}
+
+sv_sim::checkpointed! {
+    struct ReadRegion {
+        addr,
+        len,
+        off,
+    }
+    // The region walk computes `addr + off`.
+    validate: |p: &ReadRegion| p.addr.checked_add(u64::from(p.len)).is_some()
+}
+
+sv_sim::checkpointed! {
+    struct WriteRegion {
+        addr,
+        data,
+        off,
+    }
+    // The write loop slices `data[off..off + 8]` and computes `addr + off`.
+    validate: |p: &WriteRegion| {
+        p.data.len().is_multiple_of(8)
+            && p.off.is_multiple_of(8)
+            && p.off <= p.data.len()
+            && p.addr.checked_add(p.data.len() as u64).is_some()
     }
 }
 
@@ -1519,6 +1270,87 @@ sv_sim::checkpointed! {
 mod tests {
     use super::*;
     use crate::machine::Machine;
+
+    /// Decode a hand-built program record as node 0's program.
+    fn decode(record: SnapWriter) -> Result<Box<dyn Program>, SnapshotError> {
+        let lib = Machine::builder(2).build().lib(0);
+        let bytes = record.finish();
+        let mut r = SnapReader::new(&bytes);
+        let p = load_program(&mut r, &lib, 0)?;
+        r.finish()?;
+        Ok(p)
+    }
+
+    fn step(p: &mut dyn Program) -> Step {
+        let mut events = Vec::new();
+        p.step(&mut Env {
+            now: sv_sim::Time::ZERO,
+            node: 0,
+            last_load: 0,
+            events: &mut events,
+        })
+    }
+
+    #[test]
+    fn a_region_walk_ending_past_u32_max_finishes() {
+        // Regression: the walk's `off += 32` overflowed after the last
+        // load of a region ending within 32 bytes of `u32::MAX`.
+        let mut w = SnapWriter::new();
+        w.u8(4);
+        w.u64(0);
+        w.u32(u32::MAX);
+        w.u32(u32::MAX - 1);
+        let mut p = decode(w).expect("a valid walk");
+        let addr = u64::from(u32::MAX - 1);
+        assert_eq!(step(&mut *p), Step::Load { addr, bytes: 8 });
+        assert_eq!(step(&mut *p), Step::Done);
+    }
+
+    /// A `RecvBasic` record expecting one message, in `state`.
+    fn recv_basic(state: RecvState, cur_len: u32) -> Result<(), SnapshotError> {
+        let mut w = SnapWriter::new();
+        w.u8(1);
+        w.usize_(1); // expect
+        w.usize_(0); // got
+        w.save(&state);
+        w.raw(&[0; 6]); // consumer, producer_seen, cur_src
+        w.u32(cur_len);
+        w.save(&Vec::<u8>::new());
+        decode(w).map(drop)
+    }
+
+    /// A barrier `CollWait` record in `state`.
+    fn coll_wait(state: RecvState, cur_len: u32) -> Result<(), SnapshotError> {
+        let mut w = SnapWriter::new();
+        w.u8(8);
+        w.u8(0); // kind
+        w.save(&state);
+        w.raw(&[0; 4]); // consumer, producer_seen
+        w.u32(cur_len);
+        w.save(&Vec::<u8>::new());
+        w.save(&false); // done
+        w.u32(0); // idle_polls
+        decode(w).map(drop)
+    }
+
+    #[test]
+    fn a_receive_length_past_one_byte_is_corrupt() {
+        // Regression: `cur_len` only ever holds the rx slot's one-byte
+        // length, yet a restored `u32::MAX` passed the `ReadBody` check
+        // at `off: u32::MAX - 3` and overflowed at `off + 8`.
+        for record in [recv_basic, coll_wait] {
+            assert_eq!(record(RecvState::ReadBody { off: 16 }, 255), Ok(()));
+            for (state, cur_len) in [
+                (RecvState::ReadBody { off: u32::MAX - 3 }, u32::MAX),
+                (RecvState::Poll, 256),
+            ] {
+                assert!(
+                    matches!(record(state, cur_len), Err(SnapshotError::Corrupt { .. })),
+                    "{state:?} with cur_len {cur_len} accepted"
+                );
+            }
+        }
+    }
 
     #[test]
     fn resuming_below_queue_depth_needs_no_initial_poll() {

@@ -10,6 +10,7 @@
 //! Programs record [`AppEvent`]s; benches and tests read the event log
 //! for both data verification and timestamps.
 
+use crate::api::ProgramSnapshot;
 use bytes::Bytes;
 use sv_sim::Time;
 
@@ -123,12 +124,15 @@ pub trait Program: Send {
     /// holds the result of the previous load.
     fn step(&mut self, env: &mut Env<'_>) -> Step;
 
-    /// Capture this program's execution state for a machine checkpoint,
-    /// or `None` when the program cannot be snapshotted (the default —
-    /// e.g. closure-based [`FnProgram`]s). A `None` from a program that
-    /// has not finished makes [`crate::Machine::try_checkpoint`] fail
-    /// with [`sv_sim::ckpt::SnapshotError::UnsupportedProgram`].
-    fn snapshot(&self) -> Option<crate::api::ProgramSnapshot> {
+    /// Write this program's checkpoint record — a kind tag, then its
+    /// execution state, straight from its own fields — or `None` when
+    /// the program cannot be snapshotted (the default, e.g. closure-based
+    /// [`FnProgram`]s). The layer-0 library's programs, [`Seq`] and
+    /// [`Delay`] write records; restore decodes them on the restored
+    /// node. A `None` from a program that has not finished makes
+    /// [`crate::Machine::try_checkpoint`] fail with
+    /// [`sv_sim::ckpt::SnapshotError::UnsupportedProgram`].
+    fn snapshot(&self) -> Option<ProgramSnapshot> {
         None
     }
 
@@ -165,14 +169,14 @@ impl Program for Seq {
         Step::Done
     }
 
-    fn snapshot(&self) -> Option<crate::api::ProgramSnapshot> {
+    fn snapshot(&self) -> Option<ProgramSnapshot> {
         // Exhausted parts carry no future behaviour; only the remainder
         // is captured. Every remaining part must itself be snapshottable.
-        let rest: Option<Vec<_>> = self.parts[self.idx..]
+        let rest: Vec<ProgramSnapshot> = self.parts[self.idx..]
             .iter()
             .map(|p| p.snapshot())
-            .collect();
-        rest.map(crate::api::ProgramSnapshot::seq)
+            .collect::<Option<_>>()?;
+        Some(ProgramSnapshot::record(6, |w| w.save(&rest)))
     }
 }
 
@@ -190,8 +194,8 @@ impl Program for Delay {
         Step::Compute(d)
     }
 
-    fn snapshot(&self) -> Option<crate::api::ProgramSnapshot> {
-        Some(crate::api::ProgramSnapshot::delay(self.0))
+    fn snapshot(&self) -> Option<ProgramSnapshot> {
+        Some(ProgramSnapshot::record(7, |w| w.save(self)))
     }
 }
 
@@ -215,6 +219,8 @@ sv_sim::checkpointed! {
         1 => Bytes(b),
     }
 }
+
+sv_sim::checkpointed! { struct Delay(ns) }
 
 sv_sim::checkpointed! {
     struct AppEvent {

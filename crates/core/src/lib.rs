@@ -58,7 +58,6 @@ pub mod machine;
 pub mod metrics;
 pub mod node;
 pub mod params;
-pub mod report;
 pub mod runloop;
 pub mod stats;
 pub mod sweep;

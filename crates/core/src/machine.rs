@@ -1199,15 +1199,21 @@ impl Machine {
                 _ => return Err(SnapshotError::Corrupt { offset: at }.into()),
             }
             self.nodes[i].delta_apply(&mut r)?;
-            let prog: Option<crate::api::ProgramSnapshot> = r.load()?;
-            if let Some(snap) = prog {
-                let lib = self.lib(i as u16);
-                let p = snap.instantiate(&lib);
-                self.nodes[i].set_restored_program(p);
-            }
+            self.load_node_program(i, &mut r)?;
         }
         r.finish()?;
         self.cycle = header.to_cycle;
+        Ok(())
+    }
+
+    /// Decode node `i`'s program, written as an `Option` of its record,
+    /// and install it on the node's library handle.
+    fn load_node_program(&mut self, i: usize, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+        // The `Option`'s presence byte.
+        if r.load::<bool>()? {
+            let p = crate::api::load_program(r, &self.lib(i as u16), 0)?;
+            self.nodes[i].set_restored_program(p);
+        }
         Ok(())
     }
 }
@@ -1347,12 +1353,7 @@ impl MachineBuilder {
         m.tenancy = tenancy;
         for i in 0..n {
             m.nodes[i].restore(&mut r)?;
-            let prog: Option<crate::api::ProgramSnapshot> = r.load()?;
-            if let Some(snap) = prog {
-                let lib = m.lib(i as u16);
-                let p = snap.instantiate(&lib);
-                m.nodes[i].set_restored_program(p);
-            }
+            m.load_node_program(i, &mut r)?;
         }
         r.finish()?;
         Ok(m)

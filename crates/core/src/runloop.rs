@@ -155,8 +155,7 @@ pub enum Parallelism {
     ///
     /// [`MachineBuilder::try_build`]: crate::machine::MachineBuilder::try_build
     Fixed(usize),
-    /// `Fixed(n)` with `n` taken from the host: the `VOYAGER_WORKERS`
-    /// environment variable if set to a positive integer, otherwise
+    /// `Fixed(n)` with `n` taken from the host:
     /// [`std::thread::available_parallelism`], clamped to the node
     /// count. Results are still bit-identical to every other setting —
     /// only wall-clock speed varies.
@@ -179,22 +178,11 @@ impl Parallelism {
                 shards: n,
             }),
             Parallelism::Fixed(k) => Ok(k),
-            Parallelism::Auto => Ok(auto_workers().clamp(1, n)),
-        }
-    }
-}
-
-/// Worker count for [`Parallelism::Auto`]: `VOYAGER_WORKERS` if set to a
-/// positive integer, else the host's available parallelism.
-fn auto_workers() -> usize {
-    if let Ok(v) = std::env::var("VOYAGER_WORKERS") {
-        if let Ok(k) = v.trim().parse::<usize>() {
-            if k >= 1 {
-                return k;
+            Parallelism::Auto => {
+                Ok(std::thread::available_parallelism().map_or(1, |p| p.get().min(n)))
             }
         }
     }
-    std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
 /// How nodes are partitioned into shards for parallel execution. Every

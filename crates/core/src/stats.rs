@@ -1,10 +1,9 @@
 //! Machine-wide observability: the [`Machine::stats`] snapshot.
 //!
-//! Where [`crate::report`] condenses a run into human-readable
-//! utilization percentages, this module exposes the *raw counters* of
-//! every simulated component as one structured, serializable value —
-//! per-queue enqueue/dequeue/stall counts, per-class message
-//! conservation and latency distributions, memory-bus and Arctic
+//! This module exposes the *raw counters* of every simulated component
+//! as one structured, serializable value — per-queue
+//! enqueue/dequeue/stall counts, per-class message conservation and
+//! latency distributions, aP, sP and memory-bus busy time, Arctic
 //! per-link occupancy, firmware protocol counters, and run-loop
 //! execution counters. Every field is an integer, so snapshots are
 //! bit-deterministic: the determinism suite asserts byte-identical

@@ -31,7 +31,7 @@
 //! state machine over `Env { now, last_load }`, so per-tenant stats are
 //! byte-identical across run modes, worker counts and shard policies.
 
-use crate::api::{ApiError, BasicMsg, ProgramSnapshot};
+use crate::api::{load_program, ApiError, BasicMsg, ProgramSnapshot, MAX_SEQ_DEPTH};
 use crate::app::{AppEventKind, Env, Program, Step, StoreData};
 use crate::machine::{dest, shadow, NodeLib, QueueView};
 use std::collections::VecDeque;
@@ -184,43 +184,34 @@ impl TenancyParams {
     }
 }
 
-impl StateSave for TenancyParams {
+impl StateSave for SchedPolicy {
     fn save(&self, w: &mut SnapWriter) {
-        w.u16(self.tenants_per_node);
-        w.u8(self.policy.code());
-        w.u64(self.policy.quantum_ns());
-        w.save(&self.confined);
+        w.u8(self.code());
+        w.u64(self.quantum_ns());
     }
 }
-impl StateLoad for TenancyParams {
+impl StateLoad for SchedPolicy {
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
         let at = r.offset();
-        let tenants_per_node = r.u16()?;
-        let policy = match r.u8()? {
-            0 => {
-                // Round-robin serializes a zero quantum.
-                if r.u64()? != 0 {
-                    return Err(SnapshotError::Corrupt { offset: at });
-                }
-                SchedPolicy::RoundRobin
-            }
-            1 => SchedPolicy::WeightedTimeSlice {
-                quantum_ns: r.u64()?,
-            },
-            _ => return Err(SnapshotError::Corrupt { offset: at }),
-        };
-        let confined: Option<u16> = r.load()?;
-        let p = TenancyParams {
-            tenants_per_node,
-            policy,
-            confined,
-        };
-        // Re-run the build-time validation: a forged snapshot must not
-        // smuggle an unbuildable configuration past `try_new`.
-        if confined.is_some_and(|c| c >= tenants_per_node) || tenants_per_node == 0 {
-            return Err(SnapshotError::Corrupt { offset: at });
+        match (r.u8()?, r.u64()?) {
+            // Round-robin serializes a zero quantum.
+            (0, 0) => Ok(SchedPolicy::RoundRobin),
+            (1, quantum_ns) => Ok(SchedPolicy::WeightedTimeSlice { quantum_ns }),
+            _ => Err(SnapshotError::Corrupt { offset: at }),
         }
-        Ok(p)
+    }
+}
+
+sv_sim::checkpointed! {
+    struct TenancyParams {
+        tenants_per_node,
+        policy,
+        confined,
+    }
+    // Re-run the build-time validation: a forged snapshot must not
+    // smuggle an unbuildable configuration past `try_new`.
+    validate: |p: &TenancyParams| {
+        p.tenants_per_node > 0 && p.confined.is_none_or(|c| c < p.tenants_per_node)
     }
 }
 
@@ -403,18 +394,6 @@ enum MuxState {
     PtrUpdate,
 }
 
-impl MuxState {
-    fn code(self) -> u8 {
-        match self {
-            MuxState::Idle => 0,
-            MuxState::PollSpace => 1,
-            MuxState::WriteHeader => 2,
-            MuxState::WritePayload { .. } => 3,
-            MuxState::PtrUpdate => 4,
-        }
-    }
-}
-
 /// A shared Basic-transmit engine: replays the layer-0
 /// [`crate::api::SendBasic`] store/load sequence for one message at a
 /// time on behalf of whichever tenant owns the in-flight message.
@@ -446,6 +425,54 @@ impl BasicTxMux {
 
     fn busy(&self) -> bool {
         self.state != MuxState::Idle
+    }
+
+    /// Checkpoint the mux: a state code, the payload offset (0 outside
+    /// `WritePayload`), the queue cursors, the owner and the in-flight
+    /// message. The queue view is the scheduler's to supply on load.
+    fn save(&self, w: &mut SnapWriter) {
+        let (code, off) = match self.state {
+            MuxState::Idle => (0, 0),
+            MuxState::PollSpace => (1, 0),
+            MuxState::WriteHeader => (2, 0),
+            MuxState::WritePayload { off } => (3, off),
+            MuxState::PtrUpdate => (4, 0),
+        };
+        w.u8(code);
+        w.u32(off);
+        w.u16(self.producer);
+        w.u16(self.consumer_seen);
+        w.u16(self.owner);
+        w.save(&self.msg);
+    }
+
+    /// Decode a mux written by [`BasicTxMux::save`] onto queue `view`.
+    fn load(r: &mut SnapReader<'_>, view: QueueView) -> Result<Self, SnapshotError> {
+        let corrupt = SnapshotError::Corrupt { offset: r.offset() };
+        let (code, off) = (r.u8()?, r.u32()?);
+        let state = match code {
+            0 => MuxState::Idle,
+            1 => MuxState::PollSpace,
+            2 => MuxState::WriteHeader,
+            3 => MuxState::WritePayload { off },
+            4 => MuxState::PtrUpdate,
+            _ => return Err(corrupt),
+        };
+        let m = BasicTxMux {
+            view,
+            state,
+            producer: r.u16()?,
+            consumer_seen: r.u16()?,
+            owner: r.u16()?,
+            msg: r.load()?,
+        };
+        // Every non-idle state dereferences the in-flight message; a
+        // forged snapshot must not reach those expects (and an idle mux
+        // holding a message would never release it).
+        if m.busy() != m.msg.is_some() {
+            return Err(corrupt);
+        }
+        Ok(m)
     }
 
     fn begin(&mut self, owner: u16, msg: BasicMsg) {
@@ -635,7 +662,7 @@ impl TenantScheduler {
                 Entity::Task(t) => t,
             };
             if let Some(task) = self.tasks.get_mut(owner as usize) {
-                task.active_ns += dt;
+                task.active_ns = task.active_ns.saturating_add(dt);
             }
         }
     }
@@ -649,7 +676,7 @@ impl TenantScheduler {
             Entity::Task(t) => t,
         };
         if let Some(task) = self.tasks.get_mut(owner as usize) {
-            task.steps += 1;
+            task.steps = task.steps.saturating_add(1);
         }
         self.attr = Some(e);
         self.sticky = matches!(step, Step::Load { .. }).then_some(e);
@@ -669,7 +696,7 @@ impl TenantScheduler {
                 let step = self.yield_step(Entity::Mux1, s);
                 if completed {
                     if let Some(t) = self.tasks.get_mut(owner) {
-                        t.sent_msgs += 1;
+                        t.sent_msgs = t.sent_msgs.saturating_add(1);
                     }
                 }
                 Some(step)
@@ -683,7 +710,7 @@ impl TenantScheduler {
                 let step = self.yield_step(Entity::Mux3, s);
                 if completed {
                     if let Some(t) = self.tasks.get_mut(owner) {
-                        t.sent_msgs += 1;
+                        t.sent_msgs = t.sent_msgs.saturating_add(1);
                     }
                 }
                 Some(step)
@@ -714,9 +741,10 @@ impl TenantScheduler {
         if let SchedPolicy::WeightedTimeSlice { quantum_ns } = self.policy {
             if let Some(c) = self.current {
                 let task = &self.tasks[c as usize];
+                // Saturating: a quantum too large to scale never preempts.
                 if ready(task)
                     && task.active_ns.saturating_sub(self.slice_start_ns)
-                        < quantum_ns * task.spec.weight as u64
+                        < quantum_ns.saturating_mul(u64::from(task.spec.weight))
                 {
                     return Some(c);
                 }
@@ -725,10 +753,11 @@ impl TenantScheduler {
         for k in 0..n {
             let i = (self.cursor + k) % n;
             if ready(&self.tasks[i as usize]) {
+                let task = &mut self.tasks[i as usize];
                 self.cursor = (i + 1) % n;
                 self.current = Some(i);
-                self.slice_start_ns = self.tasks[i as usize].active_ns;
-                self.tasks[i as usize].slices += 1;
+                self.slice_start_ns = task.active_ns;
+                task.slices = task.slices.saturating_add(1);
                 return Some(i);
             }
         }
@@ -830,38 +859,48 @@ impl Program for TenantScheduler {
     }
 
     fn snapshot(&self) -> Option<ProgramSnapshot> {
-        let mut tasks = Vec::with_capacity(self.tasks.len());
+        // Every child must itself be snapshottable.
+        let mut children = Vec::new();
         for t in &self.tasks {
-            let body = match &t.body {
-                JobBody::Stream(items) => BodySnap::Stream(items.clone()),
-                // Every child must itself be snapshottable.
-                JobBody::Child(p) => BodySnap::Child(p.snapshot()?),
-            };
-            tasks.push(TaskSnap {
-                spec_id: t.spec.id,
-                class: t.spec.class.code(),
-                weight: t.spec.weight,
-                confined: t.confined,
-                ready_at: t.ready_at,
-                done: t.done,
-                active_ns: t.active_ns,
-                slices: t.slices,
-                steps: t.steps,
-                sent_msgs: t.sent_msgs,
-                body,
-            });
+            if let JobBody::Child(p) = &t.body {
+                children.push(p.snapshot()?);
+            }
         }
-        Some(ProgramSnapshot::tenant_scheduler(SchedSnap {
-            policy: self.policy,
-            tasks,
-            mux1: MuxSnap::of(&self.mux1),
-            mux3: self.mux3.as_ref().map(MuxSnap::of),
-            cursor: self.cursor,
-            current: self.current,
-            slice_start_ns: self.slice_start_ns,
-            attr: self.attr.map(entity_code),
-            sticky: self.sticky.map(entity_code),
-            last_now: self.last_now,
+        let mut children = children.iter();
+        Some(ProgramSnapshot::record(9, |w| {
+            w.save(&self.policy);
+            w.usize_(self.tasks.len());
+            for t in &self.tasks {
+                w.save(&t.spec);
+                w.save(&t.confined);
+                w.u64(t.ready_at);
+                w.save(&t.done);
+                w.u64(t.active_ns);
+                w.u64(t.slices);
+                w.u64(t.steps);
+                w.u64(t.sent_msgs);
+                match &t.body {
+                    JobBody::Stream(items) => {
+                        w.u8(0);
+                        w.save(items);
+                    }
+                    JobBody::Child(_) => {
+                        w.u8(1);
+                        w.save(children.next().expect("one record per child"));
+                    }
+                }
+            }
+            self.mux1.save(w);
+            w.save(&self.mux3.is_some());
+            if let Some(m) = &self.mux3 {
+                m.save(w);
+            }
+            w.u16(self.cursor);
+            w.save(&self.current);
+            w.u64(self.slice_start_ns);
+            w.save(&self.attr.map(Entity::code));
+            w.save(&self.sticky.map(Entity::code));
+            w.u64(self.last_now);
         }))
     }
 
@@ -870,351 +909,122 @@ impl Program for TenantScheduler {
     }
 }
 
-fn entity_code(e: Entity) -> u8 {
-    match e {
-        Entity::Mux1 => 0,
-        Entity::Mux3 => 1,
-        Entity::Task(_) => 2,
-    }
-}
-
-// =====================================================================
-// Snapshot representation (ProgramSnapshot tag 9)
-// =====================================================================
-
-#[derive(Debug, Clone)]
-pub(crate) enum BodySnap {
-    Stream(VecDeque<StreamItem>),
-    Child(ProgramSnapshot),
-}
-
-#[derive(Debug, Clone)]
-pub(crate) struct TaskSnap {
-    spec_id: u16,
-    class: u8,
-    weight: u32,
-    confined: bool,
-    ready_at: u64,
-    done: bool,
-    active_ns: u64,
-    slices: u64,
-    steps: u64,
-    sent_msgs: u64,
-    body: BodySnap,
-}
-
-#[derive(Debug, Clone)]
-struct MuxSnap {
-    state: MuxState,
-    producer: u16,
-    consumer_seen: u16,
-    owner: u16,
-    msg: Option<BasicMsg>,
-}
-
-impl MuxSnap {
-    fn of(m: &BasicTxMux) -> MuxSnap {
-        MuxSnap {
-            state: m.state,
-            producer: m.producer,
-            consumer_seen: m.consumer_seen,
-            owner: m.owner,
-            msg: m.msg.clone(),
-        }
-    }
-}
-
-/// Serialized [`TenantScheduler`] state — the payload of
-/// [`ProgramSnapshot`] wire tag 9.
-#[derive(Debug, Clone)]
-pub(crate) struct SchedSnap {
-    policy: SchedPolicy,
-    tasks: Vec<TaskSnap>,
-    mux1: MuxSnap,
-    mux3: Option<MuxSnap>,
-    cursor: u16,
-    current: Option<u16>,
-    slice_start_ns: u64,
-    attr: Option<u8>,
-    sticky: Option<u8>,
-    last_now: u64,
-}
-
-fn decode_class(code: u8) -> Option<TenantClass> {
-    Some(match code {
-        0 => TenantClass::Bulk,
-        1 => TenantClass::Latency,
-        2 => TenantClass::Bursty,
-        3 => TenantClass::Misbehaving,
-        _ => return None,
-    })
-}
-
-fn decode_entity(code: u8, task_hint: u16) -> Option<Entity> {
-    Some(match code {
-        0 => Entity::Mux1,
-        1 => Entity::Mux3,
-        2 => Entity::Task(task_hint),
-        _ => return None,
-    })
-}
-
-impl SchedSnap {
-    /// Rebuild the runnable scheduler against the restored machine's
-    /// library handle. The confined tx queue's geometry is the fixed
-    /// default carving, so no extra context is needed.
-    pub(crate) fn instantiate(&self, lib: &NodeLib) -> TenantScheduler {
-        let rebuild_mux = |snap: &MuxSnap, view: QueueView| {
-            let mut m = BasicTxMux::new(view);
-            m.state = snap.state;
-            m.producer = snap.producer;
-            m.consumer_seen = snap.consumer_seen;
-            m.owner = snap.owner;
-            m.msg = snap.msg.clone();
-            m
-        };
-        let tasks = self
-            .tasks
-            .iter()
-            .map(|t| TenantTask {
-                spec: TenantSpec {
-                    id: t.spec_id,
-                    class: decode_class(t.class).unwrap_or(TenantClass::Bulk),
-                    weight: t.weight,
-                },
-                confined: t.confined,
-                ready_at: t.ready_at,
-                done: t.done,
-                active_ns: t.active_ns,
-                slices: t.slices,
-                steps: t.steps,
-                sent_msgs: t.sent_msgs,
-                body: match &t.body {
-                    BodySnap::Stream(items) => JobBody::Stream(items.clone()),
-                    BodySnap::Child(snap) => JobBody::Child(snap.instantiate(lib)),
-                },
-            })
-            .collect();
-        // The sticky/attr task index is recovered from the mux owners /
-        // current task; for Task entities the owner is the current task
-        // (loads from a child are always followed by routing back to
-        // that child before any rotation).
-        let cur = self.current.unwrap_or(0);
-        TenantScheduler {
-            lib: *lib,
-            policy: self.policy,
-            tasks,
-            mux1: rebuild_mux(&self.mux1, lib.basic_tx),
-            mux3: self
-                .mux3
-                .as_ref()
-                .map(|snap| rebuild_mux(snap, confined_tx_view())),
-            cursor: self.cursor,
-            current: self.current,
-            slice_start_ns: self.slice_start_ns,
-            attr: self.attr.and_then(|c| decode_entity(c, cur)),
-            sticky: self.sticky.and_then(|c| decode_entity(c, cur)),
-            last_now: self.last_now,
-        }
-    }
-
-    pub(crate) fn save(&self, w: &mut SnapWriter) {
-        w.u8(self.policy.code());
-        w.u64(self.policy.quantum_ns());
-        w.usize_(self.tasks.len());
-        for t in &self.tasks {
-            w.u16(t.spec_id);
-            w.u8(t.class);
-            w.u32(t.weight);
-            t.confined.save(w);
-            w.u64(t.ready_at);
-            t.done.save(w);
-            w.u64(t.active_ns);
-            w.u64(t.slices);
-            w.u64(t.steps);
-            w.u64(t.sent_msgs);
-            match &t.body {
-                BodySnap::Stream(items) => {
-                    w.u8(0);
-                    w.usize_(items.len());
-                    for it in items {
-                        match it {
-                            StreamItem::Delay(ns) => {
-                                w.u8(0);
-                                w.u64(*ns);
-                            }
-                            StreamItem::Msg(m) => {
-                                w.u8(1);
-                                m.save(w);
-                            }
-                        }
-                    }
-                }
-                BodySnap::Child(snap) => {
-                    w.u8(1);
-                    snap.save(w);
-                }
-            }
-        }
-        let save_mux = |w: &mut SnapWriter, m: &MuxSnap| {
-            w.u8(m.state.code());
-            let off = match m.state {
-                MuxState::WritePayload { off } => off,
-                _ => 0,
-            };
-            w.u32(off);
-            w.u16(m.producer);
-            w.u16(m.consumer_seen);
-            w.u16(m.owner);
-            w.save(&m.msg);
-        };
-        save_mux(w, &self.mux1);
-        self.mux3.is_some().save(w);
-        if let Some(m) = &self.mux3 {
-            save_mux(w, m);
-        }
-        w.u16(self.cursor);
-        w.save(&self.current);
-        w.u64(self.slice_start_ns);
-        w.save(&self.attr);
-        w.save(&self.sticky);
-        w.u64(self.last_now);
-    }
-
-    pub(crate) fn load_at(r: &mut SnapReader<'_>, depth: u32) -> Result<Self, SnapshotError> {
-        let at = r.offset();
-        let policy = match r.u8()? {
-            0 => {
-                if r.u64()? != 0 {
-                    return Err(SnapshotError::Corrupt { offset: at });
-                }
-                SchedPolicy::RoundRobin
-            }
-            1 => SchedPolicy::WeightedTimeSlice {
-                quantum_ns: r.u64()?,
-            },
-            _ => return Err(SnapshotError::Corrupt { offset: at }),
-        };
+impl TenantScheduler {
+    /// Decode a scheduler record (wire tag 9, past its tag) and build the
+    /// scheduler on `lib`, the restored node's library handle; the
+    /// confined tx queue's geometry is the fixed default carving.
+    /// `depth` is the record's nesting depth: child job bodies decode one
+    /// level deeper, under the same [`MAX_SEQ_DEPTH`] guard as `Seq`.
+    pub(crate) fn load(
+        r: &mut SnapReader<'_>,
+        lib: &NodeLib,
+        depth: u32,
+    ) -> Result<Self, SnapshotError> {
+        let corrupt = SnapshotError::Corrupt { offset: r.offset() };
+        let policy = r.load()?;
         let n = r.count()?;
-        if n == 0 || n > u16::MAX as usize {
-            return Err(SnapshotError::Corrupt { offset: at });
+        if n == 0 || n > usize::from(u16::MAX) {
+            return Err(corrupt);
         }
         let mut tasks = Vec::with_capacity(n);
         for _ in 0..n {
-            let spec_id = r.u16()?;
-            let class = r.u8()?;
-            if decode_class(class).is_none() {
-                return Err(SnapshotError::Corrupt { offset: at });
-            }
-            let weight = r.u32()?;
-            let confined = bool::load(r)?;
-            let ready_at = r.u64()?;
-            let done = bool::load(r)?;
-            let active_ns = r.u64()?;
-            let slices = r.u64()?;
-            let steps = r.u64()?;
-            let sent_msgs = r.u64()?;
-            let body = match r.u8()? {
-                0 => {
-                    let k = r.count()?;
-                    let mut items = VecDeque::with_capacity(k.min(4096));
-                    for _ in 0..k {
-                        items.push_back(match r.u8()? {
-                            0 => StreamItem::Delay(r.u64()?),
-                            // BasicMsg::load re-validates payload sizes.
-                            1 => StreamItem::Msg(BasicMsg::load(r)?),
-                            _ => return Err(SnapshotError::Corrupt { offset: at }),
-                        });
+            tasks.push(TenantTask {
+                spec: r.load()?,
+                confined: r.load()?,
+                ready_at: r.u64()?,
+                done: r.load()?,
+                active_ns: r.u64()?,
+                slices: r.u64()?,
+                steps: r.u64()?,
+                sent_msgs: r.u64()?,
+                body: match r.u8()? {
+                    0 => JobBody::Stream(r.load()?),
+                    1 if depth + 1 < MAX_SEQ_DEPTH => {
+                        JobBody::Child(load_program(r, lib, depth + 1)?)
                     }
-                    BodySnap::Stream(items)
-                }
-                1 => BodySnap::Child(ProgramSnapshot::load_at_depth(r, depth + 1)?),
-                _ => return Err(SnapshotError::Corrupt { offset: at }),
-            };
-            tasks.push(TaskSnap {
-                spec_id,
-                class,
-                weight,
-                confined,
-                ready_at,
-                done,
-                active_ns,
-                slices,
-                steps,
-                sent_msgs,
-                body,
+                    _ => return Err(corrupt),
+                },
             });
         }
-        let load_mux = |r: &mut SnapReader<'_>| -> Result<MuxSnap, SnapshotError> {
-            let at = r.offset();
-            let code = r.u8()?;
-            let state_off = r.u32()?;
-            let producer = r.u16()?;
-            let consumer_seen = r.u16()?;
-            let owner = r.u16()?;
-            let msg: Option<BasicMsg> = r.load()?;
-            let state = match code {
-                0 => MuxState::Idle,
-                1 => MuxState::PollSpace,
-                2 => MuxState::WriteHeader,
-                3 => MuxState::WritePayload { off: state_off },
-                4 => MuxState::PtrUpdate,
-                _ => return Err(SnapshotError::Corrupt { offset: at }),
-            };
-            // Every non-idle state dereferences the in-flight message;
-            // a forged snapshot must not reach those expects (and an
-            // idle mux holding a message would never release it).
-            if (state != MuxState::Idle) != msg.is_some() {
-                return Err(SnapshotError::Corrupt { offset: at });
-            }
-            Ok(MuxSnap {
-                state,
-                producer,
-                consumer_seen,
-                owner,
-                msg,
-            })
+        let mux1 = BasicTxMux::load(r, lib.basic_tx)?;
+        let mux3 = match r.load()? {
+            true => Some(BasicTxMux::load(r, confined_tx_view())?),
+            false => None,
         };
-        let mux1 = load_mux(r)?;
-        let has_mux3 = bool::load(r)?;
-        let mux3 = if has_mux3 { Some(load_mux(r)?) } else { None };
         let cursor = r.u16()?;
         let current: Option<u16> = r.load()?;
         let slice_start_ns = r.u64()?;
         let attr: Option<u8> = r.load()?;
         let sticky: Option<u8> = r.load()?;
         let last_now = r.u64()?;
-        // Indices must address the task vector; entity codes must
-        // decode; a Mux3 reference requires the mux to exist.
-        let n16 = n as u16;
-        if cursor >= n16
-            || current.is_some_and(|c| c >= n16)
-            || mux1.owner >= n16
-            || mux3.as_ref().is_some_and(|m| m.owner >= n16)
+        // Indices must address the task vector.
+        let n = n as u16;
+        if cursor >= n
+            || current.is_some_and(|c| c >= n)
+            || mux1.owner >= n
+            || mux3.as_ref().is_some_and(|m| m.owner >= n)
         {
-            return Err(SnapshotError::Corrupt { offset: at });
+            return Err(corrupt);
         }
-        for code in attr.iter().chain(sticky.iter()) {
-            match decode_entity(*code, 0) {
-                None => return Err(SnapshotError::Corrupt { offset: at }),
-                Some(Entity::Mux3) if !has_mux3 => {
-                    return Err(SnapshotError::Corrupt { offset: at })
-                }
-                _ => {}
-            }
-        }
-        Ok(SchedSnap {
+        // Entity codes must decode, and name `Mux3` only when it exists.
+        // A task entity is the current task: a child's load routes back
+        // to it before any rotation.
+        let entity = |code: Option<u8>| match code {
+            None => Ok(None),
+            Some(0) => Ok(Some(Entity::Mux1)),
+            Some(1) if mux3.is_some() => Ok(Some(Entity::Mux3)),
+            Some(2) => Ok(Some(Entity::Task(current.unwrap_or(0)))),
+            Some(_) => Err(corrupt),
+        };
+        Ok(TenantScheduler {
+            lib: *lib,
             policy,
             tasks,
+            attr: entity(attr)?,
+            sticky: entity(sticky)?,
             mux1,
             mux3,
             cursor,
             current,
             slice_start_ns,
-            attr,
-            sticky,
             last_now,
         })
+    }
+}
+
+impl Entity {
+    /// Checkpoint code: the task index is not written (see
+    /// [`TenantScheduler::load`]).
+    fn code(self) -> u8 {
+        match self {
+            Entity::Mux1 => 0,
+            Entity::Mux3 => 1,
+            Entity::Task(_) => 2,
+        }
+    }
+}
+
+sv_sim::checkpointed! {
+    enum TenantClass {
+        0 => Bulk,
+        1 => Latency,
+        2 => Bursty,
+        3 => Misbehaving,
+    }
+}
+
+sv_sim::checkpointed! {
+    struct TenantSpec {
+        id,
+        class,
+        weight,
+    }
+}
+
+sv_sim::checkpointed! {
+    enum StreamItem {
+        0 => Delay(ns),
+        1 => Msg(msg),
     }
 }
 
@@ -1226,6 +1036,26 @@ mod tests {
     fn mini_lib() -> NodeLib {
         let m = crate::Machine::builder(2).build();
         m.lib(0)
+    }
+
+    /// Step `sched` up to `steps` times, advancing time by each compute
+    /// step and 10 ns per other step.
+    fn drive(sched: &mut TenantScheduler, steps: usize) {
+        let mut events = Vec::new();
+        let mut now = 0u64;
+        for _ in 0..steps {
+            let mut env = Env {
+                now: Time::from_ns(now),
+                node: 0,
+                last_load: 0,
+                events: &mut events,
+            };
+            match sched.step(&mut env) {
+                Step::Done => break,
+                Step::Compute(ns) => now += ns,
+                _ => now += 10,
+            }
+        }
     }
 
     fn stream(msgs: usize, dest: u16) -> JobBody {
@@ -1366,26 +1196,29 @@ mod tests {
                 JobBody::Child(Box::new(crate::app::Delay(40_000))),
             ],
         );
-        let mut events = Vec::new();
-        let mut now = 0u64;
-        for _ in 0..100 {
-            let mut env = Env {
-                now: Time::from_ns(now),
-                node: 0,
-                last_load: 0,
-                events: &mut events,
-            };
-            match sched.step(&mut env) {
-                Step::Done => break,
-                Step::Compute(ns) => now += ns,
-                _ => now += 10,
-            }
-        }
+        drive(&mut sched, 100);
         let report = sched.report();
         assert!(report.iter().all(|t| t.done));
         assert_eq!(report[0].active_ns, 40_000);
         assert_eq!(report[1].active_ns, 40_000);
         assert!(report[0].slices >= 1 && report[1].slices >= 1);
+    }
+
+    #[test]
+    fn task_counters_saturate() {
+        // Regression: a restored task's counters at `u64::MAX` overflowed
+        // on its next slice, step, sent message or charged nanosecond.
+        let tp = TenancyParams {
+            tenants_per_node: 1,
+            ..TenancyParams::default()
+        };
+        let mut sched = TenantScheduler::new(mini_lib(), &tp, vec![stream(1, 1)]);
+        let t = &mut sched.tasks[0];
+        (t.slices, t.steps, t.sent_msgs, t.active_ns) = (u64::MAX, u64::MAX, u64::MAX, u64::MAX);
+        drive(&mut sched, 100);
+        let r = sched.report()[0];
+        assert!(r.done);
+        assert_eq!([r.slices, r.steps, r.sent_msgs, r.active_ns], [u64::MAX; 4]);
     }
 
     #[test]

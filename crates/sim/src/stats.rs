@@ -172,33 +172,24 @@ impl Log2Histogram {
     }
 }
 
-/// Tracks how long a resource was busy, for occupancy/utilization reports.
+/// Tracks how long a resource was busy: utilization over a run is
+/// `busy_ns` over the run's length.
 ///
-/// Call [`Occupancy::busy`] with each busy interval's duration; utilization
-/// over a window is `busy_ns / window_ns`.
+/// Call [`Occupancy::busy_at`] with each busy interval.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct Occupancy {
     /// Total busy time, ns.
     pub busy_ns: u64,
     /// Number of distinct busy intervals.
     pub intervals: u64,
-    /// End of the latest *anchored* busy interval (see [`Occupancy::busy_at`]),
-    /// ns. Zero if only unanchored intervals were recorded.
+    /// End of the latest busy interval, ns. Nothing reads it; snapshot
+    /// format 5 carries it.
     pub last_end_ns: u64,
 }
 
 impl Occupancy {
-    /// Account `ns` of busy time.
-    #[inline]
-    pub fn busy(&mut self, ns: u64) {
-        self.busy_ns += ns;
-        self.intervals += 1;
-    }
-
-    /// Account a busy interval anchored at `start_ns` lasting `dur_ns`.
-    /// Anchoring lets [`Occupancy::busy_within`] clip an interval that
-    /// straddles the end of a measurement window, so utilization can never
-    /// exceed 1 for non-overlapping charges.
+    /// Account a busy interval starting at `start_ns` and lasting
+    /// `dur_ns`.
     #[inline]
     pub fn busy_at(&mut self, start_ns: u64, dur_ns: u64) {
         self.busy_ns += dur_ns;
@@ -206,40 +197,6 @@ impl Occupancy {
         let end = start_ns + dur_ns;
         if end > self.last_end_ns {
             self.last_end_ns = end;
-        }
-    }
-
-    /// Busy time attributable to `[0, window_end_ns)`: total busy time minus
-    /// the overhang of the final anchored interval past the window end.
-    /// Exact when intervals are non-overlapping and issued in time order
-    /// (the shape every engine's busy-timer charges take).
-    pub fn busy_within(&self, window_end_ns: u64) -> u64 {
-        let overhang = self.last_end_ns.saturating_sub(window_end_ns);
-        self.busy_ns.saturating_sub(overhang)
-    }
-
-    /// Utilization in `[0,1]` over a window of `window_ns`, clamped at 1:
-    /// a final busy interval that straddles the window end would otherwise
-    /// push the ratio past 1 (a real bug reports hit — see the regression
-    /// test). Callers that know their charges are anchored should prefer
-    /// [`Occupancy::utilization_within`], which clips the overhang exactly
-    /// instead of saturating.
-    pub fn utilization(&self, window_ns: u64) -> f64 {
-        if window_ns == 0 {
-            0.0
-        } else {
-            (self.busy_ns as f64 / window_ns as f64).min(1.0)
-        }
-    }
-
-    /// Utilization over `[0, window_ns)` with the final straddling interval
-    /// clipped at the window boundary (never exceeds 1 for non-overlapping
-    /// charges, unlike [`Occupancy::utilization`]).
-    pub fn utilization_within(&self, window_ns: u64) -> f64 {
-        if window_ns == 0 {
-            0.0
-        } else {
-            self.busy_within(window_ns) as f64 / window_ns as f64
         }
     }
 }
@@ -390,16 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_utilization() {
-        let mut o = Occupancy::default();
-        o.busy(250);
-        o.busy(250);
-        assert_eq!(o.intervals, 2);
-        assert!((o.utilization(1000) - 0.5).abs() < 1e-12);
-        assert_eq!(o.utilization(0), 0.0);
-    }
-
-    #[test]
     fn empty_summary_exports_no_sentinel_min() {
         let s = Summary::default();
         assert!(s.is_empty());
@@ -417,52 +364,12 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_clips_interval_straddling_run_boundary() {
+    fn occupancy_busy_at_accumulates_and_keeps_the_latest_end() {
         let mut o = Occupancy::default();
         o.busy_at(0, 100);
-        o.busy_at(900, 200); // straddles a window ending at 1000
-        assert_eq!(o.busy_ns, 300);
+        o.busy_at(900, 200);
+        assert_eq!((o.busy_ns, o.intervals), (300, 2));
         assert_eq!(o.last_end_ns, 1100);
-        assert_eq!(o.busy_within(1000), 200);
-        assert!((o.utilization_within(1000) - 0.2).abs() < 1e-12);
-        // Naive utilization over-counts the overhang...
-        assert!((o.utilization(1000) - 0.3).abs() < 1e-12);
-        // ...and a fully-straddling charge used to push it past 1.0
-        // (busy_ns=100 over a 50ns window read as 200% utilization in
-        // stats reports); it now saturates at 1.0, and the clipped form
-        // stays exact.
-        let mut b = Occupancy::default();
-        b.busy_at(990, 100);
-        assert_eq!(b.utilization(50), 1.0);
-        assert!(b.utilization_within(50) <= 1.0);
-        assert_eq!(b.busy_within(1000), 10);
-        // Windows past the last interval see the full busy time.
-        assert_eq!(o.busy_within(2000), 300);
-        assert_eq!(o.utilization_within(0), 0.0);
-    }
-
-    #[test]
-    fn utilization_never_exceeds_one_on_straddling_final_interval() {
-        // Regression: a busy charge issued just before the measurement
-        // window closed (sP handler still running at snapshot time) made
-        // `utilization` report >100%. Both forms must stay in [0, 1] for
-        // any window, including windows shorter than the busy time.
-        let mut o = Occupancy::default();
-        o.busy_at(0, 400);
-        o.busy_at(450, 400); // ends at 850
-        for window in [1, 100, 449, 500, 849, 850, 10_000] {
-            let u = o.utilization(window);
-            let uw = o.utilization_within(window);
-            assert!((0.0..=1.0).contains(&u), "utilization({window}) = {u}");
-            assert!(
-                (0.0..=1.0).contains(&uw),
-                "utilization_within({window}) = {uw}"
-            );
-        }
-        // Clipping is exact where clamping merely saturates.
-        assert_eq!(o.busy_within(500), 450);
-        assert_eq!(o.utilization(100), 1.0);
-        assert!((o.utilization_within(500) - 0.9).abs() < 1e-12);
     }
 
     #[test]

@@ -173,8 +173,8 @@ impl Program for Stencil {
 }
 
 fn main() {
-    // Auto takes the thread count from the host (or VOYAGER_WORKERS);
-    // results are bit-identical at any worker count.
+    // Auto takes the thread count from the host; results are
+    // bit-identical at any worker count.
     let mut m = Machine::builder(NODES)
         .parallelism(Parallelism::Auto)
         .build();
@@ -210,11 +210,12 @@ fn main() {
         "global checksum (agreed by all nodes via all-reduce): {:.3}",
         sums[0] as f64 / 1000.0
     );
-    let r = m.report();
+    let s = m.stats();
+    let (net, cpu) = (&s.network, &s.nodes[0].cpu);
     println!(
         "network: {} packets, mean latency {:.0} ns; node 0 aP utilization {:.1}%",
-        r.network.packets_delivered,
-        r.network.mean_packet_latency_ns,
-        100.0 * r.nodes[0].ap_utilization
+        net.delivered,
+        net.latency_sum_ns as f64 / net.latency_count.max(1) as f64,
+        100.0 * (cpu.compute_ns + cpu.mem_stall_ns) as f64 / s.sim_time_ns.max(1) as f64
     );
 }

@@ -198,6 +198,32 @@ fn latency_class_stays_pinned_under_cache_thrash() {
     }
 }
 
+/// Regression: the weighted slice scaled its quantum by the tenant's
+/// weight with a plain multiply, which overflowed for a quantum past
+/// `u64::MAX / 4` (a panic with overflow checks, a near-zero quantum
+/// without). A quantum too large to scale never preempts.
+#[test]
+fn a_huge_weighted_quantum_runs_the_mix_to_quiescence() {
+    let tp = TenancyParams {
+        policy: SchedPolicy::WeightedTimeSlice {
+            quantum_ns: u64::MAX / 2,
+        },
+        ..mix_params()
+    };
+    let mut m = Machine::builder(4).tenants(tp).build();
+    let scheduled = load_tenant_mix(&mut m, 6);
+    m.run_to_quiescence();
+    let rows: Vec<_> = m
+        .stats()
+        .nodes
+        .iter()
+        .flat_map(|n| n.tenants.as_ref().expect("armed").tenants.clone())
+        .collect();
+    assert!(rows.iter().all(|t| t.done == 1), "every job ran to its end");
+    let sent: u64 = rows.iter().map(|t| t.sent_msgs).sum();
+    assert_eq!(sent, scheduled, "every scheduled message went out");
+}
+
 #[test]
 fn cross_tenant_protection_isolation_matrix() {
     // For every choice of confined tenant c, have c aim a message at
