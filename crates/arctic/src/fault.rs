@@ -19,7 +19,6 @@
 //! the same [`FaultParams::seed`].
 
 use crate::packet::Packet;
-use serde::{Deserialize, Serialize};
 use sv_sim::rng::DetRng;
 
 /// Scale of the fault-rate knobs: rates are parts per million, so the
@@ -28,7 +27,7 @@ pub const PPM: u32 = 1_000_000;
 
 /// Fault-injection configuration. All rates are parts-per-million per
 /// injected packet; the default is all-zero (a perfect network).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultParams {
     /// Probability (ppm) a packet vanishes at injection.
     pub drop_ppm: u32,

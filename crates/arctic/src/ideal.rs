@@ -1,8 +1,10 @@
 //! Contention-free reference network.
 //!
-//! [`IdealNetwork`] delivers every packet after a fixed latency plus its
-//! own serialization time, with no queueing anywhere. It is *not* used by
-//! the main experiments — it exists so ablations can separate NIU-side
+//! [`Network::set_ideal`](crate::Network::set_ideal) arms an
+//! `IdealNetwork` inside the Arctic model, which then carries every
+//! packet through it: each is delivered after a fixed latency plus its
+//! own serialization time, with no queueing anywhere. It is *not* used
+//! by the main experiments — it exists so ablations can separate NIU-side
 //! costs from network-side costs, and so tests have an analytically exact
 //! baseline.
 
@@ -12,19 +14,19 @@ use sv_sim::{EventQueue, Time};
 
 /// A network with infinite internal bandwidth: per-packet latency is
 /// `fixed_latency_ns + serialize_ns(wire_bytes)` and packets never queue
-/// (not even at the source).
+/// (not even at the source). It ignores the fault injector and QoS.
 #[derive(Debug, Clone)]
-pub struct IdealNetwork<P> {
-    /// Fixed latency ns.
-    pub fixed_latency_ns: u64,
-    /// Timing/geometry parameters.
-    pub params: LinkParams,
-    nodes: usize,
+pub(crate) struct IdealNetwork<P> {
+    fixed_latency_ns: u64,
+    params: LinkParams,
+    /// Attached nodes; restore refuses a pipe whose count differs from
+    /// the tree's.
+    pub(crate) nodes: usize,
     events: EventQueue<Packet<P>>,
     delivered: Vec<(Time, Packet<P>)>,
     /// Whole-section dirty flag for delta snapshots; runtime bookkeeping,
     /// never serialized. Fresh and restored instances start dirty.
-    dirty: bool,
+    pub(crate) dirty: bool,
     /// [`IdealNetwork::harvest`]'s copy of `events`, kept so refreshing
     /// it reuses the buffer. Never serialized.
     saved: EventQueue<Packet<P>>,
@@ -32,7 +34,7 @@ pub struct IdealNetwork<P> {
 
 impl<P> IdealNetwork<P> {
     /// An ideal network over `nodes` endpoints.
-    pub fn new(nodes: usize, fixed_latency_ns: u64, params: LinkParams) -> Self {
+    pub(crate) fn new(nodes: usize, fixed_latency_ns: u64, params: LinkParams) -> Self {
         IdealNetwork {
             fixed_latency_ns,
             params,
@@ -44,24 +46,8 @@ impl<P> IdealNetwork<P> {
         }
     }
 
-    /// Number of attached nodes.
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
-    /// True if anything changed since the last
-    /// [`IdealNetwork::ckpt_clear_dirty`].
-    pub fn ckpt_dirty(&self) -> bool {
-        self.dirty
-    }
-
-    /// Forget the dirty mark.
-    pub fn ckpt_clear_dirty(&mut self) {
-        self.dirty = false;
-    }
-
     /// Inject a packet; it will be delivered after the fixed pipe delay.
-    pub fn inject(&mut self, now: Time, mut packet: Packet<P>) {
+    pub(crate) fn inject(&mut self, now: Time, mut packet: Packet<P>) {
         assert!((packet.dst as usize) < self.nodes);
         packet.injected_at = now;
         self.dirty = true;
@@ -70,12 +56,12 @@ impl<P> IdealNetwork<P> {
     }
 
     /// Time of the next delivery, if any.
-    pub fn next_event_time(&self) -> Option<Time> {
+    pub(crate) fn next_event_time(&self) -> Option<Time> {
         self.events.peek_time()
     }
 
     /// Move every packet due at or before `until` to the delivered list.
-    pub fn advance(&mut self, until: Time) {
+    pub(crate) fn advance(&mut self, until: Time) {
         while let Some(t) = self.events.peek_time() {
             if t > until {
                 break;
@@ -91,7 +77,7 @@ impl<P> IdealNetwork<P> {
     /// the network as it was. The pipe has no link state: an advance only
     /// pops events, so saving and restoring the queue is the whole
     /// rollback (see [`crate::Network::harvest`]).
-    pub fn harvest(&mut self, horizon: Time, out: &mut Vec<(Time, Packet<P>)>)
+    pub(crate) fn harvest(&mut self, horizon: Time, out: &mut Vec<(Time, Packet<P>)>)
     where
         P: Clone,
     {
@@ -104,18 +90,10 @@ impl<P> IdealNetwork<P> {
         self.dirty = dirty;
     }
 
-    /// Drain delivered packets in delivery order.
-    pub fn take_delivered(&mut self) -> Vec<(Time, Packet<P>)> {
-        if !self.delivered.is_empty() {
-            self.dirty = true;
-        }
-        std::mem::take(&mut self.delivered)
-    }
-
     /// Drain delivered packets into a caller-owned buffer, in delivery
     /// order; both buffers keep their capacity (see
     /// [`crate::Network::drain_delivered_into`]).
-    pub fn drain_delivered_into(&mut self, out: &mut Vec<(Time, Packet<P>)>) {
+    pub(crate) fn drain_delivered_into(&mut self, out: &mut Vec<(Time, Packet<P>)>) {
         if !self.delivered.is_empty() {
             self.dirty = true;
         }
@@ -126,7 +104,7 @@ impl<P> IdealNetwork<P> {
     /// an injection at `t` affects exactly one delivery, at
     /// `t + fixed_latency_ns + serialize_ns(wire)`, which is at least
     /// this bound (every packet carries the header).
-    pub fn lookahead_ns(&self) -> u64 {
+    pub(crate) fn lookahead_ns(&self) -> u64 {
         self.fixed_latency_ns + self.params.serialize_ns(crate::packet::PACKET_HEADER_BYTES)
     }
 }
@@ -179,12 +157,21 @@ impl<P: StateLoad + Clone> StateLoad for IdealNetwork<P> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::packet::Priority;
+    use crate::{LinkParams, Network, Packet, RoutingPolicy};
+    use sv_sim::ckpt::{SnapWriter, StateSave};
+    use sv_sim::Time;
+
+    /// A `nodes`-node network with a `fixed_latency_ns` pipe armed.
+    fn pipe<P>(nodes: usize, fixed_latency_ns: u64) -> Network<P> {
+        let mut n = Network::new(nodes, LinkParams::default(), RoutingPolicy::HashSpread);
+        n.set_ideal(fixed_latency_ns);
+        n
+    }
 
     #[test]
     fn fixed_latency_plus_serialization() {
-        let mut n = IdealNetwork::new(2, 500, LinkParams::default());
+        let mut n = pipe(2, 500);
         n.inject(Time::ZERO, Packet::new(0, 1, Priority::Low, 88, ()));
         n.advance(Time::from_ns(10_000));
         let got = n.take_delivered();
@@ -194,7 +181,7 @@ mod tests {
 
     #[test]
     fn no_contention_between_flows() {
-        let mut n = IdealNetwork::new(3, 100, LinkParams::default());
+        let mut n = pipe(3, 100);
         // Two packets to the same destination at the same instant arrive
         // at the same instant: the ideal network has no shared resources.
         n.inject(Time::ZERO, Packet::new(0, 2, Priority::Low, 88, 1u8));
@@ -207,11 +194,12 @@ mod tests {
 
     #[test]
     fn harvest_matches_a_cloned_advance_and_rolls_back() {
-        let mut n = IdealNetwork::new(4, 300, LinkParams::default());
+        let mut n = pipe(4, 300);
         let mut twin = n.clone();
-        let snapshot = |n: &IdealNetwork<u32>| {
+        let snapshot = |n: &Network<u32>| {
             let mut w = SnapWriter::new();
             n.save(&mut w);
+            n.save_delta(&mut w);
             w.finish()
         };
         let mut out = Vec::new();
@@ -250,11 +238,13 @@ mod tests {
                 assert_eq!(n.next_event_time(), twin.next_event_time());
             }
         }
+        // The tree carried nothing.
+        assert_eq!(n.stats.injected.get(), 0);
     }
 
     #[test]
     fn advance_respects_bound() {
-        let mut n = IdealNetwork::new(2, 1000, LinkParams::default());
+        let mut n = pipe(2, 1000);
         n.inject(Time::ZERO, Packet::new(0, 1, Priority::High, 0, ()));
         n.advance(Time::from_ns(10));
         assert!(n.take_delivered().is_empty());

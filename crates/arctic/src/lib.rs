@@ -17,8 +17,10 @@
 //!   link serializes packets at link bandwidth, per-priority output queues
 //!   give high-priority packets dispatch preference, and per-hop router
 //!   latency is charged on top.
-//! - [`ideal::IdealNetwork`] is a contention-free constant-latency model
-//!   used in ablations to isolate NIU costs from network costs.
+//! - [`Network::set_ideal`] swaps the tree for a contention-free
+//!   constant-latency pipe, used in ablations to isolate NIU costs from
+//!   network costs. The network's entry points route to the pipe while
+//!   it is armed, so callers hold one [`Network`] on either fabric.
 //!
 //! The payload type is generic: the NIU crate ships its structured message
 //! format through the network without a serialization round-trip; only the
@@ -35,13 +37,12 @@
 //! releases. CRC and physical encoding are out of scope.
 
 pub mod fault;
-pub mod ideal;
+mod ideal;
 pub mod network;
 pub mod packet;
 pub mod topology;
 
 pub use fault::{FaultModel, FaultParams, FaultVerdict};
-pub use ideal::IdealNetwork;
 pub use network::{
     LinkParams, LinkUsage, Network, NetworkStats, QosParams, VcArbitration, VcUsage,
 };

@@ -25,17 +25,22 @@
 //! [`Network::harvest`] looks ahead instead: it advances, collects, and
 //! rolls back exactly what the advance changed, so a parallel run loop
 //! can learn a window's deliveries before committing the window.
+//!
+//! [`Network::set_ideal`] swaps the tree for a contention-free
+//! fixed-latency pipe (the network-cost ablation): every entry point
+//! above then routes to the pipe, so callers hold one network either
+//! way and never learn which model carries their packets.
 
 use crate::fault::{FaultModel, FaultParams};
-use crate::packet::{NodeId, Packet};
+use crate::ideal::IdealNetwork;
+use crate::packet::Packet;
 use crate::topology::{FatTree, LinkId, RoutingPolicy};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use sv_sim::stats::{Counter, Summary};
 use sv_sim::{EventQueue, Time};
 
 /// Link timing parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkParams {
     /// Serialization cost as a rational `ns_num/ns_den` nanoseconds per
     /// byte. Arctic: 160 MB/s = 6.25 ns/B = 25/4.
@@ -70,7 +75,7 @@ impl LinkParams {
 }
 
 /// Output-port arbitration among a link's virtual channels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VcArbitration {
     /// Always scan VCs from 0 upward — VC 0 (the High class) wins every
     /// contested slot. This is the legacy two-priority discipline.
@@ -88,7 +93,7 @@ pub enum VcArbitration {
 /// QoS additionally bounds every `(link, vc)` buffer at
 /// `credits_per_vc` slots, so timing differs from the unarmed model
 /// whenever a buffer would have overflowed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QosParams {
     /// Virtual channels per link. Packets map to `min(priority index,
     /// vcs-1)`: with 1 VC all traffic shares one buffer (the
@@ -257,7 +262,7 @@ enum NetEvent {
 }
 
 /// Aggregate network statistics.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct NetworkStats {
     /// Packets injected.
     pub injected: Counter,
@@ -326,6 +331,9 @@ pub struct Network<P> {
     /// Undo journal of [`Network::harvest`]; empty between harvests
     /// apart from buffers kept for reuse. Never serialized.
     save: Savepoint,
+    /// The contention-free pipe, when armed (see [`Network::set_ideal`]):
+    /// it then carries every packet, and the tree stays idle.
+    ideal: Option<IdealNetwork<P>>,
 }
 
 /// What one [`Network::harvest`] must put back: the pre-image of every
@@ -398,6 +406,7 @@ impl<P> Network<P> {
             stats: NetworkStats::default(),
             dirty: true,
             save: Savepoint::default(),
+            ideal: None,
         }
     }
 
@@ -435,6 +444,20 @@ impl<P> Network<P> {
         }
     }
 
+    /// Carry every packet through a contention-free pipe instead of the
+    /// tree: each is delivered `fixed_latency_ns` plus its serialization
+    /// time after injection, with no queueing — the network-cost
+    /// ablation. The pipe ignores the fault injector and QoS. Must run
+    /// before any traffic.
+    pub fn set_ideal(&mut self, fixed_latency_ns: u64) {
+        assert!(
+            self.next_event_time().is_none(),
+            "set_ideal must run before traffic"
+        );
+        let pipe = IdealNetwork::new(self.nodes(), fixed_latency_ns, self.params);
+        self.ideal = Some(pipe);
+    }
+
     /// The QoS configuration in force, if any.
     pub fn qos(&self) -> Option<QosParams> {
         self.qos
@@ -454,10 +477,10 @@ impl<P> Network<P> {
             .sum()
     }
 
-    /// True if anything (links, flights, fault RNG, stats) may have
-    /// changed since the last [`Network::ckpt_clear_dirty`].
+    /// True if anything (links, flights, fault RNG, stats, the pipe) may
+    /// have changed since the last [`Network::ckpt_clear_dirty`].
     pub fn ckpt_dirty(&self) -> bool {
-        self.dirty
+        self.dirty || self.ideal.as_ref().is_some_and(|p| p.dirty)
     }
 
     /// Forget the dirty marks — called when a checkpoint cut captures the
@@ -465,6 +488,9 @@ impl<P> Network<P> {
     pub fn ckpt_clear_dirty(&mut self) {
         self.dirty = false;
         self.dirty_links.fill(0);
+        if let Some(pipe) = &mut self.ideal {
+            pipe.dirty = false;
+        }
     }
 
     /// Whether link `l` was written since the last checkpoint cut.
@@ -484,6 +510,9 @@ impl<P> Network<P> {
     where
         P: Clone,
     {
+        if let Some(pipe) = &mut self.ideal {
+            return pipe.inject(now, packet);
+        }
         assert_ne!(packet.src, packet.dst, "network cannot loop back to self");
         packet.injected_at = now;
         self.dirty = true;
@@ -600,7 +629,10 @@ impl<P> Network<P> {
 
     /// Time of the next internal event, if any.
     pub fn next_event_time(&self) -> Option<Time> {
-        self.events.peek_time()
+        match &self.ideal {
+            Some(pipe) => pipe.next_event_time(),
+            None => self.events.peek_time(),
+        }
     }
 
     /// Process all internal events with `time <= until`; deliveries are
@@ -609,6 +641,9 @@ impl<P> Network<P> {
     where
         P: Clone,
     {
+        if let Some(pipe) = &mut self.ideal {
+            return pipe.advance(until);
+        }
         while let Some(t) = self.events.peek_time() {
             if t > until {
                 break;
@@ -814,6 +849,9 @@ impl<P> Network<P> {
     where
         P: Clone,
     {
+        if let Some(pipe) = &mut self.ideal {
+            return pipe.harvest(horizon, out);
+        }
         let pending = self.delivered.len();
         let save = &mut self.save;
         save.events.clone_from(&self.events);
@@ -853,10 +891,9 @@ impl<P> Network<P> {
 
     /// Drain packets delivered since the last call, in delivery order.
     pub fn take_delivered(&mut self) -> Vec<(Time, Packet<P>)> {
-        if !self.delivered.is_empty() {
-            self.dirty = true;
-        }
-        std::mem::take(&mut self.delivered)
+        let mut out = Vec::new();
+        self.drain_delivered_into(&mut out);
+        out
     }
 
     /// Drain delivered packets into a caller-owned buffer, in delivery
@@ -864,23 +901,13 @@ impl<P> Network<P> {
     /// but the packets: both buffers keep their capacity, so a run loop
     /// polling every event cycle allocates nothing in the steady state.
     pub fn drain_delivered_into(&mut self, out: &mut Vec<(Time, Packet<P>)>) {
+        if let Some(pipe) = &mut self.ideal {
+            return pipe.drain_delivered_into(out);
+        }
         if !self.delivered.is_empty() {
             self.dirty = true;
         }
         out.append(&mut self.delivered);
-    }
-
-    /// Whether any packets are still queued or in flight.
-    pub fn quiescent(&self) -> bool {
-        self.events.is_empty() && self.delivered.is_empty()
-    }
-
-    /// Minimum possible one-way latency for a `wire_bytes`-byte packet
-    /// between `s` and `d` on an idle network (analytic; used by tests and
-    /// the bench harness to sanity-check measurements).
-    pub fn ideal_latency_ns(&self, s: NodeId, d: NodeId, wire_bytes: u32) -> u64 {
-        let hops = self.topology.hop_count(s, d) as u64;
-        hops * (self.params.serialize_ns(wire_bytes) + self.params.router_latency_ns)
     }
 
     /// Conservative lookahead: a packet injected at time `t` cannot
@@ -896,8 +923,12 @@ impl<P> Network<P> {
     /// and if L is a later hop the injected packet first spent a full hop
     /// reaching L. Either way the earliest perturbed delivery is bounded
     /// below by two minimum hop times. Window-parallel execution relies
-    /// on this bound; see `DESIGN.md`.
+    /// on this bound; see `DESIGN.md`. With the pipe armed it is the
+    /// pipe's own bound: its fixed latency plus a header's serialization.
     pub fn lookahead_ns(&self) -> u64 {
+        if let Some(pipe) = &self.ideal {
+            return pipe.lookahead_ns();
+        }
         2 * (self.params.serialize_ns(crate::packet::PACKET_HEADER_BYTES)
             + self.params.router_latency_ns)
     }
@@ -919,6 +950,27 @@ impl<P> Network<P> {
         self.topology.min_cross_subtree_hops(k) as u64
             * (self.params.serialize_ns(crate::packet::PACKET_HEADER_BYTES)
                 + self.params.router_latency_ns)
+    }
+
+    /// The fat-tree height whose aligned subtrees a parallel run loop on
+    /// `workers` workers shards by: the worker-balance choice
+    /// ([`FatTree::shard_levels_for`]), which the tree then coarsens,
+    /// never below one subtree per worker, until cross-shard traffic
+    /// spends two lookahead windows in flight
+    /// ([`Network::cross_subtree_latency_ns`]). The pipe has no hops.
+    pub fn shard_level(&self, workers: usize) -> u32 {
+        let topo = &self.topology;
+        let mut k = topo.shard_levels_for(workers);
+        if self.ideal.is_none() {
+            let floor_ns = 2 * self.lookahead_ns();
+            while topo.subtree_count(k + 1) >= workers
+                && topo.subtree_count(k) > 1
+                && self.cross_subtree_latency_ns(k) < floor_ns
+            {
+                k += 1;
+            }
+        }
+        k
     }
 
     /// Per-link usage snapshot for links that carried traffic, in link-id
@@ -1072,16 +1124,18 @@ sv_sim::checkpointed! {
 }
 
 impl<P: StateSave + Clone> StateSave for Network<P> {
-    /// The topology is not serialized — it is a pure function of the node
-    /// count, rebuilt by [`Network::new`] on restore.
+    /// The tree, then the pipe option. The topology is not serialized —
+    /// it is a pure function of the node count, rebuilt by
+    /// [`Network::new`] on restore.
     fn save(&self, w: &mut SnapWriter) {
-        self.save_with(w, |w| w.save(&self.links));
+        self.save_tree(w, |w| w.save(&self.links));
+        w.save(&self.ideal);
     }
 }
 
 impl<P: StateSave + Clone> Network<P> {
-    /// The snapshot layout, with `links` writing the link section.
-    fn save_with(&self, w: &mut SnapWriter, links: impl FnOnce(&mut SnapWriter)) {
+    /// The tree's snapshot layout, with `links` writing the link section.
+    fn save_tree(&self, w: &mut SnapWriter, links: impl FnOnce(&mut SnapWriter)) {
         w.usize_(self.nodes());
         w.save(&self.params);
         w.save(&self.policy);
@@ -1096,20 +1150,29 @@ impl<P: StateSave + Clone> Network<P> {
         w.save(&self.stats);
     }
 
-    /// A delta record: the snapshot layout with the link section cut to
-    /// the links written since the last checkpoint cut, as a `u64` entry
-    /// count and ascending `(u64 link index, link)` entries. A window of
-    /// traffic writes a few links of a large fabric; everything else is
-    /// small and rewritten whole.
+    /// A delta record: the tree's section, then the pipe option, each
+    /// after a presence byte and only when changed since the last cut.
+    /// The tree's is its snapshot layout with the link section cut to the
+    /// links written since the cut, as a `u64` entry count and ascending
+    /// `(u64 link index, link)` entries: a window of traffic writes a few
+    /// links of a large fabric; everything else is small and whole.
     pub fn save_delta(&self, w: &mut SnapWriter) {
-        self.save_with(w, |w| {
-            let dirty = || (0..self.links.len()).filter(|&l| self.link_dirty(l));
-            w.usize_(dirty().count());
-            for l in dirty() {
-                w.u64(l as u64);
-                w.save(&self.links[l]);
-            }
-        });
+        w.save(&self.dirty);
+        if self.dirty {
+            self.save_tree(w, |w| {
+                let dirty = || (0..self.links.len()).filter(|&l| self.link_dirty(l));
+                w.usize_(dirty().count());
+                for l in dirty() {
+                    w.u64(l as u64);
+                    w.save(&self.links[l]);
+                }
+            });
+        }
+        let pipe_dirty = self.ideal.as_ref().is_some_and(|p| p.dirty);
+        w.save(&pipe_dirty);
+        if pipe_dirty {
+            w.save(&self.ideal);
+        }
     }
 }
 
@@ -1136,6 +1199,8 @@ impl<P: StateLoad + Clone> StateLoad for Network<P> {
         }
         net.links = links;
         net.load_body(r)?;
+        net.ideal = r.load()?;
+        net.check_pipe(at)?;
         Ok(net)
     }
 }
@@ -1150,21 +1215,28 @@ impl<P: StateLoad + Clone> Network<P> {
     /// discard it.
     pub fn apply_delta(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
         let at = r.offset();
-        if r.usize_()? != self.nodes() {
-            return Err(SnapshotError::Corrupt { offset: at });
+        if r.load::<bool>()? {
+            let nodes_at = r.offset();
+            if r.usize_()? != self.nodes() {
+                return Err(SnapshotError::Corrupt { offset: nodes_at });
+            }
+            self.params = r.load()?;
+            self.policy = r.load()?;
+            self.qos = r.load()?;
+            let mut prev = None;
+            for _ in 0..r.list_len(self.links.len())? {
+                let l = r.ascending_index(prev, self.links.len())?;
+                prev = Some(l);
+                self.links[l] = r.load()?;
+                self.dirty_links[l / 64] |= 1u64 << (l % 64);
+            }
+            self.dirty = true;
+            self.load_body(r)?;
         }
-        self.params = r.load()?;
-        self.policy = r.load()?;
-        self.qos = r.load()?;
-        let mut prev = None;
-        for _ in 0..r.list_len(self.links.len())? {
-            let l = r.ascending_index(prev, self.links.len())?;
-            prev = Some(l);
-            self.links[l] = r.load()?;
-            self.dirty_links[l / 64] |= 1u64 << (l % 64);
+        if r.load::<bool>()? {
+            self.ideal = r.load()?;
         }
-        self.dirty = true;
-        self.load_body(r)
+        self.check_pipe(at)
     }
 
     /// Load the sections after the links, then cross-check the whole
@@ -1184,6 +1256,16 @@ impl<P: StateLoad + Clone> Network<P> {
 }
 
 impl<P> Network<P> {
+    /// Refuse a restored pipe that spans another node count than the
+    /// tree: its packet range checks ran against its own count. `at` is
+    /// where the network's record starts.
+    fn check_pipe(&self, at: usize) -> Result<(), SnapshotError> {
+        match &self.ideal {
+            Some(pipe) if pipe.nodes != self.nodes() => Err(SnapshotError::Corrupt { offset: at }),
+            _ => Ok(()),
+        }
+    }
+
     /// Cross-reference every slot index in a freshly restored network so
     /// a decodable-but-forged snapshot cannot make `advance` panic or
     /// index out of bounds later.
@@ -1360,6 +1442,7 @@ mod tests {
         w.u64(7);
         w.save(&n.fault);
         w.save(&n.stats);
+        w.save(&n.ideal);
         let bad = w.finish();
         let mut r = sv_sim::ckpt::SnapReader::new(&bad);
         assert!(matches!(
@@ -1379,7 +1462,7 @@ mod tests {
         assert_eq!(p.payload, 7);
         // 2 hops, each: serialize 96B at 6.25 ns/B = 600 ns + 60 ns router.
         assert_eq!(t.ns(), 2 * (600 + 60));
-        assert_eq!(n.ideal_latency_ns(0, 1, 96), 1320);
+        assert_eq!(n.topology.hop_count(0, 1), 2);
         // Per-link occupancy: both traversed links serialized for 600 ns.
         let usage = n.link_usage();
         assert_eq!(usage.len(), 2);
@@ -1858,15 +1941,43 @@ mod tests {
         w.finish()
     }
 
+    /// Restore refuses a pipe spanning another node count than the tree,
+    /// in a full record and in a delta, at the record's first byte.
+    #[test]
+    fn a_pipe_spanning_another_node_count_is_corrupt() {
+        use sv_sim::ckpt::{SnapReader, SnapWriter, SnapshotError};
+        let (mut small, mut big) = (net(4), net(8));
+        small.set_ideal(100);
+        big.set_ideal(100);
+        assert!(Network::<u32>::load(&mut SnapReader::new(&snapshot(&big))).is_ok());
+        let mut w = SnapWriter::new();
+        big.save_tree(&mut w, |w| w.save(&big.links));
+        w.save(&small.ideal);
+        assert_eq!(
+            Network::<u32>::load(&mut SnapReader::new(&w.finish())).err(),
+            Some(SnapshotError::Corrupt { offset: 0 })
+        );
+        let mut w = SnapWriter::new();
+        w.save(&false);
+        w.save(&true);
+        w.save(&small.ideal);
+        assert_eq!(
+            big.apply_delta(&mut SnapReader::new(&w.finish())),
+            Err(SnapshotError::Corrupt { offset: 0 })
+        );
+    }
+
     /// Links whose dirty bit is set.
     fn dirty_links(n: &Network<u32>) -> Vec<LinkId> {
         (0..n.links.len()).filter(|&l| n.link_dirty(l)).collect()
     }
 
-    /// Offset of a delta record's link entry count: past the node count,
-    /// the link parameters, the routing policy and the QoS option.
+    /// Offset of a delta record's link entry count: past the tree's
+    /// presence byte, the node count, the link parameters, the routing
+    /// policy and the QoS option.
     fn links_at(n: &Network<u32>) -> usize {
         let mut w = sv_sim::ckpt::SnapWriter::new();
+        w.save(&true);
         w.usize_(n.nodes());
         w.save(&n.params);
         w.save(&n.policy);
@@ -1951,11 +2062,12 @@ mod tests {
                 "{what}"
             );
         }
-        // A record for another fabric size is refused at its first byte.
+        // A record for another fabric size is refused at its node count,
+        // past the presence byte.
         let mut other = net(32);
         assert_eq!(
             other.apply_delta(&mut sv_sim::ckpt::SnapReader::new(&d)),
-            Err(sv_sim::ckpt::SnapshotError::Corrupt { offset: 0 })
+            Err(sv_sim::ckpt::SnapshotError::Corrupt { offset: 1 })
         );
     }
 

@@ -1,6 +1,5 @@
 //! Packet format and identity.
 
-use serde::{Deserialize, Serialize};
 use sv_sim::Time;
 
 /// Physical node (leaf) identifier.
@@ -19,7 +18,7 @@ pub const MAX_PAYLOAD_BYTES: u32 = 88;
 /// protocol *replies* to [`Priority::High`] so that request traffic can
 /// never indefinitely block responses — the standard two-network
 /// deadlock-avoidance discipline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Priority {
     /// Reply / reclaim class; dispatched first at every link.
     High,

@@ -20,7 +20,6 @@
 //! `digit_l(leaf(d))` at each level.
 
 use crate::packet::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Switch radix: down ports and up ports per switch.
 pub const RADIX: usize = 4;
@@ -29,7 +28,7 @@ pub const RADIX: usize = 4;
 pub type LinkId = usize;
 
 /// One endpoint of a link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 // Variant fields are named self-descriptively; the variants themselves
 // are documented above each one.
 #[allow(missing_docs)]
@@ -41,7 +40,7 @@ pub enum Endpoint {
 }
 
 /// A directed link between two endpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Link {
     /// Source endpoint.
     pub from: Endpoint,
@@ -50,7 +49,7 @@ pub struct Link {
 }
 
 /// How the free up-port choices of the up*/down route are made.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingPolicy {
     /// Spread flows with a deterministic hash of `(src, dst, sequence)` —
     /// reproducible stand-in for Arctic's adaptive routing under the

@@ -1101,14 +1101,16 @@ pub(crate) fn load_program(
             let items: VecDeque<BasicMsg> = r.load()?;
             let state = r.load()?;
             // The send loop indexes the front message (and its TagOn
-            // attachment) in every mid-message state; a forged
-            // snapshot must not reach those `expect`s.
+            // attachment) in every state but `Next`: a live sender polls
+            // for space only with a message queued. A forged snapshot
+            // must not reach those `expect`s.
             let front_ok = match state {
-                SendState::Next | SendState::PollSpace => true,
+                SendState::Next => true,
                 SendState::WriteTagon { .. } => items.front().is_some_and(|m| m.tagon.is_some()),
-                SendState::WriteHeader | SendState::WritePayload { .. } | SendState::PtrUpdate => {
-                    !items.is_empty()
-                }
+                SendState::PollSpace
+                | SendState::WriteHeader
+                | SendState::WritePayload { .. }
+                | SendState::PtrUpdate => !items.is_empty(),
             };
             if !front_ok {
                 return Err(corrupt);
@@ -1133,7 +1135,13 @@ pub(crate) fn load_program(
                 cur_len: r.u32()?,
                 buf: r.load()?,
             };
-            if !recv_state_ok(p.state, p.cur_len) {
+            // `got` reaches `expect` only on the step into `PtrUpdate`;
+            // every other state still counts a message, `got += 1`.
+            let count_ok = match p.state {
+                RecvState::Poll | RecvState::PtrUpdate => p.got <= p.expect,
+                _ => p.got < p.expect,
+            };
+            if !recv_state_ok(p.state, p.cur_len) || !count_ok {
                 return Err(corrupt);
             }
             Box::new(p)
@@ -1142,12 +1150,19 @@ pub(crate) fn load_program(
             lib: *lib,
             items: r.load()?,
         }),
-        3 => Box::new(RecvExpress {
-            lib: *lib,
-            expect: r.usize_()?,
-            got: r.usize_()?,
-            primed: r.load()?,
-        }),
+        3 => {
+            let p = RecvExpress {
+                lib: *lib,
+                expect: r.usize_()?,
+                got: r.usize_()?,
+                primed: r.load()?,
+            };
+            // A primed receiver still counts the message its load returns.
+            if p.got > p.expect || (p.primed && p.got == p.expect) {
+                return Err(corrupt);
+            }
+            Box::new(p)
+        }
         4 => Box::new(r.load::<ReadRegion>()?),
         5 => Box::new(r.load::<WriteRegion>()?),
         6 => {
@@ -1308,10 +1323,20 @@ mod tests {
 
     /// A `RecvBasic` record expecting one message, in `state`.
     fn recv_basic(state: RecvState, cur_len: u32) -> Result<(), SnapshotError> {
+        recv_basic_counting(1, 0, state, cur_len)
+    }
+
+    /// A `RecvBasic` record that has received `got` of `expect` messages.
+    fn recv_basic_counting(
+        expect: usize,
+        got: usize,
+        state: RecvState,
+        cur_len: u32,
+    ) -> Result<(), SnapshotError> {
         let mut w = SnapWriter::new();
         w.u8(1);
-        w.usize_(1); // expect
-        w.usize_(0); // got
+        w.usize_(expect);
+        w.usize_(got);
         w.save(&state);
         w.raw(&[0; 6]); // consumer, producer_seen, cur_src
         w.u32(cur_len);
@@ -1350,6 +1375,65 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_sender_polling_for_space_without_a_message_is_corrupt() {
+        // Regression: `PollSpace` with no queued message was accepted, and
+        // its step panicked on the missing front message once the shadow
+        // showed space. A live sender polls only with a message queued.
+        let send_basic = |items: Vec<BasicMsg>| {
+            let mut w = SnapWriter::new();
+            w.u8(0);
+            w.save(&VecDeque::from(items));
+            w.save(&SendState::PollSpace);
+            w.u16(1); // producer
+            w.u16(0); // consumer_seen
+            decode(w)
+        };
+        assert!(matches!(
+            send_basic(vec![]),
+            Err(SnapshotError::Corrupt { .. })
+        ));
+        let mut p = send_basic(vec![BasicMsg::new(0, vec![7; 8])]).expect("a queued message");
+        // The shadow reads consumer 0 behind producer 1: there is space,
+        // and the step writes the message's header.
+        assert!(matches!(step(&mut *p), Step::Store { .. }));
+    }
+
+    #[test]
+    fn a_receiver_whose_count_is_met_mid_message_is_corrupt() {
+        // Regression: a restored receiver with `got == expect ==
+        // usize::MAX`, in a state that still counts a message, overflowed
+        // on `got += 1`. No live receiver reaches those states, nor one
+        // with `got` past `expect`.
+        let max = usize::MAX;
+        let corrupt = |got| matches!(got, Err(SnapshotError::Corrupt { .. }));
+        for state in [RecvState::Poll, RecvState::PtrUpdate] {
+            assert_eq!(recv_basic_counting(max, max, state, 0), Ok(()));
+        }
+        for (expect, got, state) in [
+            (max, max, RecvState::ReadBody { off: 0 }),
+            (max, max, RecvState::CheckPoll),
+            (1, 2, RecvState::Poll),
+        ] {
+            assert!(
+                corrupt(recv_basic_counting(expect, got, state, 0)),
+                "RecvBasic {got} of {expect} in {state:?} accepted"
+            );
+        }
+        let recv_express = |expect: usize, got: usize, primed: bool| {
+            let mut w = SnapWriter::new();
+            w.u8(3);
+            w.usize_(expect);
+            w.usize_(got);
+            w.save(&primed);
+            decode(w).map(drop)
+        };
+        assert_eq!(recv_express(max, max, false), Ok(()));
+        assert_eq!(recv_express(max, max - 1, true), Ok(()));
+        assert!(corrupt(recv_express(max, max, true)), "primed at its count");
+        assert!(corrupt(recv_express(1, 2, false)), "past its count");
     }
 
     #[test]

@@ -262,13 +262,11 @@ pub struct Machine {
     pub params: SystemParams,
     /// The machine's nodes, indexed by node id.
     pub nodes: Nodes,
-    /// The Arctic fabric model, with its statistics. It carries no
-    /// traffic under [`MachineBuilder::ideal_network`].
+    /// The fabric: the Arctic model, with its statistics. Under
+    /// [`MachineBuilder::ideal_network`] its contention-free pipe carries
+    /// every packet instead ([`Network::set_ideal`]), and the tree's
+    /// statistics stay zero.
     pub network: Network<NetPayload>,
-    /// When set, packets bypass the Arctic model and travel through a
-    /// contention-free fixed-latency pipe — the network-cost ablation
-    /// ([`MachineBuilder::ideal_network`]).
-    pub(crate) ideal: Option<sv_arctic::IdealNetwork<NetPayload>>,
     pub(crate) clock: Clock,
     pub(crate) cycle: u64,
     /// The resolved execution plan (stepped/workers/policy), fixed at
@@ -523,11 +521,7 @@ impl MachineBuilder {
             m.tenancy = Some(tp);
         }
         if let Some(latency) = self.ideal_latency_ns {
-            m.ideal = Some(sv_arctic::IdealNetwork::new(
-                self.n.max(2),
-                latency,
-                self.params.link,
-            ));
+            m.network.set_ideal(latency);
         }
         for i in self.traced_nodes {
             m.enable_tracing(i, true);
@@ -575,7 +569,6 @@ impl Machine {
             params,
             nodes: Nodes::new(nodes),
             network,
-            ideal: None,
             clock: params.bus_clock(),
             cycle: 0,
             plan,
@@ -983,7 +976,6 @@ impl Machine {
         w.save(&self.now);
         w.save(&self.runstats);
         w.save(&self.network);
-        w.save(&self.ideal);
         w.save(&self.tenancy);
         for (node, prog) in self.nodes.iter().zip(&progs) {
             w.save(node);
@@ -1001,18 +993,15 @@ impl Machine {
         fnv1a64(&pw.finish())
     }
 
-    /// Cross-check the fabric sections a full or delta restore just
-    /// loaded (starting at `at`) against the machine: they carry their
-    /// own node count (their packet range checks depend on it) and QoS
-    /// configuration (their VC geometry checks depend on it), and a
-    /// forged section that disagrees with the header or the parameters
-    /// must not slip through.
-    fn check_fabric(&self, at: usize) -> Result<(), SnapshotError> {
+    /// Cross-check the network section a full or delta restore just
+    /// loaded (starting at `at`) against the machine: it carries its own
+    /// node count (its packet range checks depend on it) and QoS
+    /// configuration (its VC geometry checks depend on it), and a forged
+    /// section that disagrees with the header or the parameters must not
+    /// slip through.
+    fn check_network(&self, at: usize) -> Result<(), SnapshotError> {
         let span = self.nodes.len().max(2);
-        if self.network.nodes() != span
-            || self.ideal.as_ref().is_some_and(|i| i.nodes() != span)
-            || self.network.qos() != self.params.qos
-        {
+        if self.network.nodes() != span || self.network.qos() != self.params.qos {
             return Err(SnapshotError::Corrupt { offset: at });
         }
         Ok(())
@@ -1025,9 +1014,6 @@ impl Machine {
             node.ckpt_clear_dirty();
         }
         self.network.ckpt_clear_dirty();
-        if let Some(ideal) = &mut self.ideal {
-            ideal.ckpt_clear_dirty();
-        }
     }
 
     /// Take an incremental checkpoint cut.
@@ -1089,18 +1075,7 @@ impl Machine {
         );
         w.save(&self.now);
         w.save(&self.runstats);
-        if self.network.ckpt_dirty() {
-            w.u8(1);
-            self.network.save_delta(&mut w);
-        } else {
-            w.u8(0);
-        }
-        if self.ideal.as_ref().is_some_and(|i| i.ckpt_dirty()) {
-            w.u8(1);
-            w.save(&self.ideal);
-        } else {
-            w.u8(0);
-        }
+        self.network.save_delta(&mut w);
         for ((node, prog), &d) in self.nodes.iter().zip(&progs).zip(&dirty) {
             if d {
                 w.u8(1);
@@ -1174,18 +1149,8 @@ impl Machine {
         self.now = r.load()?;
         self.runstats = r.load()?;
         let net_at = r.offset();
-        match r.u8()? {
-            0 => {}
-            1 => self.network.apply_delta(&mut r)?,
-            _ => return Err(SnapshotError::Corrupt { offset: net_at }.into()),
-        }
-        let ideal_at = r.offset();
-        match r.u8()? {
-            0 => {}
-            1 => self.ideal = r.load()?,
-            _ => return Err(SnapshotError::Corrupt { offset: ideal_at }.into()),
-        }
-        self.check_fabric(net_at)?;
+        self.network.apply_delta(&mut r)?;
+        self.check_network(net_at)?;
         // A translation table the delta carries shares an array the
         // machine already holds when their entries are equal.
         for node in &self.nodes {
@@ -1338,8 +1303,7 @@ impl MachineBuilder {
         m.runstats = r.load()?;
         let net_at = r.offset();
         m.network = r.load()?;
-        m.ideal = r.load()?;
-        m.check_fabric(net_at)?;
+        m.check_network(net_at)?;
         let ten_at = r.offset();
         let tenancy: Option<crate::tenancy::TenancyParams> = r.load()?;
         if let Some(tp) = &tenancy {
@@ -1594,7 +1558,8 @@ mod tests {
             .ideal_network(100)
             .cycle_stepped()
             .build();
-        assert!(mi.ideal.is_some());
+        // The 100 ns pipe's lookahead, not the tree's two hops.
+        assert_eq!(mi.network.lookahead_ns(), 150);
         mi.run_for(500);
         assert!(mi.now.ns() >= 500);
     }

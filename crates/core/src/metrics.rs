@@ -1,9 +1,7 @@
 //! Serializable experiment records.
 
-use serde::{Deserialize, Serialize};
-
 /// One measured block-transfer point (one approach × one size).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct XferPoint {
     /// Transfer approach (1–5, paper §6).
     pub approach: u8,
@@ -29,7 +27,7 @@ pub struct XferPoint {
 }
 
 /// A labeled series of transfer points (one approach swept over sizes).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct XferMeasurement {
     /// Transfer approach (1-5).
     pub approach: u8,
@@ -38,7 +36,7 @@ pub struct XferMeasurement {
 }
 
 /// One message-mechanism microbenchmark row (experiment T1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MsgMicro {
     /// Mechanism label.
     pub mechanism: String,
@@ -55,7 +53,7 @@ pub struct MsgMicro {
 }
 
 /// One shared-memory microbenchmark row (experiment T2).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ShmemMicro {
     /// Operation label.
     pub operation: String,

@@ -6,7 +6,6 @@
 //! 160 MB/s/direction. Benches sweep individual fields; the comparative
 //! claims reproduced in `EXPERIMENTS.md` hold across the sweeps.
 
-use serde::{Deserialize, Serialize};
 use sv_arctic::{FaultParams, LinkParams, QosParams, RoutingPolicy};
 use sv_firmware::FwParams;
 use sv_membus::{BusParams, CacheParams, DramParams};
@@ -14,7 +13,7 @@ use sv_niu::{AddressMap, NiuParams};
 
 /// Application-processor timing (ns granularity; the aP runs at 166 MHz
 /// but all its interactions with the world happen through the bus).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuParams {
     /// Fixed per-instruction-step overhead (address generation, loop
     /// control) charged after every VM step, ns.
@@ -36,7 +35,7 @@ impl Default for CpuParams {
 }
 
 /// Every parameter of the simulated machine.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SystemParams {
     /// Memory-bus frequency, MHz (the global tick rate of each node).
     pub bus_mhz: u64,

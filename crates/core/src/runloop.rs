@@ -122,7 +122,7 @@ use std::cell::RefCell;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{self, TryRecvError};
 use std::time::{Duration, Instant};
-use sv_arctic::{IdealNetwork, Network, Packet};
+use sv_arctic::{Network, Packet};
 use sv_niu::msg::NetPayload;
 use sv_sim::ckpt::{SnapWriter, StateSave};
 use sv_sim::trace::Subsys;
@@ -319,100 +319,34 @@ pub struct WindowWork {
     pub handoffs: u64,
 }
 
-/// The fabric as the run loops see it: the Arctic model and the ideal
-/// pipe behind one object-safe interface.
-trait NetModel {
-    fn next_event_time(&self) -> Option<Time>;
-    fn lookahead_ns(&self) -> u64;
-    fn advance(&mut self, until: Time);
-    fn drain_delivered_into(&mut self, out: &mut Vec<Delivery>);
-    fn inject(&mut self, now: Time, pkt: Packet<NetPayload>);
-    /// Append everything the fabric will deliver up to `horizon` to
-    /// `out`, leaving the committed state as it was: the fabric advances
-    /// in place and then rolls back what the advance changed.
-    fn harvest(&mut self, horizon: Time, out: &mut Vec<Delivery>);
-}
-
-macro_rules! net_model {
-    ($($net:ident: $delta:expr),*) => {$(
-        impl NetModel for $net<NetPayload> {
-            fn next_event_time(&self) -> Option<Time> {
-                $net::next_event_time(self)
-            }
-            fn lookahead_ns(&self) -> u64 {
-                $net::lookahead_ns(self)
-            }
-            fn advance(&mut self, until: Time) {
-                $net::advance(self, until)
-            }
-            fn drain_delivered_into(&mut self, out: &mut Vec<Delivery>) {
-                $net::drain_delivered_into(self, out)
-            }
-            fn inject(&mut self, now: Time, pkt: Packet<NetPayload>) {
-                $net::inject(self, now, pkt)
-            }
-            fn harvest(&mut self, horizon: Time, out: &mut Vec<Delivery>) {
-                checked_harvest(self, $net::ckpt_dirty, $delta, |net| {
-                    $net::harvest(net, horizon, out)
-                })
-            }
-        }
-    )*};
-}
-// The ideal pipe's delta record is its whole state.
-net_model!(
-    Network: Network::save_delta,
-    IdealNetwork: StateSave::save
-);
-
-/// Run `harvest` on `net`. Debug builds also check that it left the
-/// fabric's snapshot bytes, dirty flag and delta record (which carries
-/// the per-link dirty bits) exactly as they were. The check keeps its
-/// two snapshot buffers between harvests, so all it allocates per window
-/// is the event queue's pop-order copy inside each snapshot.
-fn checked_harvest<N: StateSave>(
-    net: &mut N,
-    dirty: fn(&N) -> bool,
-    delta: fn(&N, &mut SnapWriter),
-    harvest: impl FnOnce(&mut N),
-) {
+/// Run [`Network::harvest`] on `net`. Debug builds also check that it
+/// left the fabric's snapshot bytes, dirty flag and delta record (which
+/// carries the per-link dirty bits) exactly as they were. The check
+/// keeps its two snapshot buffers between harvests, so all it allocates
+/// per window is the event queue's pop-order copy inside each snapshot.
+fn checked_harvest(net: &mut Network<NetPayload>, horizon: Time, out: &mut Vec<Delivery>) {
     if !cfg!(debug_assertions) {
-        return harvest(net);
+        return net.harvest(horizon, out);
     }
     thread_local! {
         static SNAPSHOTS: RefCell<[Vec<u8>; 2]> = const { RefCell::new([Vec::new(), Vec::new()]) };
     }
-    let snapshot = |net: &N, buf: &mut Vec<u8>| {
+    let snapshot = |net: &Network<NetPayload>, buf: &mut Vec<u8>| {
         let mut w = SnapWriter::reusing(std::mem::take(buf));
         net.save(&mut w);
-        delta(net, &mut w);
+        net.save_delta(&mut w);
         *buf = w.finish();
     };
     SNAPSHOTS.with_borrow_mut(|[before, after]| {
-        let was_dirty = dirty(net);
+        let was_dirty = net.ckpt_dirty();
         snapshot(net, before);
-        harvest(net);
+        net.harvest(horizon, out);
         snapshot(net, after);
         assert!(
-            before == after && was_dirty == dirty(net),
+            before == after && was_dirty == net.ckpt_dirty(),
             "harvest changed the committed fabric"
         );
     });
-}
-
-/// The machine's one fabric dispatch point: the ideal pipe when the
-/// network-cost ablation armed it
-/// ([`crate::MachineBuilder::ideal_network`]), the Arctic model
-/// otherwise. It takes the two fields rather than the machine so callers
-/// can keep borrowing the nodes.
-fn fabric<'m>(
-    network: &'m mut Network<NetPayload>,
-    ideal: &'m mut Option<IdealNetwork<NetPayload>>,
-) -> &'m mut dyn NetModel {
-    match ideal {
-        Some(ideal) => ideal,
-        None => network,
-    }
 }
 
 /// Hand a delivered packet to its destination's NIU at `cycle`.
@@ -448,7 +382,7 @@ impl Machine {
         let now = self.clock.edge(self.cycle);
         self.now = now;
         let cycle = self.cycle;
-        let net = fabric(&mut self.network, &mut self.ideal);
+        let net = &mut self.network;
         net.advance(now);
         net.drain_delivered_into(&mut self.scratch.delivered);
         for (_, pkt) in self.scratch.delivered.drain(..) {
@@ -471,11 +405,9 @@ impl Machine {
     /// it against the wake computation: a machine that reports idle
     /// must have nothing scheduled, or a run loop would stop with work
     /// still queued.
-    pub(crate) fn quiescent(&mut self) -> bool {
-        let idle = fabric(&mut self.network, &mut self.ideal)
-            .next_event_time()
-            .is_none()
-            && self.nodes.iter().all(|n| !n.has_work());
+    pub(crate) fn quiescent(&self) -> bool {
+        let idle =
+            self.network.next_event_time().is_none() && self.nodes.iter().all(|n| !n.has_work());
         if cfg!(debug_assertions) && idle {
             let next = self.next_exec_cycle();
             assert!(
@@ -491,9 +423,10 @@ impl Machine {
     /// might change state, or `None` if the machine is idle forever. A
     /// plain scan over every node, made only by debug assertions: the
     /// event loop reads the wakes it keeps across run entries instead.
-    fn next_exec_cycle(&mut self) -> Option<u64> {
+    fn next_exec_cycle(&self) -> Option<u64> {
         let (c, clock) = (self.cycle, self.clock);
-        let net = fabric(&mut self.network, &mut self.ideal)
+        let net = self
+            .network
             .next_event_time()
             .map(|t| clock.edge_at_or_after(t).max(c));
         self.nodes
@@ -639,31 +572,16 @@ impl Machine {
 
     /// Build the node-to-shard assignment for the machine's plan.
     ///
-    /// [`ShardPolicy::BySubtree`] picks a fat-tree height `k` and makes
-    /// every aligned `4^k`-node chunk — which *is* a height-`k` subtree —
-    /// one shard. `k` starts from the worker-balance choice
-    /// ([`sv_arctic::FatTree::shard_levels_for`]) and is then coarsened
-    /// until cross-shard traffic spends at least two lookahead windows in
-    /// flight ([`sv_arctic::Network::cross_subtree_latency_ns`]), so a
-    /// packet leaving a shard never re-synchronizes adjacent windows —
-    /// while never dropping below one shard per worker.
+    /// [`ShardPolicy::BySubtree`] makes every aligned `4^k`-node chunk —
+    /// which *is* a height-`k` subtree — one shard, at the level `k` the
+    /// fabric picks for the worker count
+    /// ([`sv_arctic::Network::shard_level`]).
     pub(crate) fn shard_map(&self) -> ShardMap {
         let n = self.nodes.len();
         let workers = self.plan.workers.max(1);
         match self.plan.policy {
             ShardPolicy::BySubtree if workers > 1 => {
-                let topo = &self.network.topology;
-                let mut k = topo.shard_levels_for(workers);
-                if self.ideal.is_none() {
-                    let floor_ns = 2 * self.network.lookahead_ns();
-                    while topo.subtree_count(k + 1) >= workers
-                        && topo.subtree_count(k) > 1
-                        && self.network.cross_subtree_latency_ns(k) < floor_ns
-                    {
-                        k += 1;
-                    }
-                }
-                let span = sv_arctic::FatTree::subtree_span(k);
+                let span = sv_arctic::FatTree::subtree_span(self.network.shard_level(workers));
                 ShardMap {
                     shards: n.div_ceil(span),
                     owner: (0..n)
@@ -698,14 +616,13 @@ impl Machine {
             // The kept wake indexes belong to the old map's shards.
             self.scratch.shards.clear();
         }
-        let la_ns = fabric(&mut self.network, &mut self.ideal).lookahead_ns();
-        let window = self.window_cycles(la_ns);
+        let window = self.window_cycles(self.network.lookahead_ns());
         let (clock, start) = (self.clock, self.cycle);
         let (touched, nodes) = self.nodes.hold(&mut self.scratch.nodes_id);
         let res = run_sharded(
             nodes,
             touched,
-            fabric(&mut self.network, &mut self.ideal),
+            &mut self.network,
             &mut self.scratch,
             clock,
             start,
@@ -913,7 +830,7 @@ fn exec_window(shard: &mut Shard<'_>, clock: &Clock, w1: u64) -> WindowOut {
 /// accounting.
 fn exec_burst(
     shard: &mut Shard<'_>,
-    net: &mut dyn NetModel,
+    net: &mut Network<NetPayload>,
     clock: &Clock,
     mut bound: u64,
 ) -> (u64, WindowOut) {
@@ -1018,7 +935,7 @@ fn shard_worker<'a>(
 fn run_sharded<'a>(
     nodes: &'a mut [Node],
     touched: bool,
-    net: &mut dyn NetModel,
+    net: &mut Network<NetPayload>,
     scratch: &mut RunScratch,
     clock: Clock,
     start: u64,
@@ -1191,7 +1108,7 @@ fn run_sharded<'a>(
                 // Window spans are below the lookahead bound, so this
                 // window's own injections cannot add to the set.
                 if net.next_event_time().is_some_and(|t| t <= horizon) {
-                    net.harvest(horizon, delivered);
+                    checked_harvest(net, horizon, delivered);
                 }
                 if cfg!(debug_assertions) {
                     harvested.clear();

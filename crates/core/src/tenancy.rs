@@ -836,8 +836,9 @@ impl Program for TenantScheduler {
                 None => task.done = true,
                 Some(StreamItem::Delay(ns)) => {
                     // Delays cost no aP time; the tenant simply
-                    // becomes unschedulable until `now + ns`.
-                    task.ready_at = now + ns;
+                    // becomes unschedulable until `now + ns`. A delay
+                    // past the end of time parks it for good.
+                    task.ready_at = now.saturating_add(ns);
                     self.current = None;
                 }
                 Some(StreamItem::Msg(msg)) => {
@@ -1219,6 +1220,47 @@ mod tests {
         let r = sched.report()[0];
         assert!(r.done);
         assert_eq!([r.slices, r.steps, r.sent_msgs, r.active_ns], [u64::MAX; 4]);
+    }
+
+    #[test]
+    fn a_delay_past_the_end_of_time_parks_the_tenant() {
+        // Regression: `now + ns` overflowed on a delay near `u64::MAX`,
+        // which a stream takes from any caller and a restore from a
+        // record.
+        let tp = TenancyParams {
+            tenants_per_node: 2,
+            ..TenancyParams::default()
+        };
+        let parked = JobBody::Stream(VecDeque::from([
+            StreamItem::Delay(5),
+            StreamItem::Delay(u64::MAX),
+        ]));
+        let mut sched = TenantScheduler::new(mini_lib(), &tp, vec![parked, stream(3, 1)]);
+        let mut events = Vec::new();
+        let (mut now, mut sleep) = (0u64, None);
+        for _ in 0..1_000 {
+            let mut env = Env {
+                now: Time::from_ns(now),
+                node: 0,
+                last_load: 0,
+                events: &mut events,
+            };
+            match sched.step(&mut env) {
+                Step::Compute(ns) if ns > 1 << 62 => {
+                    sleep = Some(ns);
+                    break;
+                }
+                Step::Compute(ns) => now += ns,
+                Step::Done => panic!("the parked tenant finished"),
+                _ => now += 10,
+            }
+        }
+        // The other tenant's messages all went out, and the scheduler
+        // sleeps to the end of time with the parked tenant not done.
+        let report = sched.report();
+        assert_eq!((report[1].sent_msgs, report[1].done), (3, true));
+        assert!(!report[0].done);
+        assert_eq!(sleep, Some(u64::MAX - now));
     }
 
     #[test]

@@ -371,51 +371,6 @@ pub fn all_to_all(params: SystemParams, n: usize, per_pair: u32, payload_len: us
     (dur, sv_sim::stats::mb_per_s(total_bytes, dur))
 }
 
-/// All-to-all transpose: staggered permutation traffic. In round `k`
-/// (1 ≤ k < n) node `i` targets node `(i + k) % n`, so every round is a
-/// perfect permutation — each node sends one stream and receives one
-/// stream — instead of the synchronized everyone-hits-node-`d` sweep
-/// hiding inside [`all_to_all`]'s destination order. The pattern loads
-/// all fat-tree uplinks evenly and is the classic adversary for static
-/// routing (paper §7 / EXPERIMENTS.md S9). Returns `(completion ns,
-/// aggregate payload MB/s)`.
-pub fn all_to_all_transpose(
-    params: SystemParams,
-    n: usize,
-    per_pair: u32,
-    payload_len: usize,
-) -> (u64, f64) {
-    let mut m = Machine::builder(n).params(params).build();
-    for i in 0..n as u16 {
-        let lib = m.lib(i);
-        let mut items = Vec::new();
-        for round in 0..per_pair {
-            for k in 1..n as u16 {
-                let d = (i + k) % n as u16;
-                items.push(BasicMsg::new(
-                    lib.user_dest(d),
-                    vec![(round & 0xFF) as u8; payload_len],
-                ));
-            }
-        }
-        m.load_program(
-            i,
-            crate::app::Seq::new(vec![
-                Box::new(SendBasic::new(&lib, items)),
-                Box::new(RecvBasic::expecting(&lib, per_pair as usize * (n - 1))),
-            ]),
-        );
-    }
-    m.run_to_quiescence();
-    let dur = (0..n as u16)
-        .map(|i| program_done_time(&m, i).ns())
-        .max()
-        .expect("nodes")
-        .max(1);
-    let total_bytes = (n * (n - 1)) as u64 * per_pair as u64 * payload_len as u64;
-    (dur, sv_sim::stats::mb_per_s(total_bytes, dur))
-}
-
 /// What one [`hot_spot`] run measured, read from the network's own
 /// per-priority inject→deliver summaries (present whether or not QoS is
 /// armed, so the no-VC baseline is directly comparable).
@@ -1024,12 +979,6 @@ mod tests {
         // The full 255-round budget works and every tag stays unique.
         let (ow, rtt) = express_ping_pong(SystemParams::default(), MAX_EXPRESS_ROUNDS);
         assert!(ow > 0 && rtt > ow);
-    }
-
-    #[test]
-    fn transpose_moves_every_byte() {
-        let (dur, bw) = all_to_all_transpose(SystemParams::default(), 4, 2, 64);
-        assert!(dur > 0 && bw > 0.0);
     }
 
     #[test]

@@ -10,10 +10,8 @@
 //! NIs (FLASH's protocol processor, Typhoon). Ablation A4 sweeps a
 //! scaling factor over everything.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-handler sP costs, in bus cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FwParams {
     /// Poll + dequeue + dispatch for any work item.
     pub dispatch_cycles: u64,

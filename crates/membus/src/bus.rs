@@ -23,12 +23,11 @@
 //! burst-read stream saturates the data bus, not the address bus.
 
 use crate::op::{BusOp, SnoopVerdict};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use sv_sim::stats::Counter;
 
 /// Bus timing parameters, in bus cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BusParams {
     /// Arbitration + address + snoop-response window.
     pub addr_tenure_cycles: u64,
@@ -63,7 +62,7 @@ pub enum BusEvent {
 }
 
 /// Running bus statistics.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct BusStats {
     /// Address tenures started.
     pub tenures: Counter,

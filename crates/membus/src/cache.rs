@@ -25,14 +25,13 @@
 //! so a listed chunk saves and loads as one copy.
 
 use crate::op::{line_of, Addr, BusOpKind, SnoopVerdict, CACHE_LINE};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use sv_sim::stats::Counter;
 
 /// MESI coherence states. The discriminants are the state bytes of
 /// the slot encoding, which is also the snapshot's (M=0 E=1 S=2 I=3,
 /// part of the format).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Mesi {
     /// Exclusive and dirty.
@@ -60,7 +59,7 @@ impl Mesi {
 }
 
 /// Geometry and timing of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheParams {
     /// Size bytes.
     pub size_bytes: u64,
@@ -102,7 +101,7 @@ impl CacheParams {
 }
 
 /// Per-cache statistics.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CacheStats {
     /// Lookup hits.
     pub hits: Counter,

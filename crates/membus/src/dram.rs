@@ -7,13 +7,12 @@
 //! crate for SRAM contents.
 
 use crate::op::Addr;
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
 /// DRAM timing parameters, in bus cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramParams {
     /// Cycles from snoop resolution to the first data beat.
     pub first_access_cycles: u64,

@@ -6,8 +6,6 @@
 //! single-beat operations move 1–8 bytes (uncached loads/stores, pointer
 //! updates, Express messages).
 
-use serde::{Deserialize, Serialize};
-
 /// Physical address.
 pub type Addr = u64;
 
@@ -24,7 +22,7 @@ pub fn line_of(addr: Addr) -> Addr {
 }
 
 /// Identity of a bus master on one node's memory bus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MasterId {
     /// The application processor (via its cache-miss machine).
     Ap,
@@ -34,7 +32,7 @@ pub enum MasterId {
 }
 
 /// Bus transaction types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BusOpKind {
     /// Burst read of a cache line (cacheable load miss).
     Read,
@@ -78,7 +76,7 @@ impl BusOpKind {
 }
 
 /// One bus transaction request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BusOp {
     /// Bus-operation kind.
     pub kind: BusOpKind,
@@ -147,7 +145,7 @@ impl BusOp {
 
 /// The combined snoop verdict for one address tenure, assembled by the
 /// node orchestrator from every snooper's individual response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SnoopVerdict {
     /// Some snooper asserted ARTRY: the tenure is aborted and the master
     /// will re-arbitrate. (S-COMA's stall-until-data mechanism; also a

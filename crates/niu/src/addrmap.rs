@@ -14,8 +14,6 @@
 //! The map decides which agent claims an operation; region sizes are
 //! configurable per machine.
 
-use serde::{Deserialize, Serialize};
-
 /// Offsets within the NIU window.
 pub const ASRAM_OFF: u64 = 0x0000_0000;
 /// Pointer-update region offset.
@@ -60,7 +58,7 @@ pub enum Region {
 }
 
 /// The address map of one node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressMap {
     /// Bytes of ordinary DRAM starting at address 0.
     pub dram_len: u64,

@@ -287,11 +287,6 @@ impl Ctrl {
     pub fn rx_queue_mut(&mut self, q: QueueId) -> &mut RxQueue {
         &mut self.rx[q.0 as usize]
     }
-
-    /// Convenience accessor.
-    pub fn tx_queue(&self, q: QueueId) -> &TxQueue {
-        &self.tx[q.0 as usize]
-    }
 }
 
 sv_sim::checkpointed! {

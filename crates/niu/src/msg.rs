@@ -8,7 +8,6 @@
 //! what matters for timing; see `sv-arctic`).
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use sv_arctic::Priority;
 
 /// Maximum payload bytes of a Basic message.
@@ -22,7 +21,7 @@ pub const MSG_CLASSES: usize = 4;
 /// [`MsgData`]; remote commands are always [`MsgClass::Dma`]) so the
 /// receive side can attribute deliveries without re-deriving the send
 /// path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum MsgClass {
     /// Basic queue-to-queue message (no TagOn attachment).
@@ -238,7 +237,7 @@ pub const TAGON_LARGE: u8 = 80;
 macro_rules! bitflags_lite {
     ($(#[$m:meta])* pub struct $name:ident : $ty:ty { $($(#[$fm:meta])* const $f:ident = $v:expr;)* }) => {
         $(#[$m])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
         pub struct $name(pub $ty);
         impl $name {
             $( $(#[$fm])* pub const $f: $name = $name($v); )*
@@ -275,7 +274,7 @@ bitflags_lite!(
 /// Layout: `dest:u16 | len:u8 | flags:u8 | tagon_len:u8 | _pad:u8 | tagon_addr:u16*16`
 /// — the TagOn address is stored in 16-byte SRAM granules so it fits 16
 /// bits, matching the "pointer in the message description" of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MsgHeader {
     /// Virtual destination (translated), or for RAW messages the packed
     /// physical destination `node << 8 | queue`.

@@ -5,10 +5,8 @@
 //! an ASIC flanked by large FPGAs — and are swept by the ablation
 //! benches; the paper's conclusions must (and do) survive the sweeps.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry and per-operation costs of the NIU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NiuParams {
     // ---- geometry ----
     /// Hardware transmit queues in CTRL.

@@ -7,17 +7,16 @@
 //! modulo the queue size, the standard full/empty disambiguation.
 
 use crate::sram::SramSel;
-use serde::{Deserialize, Serialize};
 use sv_sim::stats::Counter;
 
 /// Index of a hardware queue (0..16 for both tx and rx).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueueId(pub u8);
 
 /// What happens when a message arrives for a full receive queue
 /// (paper §4: "options include dropping the packet, holding on to it …
 /// or diverting it into the overflow queue").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RxFullPolicy {
     /// Discard the packet (counted).
     Drop,
@@ -29,7 +28,7 @@ pub enum RxFullPolicy {
 }
 
 /// Who consumes a receive queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RxService {
     /// Application processor polls the shadow producer pointer.
     ApPolled,
@@ -40,7 +39,7 @@ pub enum RxService {
 }
 
 /// Common buffer geometry for a queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueBuffer {
     /// Which SRAM bank holds the buffer.
     pub sram: SramSel,

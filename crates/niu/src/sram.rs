@@ -10,11 +10,10 @@
 //! read by the aBIU on *every* aP bus operation and written under sP (or,
 //! with the approach-5 extension, aBIU hardware) control.
 
-use serde::{Deserialize, Serialize};
 use sv_membus::MemoryArray;
 
 /// Which dual-ported SRAM bank an address refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SramSel {
     /// aSRAM: the bank whose second port faces the aP bus.
     A,
@@ -122,7 +121,7 @@ impl Sram {
 /// protocol uses these four states. The aBIU's reaction table maps
 /// `(bus operation, state)` to `{retry?, notify sP?}` exactly as in the
 /// paper ("two bits encode the possible reactions").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ClsState {
     /// No valid copy: any access must be retried and the sP notified.

@@ -14,13 +14,12 @@
 //! logical destinations (multitasking) with bounded hardware.
 
 use crate::queues::QueueId;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use sv_arctic::Priority;
 use sv_sim::stats::Counter;
 
 /// One translation-table entry (8 bytes in sSRAM).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct XlateEntry {
     /// Whether the entry is valid.
     pub valid: bool,

@@ -70,11 +70,6 @@ impl<T> BoundedFifo<T> {
         self.items.is_empty()
     }
 
-    /// Whether the FIFO is at capacity.
-    pub fn is_full(&self) -> bool {
-        self.items.len() >= self.capacity
-    }
-
     /// Remaining space.
     pub fn free(&self) -> usize {
         self.capacity - self.items.len()
@@ -93,11 +88,6 @@ impl<T> BoundedFifo<T> {
     /// Iterate oldest-to-newest without consuming.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.items.iter()
-    }
-
-    /// Remove every item, returning them oldest-first.
-    pub fn drain_all(&mut self) -> Vec<T> {
-        self.items.drain(..).collect()
     }
 }
 
@@ -132,7 +122,7 @@ mod tests {
         assert_eq!(f.pop(), Some(0));
         assert_eq!(f.pop(), Some(1));
         f.push(9).unwrap();
-        assert_eq!(f.drain_all(), vec![2, 3, 9]);
+        assert_eq!([f.pop(), f.pop(), f.pop()], [Some(2), Some(3), Some(9)]);
         assert!(f.is_empty());
     }
 
@@ -141,7 +131,7 @@ mod tests {
         let mut f = BoundedFifo::new(2);
         f.push('a').unwrap();
         f.push('b').unwrap();
-        assert!(f.is_full());
+        assert_eq!(f.free(), 0);
         assert_eq!(f.push('c'), Err('c'));
         assert_eq!(f.full_rejections.get(), 1);
         assert_eq!(f.accepted.get(), 2);

@@ -2,9 +2,9 @@
 //! [`json_stats!`](crate::json_stats), which declares a stats record
 //! once.
 //!
-//! The vendored `serde` is an API-surface stub with no serializer behind
-//! it, and the snapshot path must be byte-reproducible across runs and
-//! thread counts anyway. This writer emits keys in exactly the order the
+//! No code serializes through `serde` (the vendored crate is a stub
+//! that is declared but unused), and the snapshot path must be
+//! byte-reproducible across runs and thread counts anyway. This writer emits keys in exactly the order the
 //! caller supplies them, uses only integer and string scalars (no float
 //! formatting ambiguity), and allocates nothing beyond the output
 //! `String`, so two identical snapshots always serialize to identical

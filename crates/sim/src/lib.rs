@@ -16,7 +16,7 @@
 //! - [`fifo`]: bounded FIFO models with occupancy statistics, the shape of
 //!   every hardware queue in the NIU.
 //! - [`json`]: a tiny deterministic JSON writer ([`JsonWriter`]) for
-//!   byte-reproducible stats snapshots (the vendored serde is a stub),
+//!   byte-reproducible stats snapshots (nothing uses serde),
 //!   and [`json_stats!`], which declares each stats record once.
 //! - [`trace`]: a lightweight ring-buffer tracer for debugging simulations.
 //! - [`wake`]: a dirty-tracking wake-time index ([`WakeIndex`]) that the

@@ -85,12 +85,6 @@ impl DetRng {
         lo + self.below(hi - lo + 1)
     }
 
-    /// Uniform `f64` in `[0, 1)`.
-    #[inline]
-    pub fn unit_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
     /// Derive an independent child generator.
     ///
     /// The child's stream is (statistically) independent of the parent's
@@ -194,20 +188,6 @@ mod tests {
             assert!((5..=7).contains(&v));
         }
         assert_eq!(r.range(3, 3), 3);
-    }
-
-    #[test]
-    fn unit_f64_in_unit_interval_with_plausible_mean() {
-        let mut r = DetRng::new(11);
-        let n = 10_000;
-        let mut sum = 0.0;
-        for _ in 0..n {
-            let v = r.unit_f64();
-            assert!((0.0..1.0).contains(&v));
-            sum += v;
-        }
-        let mean = sum / n as f64;
-        assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
     }
 
     #[test]

@@ -8,10 +8,9 @@
 //! serializable so the bench harness can dump experiment records.
 
 use crate::time::Time;
-use serde::{Deserialize, Serialize};
 
 /// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter(pub u64);
 
 impl Counter {
@@ -37,7 +36,7 @@ impl Counter {
 /// Running summary statistics (count / min / max / mean) over `u64` samples,
 /// plus the sum for rate computations. Stores no per-sample data, so it is
 /// safe to use for millions of events.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Summary {
     /// Number of lines.
     pub count: u64,
@@ -116,7 +115,7 @@ impl Summary {
 ///
 /// Bucket `i` holds samples in `[2^i, 2^(i+1))`; bucket 0 additionally
 /// holds zero. 64 buckets cover the entire `u64` range.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Log2Histogram {
     /// Per-power-of-two sample counts.
     pub buckets: Vec<u64>,
@@ -176,7 +175,7 @@ impl Log2Histogram {
 /// `busy_ns` over the run's length.
 ///
 /// Call [`Occupancy::busy_at`] with each busy interval.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Occupancy {
     /// Total busy time, ns.
     pub busy_ns: u64,
@@ -203,7 +202,7 @@ impl Occupancy {
 
 /// Byte-flow tracker: total bytes moved plus first/last event times, from
 /// which sustained bandwidth is derived.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Throughput {
     /// Size in bytes.
     pub bytes: u64,

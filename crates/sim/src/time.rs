@@ -11,8 +11,6 @@
 //! becomes visible between edges is acted on at the following edge, exactly
 //! as in the hardware.
 
-use serde::{Deserialize, Serialize};
-
 /// Nanoseconds per microsecond.
 pub const NS_PER_US: u64 = 1_000;
 /// Nanoseconds per second.
@@ -29,9 +27,7 @@ pub const NS_PER_SEC: u64 = 1_000_000_000;
 /// interval accounting (occupancy, latency clipping) relies on that to
 /// clip intervals that straddle a measurement boundary instead of
 /// panicking.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Time(pub u64);
 
 impl Time {
@@ -130,7 +126,7 @@ impl core::fmt::Display for Time {
 /// cumulative drift. The product is formed in 64 bits whenever it fits —
 /// every edge a run reaches in its first ~37 simulated years at 66 MHz —
 /// and in 128 bits otherwise, so both forms give the same result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Clock {
     /// Period numerator in nanoseconds.
     num: u64,

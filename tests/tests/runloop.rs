@@ -494,6 +494,31 @@ fn parallelism_accessors_expose_the_resolved_plan() {
     assert_eq!(m.workers(), 2);
 }
 
+/// The fabric picks the subtree level `BySubtree` shards at: the tree
+/// coarsens until cross-shard traffic spans two lookahead windows, and
+/// the ideal pipe, with no hops to exploit, keeps the worker-balance
+/// level. Each point is `(nodes, workers, tree shards, pipe shards)`.
+#[test]
+fn shard_maps_on_both_fabrics() {
+    for (nodes, workers, tree, pipe) in [
+        (8, 2, 2, 8),
+        (16, 4, 4, 16),
+        (64, 2, 4, 4),
+        (64, 4, 16, 16),
+        (256, 2, 4, 4),
+    ] {
+        let b = || Machine::builder(nodes).parallelism(Parallelism::Fixed(workers));
+        assert_eq!(
+            (
+                b().build().shard_count(),
+                b().ideal_network(100).build().shard_count()
+            ),
+            (tree, pipe),
+            "{nodes} nodes, {workers} workers"
+        );
+    }
+}
+
 /// One worker is one shard — `Sequential` and `Fixed(1)` alike, under
 /// either policy and at any size — so the single-threaded event loop
 /// never pays for a partition it cannot run in parallel. The 1024-node
