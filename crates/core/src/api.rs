@@ -1297,13 +1297,53 @@ mod tests {
     }
 
     fn step(p: &mut dyn Program) -> Step {
+        step_with(p, 0)
+    }
+
+    /// Step `p` with `last_load` as the previous load's result.
+    fn step_with(p: &mut dyn Program, last_load: u64) -> Step {
         let mut events = Vec::new();
         p.step(&mut Env {
             now: sv_sim::Time::ZERO,
             node: 0,
-            last_load: 0,
+            last_load,
             events: &mut events,
         })
+    }
+
+    #[test]
+    fn a_full_queue_is_polled_with_gaps_until_the_consumer_moves() {
+        // A sender resumed one full wrap in polls the consumer shadow;
+        // while the shadow shows the queue full it waits a poll gap and
+        // polls again, and once it shows a free slot it composes.
+        let lib = Machine::builder(2).build().lib(0);
+        let tx = lib.basic_tx;
+        let mut p = SendBasic::resuming(&lib, vec![BasicMsg::new(5, vec![7; 9])], tx.entries);
+        let poll = Step::Load {
+            addr: lib.asram(tx.shadow_off),
+            bytes: 8,
+        };
+        let slot = lib.asram(tx.slot_off(tx.entries));
+        let store = |addr, data| Step::Store { addr, data };
+        let got: Vec<Step> = [0, 0, 0, 1, 0, 0, 0, 0]
+            .into_iter()
+            .map(|consumer| step_with(&mut p, consumer))
+            .collect();
+        let hdr = MsgHeader::basic(5, 9).encode().to_vec();
+        let ptr = lib.map.ptr_update_addr(false, tx.q, tx.entries + 1);
+        assert_eq!(
+            got,
+            [
+                poll.clone(),
+                Step::Compute(POLL_GAP_NS),
+                poll,
+                store(slot, StoreData::Bytes(hdr)),
+                store(slot + 8, StoreData::Bytes(vec![7; 8])),
+                store(slot + 16, StoreData::Bytes(vec![7])),
+                store(ptr, StoreData::U64(0)),
+                Step::Done,
+            ]
+        );
     }
 
     #[test]

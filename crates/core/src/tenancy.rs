@@ -1264,6 +1264,52 @@ mod tests {
     }
 
     #[test]
+    fn a_full_mux_queue_is_polled_with_gaps_until_the_consumer_moves() {
+        // The shared mux composes 32 messages into the 32-entry queue
+        // without polling; the 33rd polls the consumer shadow, waits a
+        // poll gap while it shows the queue full, and composes once it
+        // shows a free slot.
+        let lib = mini_lib();
+        let tx = lib.basic_tx;
+        let tp = TenancyParams {
+            tenants_per_node: 1,
+            ..TenancyParams::default()
+        };
+        let mut sched = TenantScheduler::new(lib, &tp, vec![stream(33, 1)]);
+        let mut events = Vec::new();
+        let mut step = |consumer: u64| {
+            sched.step(&mut Env {
+                now: Time::ZERO,
+                node: 0,
+                last_load: consumer,
+                events: &mut events,
+            })
+        };
+        // Header, two payload stores and the pointer store per message.
+        for _ in 0..32 * 4 {
+            assert!(matches!(step(0), Step::Store { .. }));
+        }
+        let poll = Step::Load {
+            addr: lib.asram(tx.shadow_off),
+            bytes: 8,
+        };
+        let got: Vec<Step> = [0, 0, 0, 1].into_iter().map(&mut step).collect();
+        let hdr = MsgHeader::basic(1, 16).encode().to_vec();
+        assert_eq!(
+            got,
+            [
+                poll.clone(),
+                Step::Compute(MUX_POLL_GAP_NS),
+                poll,
+                Step::Store {
+                    addr: lib.asram(tx.slot_off(32)),
+                    data: StoreData::Bytes(hdr),
+                },
+            ]
+        );
+    }
+
+    #[test]
     fn delay_gates_readiness_without_attribution() {
         let lib = mini_lib();
         let tp = TenancyParams {

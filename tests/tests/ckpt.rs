@@ -842,6 +842,137 @@ fn pinned_tenant_children() -> Machine {
     m
 }
 
+/// A `SendBasic` of 40 messages, each with a TagOn attachment (80 bytes
+/// behind an 8-byte payload, or 48 behind 24–26 bytes), into a
+/// `RecvBasic` on 2 nodes: past the 32-entry transmit queue, so the
+/// sender polls the consumer shadow for space.
+fn pinned_send_basic() -> Machine {
+    use voyager::api::{BasicMsg, RecvBasic, SendBasic};
+    let mut m = stepped(2);
+    let lib = m.lib(0);
+    let items = (0..40u8)
+        .map(|k| {
+            let dest = lib.user_dest(1);
+            if k % 2 == 0 {
+                BasicMsg::new(dest, vec![k; 8]).with_tagon(vec![!k; 80])
+            } else {
+                BasicMsg::new(dest, vec![k; 24 + usize::from(k % 3)]).with_tagon(vec![!k; 48])
+            }
+        })
+        .collect();
+    m.load_program(0, SendBasic::new(&lib, items));
+    let rx = m.lib(1);
+    m.load_program(1, RecvBasic::expecting(&rx, 40));
+    m
+}
+
+/// A `RecvBasic` polling an empty queue until a delayed sender's six
+/// messages (0, 1, 7, 8, 9 and 88 payload bytes) arrive, on 2 nodes.
+fn pinned_recv_basic() -> Machine {
+    use voyager::api::{BasicMsg, RecvBasic, SendBasic};
+    use voyager::app::Seq;
+    let mut m = stepped(2);
+    let lib = m.lib(0);
+    let items = [0usize, 1, 7, 8, 9, 88]
+        .into_iter()
+        .map(|len| BasicMsg::new(lib.user_dest(1), vec![len as u8; len]))
+        .collect();
+    m.load_program(
+        0,
+        Seq::new(vec![
+            Box::new(Delay(400)),
+            Box::new(SendBasic::new(&lib, items)),
+        ]),
+    );
+    let rx = m.lib(1);
+    m.load_program(1, RecvBasic::expecting(&rx, 6));
+    m
+}
+
+/// A firmware all-reduce then barrier on 4 nodes: each `CollWait` polls
+/// its empty receive queue, backing off, while the sPs run the tree.
+fn pinned_coll_wait() -> Machine {
+    use voyager::firmware::proto::CollOp;
+    let mut m = stepped(4);
+    for i in 0..4u16 {
+        let lib = m.lib(i);
+        let reqs = vec![
+            voyager::CollReq::allreduce(CollOp::Sum, 5 + u64::from(i)),
+            voyager::CollReq::barrier(),
+        ];
+        m.load_program(i, lib.coll_program(reqs));
+    }
+    m
+}
+
+/// Three round-robin tenants per node on 2 nodes, tenant 2 confined:
+/// tenants 0 and 1 stream 41 messages through the shared user-queue mux
+/// (one with a TagOn attachment), past its 32 entries, and tenant 2
+/// four through the confined queue's mux.
+fn pinned_tenant_muxes() -> Machine {
+    use voyager::api::BasicMsg;
+    use voyager::tenancy::{JobBody, StreamItem};
+    let tp = voyager::TenancyParams {
+        tenants_per_node: 3,
+        policy: voyager::SchedPolicy::RoundRobin,
+        confined: Some(2),
+    };
+    let mut m = Machine::builder(2).cycle_stepped().tenants(tp).build();
+    for i in 0..2u16 {
+        let to = |t: u16| m.tenant_lib(i, t).dest(1 - i);
+        let mut bulk: std::collections::VecDeque<StreamItem> = (0..20u8)
+            .map(|k| StreamItem::Msg(BasicMsg::new(to(0), vec![k; 40])))
+            .collect();
+        bulk.push_back(StreamItem::Msg(
+            BasicMsg::new(to(0), vec![0xEE; 8]).with_tagon(vec![0x7A; 48]),
+        ));
+        let mut late = std::collections::VecDeque::from([StreamItem::Delay(300)]);
+        late.extend((0..20u8).map(|k| StreamItem::Msg(BasicMsg::new(to(1), vec![k; 88]))));
+        let confined = (0..4u8)
+            .map(|k| StreamItem::Msg(BasicMsg::new(1 - i, vec![k; 8])))
+            .collect();
+        let jobs = vec![
+            JobBody::Stream(bulk),
+            JobBody::Stream(late),
+            JobBody::Stream(confined),
+        ];
+        let lib = m.lib(i);
+        m.load_program(i, voyager::TenantScheduler::new(lib, &tp, jobs));
+    }
+    m
+}
+
+fn stepped(n: usize) -> Machine {
+    Machine::builder(n).cycle_stepped().build()
+}
+
+/// Step `m` under the cycle-stepped oracle until every node's program
+/// has finished, cutting a full snapshot after every bus cycle, and fold
+/// the cuts' `snapshot_id`s, in order, into one FNV-1a-64. Returns the
+/// cut count and the digest. Every state a program's record passes
+/// through is pinned this way, not only the states at a chain's three
+/// cuts.
+fn per_cycle_ids(mut m: Machine) -> (usize, u64) {
+    let nodes = m.nodes.len() as u16;
+    let finished = |m: &Machine| {
+        (0..nodes).all(|i| {
+            m.events(i)
+                .iter()
+                .any(|e| e.kind == AppEventKind::ProgramDone)
+        })
+    };
+    let mut ids = Vec::new();
+    while !finished(&m) {
+        assert!(
+            ids.len() < 8 * 100_000,
+            "the run must finish in 100,000 cycles"
+        );
+        m.step();
+        ids.extend(sv_sim::ckpt::snapshot_id(&m.checkpoint()).to_le_bytes());
+    }
+    (ids.len() / 8, sv_sim::ckpt::fnv1a64(&ids))
+}
+
 // Cut schedules (ns per slice): every cut lands mid-run, while the
 // scenario's own state (credit stalls, tenant slices, collective
 // rounds, coherence transactions, DMA) is live.
@@ -864,7 +995,12 @@ const SLICES_CHILDREN: Slices = [Some(1_000), Some(2_500), Some(1_000)];
 /// transfers, the ideal fabric, Express messaging behind delays and
 /// child-bodied tenant jobs, so every checkpointed component and every
 /// program kind writes real state. Any change to what a component writes, or in what
-/// order, shows up here even if save and load change together.
+/// order, shows up here even if save and load change together. Four
+/// more entries each fold a full snapshot per bus cycle of a short
+/// cycle-stepped run (see [`per_cycle_ids`]) that drives one layer-0
+/// queue program: a `SendBasic` polling for space, a `RecvBasic`, a
+/// `CollWait` backing off and a tenant scheduler with both muxes. A
+/// program record that changes between the chains' cuts fails there.
 /// Regenerate deliberately with
 ///
 /// ```text
@@ -903,6 +1039,18 @@ fn snapshot_bytes_match_golden_digests() {
         entries.push(entry(&format!("{name}_svck_base"), &base));
         entries.push(entry(&format!("{name}_svdk_1"), &d1));
         entries.push(entry(&format!("{name}_svdk_2"), &d2));
+    }
+    let programs: [(&str, Build); 4] = [
+        ("send_basic", pinned_send_basic),
+        ("recv_basic", pinned_recv_basic),
+        ("coll_wait", pinned_coll_wait),
+        ("tenant_muxes", pinned_tenant_muxes),
+    ];
+    for (name, build) in programs {
+        let (cuts, digest) = per_cycle_ids(build());
+        entries.push(format!(
+            "  \"{name}_per_cycle\": {{\"cuts\": {cuts}, \"fnv1a64\": \"{digest:016x}\"}}"
+        ));
     }
     let got = format!("{{\n{}\n}}\n", entries.join(",\n"));
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("goldens/ckpt_digests.json");

@@ -1,7 +1,8 @@
-//! Golden-stats regression tests: nine canonical scenarios — messaging,
+//! Golden-stats regression tests: ten canonical scenarios — messaging,
 //! block transfer, shared memory, firmware collectives, QoS-armed
-//! incast, tenancy, a hostile fabric, an edge-case mix and the 64-node
-//! staggered pairs of the simspeed sweep — each pinned
+//! incast, tenancy, a hostile fabric, an edge-case mix, layer 0's
+//! aP-driven queue programs and the 64-node staggered pairs of the
+//! simspeed sweep — each pinned
 //! to a checked-in JSON snapshot of every counter in the machine. Any
 //! behavioural drift (timing, protocol traffic, queue discipline) shows
 //! up as a byte difference against the golden.
@@ -453,6 +454,75 @@ fn golden_stats_edges() {
     assert_eq!(s.nodes[2].cpu.castouts, 1);
     assert!(s.nodes[2].cpu.l1_hits > 0);
     check_golden("stats_edges.json", s.to_json());
+}
+
+/// Layer 0's aP-driven queue programs, three machines in one golden: an
+/// approach-1 4 KiB block transfer on 2 nodes (52 messages through the
+/// 32-entry transmit queue, so the sender polls the consumer shadow for
+/// space, and the receiver copies every message to DRAM), a Basic-queue
+/// all-reduce on 4 nodes, and an Express all-reduce followed by an
+/// Express broadcast on 4 nodes. No other golden runs these programs.
+/// Beside the counters, each node's event-log length is pinned:
+/// approach 1 and the Basic all-reduce emit no per-message events.
+#[test]
+fn golden_stats_layer0() {
+    use voyager::blockxfer::load_block_transfer;
+    use voyager::collectives::{AllReduce, BasicAllReduce, Broadcast, ReduceOp};
+    use voyager::firmware::proto::Approach;
+    let mut a1 = Machine::builder(2).sample_latency(true).build();
+    let dst = load_block_transfer(&mut a1, Approach::ApDirect, 4096, 0xA1);
+    a1.run_to_quiescence();
+    assert_eq!(
+        a1.mem_read(1, dst, 4096),
+        a1.nodes[0].mem.read_vec(voyager::blockxfer::SRC_ADDR, 4096)
+    );
+    let mut basic = Machine::builder(4).sample_latency(true).build();
+    let mut express = Machine::builder(4).sample_latency(true).build();
+    for i in 0..4u16 {
+        let lib = basic.lib(i);
+        basic.load_program(
+            i,
+            BasicAllReduce::new(&lib, ReduceOp::Sum, 10 + u64::from(i)),
+        );
+        let lib = express.lib(i);
+        express.load_program(
+            i,
+            Seq::new(vec![
+                Box::new(AllReduce::new(&lib, ReduceOp::Max, 3 * u64::from(i))),
+                Box::new(Broadcast::new(&lib, 2, 0xB0A7)),
+            ]),
+        );
+    }
+    basic.run_to_quiescence();
+    express.run_to_quiescence();
+    let results = |m: &Machine, i: u16| -> Vec<u64> {
+        m.events(i)
+            .iter()
+            .filter_map(|e| match e.kind {
+                voyager::AppEventKind::Result { value, .. } => Some(value),
+                _ => None,
+            })
+            .collect()
+    };
+    for i in 0..4u16 {
+        assert_eq!(results(&basic, i), [46], "node {i} Basic all-reduce");
+        assert_eq!(results(&express, i), [9, 0xB0A7], "node {i} Express");
+    }
+    let events = |m: &Machine| -> Vec<usize> {
+        (0..m.nodes.len() as u16)
+            .map(|i| m.events(i).len())
+            .collect()
+    };
+    assert_eq!(events(&a1), [1, 3], "approach-1 event logs");
+    assert_eq!(events(&basic), [2, 2, 2, 2], "Basic all-reduce event logs");
+    assert_eq!(events(&express), [3, 3, 3, 3], "Express event logs");
+    let got = format!(
+        "{{\"a1_transfer_4k\":{},\n\"basic_allreduce\":{},\n\"express_allreduce_broadcast\":{}}}",
+        a1.stats().to_json(),
+        basic.stats().to_json(),
+        express.stats().to_json()
+    );
+    check_golden("stats_layer0.json", got);
 }
 
 /// Staggered pairs at 64 nodes, the simspeed sweep's workload, with
