@@ -384,12 +384,7 @@ impl Node {
         };
         let step = program.step(&mut env);
         match step {
-            Step::Compute(ns) => {
-                self.stats.cpu_compute_ns += ns;
-                self.cpu = CpuState::Computing {
-                    until: now.plus(ns.max(1)),
-                };
-            }
+            Step::Compute(ns) => self.compute(now, ns.max(1), ns),
             Step::Idle => {
                 self.cpu = CpuState::Computing {
                     until: now.plus(15),
@@ -430,9 +425,17 @@ impl Node {
     }
 
     fn finish_local(&mut self, now: Time, ns: u64) {
-        self.stats.cpu_compute_ns += ns;
+        let busy = ns.saturating_add(self.params.cpu.step_overhead_ns);
+        self.compute(now, busy, ns);
+    }
+
+    /// Keep the CPU busy for `busy` ns from `now`, counting `ns` of it as
+    /// compute. Both saturate: a program computing past the end of time
+    /// parks there, and a wake at `u64::MAX` ns is a cycle no run reaches.
+    fn compute(&mut self, now: Time, busy: u64, ns: u64) {
+        self.stats.cpu_compute_ns = self.stats.cpu_compute_ns.saturating_add(ns);
         self.cpu = CpuState::Computing {
-            until: now.plus(ns + self.params.cpu.step_overhead_ns),
+            until: Time::from_ns(now.ns().saturating_add(busy)),
         };
     }
 

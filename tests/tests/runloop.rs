@@ -185,6 +185,45 @@ fn hang_reports_identical_cap_time() {
     );
 }
 
+#[test]
+fn a_compute_past_the_end_of_time_parks_the_program() {
+    // Regression: a `Step::Compute` ending past `u64::MAX` ns overflowed
+    // the compute counter and the CPU's deadline ("attempt to add with
+    // overflow" in debug builds; in release the deadline wrapped and
+    // the CPU resumed at once). It now parks the program until the end
+    // of time: the run hangs at its cap with the same statistics in every
+    // mode (the run loop's own work counters aside).
+    let hung = |builder: MachineBuilder| {
+        let mut m = builder.build();
+        m.load_program(
+            0,
+            voyager::app::Seq::new(vec![
+                Box::new(voyager::app::Delay(5)),
+                Box::new(voyager::app::Delay(u64::MAX)),
+            ]),
+        );
+        let RunOutcome::Hung(t) = m.run_capped(20_000) else {
+            panic!("a parked program cannot finish");
+        };
+        let mut s = m.stats();
+        (
+            s.run.node_ticks,
+            s.run.skipped_node_ticks,
+            s.run.wake_republishes,
+        ) = (0, 0, 0);
+        (t.ns(), s.to_json())
+    };
+    let oracle = hung(Machine::builder(2).cycle_stepped());
+    assert!(oracle.0 > 20_000, "hung at the cap, not before");
+    assert!(oracle.1.contains("\"compute_ns\":18446744073709551615"));
+    for par in [Parallelism::Sequential, Parallelism::Fixed(2)] {
+        assert!(
+            hung(Machine::builder(2).parallelism(par)) == oracle,
+            "{par:?}"
+        );
+    }
+}
+
 /// Staggered pairs at 64 nodes: most nodes idle at any instant — the
 /// wake index's target regime. Shared by the fingerprint and the stats
 /// determinism tests below.
