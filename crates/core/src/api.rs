@@ -7,17 +7,31 @@
 //! queue pointers with address-encoded stores, polling shadow pointers,
 //! launching Express messages with single stores. Nothing in this module
 //! touches simulator internals; everything goes through loads and stores.
+//!
+//! The Basic-queue protocol is written once, as two crate-private
+//! engines. The send engine waits for a free slot by polling the
+//! consumer shadow, writes a TagOn attachment into user scratch, stores
+//! the header and the payload in chunks of at most 8 bytes, then stores
+//! the producer pointer. The receive engine polls the producer shadow,
+//! loads the header and the body, and stores the consumer pointer once
+//! its caller is done with the message. [`SendBasic`], [`RecvBasic`] and
+//! [`CollWait`], approach 1's sender and receiver
+//! ([`crate::blockxfer`]), the Basic all-reduce
+//! ([`crate::collectives::BasicAllReduce`]) and the tenant scheduler's
+//! transmit muxes drive them and keep only their own work around the
+//! queue. Express receivers share one poll helper the same way.
 
 use crate::app::{AppEventKind, Env, Program, Step, StoreData};
-use crate::machine::{NodeLib, USER_SCRATCH};
+use crate::machine::{NodeLib, QueueView, USER_SCRATCH};
 use bytes::Bytes;
 use sv_firmware::proto::{self, XferReq};
 use sv_niu::msg::{express, MsgHeader, TAGON_LARGE, TAGON_SMALL};
 use sv_niu::niu::decode_rx_slot;
 
 /// Gap between polls of an empty queue, ns (amortizes bus traffic the
-/// way a real polling loop's loop overhead does).
-const POLL_GAP_NS: u64 = 30;
+/// way a real polling loop's loop overhead does). Every polling program
+/// in the crate waits this long.
+pub(crate) const POLL_GAP_NS: u64 = 30;
 
 /// What a layer-0 library call can reject. The panicking constructors
 /// ([`BasicMsg::new`], [`SendBasic::to_node`], …) delegate to `try_`
@@ -264,7 +278,7 @@ impl BasicMsg {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum SendState {
+pub(crate) enum SendState {
     Next,
     PollSpace,
     WriteTagon { off: u32 },
@@ -273,13 +287,181 @@ enum SendState {
     PtrUpdate,
 }
 
+/// One message as the send engine composes it.
+pub(crate) struct Outgoing<'a> {
+    /// Destination (virtual unless RAW).
+    pub(crate) dest: u16,
+    /// A first payload word stored whole, as one `U64` store (approach
+    /// 1's destination address), ahead of `bytes`.
+    pub(crate) word: Option<u64>,
+    /// Payload bytes (after `word`).
+    pub(crate) bytes: &'a [u8],
+    /// TagOn attachment; empty for none.
+    pub(crate) tagon: &'a [u8],
+}
+
+impl<'a> Outgoing<'a> {
+    /// `msg` as it goes out: its payload, then its attachment.
+    pub(crate) fn of(msg: &'a BasicMsg) -> Self {
+        Outgoing {
+            dest: msg.dest,
+            word: None,
+            bytes: &msg.payload,
+            tagon: msg.tagon.as_deref().unwrap_or_default(),
+        }
+    }
+
+    fn len(&self) -> u32 {
+        (self.bytes.len() + self.word.map_or(0, |_| 8)) as u32
+    }
+
+    /// The payload store at `off`, if the payload reaches it: the
+    /// leading word whole, then at most 8 bytes.
+    fn chunk(&self, off: u32) -> Option<StoreData> {
+        match self.word {
+            Some(w) if off < 8 => Some(StoreData::U64(w)),
+            Some(_) => chunk(self.bytes, off - 8),
+            None => chunk(self.bytes, off),
+        }
+    }
+}
+
+/// The store of at most 8 bytes of `b` at `off`, if `off` is inside it.
+fn chunk(b: &[u8], off: u32) -> Option<StoreData> {
+    let at = off as usize;
+    (at < b.len()).then(|| StoreData::Bytes(b[at..(at + 8).min(b.len())].to_vec()))
+}
+
+/// What the send engine asks of the CPU.
+pub(crate) enum Tx {
+    /// A step of the message in flight.
+    Busy(Step),
+    /// The producer-pointer store: it hands the slot to the NIU, and the
+    /// message is sent.
+    Launched(Step),
+}
+
+/// The send half of the Basic-queue protocol on one transmit queue, one
+/// message at a time (see the module docs). Its state, producer and
+/// consumer-shadow cursors are the checkpointed part of every sender.
+#[derive(Debug)]
+pub(crate) struct BasicTx {
+    pub(crate) view: QueueView,
+    pub(crate) state: SendState,
+    pub(crate) producer: u16,
+    pub(crate) consumer_seen: u16,
+}
+
+impl BasicTx {
+    /// An engine resuming at `producer` on the queue `view`.
+    pub(crate) fn resuming(view: QueueView, producer: u16) -> Self {
+        // A queue that may have wrapped polls the consumer shadow before
+        // its first compose (conservative: we do not know how much the
+        // NIU has drained). A queue that has seen fewer than `entries`
+        // messages in its lifetime can never be full — the consumer is
+        // at least 0 — so no initial poll is needed. `saturating_sub`
+        // encodes exactly that; the previous `wrapping_sub` made
+        // `producer - consumer_seen` equal `entries` for every resumed
+        // producer in `1..entries`, forcing a useless shadow poll (and
+        // its bus traffic) on every phased send.
+        BasicTx {
+            view,
+            state: SendState::Next,
+            producer,
+            consumer_seen: producer.saturating_sub(view.entries),
+        }
+    }
+
+    fn full(&self) -> bool {
+        self.producer.wrapping_sub(self.consumer_seen) >= self.view.entries
+    }
+
+    /// Wait for a free slot: `Some` shadow poll, or the gap after one
+    /// that found the queue full; `None` once the next message (with a
+    /// TagOn attachment if `tagon`) can be composed. [`BasicTx::step`]
+    /// starts here; a caller with work between the check and the header
+    /// (approach 1's DRAM reads) calls it first.
+    pub(crate) fn room(&mut self, lib: &NodeLib, env: &Env<'_>, tagon: bool) -> Option<Step> {
+        match self.state {
+            SendState::Next if self.full() => {
+                self.state = SendState::PollSpace;
+                return Some(Step::Load {
+                    addr: lib.asram(self.view.shadow_off),
+                    bytes: 8,
+                });
+            }
+            SendState::PollSpace => {
+                self.consumer_seen = env.last_load as u16;
+                if self.full() {
+                    self.state = SendState::Next;
+                    return Some(Step::Compute(POLL_GAP_NS));
+                }
+            }
+            SendState::Next => {}
+            _ => return None,
+        }
+        self.state = if tagon {
+            SendState::WriteTagon { off: 0 }
+        } else {
+            SendState::WriteHeader
+        };
+        None
+    }
+
+    /// The next step of sending `msg`: the space check of
+    /// [`BasicTx::room`], then the message's stores.
+    pub(crate) fn step(&mut self, lib: &NodeLib, env: &Env<'_>, msg: &Outgoing<'_>) -> Tx {
+        let slot = self.view.slot_off(self.producer);
+        let store = |addr, data| Tx::Busy(Step::Store { addr, data });
+        loop {
+            match self.state {
+                SendState::Next | SendState::PollSpace => {
+                    if let Some(s) = self.room(lib, env, !msg.tagon.is_empty()) {
+                        return Tx::Busy(s);
+                    }
+                }
+                SendState::WriteTagon { off } => {
+                    if let Some(data) = chunk(msg.tagon, off) {
+                        self.state = SendState::WriteTagon { off: off + 8 };
+                        return store(lib.asram(USER_SCRATCH + off), data);
+                    }
+                    self.state = SendState::WriteHeader;
+                }
+                SendState::WriteHeader => {
+                    // At most 88 bytes: the callers validate their sizes.
+                    let mut hdr = MsgHeader::basic(msg.dest, msg.len() as u8);
+                    if !msg.tagon.is_empty() {
+                        hdr = hdr.with_tagon(USER_SCRATCH, msg.tagon.len() as u8);
+                    }
+                    self.state = SendState::WritePayload { off: 0 };
+                    return store(lib.asram(slot), StoreData::Bytes(hdr.encode().to_vec()));
+                }
+                SendState::WritePayload { off } => {
+                    if let Some(data) = msg.chunk(off) {
+                        self.state = SendState::WritePayload { off: off + 8 };
+                        return store(lib.asram(slot + 8 + off), data);
+                    }
+                    self.state = SendState::PtrUpdate;
+                }
+                SendState::PtrUpdate => {
+                    self.producer = self.producer.wrapping_add(1);
+                    self.state = SendState::Next;
+                    // All information rides in the address.
+                    return Tx::Launched(Step::Store {
+                        addr: lib.map.ptr_update_addr(false, self.view.q, self.producer),
+                        data: StoreData::U64(0),
+                    });
+                }
+            }
+        }
+    }
+}
+
 /// Send a sequence of Basic messages on the user transmit queue.
 pub struct SendBasic {
     lib: NodeLib,
     items: std::collections::VecDeque<BasicMsg>,
-    state: SendState,
-    producer: u16,
-    consumer_seen: u16,
+    tx: BasicTx,
 }
 
 impl SendBasic {
@@ -293,22 +475,10 @@ impl SendBasic {
     /// because the hardware queue's pointers persist across program
     /// objects.
     pub fn resuming(lib: &NodeLib, items: Vec<BasicMsg>, producer: u16) -> Self {
-        // A queue that may have wrapped polls the consumer shadow before
-        // its first compose (conservative: we do not know how much the
-        // NIU has drained). A queue that has seen fewer than `entries`
-        // messages in its lifetime can never be full — the consumer is
-        // at least 0 — so no initial poll is needed. `saturating_sub`
-        // encodes exactly that; the previous `wrapping_sub` made
-        // `producer - consumer_seen` equal `entries` for every resumed
-        // producer in `1..entries`, forcing a useless shadow poll (and
-        // its bus traffic) on every phased send.
-        let consumer_seen = producer.saturating_sub(lib.basic_tx.entries);
         SendBasic {
             lib: *lib,
             items: items.into(),
-            state: SendState::Next,
-            producer,
-            consumer_seen,
+            tx: BasicTx::resuming(lib.basic_tx, producer),
         }
     }
 
@@ -331,103 +501,24 @@ impl SendBasic {
         let d = lib.user_dest(dest);
         Ok(Self::new(lib, vec![BasicMsg::try_new(d, payload)?]))
     }
-
-    fn cur(&self) -> &BasicMsg {
-        self.items.front().expect("current message")
-    }
 }
 
 impl Program for SendBasic {
     fn step(&mut self, env: &mut Env<'_>) -> Step {
-        loop {
-            match self.state {
-                SendState::Next => {
-                    if self.items.is_empty() {
-                        return Step::Done;
-                    }
-                    if self.producer.wrapping_sub(self.consumer_seen) >= self.lib.basic_tx.entries {
-                        self.state = SendState::PollSpace;
-                        return Step::Load {
-                            addr: self.lib.asram(self.lib.basic_tx.shadow_off),
-                            bytes: 8,
-                        };
-                    }
-                    self.state = if self.cur().tagon.is_some() {
-                        SendState::WriteTagon { off: 0 }
-                    } else {
-                        SendState::WriteHeader
-                    };
-                }
-                SendState::PollSpace => {
-                    self.consumer_seen = env.last_load as u16;
-                    if self.producer.wrapping_sub(self.consumer_seen) >= self.lib.basic_tx.entries {
-                        // Still full: poll again after a beat.
-                        self.state = SendState::Next;
-                        return Step::Compute(POLL_GAP_NS);
-                    }
-                    self.state = if self.cur().tagon.is_some() {
-                        SendState::WriteTagon { off: 0 }
-                    } else {
-                        SendState::WriteHeader
-                    };
-                }
-                SendState::WriteTagon { off } => {
-                    let tagon = self.cur().tagon.as_ref().expect("tagon state");
-                    if (off as usize) < tagon.len() {
-                        let end = (off as usize + 8).min(tagon.len());
-                        let chunk = tagon[off as usize..end].to_vec();
-                        self.state = SendState::WriteTagon { off: off + 8 };
-                        return Step::Store {
-                            addr: self.lib.asram(USER_SCRATCH + off),
-                            data: StoreData::Bytes(chunk),
-                        };
-                    }
-                    self.state = SendState::WriteHeader;
-                }
-                SendState::WriteHeader => {
-                    let msg = self.cur();
-                    let mut hdr = MsgHeader::basic(msg.dest, msg.payload.len() as u8);
-                    if let Some(t) = &msg.tagon {
-                        hdr = hdr.with_tagon(USER_SCRATCH, t.len() as u8);
-                    }
-                    let slot = self.lib.basic_tx.slot_off(self.producer);
-                    self.state = SendState::WritePayload { off: 0 };
-                    return Step::Store {
-                        addr: self.lib.asram(slot),
-                        data: StoreData::Bytes(hdr.encode().to_vec()),
-                    };
-                }
-                SendState::WritePayload { off } => {
-                    let msg = self.cur();
-                    if (off as usize) < msg.payload.len() {
-                        let end = (off as usize + 8).min(msg.payload.len());
-                        let chunk = msg.payload[off as usize..end].to_vec();
-                        let slot = self.lib.basic_tx.slot_off(self.producer);
-                        self.state = SendState::WritePayload { off: off + 8 };
-                        return Step::Store {
-                            addr: self.lib.asram(slot + 8 + off),
-                            data: StoreData::Bytes(chunk),
-                        };
-                    }
-                    self.state = SendState::PtrUpdate;
-                }
-                SendState::PtrUpdate => {
-                    let msg = self.items.pop_front().expect("message");
-                    self.producer = self.producer.wrapping_add(1);
-                    let q = self.lib.basic_tx.q;
-                    let bytes = (msg.payload.len() + msg.tagon.map_or(0, |t| t.len())) as u32;
-                    env.emit(AppEventKind::Sent {
-                        q,
-                        dest: msg.dest,
-                        bytes,
-                    });
-                    self.state = SendState::Next;
-                    // All information rides in the address.
-                    return Step::Store {
-                        addr: self.lib.map.ptr_update_addr(false, q, self.producer),
-                        data: StoreData::U64(0),
-                    };
-                }
+        let Some(msg) = self.items.front() else {
+            return Step::Done;
+        };
+        match self.tx.step(&self.lib, env, &Outgoing::of(msg)) {
+            Tx::Busy(s) => s,
+            Tx::Launched(s) => {
+                let msg = self.items.pop_front().expect("message");
+                let bytes = (msg.payload.len() + msg.tagon.map_or(0, |t| t.len())) as u32;
+                env.emit(AppEventKind::Sent {
+                    q: self.tx.view.q,
+                    dest: msg.dest,
+                    bytes,
+                });
+                s
             }
         }
     }
@@ -435,21 +526,157 @@ impl Program for SendBasic {
     fn snapshot(&self) -> Option<ProgramSnapshot> {
         Some(ProgramSnapshot::record(0, |w| {
             w.save(&self.items);
-            w.save(&self.state);
-            w.u16(self.producer);
-            w.u16(self.consumer_seen);
+            w.save(&self.tx.state);
+            w.u16(self.tx.producer);
+            w.u16(self.tx.consumer_seen);
         }))
     }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum RecvState {
+pub(crate) enum RecvState {
     Poll,
     CheckPoll,
     ReadHeader,
     CheckHeader,
     ReadBody { off: u32 },
     PtrUpdate,
+}
+
+/// What the receive engine asks of its caller.
+pub(crate) enum Rx {
+    /// Issue this step.
+    Busy(Step),
+    /// The producer shadow showed no message: poll again after a gap of
+    /// the caller's choosing.
+    Empty,
+    /// A whole message is in `buf`. The next step, once the caller is
+    /// done with it, frees its slot.
+    Message,
+}
+
+/// The receive half of the Basic-queue protocol on the user receive
+/// queue (see the module docs). Its state, cursors and the message read
+/// so far are the checkpointed part of every receiver.
+#[derive(Debug)]
+pub(crate) struct BasicRx {
+    pub(crate) state: RecvState,
+    pub(crate) consumer: u16,
+    pub(crate) producer_seen: u16,
+    /// Source of the message being read.
+    pub(crate) src: u16,
+    /// Its length: the rx slot's one-byte field.
+    pub(crate) len: u32,
+    /// Its body, as far as it has been read.
+    pub(crate) buf: Vec<u8>,
+}
+
+impl BasicRx {
+    /// An engine resuming at `consumer`.
+    pub(crate) fn resuming(consumer: u16) -> Self {
+        BasicRx {
+            state: RecvState::Poll,
+            consumer,
+            producer_seen: consumer,
+            src: 0,
+            len: 0,
+            buf: Vec::new(),
+        }
+    }
+
+    /// The next step of receiving on `lib`'s user queue.
+    pub(crate) fn step(&mut self, lib: &NodeLib, env: &Env<'_>) -> Rx {
+        let view = lib.basic_rx;
+        let load = |off| {
+            Rx::Busy(Step::Load {
+                addr: lib.asram(off),
+                bytes: 8,
+            })
+        };
+        loop {
+            match self.state {
+                RecvState::Poll if self.consumer == self.producer_seen => {
+                    self.state = RecvState::CheckPoll;
+                    return load(view.shadow_off);
+                }
+                RecvState::CheckPoll => {
+                    self.producer_seen = env.last_load as u16;
+                    if self.consumer == self.producer_seen {
+                        self.state = RecvState::Poll;
+                        return Rx::Empty;
+                    }
+                    self.state = RecvState::ReadHeader;
+                }
+                RecvState::Poll | RecvState::ReadHeader => {
+                    self.state = RecvState::CheckHeader;
+                    return load(view.slot_off(self.consumer));
+                }
+                RecvState::CheckHeader => {
+                    let (src, _lq, len) = decode_rx_slot(&env.last_load.to_le_bytes());
+                    (self.src, self.len) = (src, u32::from(len));
+                    self.buf.clear();
+                    self.state = RecvState::ReadBody { off: 0 };
+                }
+                RecvState::ReadBody { off } => {
+                    if off > 0 {
+                        // Collect the previous load's bytes.
+                        let take = (self.len - (off - 8)).min(8) as usize;
+                        self.buf
+                            .extend_from_slice(&env.last_load.to_le_bytes()[..take]);
+                    }
+                    if off < self.len {
+                        self.state = RecvState::ReadBody { off: off + 8 };
+                        return load(view.slot_off(self.consumer) + 8 + off);
+                    }
+                    self.state = RecvState::PtrUpdate;
+                    return Rx::Message;
+                }
+                RecvState::PtrUpdate => {
+                    self.consumer = self.consumer.wrapping_add(1);
+                    self.state = RecvState::Poll;
+                    return Rx::Busy(Step::Store {
+                        addr: lib.map.ptr_update_addr(true, view.q, self.consumer),
+                        data: StoreData::U64(0),
+                    });
+                }
+            }
+        }
+    }
+
+    /// Checkpoint the engine; the message source only `with_src`.
+    fn save(&self, w: &mut SnapWriter, with_src: bool) {
+        w.save(&self.state);
+        w.u16(self.consumer);
+        w.u16(self.producer_seen);
+        if with_src {
+            w.u16(self.src);
+        }
+        w.u32(self.len);
+        w.save(&self.buf);
+    }
+
+    /// Decode an engine written by [`BasicRx::save`].
+    fn load(r: &mut SnapReader<'_>, with_src: bool) -> Result<Self, SnapshotError> {
+        Ok(BasicRx {
+            state: r.load()?,
+            consumer: r.u16()?,
+            producer_seen: r.u16()?,
+            src: if with_src { r.u16()? } else { 0 },
+            len: r.u32()?,
+            buf: r.load()?,
+        })
+    }
+
+    /// Whether a restored engine can step: `len` only ever holds the rx
+    /// slot's one-byte length, and `ReadBody` computes `len - (off - 8)`
+    /// and `off + 8`.
+    fn valid(&self) -> bool {
+        let body_ok = match self.state {
+            RecvState::ReadBody { off } => off == 0 || (off >= 8 && off - 8 <= self.len),
+            _ => true,
+        };
+        self.len <= u32::from(u8::MAX) && body_ok
+    }
 }
 
 /// Receive `expect` Basic messages from the user receive queue,
@@ -459,12 +686,7 @@ pub struct RecvBasic {
     lib: NodeLib,
     expect: usize,
     got: usize,
-    state: RecvState,
-    consumer: u16,
-    producer_seen: u16,
-    cur_src: u16,
-    cur_len: u32,
-    buf: Vec<u8>,
+    rx: BasicRx,
 }
 
 impl RecvBasic {
@@ -482,12 +704,7 @@ impl RecvBasic {
             lib: *lib,
             expect,
             got: 0,
-            state: RecvState::Poll,
-            consumer,
-            producer_seen: consumer,
-            cur_src: 0,
-            cur_len: 0,
-            buf: Vec::new(),
+            rx: BasicRx::resuming(consumer),
         }
     }
 }
@@ -495,80 +712,23 @@ impl RecvBasic {
 impl Program for RecvBasic {
     fn step(&mut self, env: &mut Env<'_>) -> Step {
         loop {
-            match self.state {
-                RecvState::Poll => {
-                    if self.got >= self.expect {
-                        return Step::Done;
-                    }
-                    if self.consumer != self.producer_seen {
-                        self.state = RecvState::ReadHeader;
-                        continue;
-                    }
-                    self.state = RecvState::CheckPoll;
-                    return Step::Load {
-                        addr: self.lib.asram(self.lib.basic_rx.shadow_off),
-                        bytes: 8,
-                    };
-                }
-                RecvState::CheckPoll => {
-                    self.producer_seen = env.last_load as u16;
-                    if self.consumer == self.producer_seen {
-                        self.state = RecvState::Poll;
-                        return Step::Compute(POLL_GAP_NS);
-                    }
-                    self.state = RecvState::ReadHeader;
-                }
-                RecvState::ReadHeader => {
-                    let slot = self.lib.basic_rx.slot_off(self.consumer);
-                    self.state = RecvState::CheckHeader;
-                    return Step::Load {
-                        addr: self.lib.asram(slot),
-                        bytes: 8,
-                    };
-                }
-                RecvState::CheckHeader => {
-                    let hdr = env.last_load.to_le_bytes();
-                    let (src, _lq, len) = decode_rx_slot(&hdr);
-                    self.cur_src = src;
-                    self.cur_len = len as u32;
-                    self.buf.clear();
-                    self.state = RecvState::ReadBody { off: 0 };
-                }
-                RecvState::ReadBody { off } => {
-                    if off > 0 {
-                        // Collect the previous load's bytes.
-                        let take = (self.cur_len - (off - 8)).min(8) as usize;
-                        self.buf
-                            .extend_from_slice(&env.last_load.to_le_bytes()[..take]);
-                    }
-                    if off < self.cur_len {
-                        let slot = self.lib.basic_rx.slot_off(self.consumer);
-                        self.state = RecvState::ReadBody { off: off + 8 };
-                        return Step::Load {
-                            addr: self.lib.asram(slot + 8 + off),
-                            bytes: 8,
-                        };
-                    }
-                    let data = Bytes::from(std::mem::take(&mut self.buf));
+            if self.rx.state == RecvState::Poll && self.got >= self.expect {
+                return Step::Done;
+            }
+            match self.rx.step(&self.lib, env) {
+                Rx::Busy(s) => return s,
+                Rx::Empty => return Step::Compute(POLL_GAP_NS),
+                Rx::Message => {
+                    let data = Bytes::from(std::mem::take(&mut self.rx.buf));
                     if let Some(xid) = proto::decode_notify(&data) {
                         env.emit(AppEventKind::NotifyReceived { xfer_id: xid });
                     }
                     env.emit(AppEventKind::Received {
                         q: self.lib.basic_rx.q,
-                        src: self.cur_src,
+                        src: self.rx.src,
                         data,
                     });
                     self.got += 1;
-                    self.state = RecvState::PtrUpdate;
-                }
-                RecvState::PtrUpdate => {
-                    self.consumer = self.consumer.wrapping_add(1);
-                    let q = self.lib.basic_rx.q;
-                    self.state = RecvState::Poll;
-                    return Step::Store {
-                        addr: self.lib.map.ptr_update_addr(true, q, self.consumer),
-                        data: StoreData::U64(0),
-                    };
                 }
             }
         }
@@ -578,12 +738,7 @@ impl Program for RecvBasic {
         Some(ProgramSnapshot::record(1, |w| {
             w.usize_(self.expect);
             w.usize_(self.got);
-            w.save(&self.state);
-            w.u16(self.consumer);
-            w.u16(self.producer_seen);
-            w.u16(self.cur_src);
-            w.u32(self.cur_len);
-            w.save(&self.buf);
+            self.rx.save(w, true);
         }))
     }
 }
@@ -628,13 +783,44 @@ impl Program for SendExpress {
     }
 }
 
+/// The Express receive poll every Express receiver shares: one uncached
+/// load of the receive queue, whose result arrives at the next step
+/// (the canonical-empty convention marks an empty queue).
+#[derive(Debug, Default)]
+pub(crate) struct ExpressPoll {
+    /// A poll is outstanding: `env.last_load` holds its result.
+    pub(crate) primed: bool,
+}
+
+impl ExpressPoll {
+    /// The outstanding poll's `(src, tag, word)`, if any; `Err` holds
+    /// the gap to wait after a poll that found the queue empty.
+    pub(crate) fn take(&mut self, env: &Env<'_>) -> Result<Option<(u16, u8, [u8; 4])>, Step> {
+        if !std::mem::take(&mut self.primed) {
+            return Ok(None);
+        }
+        express::unpack_rx(env.last_load)
+            .map(Some)
+            .ok_or(Step::Compute(POLL_GAP_NS))
+    }
+
+    /// Issue a poll of `lib`'s Express receive queue.
+    pub(crate) fn issue(&mut self, lib: &NodeLib) -> Step {
+        self.primed = true;
+        Step::Load {
+            addr: lib.map.express_rx_addr(lib.express_rx_q),
+            bytes: 8,
+        }
+    }
+}
+
 /// Receive `expect` Express messages: one uncached load each (polling
 /// with the canonical-empty convention).
 pub struct RecvExpress {
     lib: NodeLib,
     expect: usize,
     got: usize,
-    primed: bool,
+    poll: ExpressPoll,
 }
 
 impl RecvExpress {
@@ -644,33 +830,25 @@ impl RecvExpress {
             lib: *lib,
             expect,
             got: 0,
-            primed: false,
+            poll: ExpressPoll::default(),
         }
     }
 }
 
 impl Program for RecvExpress {
     fn step(&mut self, env: &mut Env<'_>) -> Step {
-        if self.primed {
-            self.primed = false;
-            match express::unpack_rx(env.last_load) {
-                Some((src, tag, word)) => {
-                    env.emit(AppEventKind::ExpressReceived { src, tag, word });
-                    self.got += 1;
-                }
-                None => {
-                    return Step::Compute(POLL_GAP_NS);
-                }
+        match self.poll.take(env) {
+            Err(gap) => return gap,
+            Ok(Some((src, tag, word))) => {
+                env.emit(AppEventKind::ExpressReceived { src, tag, word });
+                self.got += 1;
             }
+            Ok(None) => {}
         }
         if self.got >= self.expect {
             return Step::Done;
         }
-        self.primed = true;
-        Step::Load {
-            addr: self.lib.map.express_rx_addr(self.lib.express_rx_q),
-            bytes: 8,
-        }
+        self.poll.issue(&self.lib)
     }
 
     fn snapshot(&self) -> Option<ProgramSnapshot> {
@@ -680,7 +858,7 @@ impl Program for RecvExpress {
         Some(ProgramSnapshot::record(3, |w| {
             w.usize_(self.expect);
             w.usize_(self.got);
-            w.save(&self.primed);
+            w.save(&self.poll.primed);
         }))
     }
 }
@@ -779,11 +957,7 @@ pub struct CollWait {
     lib: NodeLib,
     /// Expected [`proto::CollKind`] as its wire byte.
     kind: u8,
-    state: RecvState,
-    consumer: u16,
-    producer_seen: u16,
-    cur_len: u32,
-    buf: Vec<u8>,
+    rx: BasicRx,
     done: bool,
     /// Consecutive empty shadow polls; drives the poll backoff.
     idle_polls: u32,
@@ -804,11 +978,7 @@ impl CollWait {
         CollWait {
             lib: *lib,
             kind: kind as u8,
-            state: RecvState::Poll,
-            consumer,
-            producer_seen: consumer,
-            cur_len: 0,
-            buf: Vec::new(),
+            rx: BasicRx::resuming(consumer),
             done: false,
             idle_polls: 0,
         }
@@ -818,66 +988,29 @@ impl CollWait {
 impl Program for CollWait {
     fn step(&mut self, env: &mut Env<'_>) -> Step {
         loop {
-            match self.state {
-                RecvState::Poll => {
-                    if self.done {
-                        return Step::Done;
+            if self.rx.state == RecvState::Poll && self.done {
+                return Step::Done;
+            }
+            let polled = self.rx.state == RecvState::CheckPoll;
+            match self.rx.step(&self.lib, env) {
+                Rx::Busy(s) => {
+                    if polled {
+                        // The poll found a message.
+                        self.idle_polls = 0;
                     }
-                    if self.consumer != self.producer_seen {
-                        self.state = RecvState::ReadHeader;
-                        continue;
-                    }
-                    self.state = RecvState::CheckPoll;
-                    return Step::Load {
-                        addr: self.lib.asram(self.lib.basic_rx.shadow_off),
-                        bytes: 8,
-                    };
+                    return s;
                 }
-                RecvState::CheckPoll => {
-                    self.producer_seen = env.last_load as u16;
-                    if self.consumer == self.producer_seen {
-                        self.state = RecvState::Poll;
-                        let gap = (POLL_GAP_NS << self.idle_polls.min(3)).min(COLL_POLL_GAP_MAX_NS);
-                        self.idle_polls = self.idle_polls.saturating_add(1);
-                        return Step::Compute(gap);
-                    }
-                    self.idle_polls = 0;
-                    self.state = RecvState::ReadHeader;
+                Rx::Empty => {
+                    let gap = (POLL_GAP_NS << self.idle_polls.min(3)).min(COLL_POLL_GAP_MAX_NS);
+                    self.idle_polls = self.idle_polls.saturating_add(1);
+                    return Step::Compute(gap);
                 }
-                RecvState::ReadHeader => {
-                    let slot = self.lib.basic_rx.slot_off(self.consumer);
-                    self.state = RecvState::CheckHeader;
-                    return Step::Load {
-                        addr: self.lib.asram(slot),
-                        bytes: 8,
-                    };
-                }
-                RecvState::CheckHeader => {
-                    let hdr = env.last_load.to_le_bytes();
-                    let (_src, _lq, len) = decode_rx_slot(&hdr);
-                    self.cur_len = len as u32;
-                    self.buf.clear();
-                    self.state = RecvState::ReadBody { off: 0 };
-                }
-                RecvState::ReadBody { off } => {
-                    if off > 0 {
-                        let take = (self.cur_len - (off - 8)).min(8) as usize;
-                        self.buf
-                            .extend_from_slice(&env.last_load.to_le_bytes()[..take]);
-                    }
-                    if off < self.cur_len {
-                        let slot = self.lib.basic_rx.slot_off(self.consumer);
-                        self.state = RecvState::ReadBody { off: off + 8 };
-                        return Step::Load {
-                            addr: self.lib.asram(slot + 8 + off),
-                            bytes: 8,
-                        };
-                    }
+                Rx::Message => {
                     // A result of the expected kind finishes the wait;
                     // anything else in the queue is consumed and skipped
                     // (the queue is dedicated to collective results for
                     // the duration of a collective program).
-                    if let Some((kind, _seq, value)) = proto::decode_coll_result(&self.buf) {
+                    if let Some((kind, _seq, value)) = proto::decode_coll_result(&self.rx.buf) {
                         if kind as u8 == self.kind {
                             env.emit(AppEventKind::Result {
                                 label: coll_label(self.kind),
@@ -886,17 +1019,7 @@ impl Program for CollWait {
                             self.done = true;
                         }
                     }
-                    self.buf.clear();
-                    self.state = RecvState::PtrUpdate;
-                }
-                RecvState::PtrUpdate => {
-                    self.consumer = self.consumer.wrapping_add(1);
-                    let q = self.lib.basic_rx.q;
-                    self.state = RecvState::Poll;
-                    return Step::Store {
-                        addr: self.lib.map.ptr_update_addr(true, q, self.consumer),
-                        data: StoreData::U64(0),
-                    };
+                    self.rx.buf.clear();
                 }
             }
         }
@@ -905,11 +1028,7 @@ impl Program for CollWait {
     fn snapshot(&self) -> Option<ProgramSnapshot> {
         Some(ProgramSnapshot::record(8, |w| {
             w.u8(self.kind);
-            w.save(&self.state);
-            w.u16(self.consumer);
-            w.u16(self.producer_seen);
-            w.u32(self.cur_len);
-            w.save(&self.buf);
+            self.rx.save(w, false);
             w.save(&self.done);
             w.u32(self.idle_polls);
         }))
@@ -1102,8 +1221,7 @@ pub(crate) fn load_program(
             let state = r.load()?;
             // The send loop indexes the front message (and its TagOn
             // attachment) in every state but `Next`: a live sender polls
-            // for space only with a message queued. A forged snapshot
-            // must not reach those `expect`s.
+            // for space only with a message queued.
             let front_ok = match state {
                 SendState::Next => true,
                 SendState::WriteTagon { .. } => items.front().is_some_and(|m| m.tagon.is_some()),
@@ -1115,36 +1233,36 @@ pub(crate) fn load_program(
             if !front_ok {
                 return Err(corrupt);
             }
-            Box::new(SendBasic {
-                lib: *lib,
-                items,
+            let tx = BasicTx {
+                view: lib.basic_tx,
                 state,
                 producer: r.u16()?,
                 consumer_seen: r.u16()?,
+            };
+            Box::new(SendBasic {
+                lib: *lib,
+                items,
+                tx,
             })
         }
         1 => {
-            let p = RecvBasic {
-                lib: *lib,
-                expect: r.usize_()?,
-                got: r.usize_()?,
-                state: r.load()?,
-                consumer: r.u16()?,
-                producer_seen: r.u16()?,
-                cur_src: r.u16()?,
-                cur_len: r.u32()?,
-                buf: r.load()?,
-            };
+            let (expect, got) = (r.usize_()?, r.usize_()?);
+            let rx = BasicRx::load(r, true)?;
             // `got` reaches `expect` only on the step into `PtrUpdate`;
             // every other state still counts a message, `got += 1`.
-            let count_ok = match p.state {
-                RecvState::Poll | RecvState::PtrUpdate => p.got <= p.expect,
-                _ => p.got < p.expect,
+            let count_ok = match rx.state {
+                RecvState::Poll | RecvState::PtrUpdate => got <= expect,
+                _ => got < expect,
             };
-            if !recv_state_ok(p.state, p.cur_len) || !count_ok {
+            if !rx.valid() || !count_ok {
                 return Err(corrupt);
             }
-            Box::new(p)
+            Box::new(RecvBasic {
+                lib: *lib,
+                expect,
+                got,
+                rx,
+            })
         }
         2 => Box::new(SendExpress {
             lib: *lib,
@@ -1155,10 +1273,10 @@ pub(crate) fn load_program(
                 lib: *lib,
                 expect: r.usize_()?,
                 got: r.usize_()?,
-                primed: r.load()?,
+                poll: ExpressPoll { primed: r.load()? },
             };
             // A primed receiver still counts the message its load returns.
-            if p.got > p.expect || (p.primed && p.got == p.expect) {
+            if p.got > p.expect || (p.poll.primed && p.got == p.expect) {
                 return Err(corrupt);
             }
             Box::new(p)
@@ -1178,16 +1296,12 @@ pub(crate) fn load_program(
             let p = CollWait {
                 lib: *lib,
                 kind: r.u8()?,
-                state: r.load()?,
-                consumer: r.u16()?,
-                producer_seen: r.u16()?,
-                cur_len: r.u32()?,
-                buf: r.load()?,
+                rx: BasicRx::load(r, false)?,
                 done: r.load()?,
                 idle_polls: r.u32()?,
             };
             // The kind byte indexes the result-label table.
-            if p.kind > 3 || !recv_state_ok(p.state, p.cur_len) {
+            if p.kind > 3 || !p.rx.valid() {
                 return Err(corrupt);
             }
             Box::new(p)
@@ -1195,17 +1309,6 @@ pub(crate) fn load_program(
         9 => Box::new(TenantScheduler::load(r, lib, depth)?),
         _ => return Err(corrupt),
     })
-}
-
-/// Whether a restored receive loop ([`RecvBasic`], [`CollWait`]) can
-/// step from `state`: `cur_len` only ever holds the rx slot's one-byte
-/// length, and `ReadBody` computes `cur_len - (off - 8)` and `off + 8`.
-fn recv_state_ok(state: RecvState, cur_len: u32) -> bool {
-    let body_ok = match state {
-        RecvState::ReadBody { off } => off == 0 || (off >= 8 && off - 8 <= cur_len),
-        _ => true,
-    };
-    cur_len <= u32::from(u8::MAX) && body_ok
 }
 
 sv_sim::checkpointed! {
@@ -1489,7 +1592,7 @@ mod tests {
         for producer in [1, 2, entries / 2, entries - 1] {
             let s = SendBasic::resuming(&lib, vec![], producer);
             assert!(
-                s.producer.wrapping_sub(s.consumer_seen) < entries,
+                s.tx.producer.wrapping_sub(s.tx.consumer_seen) < entries,
                 "producer {producer} must not force a poll"
             );
         }
@@ -1498,7 +1601,7 @@ mod tests {
         for producer in [entries, entries + 1, entries * 3] {
             let s = SendBasic::resuming(&lib, vec![], producer);
             assert!(
-                s.producer.wrapping_sub(s.consumer_seen) >= entries,
+                s.tx.producer.wrapping_sub(s.tx.consumer_seen) >= entries,
                 "producer {producer} must poll the shadow first"
             );
         }

@@ -9,13 +9,15 @@
 //! actually read every byte, achieved bandwidth, processor occupancies,
 //! and end-to-end data verification.
 
-use crate::api::{request_transfer, ReadRegion, RecvBasic};
+use crate::api::{
+    request_transfer, BasicRx, BasicTx, Outgoing, ReadRegion, RecvBasic, RecvState, Rx, Tx,
+    POLL_GAP_NS,
+};
 use crate::app::{AppEventKind, Env, Program, Seq, Step, StoreData};
 use crate::machine::{Machine, NodeLib};
 use crate::metrics::{XferMeasurement, XferPoint};
 use crate::params::SystemParams;
 use sv_firmware::proto::{Approach, XferReq};
-use sv_niu::msg::MsgHeader;
 
 /// Source buffer address in the sender's DRAM.
 pub const SRC_ADDR: u64 = 0x0010_0000;
@@ -47,17 +49,6 @@ pub fn dst_addr_for(params: &SystemParams, approach: Approach) -> u64 {
 // Approach 1: the aPs move everything.
 // =========================================================================
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum A1SendState {
-    Next,
-    PollSpace,
-    ReadData { off: u32 },
-    WriteHeader,
-    WriteMeta,
-    WritePayload { off: u32 },
-    PtrUpdate,
-}
-
 /// Approach-1 sender: read each chunk from DRAM, packetize it into a
 /// Basic message (8-byte destination-address meta + 80 bytes of data),
 /// launch.
@@ -68,14 +59,15 @@ pub struct A1Send {
     dst_addr: u64,
     len: u32,
     sent: u32,
-    state: A1SendState,
+    /// The DRAM words of the message being composed, read so far.
     chunk: Vec<u8>,
+    /// A DRAM load is outstanding: `env.last_load` holds its word.
+    reading: bool,
     /// Data bytes per message; validated ≤ [`A1_CHUNK_MAX`] at
     /// construction so the `8 + chunk` Basic header length can neither
     /// exceed the wire format nor silently truncate to `u8`.
     chunk_bytes: u32,
-    producer: u16,
-    consumer_seen: u16,
+    tx: BasicTx,
 }
 
 impl A1Send {
@@ -114,116 +106,48 @@ impl A1Send {
             dst_addr,
             len,
             sent: 0,
-            state: A1SendState::Next,
             chunk: Vec::with_capacity(chunk_bytes as usize),
+            reading: false,
             chunk_bytes,
-            producer: 0,
-            consumer_seen: 0,
+            tx: BasicTx::resuming(lib.basic_tx, 0),
         })
-    }
-
-    fn chunk_len(&self) -> u32 {
-        self.chunk_bytes.min(self.len - self.sent)
     }
 }
 
 impl Program for A1Send {
     fn step(&mut self, env: &mut Env<'_>) -> Step {
-        loop {
-            match self.state {
-                A1SendState::Next => {
-                    if self.sent >= self.len {
-                        return Step::Done;
-                    }
-                    if self.producer.wrapping_sub(self.consumer_seen) >= self.lib.basic_tx.entries {
-                        self.state = A1SendState::PollSpace;
-                        return Step::Load {
-                            addr: self.lib.asram(self.lib.basic_tx.shadow_off),
-                            bytes: 8,
-                        };
-                    }
-                    self.chunk.clear();
-                    self.state = A1SendState::ReadData { off: 0 };
-                }
-                A1SendState::PollSpace => {
-                    self.consumer_seen = env.last_load as u16;
-                    self.state = A1SendState::Next;
-                    if self.producer.wrapping_sub(self.consumer_seen) >= self.lib.basic_tx.entries {
-                        return Step::Compute(30);
-                    }
-                }
-                A1SendState::ReadData { off } => {
-                    if off > 0 {
-                        self.chunk.extend_from_slice(&env.last_load.to_le_bytes());
-                    }
-                    if off < self.chunk_len() {
-                        let a = self.src_addr + (self.sent + off) as u64;
-                        self.state = A1SendState::ReadData { off: off + 8 };
-                        return Step::Load { addr: a, bytes: 8 };
-                    }
-                    self.chunk.truncate(self.chunk_len() as usize);
-                    self.state = A1SendState::WriteHeader;
-                }
-                A1SendState::WriteHeader => {
-                    let dest = self.lib.user_dest(self.dst_node);
-                    // In range by construction: chunk_bytes ≤ A1_CHUNK_MAX,
-                    // so 8 + chunk_len() ≤ 88 — the cast cannot truncate.
-                    debug_assert!(8 + self.chunk_len() <= u8::MAX as u32);
-                    let hdr = MsgHeader::basic(dest, (8 + self.chunk_len()) as u8);
-                    let slot = self.lib.basic_tx.slot_off(self.producer);
-                    self.state = A1SendState::WriteMeta;
-                    return Step::Store {
-                        addr: self.lib.asram(slot),
-                        data: StoreData::Bytes(hdr.encode().to_vec()),
-                    };
-                }
-                A1SendState::WriteMeta => {
-                    let slot = self.lib.basic_tx.slot_off(self.producer);
-                    let meta = self.dst_addr + self.sent as u64;
-                    self.state = A1SendState::WritePayload { off: 0 };
-                    return Step::Store {
-                        addr: self.lib.asram(slot + 8),
-                        data: StoreData::U64(meta),
-                    };
-                }
-                A1SendState::WritePayload { off } => {
-                    if (off as usize) < self.chunk.len() {
-                        let end = (off as usize + 8).min(self.chunk.len());
-                        let bytes = self.chunk[off as usize..end].to_vec();
-                        let slot = self.lib.basic_tx.slot_off(self.producer);
-                        self.state = A1SendState::WritePayload { off: off + 8 };
-                        return Step::Store {
-                            addr: self.lib.asram(slot + 16 + off),
-                            data: StoreData::Bytes(bytes),
-                        };
-                    }
-                    self.state = A1SendState::PtrUpdate;
-                }
-                A1SendState::PtrUpdate => {
-                    self.sent += self.chunk_len().min(self.len - self.sent);
-                    self.producer = self.producer.wrapping_add(1);
-                    let q = self.lib.basic_tx.q;
-                    self.state = A1SendState::Next;
-                    return Step::Store {
-                        addr: self.lib.map.ptr_update_addr(false, q, self.producer),
-                        data: StoreData::U64(0),
-                    };
-                }
+        if self.sent >= self.len {
+            return Step::Done;
+        }
+        if let Some(s) = self.tx.room(&self.lib, env, false) {
+            return s;
+        }
+        // A slot is free: read the message's data out of DRAM before
+        // composing it.
+        if self.reading {
+            self.chunk.extend_from_slice(&env.last_load.to_le_bytes());
+        }
+        let have = self.chunk.len() as u32;
+        self.reading = have < self.chunk_bytes.min(self.len - self.sent);
+        if self.reading {
+            let addr = self.src_addr + u64::from(self.sent + have);
+            return Step::Load { addr, bytes: 8 };
+        }
+        let msg = Outgoing {
+            dest: self.lib.user_dest(self.dst_node),
+            word: Some(self.dst_addr + u64::from(self.sent)),
+            bytes: &self.chunk,
+            tagon: &[],
+        };
+        match self.tx.step(&self.lib, env, &msg) {
+            Tx::Busy(s) => s,
+            Tx::Launched(s) => {
+                self.sent += have;
+                self.chunk.clear();
+                s
             }
         }
     }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum A1RecvState {
-    Poll,
-    CheckPoll,
-    ReadHeader,
-    CheckHeader,
-    ReadMeta,
-    ReadBody { off: u32 },
-    WriteBody { off: u32 },
-    PtrUpdate,
 }
 
 /// Approach-1 receiver: read each message out of the receive queue and
@@ -232,12 +156,9 @@ pub struct A1Recv {
     lib: NodeLib,
     total: u32,
     received: u32,
-    state: A1RecvState,
-    consumer: u16,
-    producer_seen: u16,
-    cur_dst: u64,
-    cur_len: u32,
-    buf: Vec<u8>,
+    /// Bytes of the current message's data copied to DRAM so far.
+    copied: u32,
+    rx: BasicRx,
 }
 
 impl A1Recv {
@@ -247,12 +168,8 @@ impl A1Recv {
             lib: *lib,
             total,
             received: 0,
-            state: A1RecvState::Poll,
-            consumer: 0,
-            producer_seen: 0,
-            cur_dst: 0,
-            cur_len: 0,
-            buf: Vec::new(),
+            copied: 0,
+            rx: BasicRx::resuming(0),
         }
     }
 }
@@ -260,93 +177,36 @@ impl A1Recv {
 impl Program for A1Recv {
     fn step(&mut self, env: &mut Env<'_>) -> Step {
         loop {
-            match self.state {
-                A1RecvState::Poll => {
-                    if self.received >= self.total {
-                        // Copy complete: this *is* the notification.
-                        env.emit(AppEventKind::NotifyReceived { xfer_id: 0 });
-                        return Step::Done;
-                    }
-                    if self.consumer != self.producer_seen {
-                        self.state = A1RecvState::ReadHeader;
-                        continue;
-                    }
-                    self.state = A1RecvState::CheckPoll;
-                    return Step::Load {
-                        addr: self.lib.asram(self.lib.basic_rx.shadow_off),
-                        bytes: 8,
-                    };
+            match self.rx.state {
+                RecvState::Poll if self.received >= self.total => {
+                    // Copy complete: this *is* the notification.
+                    env.emit(AppEventKind::NotifyReceived { xfer_id: 0 });
+                    return Step::Done;
                 }
-                A1RecvState::CheckPoll => {
-                    self.producer_seen = env.last_load as u16;
-                    if self.consumer == self.producer_seen {
-                        self.state = A1RecvState::Poll;
-                        return Step::Compute(30);
-                    }
-                    self.state = A1RecvState::ReadHeader;
-                }
-                A1RecvState::ReadHeader => {
-                    let slot = self.lib.basic_rx.slot_off(self.consumer);
-                    self.state = A1RecvState::CheckHeader;
-                    return Step::Load {
-                        addr: self.lib.asram(slot),
-                        bytes: 8,
-                    };
-                }
-                A1RecvState::CheckHeader => {
-                    let hdr = env.last_load.to_le_bytes();
-                    let (_src, _lq, len) = sv_niu::niu::decode_rx_slot(&hdr);
-                    self.cur_len = len as u32 - 8;
-                    self.state = A1RecvState::ReadMeta;
-                    let slot = self.lib.basic_rx.slot_off(self.consumer);
-                    return Step::Load {
-                        addr: self.lib.asram(slot + 8),
-                        bytes: 8,
-                    };
-                }
-                A1RecvState::ReadMeta => {
-                    self.cur_dst = env.last_load;
-                    self.buf.clear();
-                    self.state = A1RecvState::ReadBody { off: 0 };
-                }
-                A1RecvState::ReadBody { off } => {
-                    if off > 0 {
-                        self.buf.extend_from_slice(&env.last_load.to_le_bytes());
-                    }
-                    if off < self.cur_len {
-                        let slot = self.lib.basic_rx.slot_off(self.consumer);
-                        self.state = A1RecvState::ReadBody { off: off + 8 };
-                        return Step::Load {
-                            addr: self.lib.asram(slot + 16 + off),
-                            bytes: 8,
-                        };
-                    }
-                    self.buf.truncate(self.cur_len as usize);
-                    self.state = A1RecvState::WriteBody { off: 0 };
-                }
-                A1RecvState::WriteBody { off } => {
-                    if (off as usize) < self.buf.len() {
-                        let end = (off as usize + 8).min(self.buf.len());
-                        let bytes = self.buf[off as usize..end].to_vec();
-                        let a = self.cur_dst + off as u64;
-                        self.state = A1RecvState::WriteBody { off: off + 8 };
+                // The message is read out: copy its data to the address
+                // its first word names before its slot is freed.
+                RecvState::PtrUpdate => {
+                    let body = &self.rx.buf;
+                    let off = 8 + self.copied as usize;
+                    if off < body.len() {
+                        let dst = u64::from_le_bytes(body[..8].try_into().expect("meta word"));
+                        let data = body[off..(off + 8).min(body.len())].to_vec();
+                        let addr = dst + u64::from(self.copied);
+                        self.copied += 8;
                         return Step::Store {
-                            addr: a,
-                            data: StoreData::Bytes(bytes),
+                            addr,
+                            data: StoreData::Bytes(data),
                         };
                     }
-                    self.received += self.cur_len;
-                    self.state = A1RecvState::PtrUpdate;
+                    self.received += (body.len() as u32).saturating_sub(8);
+                    self.copied = 0;
                 }
-                A1RecvState::PtrUpdate => {
-                    self.consumer = self.consumer.wrapping_add(1);
-                    let q = self.lib.basic_rx.q;
-                    self.state = A1RecvState::Poll;
-                    return Step::Store {
-                        addr: self.lib.map.ptr_update_addr(true, q, self.consumer),
-                        data: StoreData::U64(0),
-                    };
-                }
+                _ => {}
+            }
+            match self.rx.step(&self.lib, env) {
+                Rx::Busy(s) => return s,
+                Rx::Empty => return Step::Compute(POLL_GAP_NS),
+                Rx::Message => {}
             }
         }
     }

@@ -13,15 +13,10 @@
 //! power-of-two node counts), [`barrier`], and [`Broadcast`] (binomial
 //! tree, any node count).
 
+use crate::api::{BasicRx, BasicTx, ExpressPoll, Outgoing, RecvState, Rx, Tx, POLL_GAP_NS};
 use crate::app::{AppEventKind, Env, Program, Step, StoreData};
 use crate::machine::NodeLib;
 use std::collections::HashMap;
-use sv_niu::msg::{express, MsgHeader};
-use sv_niu::niu::decode_rx_slot;
-
-/// Backoff between uncached polls of an empty queue, matching the
-/// layer-0 programs in [`crate::api`].
-const POLL_GAP_NS: u64 = 30;
 
 /// Reduction operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,7 +66,7 @@ struct Exchange {
     pending: HashMap<(u32, u8), u32>,
     /// Which half of the current send remains (2 = both, 1 = low sent).
     send_left: u8,
-    primed: bool,
+    poll: ExpressPoll,
 }
 
 impl Exchange {
@@ -80,12 +75,12 @@ impl Exchange {
             lib,
             pending: HashMap::new(),
             send_left: 0,
-            primed: false,
+            poll: ExpressPoll::default(),
         }
     }
 
-    /// Begin sending `value` to `peer` for `round`.
-    fn start_send(&mut self, _peer: u16, _round: u32) {
+    /// Begin sending a value: both halves remain.
+    fn start_send(&mut self) {
         self.send_left = 2;
     }
 
@@ -126,26 +121,20 @@ impl Exchange {
     /// Poll step: issue a receive load, or absorb its result. Returns
     /// `Some(step)` while more polling is needed to complete `round`.
     fn recv_step(&mut self, env: &mut Env<'_>, round: u32) -> Option<Step> {
-        if self.primed {
-            self.primed = false;
-            if let Some((_src, tag, word)) = express::unpack_rx(env.last_load) {
+        match self.poll.take(env) {
+            // The load went out only while `round` was incomplete, and
+            // nothing has arrived since: back off.
+            Err(gap) => return Some(gap),
+            Ok(Some((_src, tag, word))) => {
                 let (r, half) = split_tag(tag);
                 self.pending.insert((r, half), u32::from_le_bytes(word));
-            } else {
-                // Queue empty: back off briefly.
-                if !self.have_round(round) {
-                    return Some(Step::Compute(30));
-                }
             }
+            Ok(None) => {}
         }
         if self.have_round(round) {
             return None;
         }
-        self.primed = true;
-        Some(Step::Load {
-            addr: self.lib.map.express_rx_addr(self.lib.express_rx_q),
-            bytes: 8,
-        })
+        Some(self.poll.issue(&self.lib))
     }
 }
 
@@ -162,7 +151,6 @@ enum Phase {
 pub struct AllReduce {
     ex: Exchange,
     rank: u16,
-    size: u16,
     op: ReduceOp,
     value: u64,
     round: u32,
@@ -178,12 +166,11 @@ impl AllReduce {
         let rounds = size.trailing_zeros();
         let mut ex = Exchange::new(*lib);
         if rounds > 0 {
-            ex.start_send(0, 0);
+            ex.start_send();
         }
         AllReduce {
             ex,
             rank: lib.node,
-            size,
             op,
             value,
             round: 0,
@@ -222,7 +209,7 @@ impl Program for AllReduce {
                     if self.round >= self.rounds {
                         self.phase = Phase::Done;
                     } else {
-                        self.ex.start_send(self.partner(), self.round);
+                        self.ex.start_send();
                         self.phase = Phase::Send;
                     }
                 }
@@ -231,7 +218,6 @@ impl Program for AllReduce {
                         label: "allreduce",
                         value: self.value,
                     });
-                    let _ = self.size;
                     return Step::Done;
                 }
             }
@@ -303,7 +289,7 @@ impl Program for Broadcast {
                         // We hold the value: send if the partner exists.
                         let dst_rel = rel as u32 + lo;
                         if dst_rel < self.size as u32 {
-                            self.ex.start_send(0, k);
+                            self.ex.start_send();
                             self.phase = Phase::Send;
                             continue;
                         }
@@ -361,36 +347,22 @@ impl Program for Broadcast {
 pub struct BasicAllReduce {
     lib: NodeLib,
     rank: u16,
-    size: u16,
     op: ReduceOp,
     value: u64,
     round: u32,
     rounds: u32,
     phase: Phase,
-    /// Send-side sub-state: 0 = header, 1 = payload, 2 = pointer update.
-    send_step: u8,
-    producer: u16,
+    tx: BasicTx,
     /// Received values buffered by round (a fast partner can race a
     /// round ahead; per-peer in-order delivery does not serialize
     /// *across* peers).
     pending: HashMap<u32, u64>,
-    recv: BasicRecvCursor,
-}
-
-/// Minimal Basic-queue receive cursor: poll the producer shadow, read one
-/// header + 16-byte body, free the slot. Shared by [`BasicAllReduce`]'s
-/// rounds.
-struct BasicRecvCursor {
-    state: u8, // 0 = poll?, 1 = check shadow, 2+k = body load k collected
-    consumer: u16,
-    producer_seen: u16,
-    cur_len: u32,
-    buf: Vec<u8>,
+    rx: BasicRx,
 }
 
 impl BasicAllReduce {
     /// Payload bytes per round: `[round: u32 | value: u64]`.
-    const PAYLOAD: u32 = 12;
+    const PAYLOAD: usize = 12;
 
     /// One node's share of the collective.
     pub fn new(lib: &NodeLib, op: ReduceOp, value: u64) -> Self {
@@ -400,7 +372,6 @@ impl BasicAllReduce {
         BasicAllReduce {
             lib: *lib,
             rank: lib.node,
-            size,
             op,
             value,
             round: 0,
@@ -410,16 +381,9 @@ impl BasicAllReduce {
             } else {
                 Phase::Send
             },
-            send_step: 0,
-            producer: 0,
+            tx: BasicTx::resuming(lib.basic_tx, 0),
             pending: HashMap::new(),
-            recv: BasicRecvCursor {
-                state: 0,
-                consumer: 0,
-                producer_seen: 0,
-                cur_len: 0,
-                buf: Vec::new(),
-            },
+            rx: BasicRx::resuming(0),
         }
     }
 
@@ -431,155 +395,65 @@ impl BasicAllReduce {
     fn partner(&self) -> u16 {
         self.rank ^ (1 << self.round)
     }
-
-    /// Next send step for this round, or `None` when the message is out.
-    fn send_step(&mut self) -> Option<Step> {
-        let slot = self.lib.basic_tx.slot_off(self.producer);
-        match self.send_step {
-            0 => {
-                self.send_step = 1;
-                let dest = self.lib.user_dest(self.partner());
-                let hdr = MsgHeader::basic(dest, Self::PAYLOAD as u8);
-                Some(Step::Store {
-                    addr: self.lib.asram(slot),
-                    data: StoreData::Bytes(hdr.encode().to_vec()),
-                })
-            }
-            // Payload goes out in 8-byte store chunks, like [`SendBasic`].
-            s @ (1 | 2) => {
-                self.send_step = s + 1;
-                let mut payload = [0u8; Self::PAYLOAD as usize];
-                payload[..4].copy_from_slice(&self.round.to_le_bytes());
-                payload[4..].copy_from_slice(&self.value.to_le_bytes());
-                let off = (s as usize - 1) * 8;
-                let end = (off + 8).min(payload.len());
-                Some(Step::Store {
-                    addr: self.lib.asram(slot + 8 + off as u32),
-                    data: StoreData::Bytes(payload[off..end].to_vec()),
-                })
-            }
-            3 => {
-                self.send_step = 4;
-                self.producer = self.producer.wrapping_add(1);
-                Some(Step::Store {
-                    addr: self
-                        .lib
-                        .map
-                        .ptr_update_addr(false, self.lib.basic_tx.q, self.producer),
-                    data: StoreData::U64(0),
-                })
-            }
-            _ => None,
-        }
-    }
-
-    /// Poll/receive until this round's value is buffered. Returns
-    /// `Some(step)` while more polling is needed.
-    fn recv_step(&mut self, env: &mut Env<'_>) -> Option<Step> {
-        loop {
-            if self.pending.contains_key(&self.round) {
-                return None;
-            }
-            let r = &mut self.recv;
-            match r.state {
-                0 => {
-                    if r.consumer != r.producer_seen {
-                        r.state = 2;
-                        continue;
-                    }
-                    r.state = 1;
-                    return Some(Step::Load {
-                        addr: self.lib.asram(self.lib.basic_rx.shadow_off),
-                        bytes: 8,
-                    });
-                }
-                1 => {
-                    r.producer_seen = env.last_load as u16;
-                    if r.consumer == r.producer_seen {
-                        r.state = 0;
-                        return Some(Step::Compute(POLL_GAP_NS));
-                    }
-                    r.state = 2;
-                }
-                2 => {
-                    r.state = 3;
-                    return Some(Step::Load {
-                        addr: self.lib.asram(self.lib.basic_rx.slot_off(r.consumer)),
-                        bytes: 8,
-                    });
-                }
-                3 => {
-                    let hdr = env.last_load.to_le_bytes();
-                    let (_src, _lq, len) = decode_rx_slot(&hdr);
-                    r.cur_len = len as u32;
-                    r.buf.clear();
-                    r.state = 4;
-                }
-                // States 4.. read the body 8 bytes at a time.
-                s => {
-                    let off = (s as u32 - 4) * 8;
-                    if off > 0 {
-                        let take = (r.cur_len - (off - 8)).min(8) as usize;
-                        r.buf
-                            .extend_from_slice(&env.last_load.to_le_bytes()[..take]);
-                    }
-                    if off < r.cur_len {
-                        r.state += 1;
-                        return Some(Step::Load {
-                            addr: self
-                                .lib
-                                .asram(self.lib.basic_rx.slot_off(r.consumer) + 8 + off),
-                            bytes: 8,
-                        });
-                    }
-                    if r.buf.len() >= Self::PAYLOAD as usize {
-                        let round = u32::from_le_bytes(r.buf[..4].try_into().expect("round"));
-                        let value = u64::from_le_bytes(r.buf[4..12].try_into().expect("value"));
-                        self.pending.insert(round, value);
-                    }
-                    r.consumer = r.consumer.wrapping_add(1);
-                    r.state = 0;
-                    return Some(Step::Store {
-                        addr: self
-                            .lib
-                            .map
-                            .ptr_update_addr(true, self.lib.basic_rx.q, r.consumer),
-                        data: StoreData::U64(0),
-                    });
-                }
-            }
-        }
-    }
 }
 
 impl Program for BasicAllReduce {
     fn step(&mut self, env: &mut Env<'_>) -> Step {
         loop {
             match self.phase {
-                Phase::Send => match self.send_step() {
-                    Some(s) => return s,
-                    None => self.phase = Phase::Recv,
-                },
-                Phase::Recv => {
-                    if let Some(s) = self.recv_step(env) {
-                        return s;
+                Phase::Send => {
+                    let mut payload = [0u8; Self::PAYLOAD];
+                    payload[..4].copy_from_slice(&self.round.to_le_bytes());
+                    payload[4..].copy_from_slice(&self.value.to_le_bytes());
+                    let msg = Outgoing {
+                        dest: self.lib.user_dest(self.partner()),
+                        word: None,
+                        bytes: &payload,
+                        tagon: &[],
+                    };
+                    match self.tx.step(&self.lib, env, &msg) {
+                        Tx::Busy(s) => return s,
+                        Tx::Launched(s) => {
+                            self.phase = Phase::Recv;
+                            return s;
+                        }
                     }
+                }
+                // Receive until this round's value is buffered, checking
+                // between messages.
+                Phase::Recv
+                    if self.rx.state != RecvState::Poll
+                        || !self.pending.contains_key(&self.round) =>
+                {
+                    match self.rx.step(&self.lib, env) {
+                        Rx::Busy(s) => return s,
+                        Rx::Empty => return Step::Compute(POLL_GAP_NS),
+                        Rx::Message => {
+                            if let Some(b) = self.rx.buf.get(..Self::PAYLOAD) {
+                                let (round, value) = b.split_at(4);
+                                self.pending.insert(
+                                    u32::from_le_bytes(round.try_into().expect("round")),
+                                    u64::from_le_bytes(value.try_into().expect("value")),
+                                );
+                            }
+                        }
+                    }
+                }
+                Phase::Recv => {
                     let theirs = self.pending.remove(&self.round).expect("round buffered");
                     self.value = self.op.apply(self.value, theirs);
                     self.round += 1;
-                    if self.round >= self.rounds {
-                        self.phase = Phase::Done;
+                    self.phase = if self.round >= self.rounds {
+                        Phase::Done
                     } else {
-                        self.send_step = 0;
-                        self.phase = Phase::Send;
-                    }
+                        Phase::Send
+                    };
                 }
                 Phase::Done => {
                     env.emit(AppEventKind::Result {
                         label: "allreduce_basic",
                         value: self.value,
                     });
-                    let _ = self.size;
                     return Step::Done;
                 }
             }

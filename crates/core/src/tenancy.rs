@@ -31,11 +31,13 @@
 //! state machine over `Env { now, last_load }`, so per-tenant stats are
 //! byte-identical across run modes, worker counts and shard policies.
 
-use crate::api::{load_program, ApiError, BasicMsg, ProgramSnapshot, MAX_SEQ_DEPTH};
-use crate::app::{AppEventKind, Env, Program, Step, StoreData};
+use crate::api::{
+    load_program, ApiError, BasicMsg, BasicTx, Outgoing, ProgramSnapshot, SendState, Tx,
+    MAX_SEQ_DEPTH,
+};
+use crate::app::{AppEventKind, Env, Program, Step};
 use crate::machine::{dest, shadow, NodeLib, QueueView};
 use std::collections::VecDeque;
-use sv_niu::msg::MsgHeader;
 use sv_sim::ckpt::{SnapReader, SnapWriter, SnapshotError, StateLoad, StateSave};
 
 /// First logical rx queue owned by a tenant (`TENANT_LQ_BASE + t` is
@@ -367,10 +369,6 @@ pub struct TenantSchedStat {
     pub done: bool,
 }
 
-/// Gap between space polls of a full transmit queue, ns (mirrors the
-/// layer-0 library's polling cadence).
-const MUX_POLL_GAP_NS: u64 = 30;
-
 /// The confined tenant's transmit-queue view. Geometry is the default
 /// aSRAM carving ([`sv_niu::ctrl::Ctrl::new`]): tx queue `q` at
 /// `q * 4096`, 32 entries of 96 bytes; the consumer shadow is installed
@@ -385,28 +383,16 @@ fn confined_tx_view() -> QueueView {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MuxState {
-    Idle,
-    PollSpace,
-    WriteHeader,
-    WritePayload { off: u32 },
-    PtrUpdate,
-}
-
-/// A shared Basic-transmit engine: replays the layer-0
-/// [`crate::api::SendBasic`] store/load sequence for one message at a
-/// time on behalf of whichever tenant owns the in-flight message.
-/// Message-granularity atomicity is the preemption unit: once a header
-/// store has been issued, the scheduler finishes the message before
-/// rotating (interleaving two tenants' stores into one hardware slot
-/// would corrupt the queue).
+/// A shared Basic-transmit engine: sends one message at a time through
+/// the layer-0 send engine on behalf of whichever tenant owns the
+/// in-flight message. It sends the payload alone, without a TagOn
+/// attachment. Message-granularity atomicity is the preemption unit:
+/// once a header store has been issued, the scheduler finishes the
+/// message before rotating (interleaving two tenants' stores into one
+/// hardware slot would corrupt the queue).
 #[derive(Debug)]
 struct BasicTxMux {
-    view: QueueView,
-    state: MuxState,
-    producer: u16,
-    consumer_seen: u16,
+    tx: BasicTx,
     owner: u16,
     msg: Option<BasicMsg>,
 }
@@ -414,34 +400,33 @@ struct BasicTxMux {
 impl BasicTxMux {
     fn new(view: QueueView) -> Self {
         BasicTxMux {
-            view,
-            state: MuxState::Idle,
-            producer: 0,
-            consumer_seen: 0,
+            tx: BasicTx::resuming(view, 0),
             owner: 0,
             msg: None,
         }
     }
 
     fn busy(&self) -> bool {
-        self.state != MuxState::Idle
+        self.msg.is_some()
     }
 
-    /// Checkpoint the mux: a state code, the payload offset (0 outside
-    /// `WritePayload`), the queue cursors, the owner and the in-flight
+    /// Checkpoint the mux: a state code (0 idle, 1 polling for space,
+    /// 2 holding a message before its space check, 3 writing the
+    /// payload, 4 storing the producer pointer), the payload offset (0
+    /// outside code 3), the queue cursors, the owner and the in-flight
     /// message. The queue view is the scheduler's to supply on load.
     fn save(&self, w: &mut SnapWriter) {
-        let (code, off) = match self.state {
-            MuxState::Idle => (0, 0),
-            MuxState::PollSpace => (1, 0),
-            MuxState::WriteHeader => (2, 0),
-            MuxState::WritePayload { off } => (3, off),
-            MuxState::PtrUpdate => (4, 0),
+        let (code, off) = match self.tx.state {
+            _ if !self.busy() => (0, 0),
+            SendState::PollSpace => (1, 0),
+            SendState::WritePayload { off } => (3, off),
+            SendState::PtrUpdate => (4, 0),
+            SendState::Next | SendState::WriteTagon { .. } | SendState::WriteHeader => (2, 0),
         };
         w.u8(code);
         w.u32(off);
-        w.u16(self.producer);
-        w.u16(self.consumer_seen);
+        w.u16(self.tx.producer);
+        w.u16(self.tx.consumer_seen);
         w.u16(self.owner);
         w.save(&self.msg);
     }
@@ -451,25 +436,25 @@ impl BasicTxMux {
         let corrupt = SnapshotError::Corrupt { offset: r.offset() };
         let (code, off) = (r.u8()?, r.u32()?);
         let state = match code {
-            0 => MuxState::Idle,
-            1 => MuxState::PollSpace,
-            2 => MuxState::WriteHeader,
-            3 => MuxState::WritePayload { off },
-            4 => MuxState::PtrUpdate,
+            0 | 2 => SendState::Next,
+            1 => SendState::PollSpace,
+            3 => SendState::WritePayload { off },
+            4 => SendState::PtrUpdate,
             _ => return Err(corrupt),
         };
         let m = BasicTxMux {
-            view,
-            state,
-            producer: r.u16()?,
-            consumer_seen: r.u16()?,
+            tx: BasicTx {
+                view,
+                state,
+                producer: r.u16()?,
+                consumer_seen: r.u16()?,
+            },
             owner: r.u16()?,
             msg: r.load()?,
         };
-        // Every non-idle state dereferences the in-flight message; a
-        // forged snapshot must not reach those expects (and an idle mux
-        // holding a message would never release it).
-        if m.busy() != m.msg.is_some() {
+        // Every non-idle state sends the in-flight message (and an idle
+        // mux holding a message would never release it).
+        if (code != 0) != m.busy() {
             return Err(corrupt);
         }
         Ok(m)
@@ -479,72 +464,27 @@ impl BasicTxMux {
         debug_assert!(!self.busy());
         self.owner = owner;
         self.msg = Some(msg);
-        self.state = MuxState::WriteHeader;
     }
 
     /// Advance the in-flight message by one step. `Some(step)` is the
     /// aP operation to issue (attributed to `self.owner`); `None` means
-    /// the message completed and the mux is idle again.
+    /// the mux is idle.
     fn step(&mut self, lib: &NodeLib, env: &mut Env<'_>) -> Option<Step> {
-        loop {
-            match self.state {
-                MuxState::Idle => return None,
-                MuxState::WriteHeader => {
-                    if self.producer.wrapping_sub(self.consumer_seen) >= self.view.entries {
-                        self.state = MuxState::PollSpace;
-                        return Some(Step::Load {
-                            addr: lib.asram(self.view.shadow_off),
-                            bytes: 8,
-                        });
-                    }
-                    let msg = self.msg.as_ref().expect("mux message");
-                    let hdr = MsgHeader::basic(msg.dest, msg.payload.len() as u8);
-                    let slot = self.view.slot_off(self.producer);
-                    self.state = MuxState::WritePayload { off: 0 };
-                    return Some(Step::Store {
-                        addr: lib.asram(slot),
-                        data: StoreData::Bytes(hdr.encode().to_vec()),
-                    });
-                }
-                MuxState::PollSpace => {
-                    self.consumer_seen = env.last_load as u16;
-                    if self.producer.wrapping_sub(self.consumer_seen) >= self.view.entries {
-                        // Still full: hold the header state and retry
-                        // after a beat.
-                        self.state = MuxState::WriteHeader;
-                        return Some(Step::Compute(MUX_POLL_GAP_NS));
-                    }
-                    self.state = MuxState::WriteHeader;
-                }
-                MuxState::WritePayload { off } => {
-                    let msg = self.msg.as_ref().expect("mux message");
-                    if (off as usize) < msg.payload.len() {
-                        let end = (off as usize + 8).min(msg.payload.len());
-                        let chunk = msg.payload[off as usize..end].to_vec();
-                        let slot = self.view.slot_off(self.producer);
-                        self.state = MuxState::WritePayload { off: off + 8 };
-                        return Some(Step::Store {
-                            addr: lib.asram(slot + 8 + off),
-                            data: StoreData::Bytes(chunk),
-                        });
-                    }
-                    self.state = MuxState::PtrUpdate;
-                }
-                MuxState::PtrUpdate => {
-                    let msg = self.msg.take().expect("mux message");
-                    self.producer = self.producer.wrapping_add(1);
-                    let q = self.view.q;
-                    env.emit(AppEventKind::Sent {
-                        q,
-                        dest: msg.dest,
-                        bytes: msg.payload.len() as u32,
-                    });
-                    self.state = MuxState::Idle;
-                    return Some(Step::Store {
-                        addr: lib.map.ptr_update_addr(false, q, self.producer),
-                        data: StoreData::U64(0),
-                    });
-                }
+        let msg = self.msg.as_ref()?;
+        let out = Outgoing {
+            tagon: &[],
+            ..Outgoing::of(msg)
+        };
+        match self.tx.step(lib, env, &out) {
+            Tx::Busy(s) => Some(s),
+            Tx::Launched(s) => {
+                let msg = self.msg.take().expect("mux message");
+                env.emit(AppEventKind::Sent {
+                    q: self.tx.view.q,
+                    dest: msg.dest,
+                    bytes: msg.payload.len() as u32,
+                });
+                Some(s)
             }
         }
     }
@@ -1032,6 +972,8 @@ sv_sim::checkpointed! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::app::StoreData;
+    use sv_niu::msg::MsgHeader;
     use sv_sim::Time;
 
     fn mini_lib() -> NodeLib {
@@ -1299,7 +1241,7 @@ mod tests {
             got,
             [
                 poll.clone(),
-                Step::Compute(MUX_POLL_GAP_NS),
+                Step::Compute(crate::api::POLL_GAP_NS),
                 poll,
                 Step::Store {
                     addr: lib.asram(tx.slot_off(32)),

@@ -5,7 +5,9 @@
 //! microbenchmarks), T2 (shared-memory operation costs) and A3 (network
 //! scaling), and double as heavyweight integration tests.
 
-use crate::api::{BasicMsg, RecvBasic, RecvExpress, SendBasic, SendExpress};
+use crate::api::{
+    BasicMsg, ExpressPoll, RecvBasic, RecvExpress, SendBasic, SendExpress, POLL_GAP_NS,
+};
 use crate::app::{AppEventKind, Delay, Env, Program, Seq, Step, StoreData};
 use crate::machine::{Machine, NodeLib};
 use crate::metrics::MsgMicro;
@@ -128,7 +130,7 @@ impl Program for PingPongBasic {
                     self.producer_seen = env.last_load as u16;
                     if self.consumer == self.producer_seen {
                         self.state = PpState::Poll;
-                        return Step::Compute(30);
+                        return Step::Compute(POLL_GAP_NS);
                     }
                     self.state = PpState::ReadBody;
                 }
@@ -171,7 +173,7 @@ pub struct PingPongExpress {
     round: u32,
     initiator: bool,
     waiting: bool,
-    primed: bool,
+    poll: ExpressPoll,
 }
 
 /// Most ping-pong rounds one [`PingPongExpress`] pair can run: the
@@ -199,7 +201,7 @@ impl PingPongExpress {
             round: 0,
             initiator,
             waiting: !initiator,
-            primed: false,
+            poll: ExpressPoll::default(),
         }
     }
 }
@@ -211,22 +213,17 @@ impl Program for PingPongExpress {
                 return Step::Done;
             }
             if self.waiting {
-                if self.primed {
-                    self.primed = false;
-                    if sv_niu::msg::express::unpack_rx(env.last_load).is_none() {
-                        return Step::Compute(30);
+                match self.poll.take(env) {
+                    Err(gap) => return gap,
+                    Ok(None) => return self.poll.issue(&self.lib),
+                    Ok(Some(_)) => {
+                        self.waiting = false;
+                        if self.initiator {
+                            self.round += 1;
+                        }
+                        continue;
                     }
-                    self.waiting = false;
-                    if self.initiator {
-                        self.round += 1;
-                    }
-                    continue;
                 }
-                self.primed = true;
-                return Step::Load {
-                    addr: self.lib.map.express_rx_addr(self.lib.express_rx_q),
-                    bytes: 8,
-                };
             }
             // Send.
             let dest = self.lib.express_dest(self.peer);
