@@ -359,11 +359,8 @@ impl BasicTx {
         // its first compose (conservative: we do not know how much the
         // NIU has drained). A queue that has seen fewer than `entries`
         // messages in its lifetime can never be full — the consumer is
-        // at least 0 — so no initial poll is needed. `saturating_sub`
-        // encodes exactly that; the previous `wrapping_sub` made
-        // `producer - consumer_seen` equal `entries` for every resumed
-        // producer in `1..entries`, forcing a useless shadow poll (and
-        // its bus traffic) on every phased send.
+        // at least 0 — so no initial poll is needed; `saturating_sub`
+        // encodes exactly that.
         BasicTx {
             view,
             state: SendState::Next,
@@ -561,12 +558,12 @@ pub(crate) enum Rx {
 #[derive(Debug)]
 pub(crate) struct BasicRx {
     pub(crate) state: RecvState,
-    pub(crate) consumer: u16,
-    pub(crate) producer_seen: u16,
+    consumer: u16,
+    producer_seen: u16,
     /// Source of the message being read.
-    pub(crate) src: u16,
+    src: u16,
     /// Its length: the rx slot's one-byte field.
-    pub(crate) len: u32,
+    len: u32,
     /// Its body, as far as it has been read.
     pub(crate) buf: Vec<u8>,
 }
