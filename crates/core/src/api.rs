@@ -408,7 +408,6 @@ impl BasicTx {
     /// The next step of sending `msg`: the space check of
     /// [`BasicTx::room`], then the message's stores.
     pub(crate) fn step(&mut self, lib: &NodeLib, env: &Env<'_>, msg: &Outgoing<'_>) -> Tx {
-        let slot = self.view.slot_off(self.producer);
         let store = |addr, data| Tx::Busy(Step::Store { addr, data });
         loop {
             match self.state {
@@ -431,11 +430,13 @@ impl BasicTx {
                         hdr = hdr.with_tagon(USER_SCRATCH, msg.tagon.len() as u8);
                     }
                     self.state = SendState::WritePayload { off: 0 };
+                    let slot = self.view.slot_off(self.producer);
                     return store(lib.asram(slot), StoreData::Bytes(hdr.encode().to_vec()));
                 }
                 SendState::WritePayload { off } => {
                     if let Some(data) = msg.chunk(off) {
                         self.state = SendState::WritePayload { off: off + 8 };
+                        let slot = self.view.slot_off(self.producer);
                         return store(lib.asram(slot + 8 + off), data);
                     }
                     self.state = SendState::PtrUpdate;
